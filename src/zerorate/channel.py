@@ -125,10 +125,6 @@ class ChannelMetricPair:
     def ny(self) -> int:
         return len(self.output_alphabet)
 
-    def channel_support(self, a: int) -> tuple[int, ...]:
-        """Outputs reachable from input ``a``."""
-        return tuple(y for y in range(self.ny) if self.W[a][y] > 0)
-
 
 @dataclass(frozen=True)
 class SupportSets:
@@ -145,9 +141,6 @@ class SupportSets:
     y_hat: Mapping[tuple[int, int], frozenset[int]]
     disjoint_pairs: frozenset[tuple[int, int]]
     w_min: Fraction
-
-    def shared_metric_outputs(self, a: int, b: int) -> frozenset[int]:
-        return self.y_hat[(a, b)]
 
 
 def support_sets(pair: ChannelMetricPair) -> SupportSets:

@@ -112,11 +112,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def _options(args) -> SearchOptions:
-    return SearchOptions(
-        seed=args.seed,
-        method=getattr(args, "method", "multistart_pg"),
-        grid_resolution=getattr(args, "grid_resolution", 200),
-    )
+    return SearchOptions(seed=args.seed)
 
 
 # -- per-command payload builders -------------------------------------------------
@@ -292,9 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     new("zero-error", _cmd_zero_error, "zero-error conditions and boundary pairs", pair=True)
     new("balanced", _cmd_balanced, "balanced-pair check with violation details", pair=True)
 
-    p = new("exponent", _cmd_exponent, "zero-rate exponent quantity", pair=True, bits=True, seed=True)
-    p.add_argument("--method", default="multistart_pg", choices=("multistart_pg", "grid", "two_point"))
-    p.add_argument("--grid-resolution", type=int, default=200, dest="grid_resolution")
+    new("exponent", _cmd_exponent, "zero-rate exponent quantity", pair=True, bits=True, seed=True)
 
     new("gap", _cmd_gap, "ceiling of the relaxation gap", pair=True, bits=True)
 

@@ -583,7 +583,7 @@ def dmin_certificate(
     avg_own = own_sum / (ordered_pairs * n)
     avg_anchor = anchor_sum / (ordered_pairs * n)
 
-    q_at_anchor = maximize_over_Q(kernel, s_bar_anchor, method=opts.method, options=opts).value
+    q_at_anchor = maximize_over_Q(kernel, s_bar_anchor, options=opts).value
     # The chain's comparison point is reachable from the subcode's own column
     # compositions, so feed those in as well; the search then can never land
     # below the value the algebra guarantees.

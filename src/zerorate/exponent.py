@@ -14,24 +14,27 @@ upper bound; the width between the two is controlled by a closed-form
 gap certificate.
 
 The ``Q`` maximization for a fixed tilt is an indefinite quadratic
-program over the simplex.  Three methods are provided: an exhaustive
-simplex grid (the small-alphabet oracle), multistart projected gradient
-ascent (the production method), and the closed-form best two-point
-restriction.
+program over the simplex, solved exactly by enumerating the KKT point
+of every simplex face (Bomze, J. Global Optim. 1998); above ten input
+letters multistart projected gradient ascent runs instead.  Projected
+gradient, an exhaustive simplex grid and the closed-form best two-point
+restriction also remain as independent oracles for cross-checks.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .channel import ChannelMetricPair, InputDistribution
 from .errors import InfiniteExponentError, PreconditionError, ValidationError
-from .kernel import PairKernel, SupResult, _Direction
+from .kernel import PairKernel, _Direction, _check_tilt
 from .zero_error import (
     boundary_ratio,
     boundary_set_B,
@@ -155,10 +158,23 @@ def gap_bound(pair: ChannelMetricPair) -> float:
 
 KernelLike = Union[PairKernel, RelaxedKernel]
 
+# Largest input alphabet whose Q-maximization enumerates all 2**nx - 1
+# simplex faces; larger alphabets use multistart projected gradient.
+_EXACT_MAX_NX = 10
+
 
 @dataclass
 class SearchOptions:
-    """Knobs for the exponent searches; defaults suit alphabets up to ~6."""
+    """Knobs for the exponent searches; defaults suit alphabets up to ~6.
+
+    ``s_max`` and ``s_points`` shape the lower route's geometric tilt
+    grid, ``interval_points`` the tilt grid on ``[0, s_cap]``, and
+    ``tol_value`` stops the alternating polish.  The other fields are
+    read only by the oracle methods of :func:`maximize_over_Q`:
+    ``grid_resolution`` by ``grid``; ``seed``, ``q_starts`` and
+    ``pg_iterations`` by ``multistart_pg``, which is also what the exact
+    method runs on alphabets above ten letters.
+    """
 
     seed: int = 0
     s_max: float = 64.0
@@ -167,9 +183,7 @@ class SearchOptions:
     grid_resolution: int = 200
     q_starts: int = 32
     pg_iterations: int = 400
-    method: str = "multistart_pg"
     tol_value: float = 1e-10
-    tol_s: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -192,12 +206,23 @@ def _as_probe(Q: Union[InputDistribution, Sequence[float]], nx: int) -> np.ndarr
 def objective(kernel: KernelLike, Q: Union[InputDistribution, Sequence[float]], s: float) -> float:
     """Evaluate ``sum Q(a) Q(b) mu(a, b, s)``; infinite only when the
     zero-error precondition fails for some positively weighted pair."""
+    _check_tilt("objective", s)
     q = _as_probe(Q, kernel.pair.nx)
     m = kernel.mu_matrix(s)
     weights = np.outer(q, q)
     if np.any(np.isinf(m) & (weights > 0)):
         return INF
     return float(np.sum(weights * np.where(np.isinf(m), 0.0, m)))
+
+
+def _sigma_grid(kernel: KernelLike, s_values: Sequence[float]) -> np.ndarray:
+    """Matrices ``G(s)`` with ``F(Q, s) = Q^T G(s) Q``, shape ``(len(s), nx, nx)``:
+    half the symmetric sums, zero diagonal."""
+    mu = kernel.mu_grid(np.asarray(s_values, dtype=float))
+    sig = 0.5 * (mu + np.transpose(mu, (0, 2, 1)))
+    idx = np.arange(kernel.pair.nx)
+    sig[:, idx, idx] = 0.0
+    return sig
 
 
 def _project_rows(x: np.ndarray) -> np.ndarray:
@@ -216,7 +241,8 @@ def _quad(G: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("ki,ij,kj->k", x, G, x)
 
 
-def _pg_starts(nx: int, count: int, rng: np.random.Generator) -> np.ndarray:
+def _pg_starts(nx: int, count: int, rng: Optional[np.random.Generator]) -> np.ndarray:
+    """Vertices, barycentre, edge midpoints, then random rows from ``rng`` up to ``count``."""
     rows = [np.eye(nx)]
     rows.append(np.full((1, nx), 1.0 / nx))
     mids = []
@@ -251,11 +277,80 @@ def _pg_ascent(G: np.ndarray, starts: np.ndarray, iterations: int) -> tuple[floa
     return float(f[best]), x[best]
 
 
+def _multistart_pg(G: np.ndarray, opts: SearchOptions) -> tuple[float, np.ndarray]:
+    """Projected gradient ascent from many starts, then once more from the winner."""
+    rng = np.random.default_rng(opts.seed)
+    starts = _pg_starts(len(G), opts.q_starts, rng)
+    value, q = _pg_ascent(G, starts, opts.pg_iterations)
+    value2, q2 = _pg_ascent(G, q[None, :], opts.pg_iterations)
+    if value2 > value:
+        value, q = value2, q2
+    return value, q
+
+
 def _check_finite_sigma(G: np.ndarray) -> None:
     if np.isinf(G).any():
         raise InfiniteExponentError(
             "objective is infinite for some input pair: zero-error condition fails"
         )
+
+
+@lru_cache(maxsize=None)
+def _faces(nx: int) -> tuple[np.ndarray, ...]:
+    """Supports of all faces of the simplex: one ``(count, k)`` index array per size ``k``."""
+    faces = tuple(
+        np.array(list(itertools.combinations(range(nx), k)), dtype=np.intp)
+        for k in range(1, nx + 1)
+    )
+    for idx in faces:
+        idx.setflags(write=False)   # cached and shared by every call
+    return faces
+
+
+def _q_method(nx: int) -> str:
+    """Name of the primitive :func:`_q_max` runs for an ``nx``-letter alphabet."""
+    return "exact" if nx <= _EXACT_MAX_NX else "multistart_pg"
+
+
+def _q_max(G: np.ndarray, opts: SearchOptions) -> tuple[float, np.ndarray]:
+    """Maximum of ``x^T G x`` over the simplex, for a finite symmetric ``G``.
+
+    A global maximizer is a KKT point in the relative interior of some
+    face ``S``, where it solves ``G_SS x = t 1, sum(x) = 1``.  That system
+    is solved on every face, batched by face size.  Singular faces are
+    skipped, which is exact: along a null direction the objective is
+    constant, so a smaller face holds a maximizer.  The best nonnegative
+    solution wins, valued at its clipped, renormalized point, so the
+    value is always attained.  Above ``_EXACT_MAX_NX`` letters
+    multistart projected gradient runs instead.
+    """
+    _check_finite_sigma(G)
+    nx = len(G)
+    if nx > _EXACT_MAX_NX:
+        return _multistart_pg(G, opts)
+    best_v, best_q = -INF, None
+    for idx in _faces(nx):
+        m, k = idx.shape
+        A = np.zeros((m, k + 1, k + 1))
+        A[:, :k, :k] = G[idx[:, :, None], idx[:, None, :]]
+        A[:, :k, k] = -1.0
+        A[:, k, :k] = 1.0
+        nonsingular = np.linalg.slogdet(A)[0] != 0
+        A, idx = A[nonsingular], idx[nonsingular]
+        b = np.zeros((len(A), k + 1, 1))
+        b[:, k] = 1.0
+        x = np.linalg.solve(A, b)[:, :k, 0]
+        keep = np.isfinite(x).all(axis=1) & (x >= -1e-12).all(axis=1)
+        if not keep.any():
+            continue
+        q = np.zeros((int(keep.sum()), nx))
+        np.put_along_axis(q, idx[keep], np.clip(x[keep], 0.0, None), axis=1)
+        q /= q.sum(axis=1, keepdims=True)
+        vals = _quad(G, q)
+        i = int(np.argmax(vals))
+        if vals[i] > best_v:
+            best_v, best_q = float(vals[i]), q[i]
+    return best_v, best_q
 
 
 def _simplex_grid(nx: int, resolution: int) -> np.ndarray:
@@ -280,18 +375,30 @@ def _simplex_grid(nx: int, resolution: int) -> np.ndarray:
     raise PreconditionError(f"simplex grid oracle supports alphabets up to 4, got {nx}")
 
 
+def _floats(q) -> tuple[float, ...]:
+    return tuple(float(v) for v in q)
+
+
 def maximize_over_Q(
     kernel: KernelLike,
     s: float,
-    method: str = "multistart_pg",
+    method: str = "exact",
     options: Optional[SearchOptions] = None,
 ) -> QResult:
-    """Maximize the objective over input distributions at a fixed tilt."""
+    """Maximize the objective over input distributions at a fixed tilt.
+
+    ``exact`` enumerates the simplex faces (see :func:`_q_max`); the
+    result's ``method`` names the primitive that ran.  ``multistart_pg``,
+    ``grid`` and ``two_point`` are independent oracles.
+    """
+    _check_tilt("maximize_over_Q", s)
     opts = options or SearchOptions()
-    G = 0.5 * kernel.sigma_matrix(s)
-    np.fill_diagonal(G, 0.0)
+    G = _sigma_grid(kernel, [s])[0]
     _check_finite_sigma(G)
     nx = kernel.pair.nx
+    if method == "exact":
+        value, q = _q_max(G, opts)
+        return QResult(value, _floats(q), _q_method(nx))
     if method == "grid":
         pts = _simplex_grid(nx, opts.grid_resolution)
         best_v, best_q = -INF, pts[0]
@@ -301,25 +408,20 @@ def maximize_over_Q(
             i = int(np.argmax(vals))
             if vals[i] > best_v:
                 best_v, best_q = float(vals[i]), chunk[i]
-        return QResult(best_v, tuple(best_q), "grid")
+        return QResult(best_v, _floats(best_q), "grid")
     if method == "two_point":
-        best_v, best_q = 0.0, tuple(np.eye(nx)[0])
+        best_v, best_q = 0.0, _floats(np.eye(nx)[0])
         for a in range(nx):
             for b in range(a + 1, nx):
                 v = G[a, b] / 2.0  # lambda = 1/2 on the two-point support
                 if v > best_v:
                     q = np.zeros(nx)
                     q[a] = q[b] = 0.5
-                    best_v, best_q = float(v), tuple(q)
+                    best_v, best_q = float(v), _floats(q)
         return QResult(best_v, best_q, "two_point")
     if method == "multistart_pg":
-        rng = np.random.default_rng(opts.seed)
-        starts = _pg_starts(nx, opts.q_starts, rng)
-        value, q = _pg_ascent(G, starts, opts.pg_iterations)
-        value2, q2 = _pg_ascent(G, q[None, :], opts.pg_iterations)
-        if value2 > value:
-            value, q = value2, q2
-        return QResult(value, tuple(q), "multistart_pg")
+        value, q = _multistart_pg(G, opts)
+        return QResult(value, _floats(q), "multistart_pg")
     raise PreconditionError(f"unknown Q-maximization method {method!r}")
 
 
@@ -328,49 +430,25 @@ def maximize_over_Q(
 # ---------------------------------------------------------------------------
 
 
-def _inner_q_max(G: np.ndarray, nx: int, rng: np.random.Generator, opts: SearchOptions,
-                 cheap: bool, warm: Optional[np.ndarray] = None) -> tuple[float, np.ndarray]:
-    _check_finite_sigma(G)
-    if cheap:
-        starts = _pg_starts(nx, 0, rng)   # vertices, uniform, midpoints only
-        iterations = 60
-    else:
-        starts = _pg_starts(nx, opts.q_starts, rng)
-        iterations = opts.pg_iterations
-    if warm is not None:
-        starts = np.vstack([starts, warm[None, :]])
-    return _pg_ascent(G, starts, iterations)
-
-
-def _sigma_grid(kernel: KernelLike, s_values: np.ndarray) -> np.ndarray:
-    """Symmetrized objective matrices ``(len(s), nx, nx)`` with zero diagonal."""
-    mu = kernel.mu_grid(np.asarray(s_values, dtype=float))
-    sig = 0.5 * (mu + np.transpose(mu, (0, 2, 1)))
-    idx = np.arange(kernel.pair.nx)
-    sig[:, idx, idx] = 0.0
-    return sig
-
-
 def _scan_s_grid(
-    kernel: KernelLike, s_values: np.ndarray, nx: int,
-    rng: np.random.Generator, opts: SearchOptions,
-) -> tuple[float, np.ndarray, float, int]:
+    kernel: KernelLike, s_values: np.ndarray, opts: SearchOptions,
+) -> tuple[float, np.ndarray, int]:
     """Coarse sweep of ``max_Q F(Q, s)`` along a tilt grid.
 
-    Every grid point is scored against one shared bank of candidate
-    distributions in a single pass; only the most promising tilts get a
-    short ascent.  Returns the best (value, q, s, grid index).
+    Every grid point is scored against one fixed bank of distributions
+    (vertices, barycentre, edge midpoints) in a single pass; only the
+    four most promising tilts are solved exactly.  Returns the best
+    (value, q, grid index).
     """
     Gs = _sigma_grid(kernel, s_values)
     _check_finite_sigma(Gs)
-    bank = _pg_starts(nx, max(8, opts.q_starts // 4), rng)
+    bank = _pg_starts(kernel.pair.nx, 0, None)
     scores = np.einsum("ki,sij,kj->sk", bank, Gs, bank).max(axis=1)
-    top = np.argsort(scores)[::-1][:4]
-    best = (-INF, bank[0], float(s_values[0]), 0)
-    for i in top:
-        v, q = _pg_ascent(Gs[i], bank, 80)
+    best = (-INF, bank[0], 0)
+    for i in np.argsort(scores)[::-1][:4]:
+        v, q = _q_max(Gs[i], opts)
         if v > best[0]:
-            best = (v, q, float(s_values[i]), int(i))
+            best = (v, q, int(i))
     return best
 
 
@@ -426,43 +504,34 @@ def _golden_refine(g, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return (s, fc if fc > fd else fd)
 
 
-def _maximize_on_interval(
-    kernel: KernelLike, s_hi: float, opts: SearchOptions, rng: np.random.Generator,
+def _search(
+    kernel: KernelLike, grid: np.ndarray, s_cap: Optional[float], opts: SearchOptions,
 ) -> tuple[float, np.ndarray, float, dict]:
-    """Grid + golden + alternating polish for ``sup_{s in [0, s_hi]} max_Q F``."""
-    nx = kernel.pair.nx
-    if s_hi <= 0:
-        G = 0.5 * kernel.sigma_matrix(0.0)
-        np.fill_diagonal(G, 0.0)
-        value, q = _inner_q_max(G, nx, rng, opts, cheap=False)
-        return value, q, 0.0, {"stage": "degenerate_interval", "points": 1}
+    """``sup_s max_Q F(Q, s)`` by grid scan, golden refine and alternating polish.
 
-    s_values = np.linspace(0.0, s_hi, opts.interval_points)
-    v0, q0, s0, idx = _scan_s_grid(kernel, s_values, nx, rng, opts)
-    best = (v0, q0, s0)
-    lo = s_values[max(idx - 1, 0)]
-    hi = s_values[min(idx + 1, len(s_values) - 1)]
-    q_hold = q0
+    ``g(s) = max_Q F(Q, s)`` is a maximum of concave curves, not concave,
+    so the scan brackets the best grid tilt before golden section.  The
+    polish alternates the best tilt for the current ``Q`` (at most
+    ``s_cap``; ``None`` leaves it free) with the best ``Q`` at that tilt.
+    """
+    def solve(s: float) -> tuple[float, np.ndarray]:
+        return _q_max(_sigma_grid(kernel, [s])[0], opts)
 
-    def g(s: float) -> float:
-        nonlocal q_hold
-        G = 0.5 * kernel.sigma_matrix(float(s))
-        np.fill_diagonal(G, 0.0)
-        v, q_hold = _inner_q_max(G, nx, rng, opts, cheap=True, warm=q_hold)
-        return v
+    if s_cap is not None and s_cap <= 0:
+        value, q = solve(0.0)
+        return value, q, 0.0, {"grid_points": 1, "grid_best_s": 0.0, "polish_rounds": 0}
 
-    s_ref, v_ref = _golden_refine(g, float(lo), float(hi), tol=1e-7 * max(1.0, s_hi))
-    G = 0.5 * kernel.sigma_matrix(s_ref)
-    np.fill_diagonal(G, 0.0)
-    v_ref, q_ref = _inner_q_max(G, nx, rng, opts, cheap=False, warm=q_hold)
-    value, q, s = max((best[0], best[1], best[2]), (v_ref, q_ref, s_ref), key=lambda t: t[0])
+    v0, q0, idx = _scan_s_grid(kernel, grid, opts)
+    lo = float(grid[max(idx - 1, 0)])
+    hi = float(grid[min(idx + 1, len(grid) - 1)])
+    s_ref, _ = _golden_refine(lambda s: solve(s)[0], lo, hi, tol=1e-7 * max(1.0, hi))
+    v_ref, q_ref = solve(s_ref)
+    value, q, s = max((v0, q0, float(grid[idx])), (v_ref, q_ref, s_ref), key=lambda t: t[0])
 
     rounds = 0
     for rounds in range(1, 21):
-        s_new, v_s = _sup_over_s_fixed_q(kernel, q, s_hint=max(s, 1e-3), s_cap=s_hi)
-        G = 0.5 * kernel.sigma_matrix(s_new)
-        np.fill_diagonal(G, 0.0)
-        v_new, q_new = _inner_q_max(G, nx, rng, opts, cheap=False, warm=q)
+        s_new, v_s = _sup_over_s_fixed_q(kernel, q, s_hint=max(s, 1e-3), s_cap=s_cap)
+        v_new, q_new = solve(s_new)
         if v_new < v_s:
             v_new, q_new = v_s, q
         if v_new <= value + opts.tol_value * 0.01:
@@ -471,10 +540,9 @@ def _maximize_on_interval(
             break
         value, q, s = v_new, q_new, s_new
     trace = {
-        "stage": "interval_search",
-        "points": int(opts.interval_points),
+        "grid_points": int(len(grid)),
+        "grid_best_s": float(grid[idx]),
         "polish_rounds": rounds,
-        "s_interval": [0.0, float(s_hi)],
     }
     return value, q, s, trace
 
@@ -486,7 +554,6 @@ def _maximize_on_interval(
 
 def _tail_candidate(
     pair: ChannelMetricPair, kernel: PairKernel, opts: SearchOptions,
-    rng: np.random.Generator,
 ) -> tuple[float, Optional[np.ndarray]]:
     """Best limiting value of the objective as the tilt grows without bound.
 
@@ -518,7 +585,7 @@ def _tail_candidate(
             continue
         sub = 0.5 * ceil[np.ix_(support, support)]
         np.fill_diagonal(sub, 0.0)
-        v, q_sub = _inner_q_max(sub, len(support), rng, opts, cheap=False)
+        v, q_sub = _q_max(sub, opts)
         if v > best_v:
             q = np.zeros(nx)
             q[support] = q_sub
@@ -547,6 +614,19 @@ def geometric_s_grid(s_max: float, points: int) -> np.ndarray:
     return np.concatenate([[0.0], np.geomspace(lo, s_max, points - 1)])
 
 
+def _check_zero_error(pair: ChannelMetricPair) -> None:
+    ok, witness = check_c0bar_zero(pair)
+    if not ok:
+        raise InfiniteExponentError(
+            f"zero-error condition fails at input pair {witness.pair}: exponent is infinite"
+        )
+
+
+def _distribution(q) -> InputDistribution:
+    q = np.clip(np.asarray(q, dtype=float), 0.0, None)
+    return InputDistribution(_floats(q / q.sum()))
+
+
 def expurgated_lower(
     pair: ChannelMetricPair,
     options: Optional[SearchOptions] = None,
@@ -554,67 +634,23 @@ def expurgated_lower(
 ) -> LowerResult:
     """Supremum of the raw objective over ``(Q, s)``: the zero-rate lower bound.
 
-    The tilt sweep is a geometric grid with the limiting-tilt candidate
-    appended; the best bracket is refined by golden section and an
-    alternating polish.  Requires the average zero-error condition.
+    The tilt search runs on a geometric grid with an uncapped polish,
+    and the limiting-tilt candidate competes with its result.  Requires
+    the average zero-error condition.
     """
-    ok, witness = check_c0bar_zero(pair)
-    if not ok:
-        raise InfiniteExponentError(
-            f"zero-error condition fails at input pair {witness.pair}: exponent is infinite"
-        )
+    _check_zero_error(pair)
     opts = options or SearchOptions()
-    rng = np.random.default_rng(opts.seed)
     kernel = PairKernel(pair)
-    nx = pair.nx
-
     grid = np.asarray(s_grid, dtype=float) if s_grid is not None \
         else geometric_s_grid(opts.s_max, opts.s_points)
-    v0, q0, s0, idx = _scan_s_grid(kernel, grid, nx, rng, opts)
-    best = (v0, q0, s0)
-    lo = float(grid[max(idx - 1, 0)])
-    hi = float(grid[min(idx + 1, len(grid) - 1)])
-    q_hold = q0
-
-    def g(s: float) -> float:
-        nonlocal q_hold
-        G = 0.5 * kernel.sigma_matrix(float(s))
-        np.fill_diagonal(G, 0.0)
-        v, q_hold = _inner_q_max(G, nx, rng, opts, cheap=True, warm=q_hold)
-        return v
-
-    s_ref, _ = _golden_refine(g, lo, hi, tol=1e-7 * max(1.0, hi))
-    G = 0.5 * kernel.sigma_matrix(s_ref)
-    np.fill_diagonal(G, 0.0)
-    v_ref, q_ref = _inner_q_max(G, nx, rng, opts, cheap=False, warm=q_hold)
-    value, q, s = max((best[0], best[1], best[2]), (v_ref, q_ref, s_ref), key=lambda t: t[0])
-
-    for _ in range(20):
-        s_new, v_s = _sup_over_s_fixed_q(kernel, q, s_hint=max(s, 1e-3), s_cap=None)
-        G = 0.5 * kernel.sigma_matrix(s_new)
-        np.fill_diagonal(G, 0.0)
-        v_new, q_new = _inner_q_max(G, nx, rng, opts, cheap=False, warm=q)
-        if v_new < v_s:
-            v_new, q_new = v_s, q
-        if v_new <= value + opts.tol_value * 0.01:
-            if v_new > value:
-                value, q, s = v_new, q_new, s_new
-            break
-        value, q, s = v_new, q_new, s_new
-
-    tail_v, tail_q = _tail_candidate(pair, kernel, opts, rng)
-    trace = {
-        "grid_points": int(len(grid)),
-        "grid_best_s": best[2],
-        "tail_value": tail_v if tail_v > -INF else None,
-    }
+    value, q, s, trace = _search(kernel, grid, None, opts)
+    tail_v, tail_q = _tail_candidate(pair, kernel, opts)
+    trace["tail_value"] = tail_v if tail_v > -INF else None
     if tail_v > value:
         value, q, s = tail_v, tail_q, INF
-    q = np.clip(q, 0.0, None)
-    q = q / q.sum()
     return LowerResult(
         value=float(value),
-        q_star=InputDistribution(tuple(float(p) for p in q)),
+        q_star=_distribution(q),
         s_star=float(s),
         trace=trace,
     )
@@ -650,13 +686,8 @@ def zero_rate_exponent(
     maximizer).  Unbalanced pairs get the relaxed-kernel upper bound
     together with the raw lower bound and the gap certificate.
     """
-    ok, witness = check_c0bar_zero(pair)
-    if not ok:
-        raise InfiniteExponentError(
-            f"zero-error condition fails at input pair {witness.pair}: exponent is infinite"
-        )
+    _check_zero_error(pair)
     opts = options or SearchOptions()
-    rng = np.random.default_rng(opts.seed)
     kernel = PairKernel(pair)
     balanced, _ = is_balanced(pair)
 
@@ -667,39 +698,28 @@ def zero_rate_exponent(
         provider = RelaxedKernel(pair, kernel)
         kind = KIND_UPPER
     s_hi = provider.s_cap()
-    value, q, s_star, trace = _maximize_on_interval(provider, s_hi, opts, rng)
+    grid = np.linspace(0.0, s_hi, opts.interval_points)
+    value, q, s_star, trace = _search(provider, grid, s_hi, opts)
 
     lower = expurgated_lower(pair, opts)
     gap = 0.0 if balanced else gap_bound(pair)
-    merged = False
-    if balanced:
-        # Same function maximized by two independent searches; keep the best.
-        if lower.value > value:
-            value, q, s_star = lower.value, np.asarray(lower.q_star.as_floats()), lower.s_star
-            merged = True
-        lower_value = max(lower.value, value)
-    else:
-        # The relaxed objective dominates the raw one pointwise, so the
-        # lower search's optimum is also a certified floor for the value.
-        if lower.value > value:
-            value = lower.value
-            q = np.asarray(lower.q_star.as_floats())
-            s_star = lower.s_star
-            merged = True
-        lower_value = lower.value
+    # Balanced: the same function maximized by two searches, keep the best.
+    # Unbalanced: the relaxed objective dominates the raw one pointwise, so
+    # the lower search's optimum is also a certified floor for the value.
+    merged = lower.value > value
+    if merged:
+        value, q, s_star = lower.value, lower.q_star.as_floats(), lower.s_star
+    lower_value = max(lower.value, value) if balanced else lower.value
 
-    q = np.clip(np.asarray(q, dtype=float), 0.0, None)
-    q = q / q.sum()
-    trace = dict(trace)
     trace.update({
-        "q_method": opts.method,
+        "q_method": _q_method(pair.nx),
         "lower_trace": lower.trace,
         "merged_from_lower": merged,
         "s_cap": float(s_hi),
     })
     return ExponentResult(
         value=float(value),
-        q_star=InputDistribution(tuple(float(p) for p in q)),
+        q_star=_distribution(q),
         s_star=float(s_star),
         balanced=balanced,
         kind=kind,
@@ -719,7 +739,7 @@ def optimized_objective(
     search.  Returns ``(value, s_star, Q)``.
     """
     opts = options or SearchOptions()
-    rng = np.random.default_rng(opts.seed)
     s_hi = kernel.s_cap()
-    value, q, s_star, _ = _maximize_on_interval(kernel, s_hi, opts, rng)
-    return float(value), float(s_star), tuple(float(v) for v in q)
+    grid = np.linspace(0.0, s_hi, opts.interval_points)
+    value, q, s_star, _ = _search(kernel, grid, s_hi, opts)
+    return float(value), float(s_star), _floats(q)

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -38,8 +39,13 @@ PLUS_INFINITY = "plus_infinity"
 FINITE_LIMIT = "finite_limit"
 MINUS_INFINITY = "minus_infinity"
 
-_S_DOUBLING_CAP = float(2 ** 20)
 _BISECT_TOL = 1e-9
+
+
+def _check_tilt(name: str, s: float) -> None:
+    """Reject tilts that are negative or not finite (NaN would pass ``s < 0``)."""
+    if not (math.isfinite(s) and s >= 0):
+        raise PreconditionError(f"{name} requires a finite s >= 0, got {s}")
 
 
 @dataclass(frozen=True)
@@ -80,7 +86,7 @@ class _Direction:
         if self.affine:
             return s * self.slope_limit + self.intercept
         x = self.log_w + s * self.log_r
-        m = x.max()
+        m = float(x.max())
         return -(m + math.log(np.exp(x - m).sum()))
 
     def derivative(self, s: float) -> float:
@@ -142,7 +148,8 @@ class SupResult:
 
     ``s_star`` is the smallest maximizer when the supremum is attained;
     otherwise it is ``inf`` and ``value`` carries the limiting value
-    (itself possibly ``inf`` when the curve diverges upward).
+    (itself possibly ``inf`` when the curve diverges upward), or, when
+    the maximizer lies beyond the float range, the last value reached.
     """
 
     s_star: float
@@ -180,8 +187,7 @@ class PairKernel:
         exponent formulas use), while ``"full"`` treats every ratio to
         the zeroth power as one, so the value is exactly zero there.
         """
-        if s < 0:
-            raise PreconditionError(f"mu requires s >= 0, got {s}")
+        _check_tilt("mu", s)
         if sum_domain not in ("qq_support", "full"):
             raise PreconditionError(f"unknown sum_domain {sum_domain!r}")
         d = self._dirs[(a, b)]
@@ -194,8 +200,7 @@ class PairKernel:
         return d.value(s)
 
     def mu_prime(self, a: int, b: int, s: float) -> float:
-        if s < 0:
-            raise PreconditionError(f"mu_prime requires s >= 0, got {s}")
+        _check_tilt("mu_prime", s)
         return self._dirs[(a, b)].derivative(s)
 
     def mu_prime_limit(self, a: int, b: int) -> float:
@@ -234,6 +239,7 @@ class PairKernel:
     def mu_sequence(self, x1: Sequence[int], x2: Sequence[int], s: float) -> float:
         """Kernel of two length-``n`` words; additive over letters, so this is
         ``sum over (a,b) of count(a,b) * mu(a,b,s)`` (not normalized by ``n``)."""
+        _check_tilt("mu_sequence", s)
         counts = self._check_sequences(x1, x2)
         total = 0.0
         for (a, b), c in counts.items():
@@ -330,14 +336,18 @@ class PairKernel:
             return SupResult(INF, limit, False)
         if fp(0.0) <= 0:
             return SupResult(0.0, f(0.0), True)
-        hi = 1.0
-        while fp(hi) > 0:
-            hi *= 2.0
-            if hi > _S_DOUBLING_CAP:
-                return SupResult(hi, f(hi), True)
-        lo = hi / 2.0 if hi > 1.0 else 0.0
+        # The limiting slope log(prod) is negative, so the slope turns at a
+        # finite tilt.  Should the float range run out first (the slope
+        # turns NaN or the tilt cannot double), the maximizer is unreachable.
+        lo, hi = 0.0, 1.0
+        while (slope := fp(hi)) > 0 or math.isnan(slope):
+            if math.isnan(slope) or hi > sys.float_info.max / 2.0:
+                return SupResult(INF, f(lo), False)
+            lo, hi = hi, 2.0 * hi
         while hi - lo > _BISECT_TOL:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:   # adjacent floats: no finer split exists
+                break
             if fp(mid) > 0:
                 lo = mid
             else:
@@ -415,33 +425,6 @@ class PairKernel:
         out = np.zeros(self.pair.ny)
         out[list(d.outputs)] = p
         return out
-
-
-def conditional_kl(
-    v_rows: Mapping[tuple[int, int], Sequence[float]],
-    z_rows: Mapping[tuple[int, int], Sequence[float]],
-    weights: Mapping[tuple[int, int], float],
-) -> float:
-    """Weighted conditional divergence ``sum_P P(a,b) D(V(.|a,b) || Z(.|a,b))`` in nats.
-
-    Returns ``inf`` when some positively-weighted row of ``V`` puts mass
-    where the matching row of ``Z`` has none.
-    """
-    total = 0.0
-    for key, w in weights.items():
-        if w == 0:
-            continue
-        if w < 0:
-            raise PreconditionError("weights must be nonnegative")
-        v = np.asarray(v_rows[key], dtype=float)
-        z = np.asarray(z_rows[key], dtype=float)
-        if v.shape != z.shape:
-            raise PreconditionError(f"row shapes differ for pair {key}")
-        mask = v > 0
-        if np.any(z[mask] == 0):
-            return INF
-        total += float(w) * float(np.sum(v[mask] * np.log(v[mask] / z[mask])))
-    return total
 
 
 def joint_counts(x1: Sequence[int], x2: Sequence[int]) -> dict[tuple[int, int], int]:

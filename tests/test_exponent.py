@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import zerorate as zr
+from zerorate import exponent as exponent_mod
 
 from conftest import random_full_support_pair
 
@@ -134,11 +135,18 @@ def test_metric_scaling_leaves_exponent_unchanged(rng):
     assert a.s_star == b.s_star
 
 
-def test_grid_method_matches_multistart_on_exponent(typewriter_pair, bsc_pair):
+def test_exponent_dominates_grid_oracle_over_tilts(typewriter_pair, bsc_pair):
+    """The searched value is a supremum over [0, s_cap]: no tilt of a grid on
+    that interval, with Q maximized by the simplex-grid oracle, beats it."""
     for pair in (typewriter_pair, bsc_pair):
-        multi = zr.zero_rate_exponent(pair, zr.SearchOptions(method="multistart_pg"))
-        grid = zr.zero_rate_exponent(pair, zr.SearchOptions(method="grid"))
-        assert multi.value == pytest.approx(grid.value, abs=1e-4)
+        res = zr.zero_rate_exponent(pair)
+        kernel = zr.PairKernel(pair) if res.balanced else zr.relaxed_kernel(pair)
+        s_cap = res.method_trace["s_cap"]
+        best = max(
+            zr.maximize_over_Q(kernel, float(s), method="grid").value
+            for s in np.linspace(0.0, s_cap, 33)
+        )
+        assert res.value >= best - 1e-4
 
 
 def test_relaxed_kernel_from_balanced_pair_is_plain(bsc_pair):
@@ -153,3 +161,75 @@ def test_method_trace_records_route(bsc_pair):
     res = zr.zero_rate_exponent(bsc_pair)
     assert isinstance(res.method_trace, dict)
     assert res.method_trace
+
+
+def _random_sym(rng, nx):
+    G = rng.normal(size=(nx, nx))
+    G = 0.5 * (G + G.T)
+    np.fill_diagonal(G, 0.0)
+    return G
+
+
+def test_exact_q_max_matches_grid_oracle(rng):
+    for nx in (2, 3, 3, 4):
+        pair = random_full_support_pair(rng, nx=nx)
+        k = zr.PairKernel(pair)
+        s = float(rng.uniform(0.1, 2.0))
+        exact = zr.maximize_over_Q(k, s)
+        grid = zr.maximize_over_Q(k, s, method="grid",
+                                  options=zr.SearchOptions(grid_resolution=200))
+        assert exact.method == "exact"
+        assert exact.value == pytest.approx(grid.value, abs=1e-4)
+        assert exact.value >= grid.value - 1e-12
+
+
+def test_exact_q_max_dominates_multistart(rng):
+    opts = zr.SearchOptions()
+    for nx in (5, 6, 7, 8):
+        for _ in range(3):
+            G = _random_sym(rng, nx)
+            value, q = exponent_mod._q_max(G, opts)
+            pg_value, _ = exponent_mod._multistart_pg(G, opts)
+            assert value >= pg_value - 1e-12
+            assert q.min() >= 0.0 and q.sum() == pytest.approx(1.0, abs=1e-12)
+            assert value == pytest.approx(float(q @ G @ q), abs=1e-12)
+
+
+def test_exact_q_max_skips_singular_faces():
+    opts = zr.SearchOptions()
+    value, q = exponent_mod._q_max(np.zeros((4, 4)), opts)
+    assert value == 0.0
+    assert q.min() >= 0.0 and q.sum() == pytest.approx(1.0, abs=1e-12)
+    # rows 0 and 1 identical: every face holding both letters is singular
+    G = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    value, q = exponent_mod._q_max(G, opts)
+    assert value == pytest.approx(0.5, abs=1e-12)
+    assert q.min() >= 0.0 and q.sum() == pytest.approx(1.0, abs=1e-12)
+    assert q[2] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_large_alphabet_takes_projected_gradient(rng):
+    pair = random_full_support_pair(rng, nx=11, ny=3)
+    k = zr.PairKernel(pair)
+    res = zr.maximize_over_Q(k, 0.5)
+    assert res.method == "multistart_pg"
+    assert res.value >= zr.maximize_over_Q(k, 0.5, method="two_point").value - 1e-12
+    small = zr.maximize_over_Q(zr.PairKernel(random_full_support_pair(rng, nx=10, ny=3)), 0.5)
+    assert small.method == "exact"
+
+
+def test_q_results_hold_plain_floats(rng):
+    k = zr.PairKernel(random_full_support_pair(rng, nx=3))
+    for method in ("exact", "multistart_pg", "grid", "two_point"):
+        res = zr.maximize_over_Q(k, 0.7, method=method)
+        assert type(res.value) is float
+        assert all(type(v) is float for v in res.q)
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_non_finite_tilt_rejected_by_objective_and_q_max(bsc_pair, s):
+    k = zr.PairKernel(bsc_pair)
+    with pytest.raises(zr.PreconditionError):
+        zr.objective(k, (0.5, 0.5), s)
+    with pytest.raises(zr.PreconditionError):
+        zr.maximize_over_Q(k, s)

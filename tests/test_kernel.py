@@ -210,6 +210,43 @@ def test_sup_sigma_unattained_at_boundary(typewriter_pair):
     assert res.value == pytest.approx(math.log(10) + math.log(10 / 9), abs=1e-9)
 
 
+def test_sup_sigma_finds_a_maximizer_beyond_two_to_the_twenty():
+    """Metric ratios 1 + 1e-7 put the maximizer of the symmetric sum near
+    s = log(9) / log(1 + 1e-7), about 2.2e7: the search must reach it
+    rather than stop at a point where the slope is still positive."""
+    W = ((F(9, 10), F(1, 10)), (F(1, 10), F(9, 10)))
+    q = ((F(1), F(1)), (F(1), 1 + F(1, 10**7)))
+    pair = zr.pair_from_rows(W, q)
+    assert zr.is_balanced(pair)[0]
+    k = zr.PairKernel(pair)
+    res = k.sup_sigma(0, 1)
+    assert res.attained
+    assert res.s_star == pytest.approx(math.log(9) / math.log1p(1e-7), rel=1e-6)
+
+    def slope(s):
+        return k.mu_prime(0, 1, s) + k.mu_prime(1, 0, s)
+
+    assert slope(0.999 * res.s_star) > 0 > slope(1.001 * res.s_star)
+    assert k.s_cap() == res.s_star
+
+
+def test_sup_result_holds_plain_floats(bsc_pair):
+    res = zr.PairKernel(bsc_pair).sup_sigma(0, 1)
+    assert type(res.value) is float
+    assert type(res.s_star) is float
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_non_finite_tilt_is_rejected(bsc_pair, s):
+    k = zr.PairKernel(bsc_pair)
+    with pytest.raises(zr.PreconditionError):
+        k.mu(0, 1, s)
+    with pytest.raises(zr.PreconditionError):
+        k.mu_prime(0, 1, s)
+    with pytest.raises(zr.PreconditionError):
+        k.mu_sequence((0, 1), (1, 1), s)
+
+
 def test_s_cap_needs_attained_sups(typewriter_pair, bsc_pair):
     with pytest.raises(zr.PreconditionError):
         zr.PairKernel(typewriter_pair).s_cap()
