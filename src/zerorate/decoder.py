@@ -3,11 +3,13 @@ fixed-metric rule, the tilted finite-blocklength lower bounds, and the
 method-of-types utilities used to sanity-check them.
 
 The decoder picks the codeword maximizing the product metric, breaking
-ties by policy.  Exact mode enumerates output sequences grouped by
-conditional type given the codeword pair, so everything stays rational;
+ties by policy.  Exact mode merges the output compositions of each
+letter-pair cell by their exact metric ratio and convolves the cells,
+so everything stays rational without visiting every conditional type;
 Monte Carlo mode samples, scores in log space, and re-checks anything
-within float distance of the top exactly, so tie events are decided by
-arithmetic rather than rounding.
+within float distance of the top exactly, as integer exponent vectors
+over a coprime basis of the metric entries, so tie events are decided
+by arithmetic rather than rounding.
 """
 
 from __future__ import annotations
@@ -139,18 +141,21 @@ def type_counting_slack(pair: ChannelMetricPair, n: int) -> float:
 # -- exact two-codeword decoding ---------------------------------------------
 
 
-def _cell_entries(pair: ChannelMetricPair, a: int, b: int, cnt: int):
-    """All output compositions of one letter-pair cell with their weight
-    data: multinomial coefficient, emission probabilities under either
-    word, and the two metric products."""
-    ny = pair.ny
-    out = []
-    for comp in _compositions(cnt, ny):
+_Key = tuple[bool, bool, Fraction]   # (word-1 metric zero, word-2 metric zero, s1/s2)
+
+
+def _cell_masses(pair: ChannelMetricPair, a: int, b: int, cnt: int) -> dict[_Key, list[Fraction]]:
+    """Output compositions of one letter-pair cell, merged by comparison key.
+
+    Each composition with metric products ``s1`` (word 1) and ``s2``
+    (word 2) is keyed by which product is zero and by ``s1/s2``, set to
+    one once either is zero; the key carries the summed ``coeff * p1``
+    and ``coeff * p2``, the composition's probability under either word.
+    """
+    out: dict[_Key, list[Fraction]] = {}
+    for comp in _compositions(cnt, pair.ny):
         coeff = _multinomial(comp)
-        p1 = Fraction(1)
-        p2 = Fraction(1)
-        s1 = Fraction(1)
-        s2 = Fraction(1)
+        p1 = p2 = s1 = s2 = Fraction(1)
         for y, k in enumerate(comp):
             if k:
                 p1 *= pair.W[a][y] ** k
@@ -159,7 +164,25 @@ def _cell_entries(pair: ChannelMetricPair, a: int, b: int, cnt: int):
                 s2 *= pair.q[b][y] ** k
         if p1 == 0 and p2 == 0:
             continue
-        out.append((coeff, p1, p2, s1, s2))
+        z1, z2 = s1 == 0, s2 == 0
+        key = (z1, z2, Fraction(1) if z1 or z2 else s1 / s2)
+        mass = out.setdefault(key, [Fraction(0), Fraction(0)])
+        mass[0] += coeff * p1
+        mass[1] += coeff * p2
+    return out
+
+
+def _convolve(left: dict[_Key, list[Fraction]], right: dict[_Key, list[Fraction]]):
+    """Merge two independent groups of cells: zero flags OR, ratios multiply,
+    masses multiply."""
+    out: dict[_Key, list[Fraction]] = {}
+    for (z1, z2, r), (m1, m2) in left.items():
+        for (w1, w2, t), (n1, n2) in right.items():
+            y1, y2 = z1 or w1, z2 or w2
+            key = (y1, y2, Fraction(1) if y1 or y2 else r * t)
+            mass = out.setdefault(key, [Fraction(0), Fraction(0)])
+            mass[0] += m1 * n1
+            mass[1] += m2 * n2
     return out
 
 
@@ -171,19 +194,21 @@ def exact_error_probabilities(
 ) -> DecodingOutcome:
     """Exact error probabilities of the two-codeword metric decoder.
 
-    Output sequences are grouped by conditional type given the pair of
-    words (a product of per-cell compositions), the metric products are
-    compared as exact rationals, and tie weight is assigned per policy:
-    ``equiprobable`` charges half, ``as_error`` all, ``genie_correct``
-    none of the tied mass.  Raises when the class count exceeds
-    ``budget``; Monte Carlo is the fallback at that point.
+    The output compositions of each letter-pair cell are merged by an
+    exact comparison key (which metric product is zero, and the ratio of
+    the two), the cells are convolved key by key, and each final key
+    decides a win, a loss or a tie; all masses are exact rationals.  Tie
+    weight is assigned per policy: ``equiprobable`` charges half,
+    ``as_error`` all, ``genie_correct`` none of the tied mass.  Raises
+    when the number of conditional-type classes (the product of the
+    cells' composition counts) exceeds ``budget``; Monte Carlo is the
+    fallback at that point.
     """
     if tie_policy not in TIE_POLICIES:
         raise ValidationError(f"unknown tie policy {tie_policy!r}")
     words = _words_of(code, expect=2)
     _check_symbols(words, pair.nx)
     x1, x2 = words
-    n = len(x1)
     cells = sorted(joint_counts(x1, x2).items())
     ny = pair.ny
     total_classes = 1
@@ -195,24 +220,24 @@ def exact_error_probabilities(
             "use monte_carlo_error instead"
         )
 
-    per_cell = [_cell_entries(pair, a, b, cnt) for (a, b), cnt in cells]
+    total = {(False, False, Fraction(1)): [Fraction(1), Fraction(1)]}
+    for (a, b), cnt in cells:
+        total = _convolve(total, _cell_masses(pair, a, b, cnt))
     err1 = err2 = tie1 = tie2 = Fraction(0)
-    for combo in itertools.product(*per_cell):
-        coeff = 1
-        p1 = p2 = s1 = s2 = Fraction(1)
-        for c, q1, q2, t1, t2 in combo:
-            coeff *= c
-            p1 *= q1
-            p2 *= q2
-            s1 *= t1
-            s2 *= t2
-        if s1 > s2:
-            err2 += coeff * p2
-        elif s1 < s2:
-            err1 += coeff * p1
+    for (z1, z2, r), (m1, m2) in total.items():
+        if z1 and z2:
+            order = 0
+        elif z1 or z2:
+            order = -1 if z1 else 1
         else:
-            tie1 += coeff * p1
-            tie2 += coeff * p2
+            order = (r > 1) - (r < 1)
+        if order > 0:       # s1 > s2: word 2 loses
+            err2 += m2
+        elif order < 0:     # s1 < s2: word 1 loses
+            err1 += m1
+        else:
+            tie1 += m1
+            tie2 += m2
 
     if tie_policy == "equiprobable":
         e1, e2 = err1 + tie1 / 2, err2 + tie2 / 2
@@ -241,6 +266,61 @@ def _wilson(errors: int, trials: int) -> tuple[float, float]:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
+def _coprime_basis(values) -> list[int]:
+    """Pairwise coprime integers > 1 whose products give every value.
+
+    A value sharing a factor ``g = gcd(x, p)`` with a basis element ``p``
+    is split into ``g, x/g, p/g`` until no pair shares one; each split
+    shrinks the product of the pending set, so this ends, and needs no
+    factoring.
+    """
+    basis: list[int] = []
+    todo = [v for v in values if v > 1]
+    while todo:
+        x = todo.pop()
+        for i, p in enumerate(basis):
+            g = math.gcd(x, p)
+            if g > 1:
+                del basis[i]
+                todo.extend(v for v in (g, x // g, p // g) if v > 1)
+                break
+        else:
+            basis.append(x)
+    return basis
+
+
+def _metric_lattice(pair: ChannelMetricPair) -> tuple[np.ndarray, np.ndarray]:
+    """Metric entries as integer exponent vectors over a coprime basis.
+
+    Returns ``vec`` of shape ``(nx, ny, K)`` with ``q(x,y) = prod_k
+    basis_k ** vec[x, y, k]`` for every positive entry, and the mask of
+    zero entries.  Over a pairwise coprime basis the exponents of a
+    product are unique, so two products of positive entries are equal
+    exactly when their summed vectors are.
+    """
+    entries = [v for row in pair.q for v in row]
+    basis = _coprime_basis(
+        {v.numerator for v in entries if v > 0} | {v.denominator for v in entries if v > 0}
+    )
+
+    def exponents(v: int) -> list[int]:
+        out = []
+        for p in basis:
+            e = 0
+            while v % p == 0:
+                v //= p
+                e += 1
+            out.append(e)
+        return out
+
+    vec = np.zeros((pair.nx * pair.ny, len(basis)), dtype=np.int64)
+    for i, v in enumerate(entries):
+        if v > 0:
+            vec[i] = np.subtract(exponents(v.numerator), exponents(v.denominator))
+    zero = np.array([v == 0 for v in entries]).reshape(pair.nx, pair.ny)
+    return vec.reshape(pair.nx, pair.ny, len(basis)), zero
+
+
 def monte_carlo_error(
     pair: ChannelMetricPair,
     code,
@@ -253,9 +333,14 @@ def monte_carlo_error(
     Messages are drawn uniformly, outputs from the channel, and the
     decoder compares log metrics in floats; any codeword within a small
     float margin of the leader is re-scored exactly, so winners and ties
-    are decided by rational arithmetic.  The stream splits into fixed
-    chunks with spawned seeds, making the result reproducible and the
-    merge order-independent.
+    are decided by exact arithmetic.  The re-check sums the integer
+    exponent vectors of the metric entries over a coprime basis (see
+    :func:`_metric_lattice`): when the positive candidates of a trial
+    share one vector they are exactly the tied leaders, and only a trial
+    whose vectors differ multiplies its candidates' metrics as
+    ``Fraction`` products.  The stream splits into fixed chunks with
+    spawned seeds, making the result reproducible and the merge
+    order-independent.
     """
     if trials < 1:
         raise PreconditionError("trials must be positive")
@@ -275,6 +360,7 @@ def monte_carlo_error(
             -INF,
         )
     wd = np.array(words, dtype=np.int64)
+    lat_vec, lat_zero = _metric_lattice(pair)
 
     sizes = [_CHUNK] * (trials // _CHUNK)
     if trials % _CHUNK:
@@ -307,16 +393,39 @@ def monte_carlo_error(
         err_mask = np.zeros(size, dtype=bool)
         err_mask[easy] = winners[easy] != msgs[easy]
 
-        for i in np.nonzero(~easy)[0]:
-            cands = np.nonzero(near[i])[0]
-            exact = []
-            for m in cands:
-                prod = Fraction(1)
-                for letter, yy in zip(words[m], y[i]):
-                    prod *= pair.q[letter][yy]
-                exact.append(prod)
-            top = max(exact)
-            argmax = [int(m) for m, v in zip(cands, exact) if v == top]
+        # Exact re-check of the near candidates of every hard trial: sum
+        # their lattice vectors one position at a time, grouped by trial.
+        hard = np.nonzero(~easy)[0]
+        group, cand = np.nonzero(near[hard])
+        rows = hard[group]
+        acc = np.zeros((len(cand), lat_vec.shape[-1]), dtype=np.int64)
+        zero = np.zeros(len(cand), dtype=bool)
+        for t in range(n):
+            xs, ys = wd[cand, t], y[rows, t]
+            acc += lat_vec[xs, ys]
+            zero |= lat_zero[xs, ys]
+        # A trial is settled when its positive candidates share one vector.
+        lead = np.full(len(hard), -1)
+        positive = np.nonzero(~zero)[0]
+        lead[group[positive]] = positive    # any positive candidate will do
+        unsettled = np.zeros(len(hard), dtype=bool)
+        unsettled[group[~zero & (acc != acc[lead[group]]).any(axis=1)]] = True
+        bounds = np.searchsorted(group, np.arange(len(hard) + 1))
+
+        for j, i in enumerate(hard):
+            cands = cand[bounds[j]:bounds[j + 1]]
+            if unsettled[j]:
+                exact = []
+                for m in cands:
+                    prod = Fraction(1)
+                    for letter, yy in zip(words[m], y[i]):
+                        prod *= pair.q[letter][yy]
+                    exact.append(prod)
+                top = max(exact)
+                argmax = [int(m) for m, v in zip(cands, exact) if v == top]
+            else:
+                live = ~zero[bounds[j]:bounds[j + 1]]
+                argmax = [int(m) for m in (cands[live] if live.any() else cands)]
             truth = int(msgs[i])
             if len(argmax) == 1:
                 err_mask[i] = argmax[0] != truth

@@ -15,7 +15,7 @@ gap certificate.
 
 The ``Q`` maximization for a fixed tilt is an indefinite quadratic
 program over the simplex, solved exactly by enumerating the KKT point
-of every simplex face (Bomze, J. Global Optim. 1998); above ten input
+of every simplex face (Bomze, J. Global Optim. 1998); above twelve input
 letters multistart projected gradient ascent runs instead.  Projected
 gradient, an exhaustive simplex grid and the closed-form best two-point
 restriction also remain as independent oracles for cross-checks.
@@ -34,7 +34,7 @@ import numpy as np
 
 from .channel import ChannelMetricPair, InputDistribution
 from .errors import InfiniteExponentError, PreconditionError, ValidationError
-from .kernel import PairKernel, _Direction, _check_tilt
+from .kernel import PairKernel, _Direction, _check_tilt, _tilt_limit
 from .zero_error import (
     boundary_ratio,
     boundary_set_B,
@@ -113,6 +113,7 @@ class RelaxedKernel(PairKernel):
                 intercept=-math.log(mass),
                 tail_mass=mass,
             )
+        self.s_limit = _tilt_limit(self._dirs.values())
 
     def is_boundary(self, a: int, b: int) -> bool:
         return (a, b) in self._lines
@@ -160,7 +161,7 @@ KernelLike = Union[PairKernel, RelaxedKernel]
 
 # Largest input alphabet whose Q-maximization enumerates all 2**nx - 1
 # simplex faces; larger alphabets use multistart projected gradient.
-_EXACT_MAX_NX = 10
+_EXACT_MAX_NX = 12
 
 
 @dataclass
@@ -173,7 +174,7 @@ class SearchOptions:
     read only by the oracle methods of :func:`maximize_over_Q`:
     ``grid_resolution`` by ``grid``; ``seed``, ``q_starts`` and
     ``pg_iterations`` by ``multistart_pg``, which is also what the exact
-    method runs on alphabets above ten letters.
+    method runs on alphabets above twelve letters.
     """
 
     seed: int = 0
@@ -206,13 +207,13 @@ def _as_probe(Q: Union[InputDistribution, Sequence[float]], nx: int) -> np.ndarr
 def objective(kernel: KernelLike, Q: Union[InputDistribution, Sequence[float]], s: float) -> float:
     """Evaluate ``sum Q(a) Q(b) mu(a, b, s)``; infinite only when the
     zero-error precondition fails for some positively weighted pair."""
-    _check_tilt("objective", s)
+    _check_tilt("objective", s, kernel.s_limit)
     q = _as_probe(Q, kernel.pair.nx)
     m = kernel.mu_matrix(s)
     weights = np.outer(q, q)
-    if np.any(np.isinf(m) & (weights > 0)):
+    if np.any((m == INF) & (weights > 0)):
         return INF
-    return float(np.sum(weights * np.where(np.isinf(m), 0.0, m)))
+    return float(np.sum(weights * np.where(m == INF, 0.0, m)))
 
 
 def _sigma_grid(kernel: KernelLike, s_values: Sequence[float]) -> np.ndarray:
@@ -289,7 +290,7 @@ def _multistart_pg(G: np.ndarray, opts: SearchOptions) -> tuple[float, np.ndarra
 
 
 def _check_finite_sigma(G: np.ndarray) -> None:
-    if np.isinf(G).any():
+    if (G == INF).any():
         raise InfiniteExponentError(
             "objective is infinite for some input pair: zero-error condition fails"
         )
@@ -391,7 +392,7 @@ def maximize_over_Q(
     result's ``method`` names the primitive that ran.  ``multistart_pg``,
     ``grid`` and ``two_point`` are independent oracles.
     """
-    _check_tilt("maximize_over_Q", s)
+    _check_tilt("maximize_over_Q", s, kernel.s_limit)
     opts = options or SearchOptions()
     G = _sigma_grid(kernel, [s])[0]
     _check_finite_sigma(G)

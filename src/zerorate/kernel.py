@@ -42,10 +42,16 @@ MINUS_INFINITY = "minus_infinity"
 _BISECT_TOL = 1e-9
 
 
-def _check_tilt(name: str, s: float) -> None:
-    """Reject tilts that are negative or not finite (NaN would pass ``s < 0``)."""
+def _check_tilt(name: str, s: float, limit: float = INF) -> None:
+    """Reject tilts that are negative or not finite (NaN would pass ``s < 0``),
+    and tilts above ``limit``, a kernel's :attr:`PairKernel.s_limit`."""
     if not (math.isfinite(s) and s >= 0):
         raise PreconditionError(f"{name} requires a finite s >= 0, got {s}")
+    if s > limit:
+        raise PreconditionError(
+            f"{name}: tilt s = {s} is above {limit:.6g}, the largest tilt this kernel "
+            "evaluates without float overflow"
+        )
 
 
 @dataclass(frozen=True)
@@ -142,6 +148,14 @@ def _build_direction(pair: ChannelMetricPair, support: SupportSets, a: int, b: i
     )
 
 
+def _tilt_limit(dirs: Iterable[_Direction]) -> float:
+    """About ``float_max / (4 max |log r|)``: below it ``s * log r`` and the
+    differences and sums of kernel values stay finite.  Infinite when
+    every ratio is one."""
+    span = max((float(np.abs(d.log_r).max()) for d in dirs if d.outputs), default=0.0)
+    return sys.float_info.max / (4.0 * span) if span > 0 else INF
+
+
 @dataclass(frozen=True)
 class SupResult:
     """Outcome of a one-dimensional concave maximization over ``s >= 0``.
@@ -158,7 +172,12 @@ class SupResult:
 
 
 class PairKernel:
-    """All per-letter kernel evaluations for one channel/metric pair."""
+    """All per-letter kernel evaluations for one channel/metric pair.
+
+    ``s_limit`` is the largest tilt the public evaluations accept: above
+    it ``s`` times the largest ``|log ratio|`` nears the float range, so
+    they raise :class:`PreconditionError` rather than overflow.
+    """
 
     def __init__(self, pair: ChannelMetricPair, support: Optional[SupportSets] = None):
         self.pair = pair
@@ -168,6 +187,7 @@ class PairKernel:
         for a in range(nx):
             for b in range(nx):
                 self._dirs[(a, b)] = _build_direction(pair, self.support, a, b)
+        self.s_limit = _tilt_limit(self._dirs.values())
         self._grid_cache: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._seq_cache: dict[tuple, SupResult] = {}
 
@@ -187,7 +207,7 @@ class PairKernel:
         exponent formulas use), while ``"full"`` treats every ratio to
         the zeroth power as one, so the value is exactly zero there.
         """
-        _check_tilt("mu", s)
+        _check_tilt("mu", s, self.s_limit)
         if sum_domain not in ("qq_support", "full"):
             raise PreconditionError(f"unknown sum_domain {sum_domain!r}")
         d = self._dirs[(a, b)]
@@ -200,7 +220,7 @@ class PairKernel:
         return d.value(s)
 
     def mu_prime(self, a: int, b: int, s: float) -> float:
-        _check_tilt("mu_prime", s)
+        _check_tilt("mu_prime", s, self.s_limit)
         return self._dirs[(a, b)].derivative(s)
 
     def mu_prime_limit(self, a: int, b: int) -> float:
@@ -239,7 +259,7 @@ class PairKernel:
     def mu_sequence(self, x1: Sequence[int], x2: Sequence[int], s: float) -> float:
         """Kernel of two length-``n`` words; additive over letters, so this is
         ``sum over (a,b) of count(a,b) * mu(a,b,s)`` (not normalized by ``n``)."""
-        _check_tilt("mu_sequence", s)
+        _check_tilt("mu_sequence", s, self.s_limit)
         counts = self._check_sequences(x1, x2)
         total = 0.0
         for (a, b), c in counts.items():

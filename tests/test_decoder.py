@@ -1,16 +1,58 @@
 """Two-codeword decoding: exact enumeration, sampling, and lower bounds."""
 
+import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zerorate as zr
+from zerorate.decoder import _coprime_basis, _metric_lattice
 
 from conftest import random_codebook, random_full_support_pair
 
 F = Fraction
+
+# Metric entries with shared prime factors, so that unequal products of
+# different entries often tie exactly; zero is allowed where W is zero.
+METRIC_VALUES = tuple(F(v) for v in ("0", "1/3", "1/2", "2/3", "1", "3/2", "2", "3", "4/9", "9/4"))
+
+
+@st.composite
+def pairs_with_zeros(draw):
+    nx = draw(st.integers(2, 3))
+    ny = draw(st.integers(2, 3))
+    W, q = [], []
+    for _ in range(nx):
+        weights = draw(st.lists(st.integers(0, 3), min_size=ny, max_size=ny)
+                       .filter(lambda row: sum(row) > 0))
+        W.append(tuple(F(w, sum(weights)) for w in weights))
+        row = [draw(st.sampled_from(METRIC_VALUES)) for _ in range(ny)]
+        row = [v if v > 0 or weights[y] == 0 else F(1) for y, v in enumerate(row)]
+        if not any(row):
+            row[0] = F(1)
+        q.append(tuple(row))
+    return zr.pair_from_rows(W, q)
+
+
+def brute_force_decoding(pair, x1, x2, tie_policy):
+    """Per-message error probabilities by summing over every output word."""
+    err, tie = [F(0), F(0)], [F(0), F(0)]
+    for ys in itertools.product(range(pair.ny), repeat=len(x1)):
+        p = [math.prod((pair.W[x][y] for x, y in zip(w, ys)), start=F(1)) for w in (x1, x2)]
+        s = [math.prod((pair.q[x][y] for x, y in zip(w, ys)), start=F(1)) for w in (x1, x2)]
+        if s[0] > s[1]:
+            err[1] += p[1]
+        elif s[0] < s[1]:
+            err[0] += p[0]
+        else:
+            tie[0] += p[0]
+            tie[1] += p[1]
+    share = {"equiprobable": F(1, 2), "as_error": F(1), "genie_correct": F(0)}[tie_policy]
+    return tuple(e + share * t for e, t in zip(err, tie)), (tie[0] + tie[1]) / 2
 
 
 def test_exact_single_letter(bsc_pair):
@@ -72,6 +114,77 @@ def test_exact_rejects_wrong_shape(bsc_pair):
         zr.exact_error_probabilities(bsc_pair, zr.Codebook(((0,), (1,), (0,)), 2))
     with pytest.raises(zr.ValidationError):
         zr.exact_error_probabilities(bsc_pair, zr.Codebook(((0, 0), (1, 1)), 2), tie_policy="nope")
+
+
+@given(pairs_with_zeros(), st.integers(1, 5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_exact_matches_brute_force_over_outputs(pair, n, data):
+    word = st.lists(st.integers(0, pair.nx - 1), min_size=n, max_size=n).map(tuple)
+    x1, x2 = data.draw(word), data.draw(word)
+    for policy in zr.decoder.TIE_POLICIES:
+        out = zr.exact_error_probabilities(pair, (x1, x2), tie_policy=policy)
+        per_message, tie_mass = brute_force_decoding(pair, x1, x2, policy)
+        assert out.per_message == per_message
+        assert out.tie_mass == tie_mass
+        assert out.average == (per_message[0] + per_message[1]) / 2
+
+
+@pytest.mark.parametrize("values", [(6, 4), (4, 6), (12, 18, 27), (30, 42, 70, 105), (8, 8, 1)])
+def test_coprime_basis_is_coprime_and_spans_the_values(values):
+    basis = _coprime_basis(values)
+    assert all(p > 1 for p in basis)
+    assert all(math.gcd(p, r) == 1 for p, r in itertools.combinations(basis, 2))
+    for v in values:
+        for p in basis:
+            while v % p == 0:
+                v //= p
+        assert v == 1
+
+
+def test_metric_lattice_vectors_decide_product_equality():
+    W = ((F(1, 3), F(1, 3), F(1, 3), F(0)), (F(1, 4),) * 4)
+    q = ((F(2, 3), F(4, 9), F(6), F(0)), (F(1, 6), F(3, 4), F(1), F(2)))
+    pair = zr.pair_from_rows(W, q)
+    vec, zero = _metric_lattice(pair)
+    assert zero.tolist() == [[False, False, False, True], [False] * 4]
+    assert not vec[0, 3].any()
+    entries = [(x, y) for x in range(2) for y in range(4) if q[x][y] > 0]
+    products = []
+    for size in (1, 2, 3):
+        for combo in itertools.combinations_with_replacement(entries, size):
+            value = math.prod((q[x][y] for x, y in combo), start=F(1))
+            products.append((value, tuple(sum(vec[x, y] for x, y in combo))))
+    ties = 0
+    for (v1, e1), (v2, e2) in itertools.combinations(products, 2):
+        assert (v1 == v2) == (e1 == e2)
+        ties += v1 == v2
+    assert ties > 10   # (2/3)^2 = 4/9, 6 * 1/6 = 1, (2/3)(3/4) = 1/2 * 1, ...
+
+
+def test_monte_carlo_near_tie_with_unequal_vectors_falls_back_to_exact():
+    rows = ((F(3, 4), F(1, 4)), (F(1, 4), F(3, 4)))
+    bump = 1 + F(1, 10**9)
+    q = (rows[0], tuple(v * bump for v in rows[0]))
+    pair = zr.pair_from_rows(rows, q)
+    # word 1 always scores higher, by a factor well inside the float margin
+    out = zr.monte_carlo_error(pair, ((0,), (1,)), trials=2000, seed=3)
+    assert out.per_message == (1.0, 0.0)
+    assert out.tie_mass == 0
+
+
+def test_all_zero_metric_ties_every_candidate():
+    # Admissible pairs never zero the sent word's metric, so this pins the
+    # decoders' tie rule on a pair the validator would reject.
+    rows = ((F(3, 4), F(1, 4)), (F(1, 4), F(3, 4)))
+    pair = SimpleNamespace(nx=2, ny=2, W=rows, q=((F(0), F(0)), (F(0), F(0))))
+    exact = zr.exact_error_probabilities(pair, ((0, 1), (1, 0)))
+    assert exact.per_message == (F(1, 2), F(1, 2))
+    assert exact.tie_mass == 1
+    code = ((0, 1), (1, 0), (1, 1))
+    hard = zr.monte_carlo_error(pair, code, trials=500, seed=4, tie_policy="as_error")
+    genie = zr.monte_carlo_error(pair, code, trials=500, seed=4, tie_policy="genie_correct")
+    assert hard.average == 1.0 and hard.tie_mass == 1.0
+    assert genie.average == 0.0
 
 
 def test_exact_budget_overflow_raises(bsc_pair):

@@ -209,12 +209,12 @@ def test_exact_q_max_skips_singular_faces():
 
 
 def test_large_alphabet_takes_projected_gradient(rng):
-    pair = random_full_support_pair(rng, nx=11, ny=3)
+    pair = random_full_support_pair(rng, nx=13, ny=3)
     k = zr.PairKernel(pair)
     res = zr.maximize_over_Q(k, 0.5)
     assert res.method == "multistart_pg"
     assert res.value >= zr.maximize_over_Q(k, 0.5, method="two_point").value - 1e-12
-    small = zr.maximize_over_Q(zr.PairKernel(random_full_support_pair(rng, nx=10, ny=3)), 0.5)
+    small = zr.maximize_over_Q(zr.PairKernel(random_full_support_pair(rng, nx=12, ny=3)), 0.5)
     assert small.method == "exact"
 
 

@@ -8,6 +8,7 @@ sequences) before being frozen into the assertions.
 import csv
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -245,6 +246,32 @@ def test_non_finite_tilt_is_rejected(bsc_pair, s):
         k.mu_prime(0, 1, s)
     with pytest.raises(zr.PreconditionError):
         k.mu_sequence((0, 1), (1, 1), s)
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 4), Fraction(1, 10)])
+def test_huge_tilts_are_finite_or_rejected(eps):
+    rows = ((1 - eps, eps), (eps, 1 - eps))
+    k = zr.PairKernel(zr.pair_from_rows(rows, rows))
+    calls = {
+        "mu": lambda s: k.mu(0, 1, s),
+        "mu_prime": lambda s: k.mu_prime(0, 1, s),
+        "mu_sequence": lambda s: k.mu_sequence((0, 1), (1, 0), s),
+        "objective": lambda s: zr.objective(k, (0.5, 0.5), s),
+        "maximize_over_Q": lambda s: zr.maximize_over_Q(k, s).value,
+    }
+    for name, call in calls.items():
+        with pytest.raises(zr.PreconditionError, match=name):
+            call(1e308)
+    log_r = math.log((1 - eps) / eps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = {name: call(1e300) for name, call in calls.items()}
+    assert all(math.isfinite(v) for v in values.values())
+    assert values["mu"] == pytest.approx(-1e300 * log_r, rel=1e-12)
+    assert values["mu_sequence"] == pytest.approx(2 * values["mu"], rel=1e-12)
+    assert values["objective"] == pytest.approx(0.5 * values["mu"], rel=1e-12)
+    # the matched BSC meets the zero-error condition: the best Q is a vertex
+    assert values["maximize_over_Q"] == 0.0
 
 
 def test_s_cap_needs_attained_sups(typewriter_pair, bsc_pair):
