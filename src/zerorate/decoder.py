@@ -7,9 +7,10 @@ ties by policy.  Exact mode merges the output compositions of each
 letter-pair cell by their exact metric ratio and convolves the cells,
 so everything stays rational without visiting every conditional type;
 Monte Carlo mode samples, scores in log space, and re-checks anything
-within float distance of the top exactly, as integer exponent vectors
-over a coprime basis of the metric entries, so tie events are decided
-by arithmetic rather than rounding.
+within float distance of the top exactly, first by counting the
+distinct metric values in each product and then, where the counts
+differ, as rational products, so tie events are decided by arithmetic
+rather than rounding.
 """
 
 from __future__ import annotations
@@ -266,59 +267,23 @@ def _wilson(errors: int, trials: int) -> tuple[float, float]:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _coprime_basis(values) -> list[int]:
-    """Pairwise coprime integers > 1 whose products give every value.
+def _metric_counts(pair: ChannelMetricPair) -> np.ndarray:
+    """Metric entries as one-hot vectors over the distinct positive values.
 
-    A value sharing a factor ``g = gcd(x, p)`` with a basis element ``p``
-    is split into ``g, x/g, p/g`` until no pair shares one; each split
-    shrinks the product of the pending set, so this ends, and needs no
-    factoring.
+    Returns ``vec`` of shape ``(nx, ny, K)``: ``vec[x, y]`` marks the
+    index of ``q(x,y)`` among the ``K`` distinct positive entries (zero
+    entries get a zero row).  Summed along a word, it counts how often
+    each value occurs in the word's metric product, so equal sums mean
+    equal products; unequal sums can still give equal products, as in
+    ``(2/3)^2 = 4/9``.
     """
-    basis: list[int] = []
-    todo = [v for v in values if v > 1]
-    while todo:
-        x = todo.pop()
-        for i, p in enumerate(basis):
-            g = math.gcd(x, p)
-            if g > 1:
-                del basis[i]
-                todo.extend(v for v in (g, x // g, p // g) if v > 1)
-                break
-        else:
-            basis.append(x)
-    return basis
-
-
-def _metric_lattice(pair: ChannelMetricPair) -> tuple[np.ndarray, np.ndarray]:
-    """Metric entries as integer exponent vectors over a coprime basis.
-
-    Returns ``vec`` of shape ``(nx, ny, K)`` with ``q(x,y) = prod_k
-    basis_k ** vec[x, y, k]`` for every positive entry, and the mask of
-    zero entries.  Over a pairwise coprime basis the exponents of a
-    product are unique, so two products of positive entries are equal
-    exactly when their summed vectors are.
-    """
-    entries = [v for row in pair.q for v in row]
-    basis = _coprime_basis(
-        {v.numerator for v in entries if v > 0} | {v.denominator for v in entries if v > 0}
-    )
-
-    def exponents(v: int) -> list[int]:
-        out = []
-        for p in basis:
-            e = 0
-            while v % p == 0:
-                v //= p
-                e += 1
-            out.append(e)
-        return out
-
-    vec = np.zeros((pair.nx * pair.ny, len(basis)), dtype=np.int64)
-    for i, v in enumerate(entries):
-        if v > 0:
-            vec[i] = np.subtract(exponents(v.numerator), exponents(v.denominator))
-    zero = np.array([v == 0 for v in entries]).reshape(pair.nx, pair.ny)
-    return vec.reshape(pair.nx, pair.ny, len(basis)), zero
+    index = {v: k for k, v in enumerate(sorted({v for row in pair.q for v in row if v > 0}))}
+    vec = np.zeros((pair.nx, pair.ny, len(index)), dtype=np.int64)
+    for x, row in enumerate(pair.q):
+        for y, v in enumerate(row):
+            if v > 0:
+                vec[x, y, index[v]] = 1
+    return vec
 
 
 def monte_carlo_error(
@@ -333,10 +298,10 @@ def monte_carlo_error(
     Messages are drawn uniformly, outputs from the channel, and the
     decoder compares log metrics in floats; any codeword within a small
     float margin of the leader is re-scored exactly, so winners and ties
-    are decided by exact arithmetic.  The re-check sums the integer
-    exponent vectors of the metric entries over a coprime basis (see
-    :func:`_metric_lattice`): when the positive candidates of a trial
-    share one vector they are exactly the tied leaders, and only a trial
+    are decided by exact arithmetic.  The re-check counts how often each
+    distinct metric value occurs in every candidate's product (see
+    :func:`_metric_counts`): when all candidates of a trial share one
+    count vector they are exactly the tied leaders, and only a trial
     whose vectors differ multiplies its candidates' metrics as
     ``Fraction`` products.  The stream splits into fixed chunks with
     spawned seeds, making the result reproducible and the merge
@@ -360,7 +325,7 @@ def monte_carlo_error(
             -INF,
         )
     wd = np.array(words, dtype=np.int64)
-    lat_vec, lat_zero = _metric_lattice(pair)
+    counts = _metric_counts(pair)
 
     sizes = [_CHUNK] * (trials // _CHUNK)
     if trials % _CHUNK:
@@ -394,23 +359,18 @@ def monte_carlo_error(
         err_mask[easy] = winners[easy] != msgs[easy]
 
         # Exact re-check of the near candidates of every hard trial: sum
-        # their lattice vectors one position at a time, grouped by trial.
+        # their count vectors one position at a time, grouped by trial.  The
+        # sent word's metric is positive, so every near candidate's is too.
         hard = np.nonzero(~easy)[0]
         group, cand = np.nonzero(near[hard])
         rows = hard[group]
-        acc = np.zeros((len(cand), lat_vec.shape[-1]), dtype=np.int64)
-        zero = np.zeros(len(cand), dtype=bool)
+        acc = np.zeros((len(cand), counts.shape[-1]), dtype=np.int64)
         for t in range(n):
-            xs, ys = wd[cand, t], y[rows, t]
-            acc += lat_vec[xs, ys]
-            zero |= lat_zero[xs, ys]
-        # A trial is settled when its positive candidates share one vector.
-        lead = np.full(len(hard), -1)
-        positive = np.nonzero(~zero)[0]
-        lead[group[positive]] = positive    # any positive candidate will do
-        unsettled = np.zeros(len(hard), dtype=bool)
-        unsettled[group[~zero & (acc != acc[lead[group]]).any(axis=1)]] = True
+            acc += counts[wd[cand, t], y[rows, t]]
+        # A trial is settled when all its candidates share one vector.
         bounds = np.searchsorted(group, np.arange(len(hard) + 1))
+        unsettled = np.zeros(len(hard), dtype=bool)
+        unsettled[group[(acc != acc[bounds[group]]).any(axis=1)]] = True
 
         for j, i in enumerate(hard):
             cands = cand[bounds[j]:bounds[j + 1]]
@@ -424,8 +384,7 @@ def monte_carlo_error(
                 top = max(exact)
                 argmax = [int(m) for m, v in zip(cands, exact) if v == top]
             else:
-                live = ~zero[bounds[j]:bounds[j + 1]]
-                argmax = [int(m) for m in (cands[live] if live.any() else cands)]
+                argmax = [int(m) for m in cands]
             truth = int(msgs[i])
             if len(argmax) == 1:
                 err_mask[i] = argmax[0] != truth

@@ -515,6 +515,9 @@ def _search(
     polish alternates the best tilt for the current ``Q`` (at most
     ``s_cap``; ``None`` leaves it free) with the best ``Q`` at that tilt.
     """
+    _check_tilt("the tilt search", float(grid.min()), kernel.s_limit)
+    _check_tilt("the tilt search", float(grid.max()), kernel.s_limit)
+
     def solve(s: float) -> tuple[float, np.ndarray]:
         return _q_max(_sigma_grid(kernel, [s])[0], opts)
 

@@ -42,7 +42,7 @@ MINUS_INFINITY = "minus_infinity"
 _BISECT_TOL = 1e-9
 
 
-def _check_tilt(name: str, s: float, limit: float = INF) -> None:
+def _check_tilt(name: str, s: float, limit: float) -> None:
     """Reject tilts that are negative or not finite (NaN would pass ``s < 0``),
     and tilts above ``limit``, a kernel's :attr:`PairKernel.s_limit`."""
     if not (math.isfinite(s) and s >= 0):

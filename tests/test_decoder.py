@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zerorate as zr
-from zerorate.decoder import _coprime_basis, _metric_lattice
+from zerorate.decoder import _metric_counts
 
 from conftest import random_codebook, random_full_support_pair
 
@@ -129,36 +129,38 @@ def test_exact_matches_brute_force_over_outputs(pair, n, data):
         assert out.average == (per_message[0] + per_message[1]) / 2
 
 
-@pytest.mark.parametrize("values", [(6, 4), (4, 6), (12, 18, 27), (30, 42, 70, 105), (8, 8, 1)])
-def test_coprime_basis_is_coprime_and_spans_the_values(values):
-    basis = _coprime_basis(values)
-    assert all(p > 1 for p in basis)
-    assert all(math.gcd(p, r) == 1 for p, r in itertools.combinations(basis, 2))
-    for v in values:
-        for p in basis:
-            while v % p == 0:
-                v //= p
-        assert v == 1
-
-
-def test_metric_lattice_vectors_decide_product_equality():
+def test_equal_metric_counts_mean_equal_products():
     W = ((F(1, 3), F(1, 3), F(1, 3), F(0)), (F(1, 4),) * 4)
-    q = ((F(2, 3), F(4, 9), F(6), F(0)), (F(1, 6), F(3, 4), F(1), F(2)))
+    q = ((F(2, 3), F(4, 9), F(6), F(0)), (F(1, 6), F(3, 4), F(1), F(2, 3)))
     pair = zr.pair_from_rows(W, q)
-    vec, zero = _metric_lattice(pair)
-    assert zero.tolist() == [[False, False, False, True], [False] * 4]
+    vec = _metric_counts(pair)
+    assert vec.shape == (2, 4, 6)
     assert not vec[0, 3].any()
+    assert (vec[0, 0] == vec[1, 3]).all()
     entries = [(x, y) for x in range(2) for y in range(4) if q[x][y] > 0]
     products = []
     for size in (1, 2, 3):
         for combo in itertools.combinations_with_replacement(entries, size):
             value = math.prod((q[x][y] for x, y in combo), start=F(1))
             products.append((value, tuple(sum(vec[x, y] for x, y in combo))))
-    ties = 0
+    dependent = 0
     for (v1, e1), (v2, e2) in itertools.combinations(products, 2):
-        assert (v1 == v2) == (e1 == e2)
-        ties += v1 == v2
-    assert ties > 10   # (2/3)^2 = 4/9, 6 * 1/6 = 1, (2/3)(3/4) = 1/2 * 1, ...
+        if e1 == e2:
+            assert v1 == v2
+        dependent += v1 == v2 and e1 != e2
+    assert dependent > 10   # (2/3)^2 = 4/9, 6 * 1/6 = 1, ...: left to the fallback
+
+
+def test_monte_carlo_ties_dependent_products_through_the_fallback():
+    # word 1 scores (2/3)^2 and word 2 scores 4/9 * 1 on every output
+    W = ((F(3, 4), F(1, 4)), (F(1, 4), F(3, 4)), (F(1, 2), F(1, 2)))
+    q = ((F(2, 3),) * 2, (F(4, 9),) * 2, (F(1),) * 2)
+    pair = zr.pair_from_rows(W, q)
+    code = ((0, 0), (1, 2))
+    hard = zr.monte_carlo_error(pair, code, trials=500, seed=4, tie_policy="as_error")
+    genie = zr.monte_carlo_error(pair, code, trials=500, seed=4, tie_policy="genie_correct")
+    assert hard.average == 1.0 and hard.tie_mass == 1.0
+    assert genie.average == 0.0
 
 
 def test_monte_carlo_near_tie_with_unequal_vectors_falls_back_to_exact():
@@ -172,19 +174,14 @@ def test_monte_carlo_near_tie_with_unequal_vectors_falls_back_to_exact():
     assert out.tie_mass == 0
 
 
-def test_all_zero_metric_ties_every_candidate():
+def test_all_zero_metric_ties_every_output():
     # Admissible pairs never zero the sent word's metric, so this pins the
-    # decoders' tie rule on a pair the validator would reject.
+    # exact decoder's tie rule on a pair the validator would reject.
     rows = ((F(3, 4), F(1, 4)), (F(1, 4), F(3, 4)))
     pair = SimpleNamespace(nx=2, ny=2, W=rows, q=((F(0), F(0)), (F(0), F(0))))
     exact = zr.exact_error_probabilities(pair, ((0, 1), (1, 0)))
     assert exact.per_message == (F(1, 2), F(1, 2))
     assert exact.tie_mass == 1
-    code = ((0, 1), (1, 0), (1, 1))
-    hard = zr.monte_carlo_error(pair, code, trials=500, seed=4, tie_policy="as_error")
-    genie = zr.monte_carlo_error(pair, code, trials=500, seed=4, tie_policy="genie_correct")
-    assert hard.average == 1.0 and hard.tie_mass == 1.0
-    assert genie.average == 0.0
 
 
 def test_exact_budget_overflow_raises(bsc_pair):

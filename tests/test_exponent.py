@@ -233,3 +233,14 @@ def test_non_finite_tilt_rejected_by_objective_and_q_max(bsc_pair, s):
         zr.objective(k, (0.5, 0.5), s)
     with pytest.raises(zr.PreconditionError):
         zr.maximize_over_Q(k, s)
+
+
+def test_tilt_search_rejects_tilts_above_the_kernel_limit():
+    rows = ((Fraction(3, 4), Fraction(1, 4)), (Fraction(1, 4), Fraction(3, 4)))
+    pair = zr.pair_from_rows(rows, rows)
+    with pytest.raises(zr.PreconditionError, match="tilt search"):
+        zr.expurgated_lower(pair, s_grid=[0.0, 1e308])
+    with pytest.raises(zr.PreconditionError, match="tilt search"):
+        zr.zero_rate_exponent(pair, zr.SearchOptions(s_max=1e308))
+    # a grid that stays below the limit still searches
+    assert zr.expurgated_lower(pair, s_grid=[0.0, 0.5, 1e300]).value > 0
