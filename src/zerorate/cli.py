@@ -187,11 +187,12 @@ def _cmd_mu_curve(args):
 def _cmd_dmin(args):
     pair, pair_digest = _load_pair(args.pair)
     code, code_digest = _load_code(args.code)
-    value, arg = d_min(pair, code)
+    kernel = PairKernel(pair)   # one kernel, so the second scan hits its memo
+    value, arg = d_min(kernel, code)
     payload = {
         "value": _scale(value, args.bits),
         "pair": list(arg),
-        "exponent_cap_with_rate": _scale(pe_lower_bound_from_dmin(pair, code), args.bits),
+        "exponent_cap_with_rate": _scale(pe_lower_bound_from_dmin(kernel, code), args.bits),
         "units": "bits" if args.bits else "nats",
     }
     return payload, {args.pair: pair_digest, args.code: code_digest}

@@ -29,7 +29,7 @@ from .exponent import (
     objective,
     optimized_objective,
 )
-from .kernel import INF, PairKernel
+from .kernel import INF, PairKernel, joint_counts
 from .zero_error import is_balanced
 
 __all__ = [
@@ -156,17 +156,10 @@ def joint_type(
         raise ValidationError("joint type needs two nonempty words of equal length")
     n = len(x1)
     nx = alphabet_size if alphabet_size is not None else max(max(x1), max(x2)) + 1
-    counts = [[0] * nx for _ in range(nx)]
-    for u, v in zip(x1, x2):
-        counts[u][v] += 1
-    return tuple(tuple(Fraction(c, n) for c in row) for row in counts)
-
-
-def _pair_counts(x1: Sequence[int], x2: Sequence[int], nx: int) -> list[list[int]]:
-    counts = [[0] * nx for _ in range(nx)]
-    for u, v in zip(x1, x2):
-        counts[u][v] += 1
-    return counts
+    if min(min(x1), min(x2)) < 0 or max(max(x1), max(x2)) >= nx:
+        raise ValidationError(f"joint type needs symbols in 0..{nx - 1}")
+    counts = joint_counts(x1, x2)
+    return tuple(tuple(Fraction(counts.get((a, b), 0), n) for b in range(nx)) for a in range(nx))
 
 
 def _as_kernel(pair: KernelSource) -> PairKernel:
@@ -369,13 +362,14 @@ def komlos_extract(
         raise PreconditionError("need 2 <= target <= number of codewords")
     n, nx = code.n, code.alphabet_size
 
-    pair_cnt: dict[tuple[int, int], list[list[int]]] = {}
+    cells = [(a, b) for a in range(nx) for b in range(nx)]
+    pair_cnt: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
     colors: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for i in range(m):
         for j in range(i + 1, m):
-            counts = _pair_counts(code.words[i], code.words[j], nx)
+            counts = joint_counts(code.words[i], code.words[j])
             pair_cnt[(i, j)] = counts
-            key = tuple((t * c) // n for row in counts for c in row)
+            key = tuple((t * counts.get(ab, 0)) // n for ab in cells)
             colors.setdefault(key, []).append((i, j))
 
     first_edge = (0, 1)
@@ -409,15 +403,10 @@ def komlos_extract(
 
     spread = Fraction(0)
     asym = Fraction(0)
-    for ii in range(m_hat):
-        for jj in range(ii + 1, m_hat):
-            key = (selected[ii], selected[jj])
-            if key not in pair_cnt:
-                pair_cnt[key] = _pair_counts(code.words[key[0]], code.words[key[1]], nx)
     for a in range(nx):
         for b in range(nx):
             values = [
-                pair_cnt[(selected[ii], selected[jj])][a][b]
+                pair_cnt[(selected[ii], selected[jj])].get((a, b), 0)
                 for ii in range(m_hat)
                 for jj in range(ii + 1, m_hat)
             ]
@@ -427,7 +416,8 @@ def komlos_extract(
             counts = pair_cnt[(selected[ii], selected[jj])]
             for a in range(nx):
                 for b in range(a + 1, nx):
-                    asym = max(asym, Fraction(abs(counts[a][b] - counts[b][a]), n))
+                    gap = counts.get((a, b), 0) - counts.get((b, a), 0)
+                    asym = max(asym, Fraction(abs(gap), n))
 
     cert = SubcodeCertificate(
         selected=tuple(selected),

@@ -429,18 +429,14 @@ def tilted_error_lower_bound(pair, x1: Sequence[int], x2: Sequence[int], s: floa
     errors.
     """
     kernel = _kernel_of(pair)
+    mu = kernel.mu_sequence(x1, x2, s)
+    if mu == INF:
+        raise PreconditionError(
+            "the sequence kernel is infinite: these words are never confused"
+        )
     counts = kernel._check_sequences(x1, x2)
     n = len(x1)
-    mu = 0.0
-    mu_prime = 0.0
-    for (a, b), c in counts.items():
-        v = kernel.mu(a, b, s)
-        if v == INF:
-            raise PreconditionError(
-                "the sequence kernel is infinite: these words are never confused"
-            )
-        mu += c * v
-        mu_prime += c * kernel.mu_prime(a, b, s)
+    mu_prime = sum(c * kernel.mu_prime(a, b, s) for (a, b), c in counts.items())
     if not mu_prime < 0:
         raise PreconditionError(
             f"the bound needs a negative sequence slope; mu'({s}) = {mu_prime}"

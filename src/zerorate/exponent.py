@@ -34,7 +34,7 @@ import numpy as np
 
 from .channel import ChannelMetricPair, InputDistribution
 from .errors import InfiniteExponentError, PreconditionError, ValidationError
-from .kernel import PairKernel, _Direction, _check_tilt, _tilt_limit
+from .kernel import PairKernel, _argmax_concave, _Direction, _check_tilt
 from .zero_error import (
     boundary_ratio,
     boundary_set_B,
@@ -81,10 +81,8 @@ class RelaxedKernel(PairKernel):
         base = kernel if kernel is not None else PairKernel(pair)
         self.pair = pair
         self.support = base.support
-        self._dirs = dict(base._dirs)
-        self._grid_cache = None
-        self._seq_cache = {}
         self.base = base
+        dirs = dict(base._dirs)
         self.boundary: tuple[tuple[int, int], ...] = boundary_set_B(pair)
         self._lines: dict[tuple[int, int], _BoundaryLine] = {}
         for a, b in self.boundary:
@@ -95,7 +93,7 @@ class RelaxedKernel(PairKernel):
             weights = tuple(pair.W[a][y] for y in kept)
             mass = sum(weights, Fraction(0))
             inv = 1 / ratio
-            self._dirs[(a, b)] = _Direction(
+            dirs[(a, b)] = _Direction(
                 outputs=tuple(kept),
                 weights=weights,
                 ratios=tuple(inv for _ in kept),
@@ -113,7 +111,7 @@ class RelaxedKernel(PairKernel):
                 intercept=-math.log(mass),
                 tail_mass=mass,
             )
-        self.s_limit = _tilt_limit(self._dirs.values())
+        self._install(dirs)
 
     def is_boundary(self, a: int, b: int) -> bool:
         return (a, b) in self._lines
@@ -135,18 +133,19 @@ def gap_bound(pair: ChannelMetricPair) -> float:
     direction.  Zero when there are no boundary pairs, and automatically
     zero for balanced pairs, where the two sets carry equal channel mass.
     """
-    kernel = PairKernel(pair)
+    return _gap(RelaxedKernel(pair))
+
+
+def _gap(relaxed: RelaxedKernel) -> float:
+    """:func:`gap_bound` from a relaxed kernel's lines and its base directions."""
     best = 0.0
-    for a, b in boundary_set_B(pair):
+    for a, b in relaxed.boundary:
         if a > b:
             continue
-        ratio = boundary_ratio(pair, a, b)
-        y_hat = kernel.support.y_hat[(a, b)]
-        tail = [y for y in y_hat if pair.q[a][y] / pair.q[b][y] == ratio]
-        full_a = sum((pair.W[a][y] for y in y_hat), Fraction(0))
-        full_b = sum((pair.W[b][y] for y in y_hat), Fraction(0))
-        tail_a = sum((pair.W[a][y] for y in tail), Fraction(0))
-        tail_b = sum((pair.W[b][y] for y in tail), Fraction(0))
+        full_a = relaxed.base.direction(a, b).y_hat_mass
+        full_b = relaxed.base.direction(b, a).y_hat_mass
+        tail_a = relaxed.line(a, b).tail_mass
+        tail_b = relaxed.line(b, a).tail_mass
         term = 0.5 * (math.log(full_a / tail_a) + math.log(full_b / tail_b))
         best = max(best, term)
     return best
@@ -453,36 +452,31 @@ def _scan_s_grid(
     return best
 
 
-def _sup_over_s_fixed_q(kernel: KernelLike, q: np.ndarray, s_hint: float,
-                        s_cap: Optional[float]) -> tuple[float, float]:
-    """Maximize ``F(q, .)`` (concave) over ``s >= 0``; returns ``(s, value)``."""
-    w = np.outer(q, q)
+def _polish_tilt(kernel: KernelLike, q: np.ndarray, s_cap: Optional[float]) -> Optional[float]:
+    """Smallest maximizer over ``[0, s_cap]`` of the concave ``F(q, .)``; with
+    ``s_cap`` None, ``None`` when the curve only rises toward its limit.
 
-    def deriv(s: float) -> float:
-        return 0.5 * float(np.sum(w * kernel.sigma_prime_matrix(s)))
-
-    def value(s: float) -> float:
-        return 0.5 * float(np.sum(w * kernel.sigma_matrix(s)))
-
-    hi_cap = s_cap if s_cap is not None else float(2 ** 20)
-    if deriv(0.0) <= 0:
-        return 0.0, value(0.0)
-    hi = max(s_hint, 1e-3)
-    while deriv(hi) > 0:
-        hi *= 2.0
-        if hi >= hi_cap:
-            return hi_cap, value(hi_cap)
-    lo = 0.0 if hi <= 1e-3 else hi / 2.0
-    for _ in range(200):
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if deriv(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    s = 0.5 * (lo + hi)
-    return s, value(s)
+    ``F(q, .)`` sums the directions ``(a, b)``, ``a != b``, on the support
+    of ``q``, each weighted by ``q_a q_b``.  Its tail is classified
+    exactly: under the zero-error condition every ``A(a,b) A(b,a) <= 1``,
+    so one product below one turns the slope at a finite tilt.  With all
+    products one the curve is constant when every direction is affine
+    (smallest maximizer 0) and otherwise only rises toward its limit,
+    which the tail candidate scores.
+    """
+    support = np.flatnonzero(q > 0)
+    pairs = [(a, b) for a in support for b in support if a != b]
+    terms = [(kernel.direction(a, b), q[a] * q[b]) for a, b in pairs]
+    if not any(kernel.extreme_ratio(a, b) * kernel.extreme_ratio(b, a) < 1 for a, b in pairs):
+        if all(d.affine for d, _ in terms):
+            return 0.0
+        if s_cap is None:
+            return None
+    s, attained = _argmax_concave(
+        lambda s: sum(w * d.derivative(s) for d, w in terms),
+        kernel.s_limit if s_cap is None else s_cap,
+    )
+    return s if attained else None
 
 
 def _golden_refine(g, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -534,8 +528,12 @@ def _search(
 
     rounds = 0
     for rounds in range(1, 21):
-        s_new, v_s = _sup_over_s_fixed_q(kernel, q, s_hint=max(s, 1e-3), s_cap=s_cap)
-        v_new, q_new = solve(s_new)
+        s_new = _polish_tilt(kernel, q, s_cap)
+        if s_new is None:
+            break
+        G = _sigma_grid(kernel, [s_new])[0]
+        v_new, q_new = _q_max(G, opts)
+        v_s = float(q @ G @ q)
         if v_new < v_s:
             v_new, q_new = v_s, q
         if v_new <= value + opts.tol_value * 0.01:
@@ -665,7 +663,8 @@ class ExponentResult:
     """Zero-rate exponent of a pair, with certification metadata.
 
     ``kind`` is ``exact_equality`` for balanced pairs (the value equals
-    the raw supremum) and ``upper_bound`` otherwise, in which case
+    the raw supremum, and so does ``lower_expurgated``, with
+    ``gap_bound`` zero) and ``upper_bound`` otherwise, in which case
     ``lower_expurgated`` and ``gap_bound`` bracket the true exponent.
     Values are in nats.
     """
@@ -687,40 +686,34 @@ def zero_rate_exponent(
 
     Balanced pairs get the exact value (supremum of the raw objective,
     restricted to the finite tilt interval that provably contains the
-    maximizer).  Unbalanced pairs get the relaxed-kernel upper bound
-    together with the raw lower bound and the gap certificate.
+    maximizer), with no second search.  Unbalanced pairs get the
+    relaxed-kernel upper bound together with the raw lower bound
+    (:func:`expurgated_lower`) and the gap certificate.
     """
     _check_zero_error(pair)
     opts = options or SearchOptions()
     kernel = PairKernel(pair)
     balanced, _ = is_balanced(pair)
 
-    if balanced:
-        provider: KernelLike = kernel
-        kind = KIND_EXACT
-    else:
-        provider = RelaxedKernel(pair, kernel)
-        kind = KIND_UPPER
+    provider: KernelLike = kernel if balanced else RelaxedKernel(pair, kernel)
     s_hi = provider.s_cap()
     grid = np.linspace(0.0, s_hi, opts.interval_points)
     value, q, s_star, trace = _search(provider, grid, s_hi, opts)
+    trace.update({"q_method": _q_method(pair.nx), "s_cap": float(s_hi)})
 
-    lower = expurgated_lower(pair, opts)
-    gap = 0.0 if balanced else gap_bound(pair)
-    # Balanced: the same function maximized by two searches, keep the best.
-    # Unbalanced: the relaxed objective dominates the raw one pointwise, so
-    # the lower search's optimum is also a certified floor for the value.
-    merged = lower.value > value
-    if merged:
-        value, q, s_star = lower.value, lower.q_star.as_floats(), lower.s_star
-    lower_value = max(lower.value, value) if balanced else lower.value
-
-    trace.update({
-        "q_method": _q_method(pair.nx),
-        "lower_trace": lower.trace,
-        "merged_from_lower": merged,
-        "s_cap": float(s_hi),
-    })
+    if balanced:
+        # The raw supremum is the exponent: the lower route would search the
+        # same function again, so it is not run.
+        kind, lower_value, gap = KIND_EXACT, value, 0.0
+    else:
+        # The relaxed objective dominates the raw one pointwise, so the lower
+        # search's optimum is also a certified floor for the value.
+        lower = expurgated_lower(pair, opts)
+        kind, lower_value, gap = KIND_UPPER, lower.value, _gap(provider)
+        merged = lower.value > value
+        if merged:
+            value, q, s_star = lower.value, lower.q_star.as_floats(), lower.s_star
+        trace.update({"lower_trace": lower.trace, "merged_from_lower": merged})
     return ExponentResult(
         value=float(value),
         q_star=_distribution(q),

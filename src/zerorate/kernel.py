@@ -24,9 +24,10 @@ from __future__ import annotations
 import csv
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -106,17 +107,6 @@ class _Direction:
         p /= p.sum()
         return -float(p @ self.log_r)
 
-    def curvature(self, s: float) -> float:
-        """Second derivative, equal to minus the tilted variance of the log-ratio."""
-        if self.empty or self.affine:
-            return 0.0
-        x = self.log_w + s * self.log_r
-        x = x - x.max()
-        p = np.exp(x)
-        p /= p.sum()
-        mean = float(p @ self.log_r)
-        return -float(p @ (self.log_r - mean) ** 2)
-
 
 def _build_direction(pair: ChannelMetricPair, support: SupportSets, a: int, b: int) -> _Direction:
     y_hat = support.y_hat[(a, b)]
@@ -156,6 +146,36 @@ def _tilt_limit(dirs: Iterable[_Direction]) -> float:
     return sys.float_info.max / (4.0 * span) if span > 0 else INF
 
 
+def _argmax_concave(fp: Callable[[float], float], cap: float = INF) -> tuple[float, bool]:
+    """Smallest maximizer on ``[0, cap]`` of a concave curve with slope ``fp``.
+
+    Doubles the tilt until the slope stops being positive, then bisects
+    to ``_BISECT_TOL`` or to adjacent floats.  A slope still positive at
+    ``cap`` puts the maximizer at ``cap``.  With ``cap`` infinite the
+    caller must know that the slope turns at a finite tilt; should the
+    float range run out first (the slope turns NaN or the tilt cannot
+    double), the result is ``(last tilt reached, False)``.
+    """
+    if fp(0.0) <= 0:
+        return 0.0, True
+    lo, hi = 0.0, min(1.0, cap)
+    while (slope := fp(hi)) > 0 or math.isnan(slope):
+        if math.isnan(slope) or hi > sys.float_info.max / 2.0:
+            return lo, False
+        if hi >= cap:
+            return cap, True
+        lo, hi = hi, min(2.0 * hi, cap)
+    while hi - lo > _BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:   # adjacent floats: no finer split exists
+            break
+        if fp(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), True
+
+
 @dataclass(frozen=True)
 class SupResult:
     """Outcome of a one-dimensional concave maximization over ``s >= 0``.
@@ -183,11 +203,15 @@ class PairKernel:
         self.pair = pair
         self.support = support if support is not None else support_sets(pair)
         nx = pair.nx
-        self._dirs: dict[tuple[int, int], _Direction] = {}
-        for a in range(nx):
-            for b in range(nx):
-                self._dirs[(a, b)] = _build_direction(pair, self.support, a, b)
-        self.s_limit = _tilt_limit(self._dirs.values())
+        self._install({
+            (a, b): _build_direction(pair, self.support, a, b)
+            for a in range(nx) for b in range(nx)
+        })
+
+    def _install(self, dirs: dict[tuple[int, int], _Direction]) -> None:
+        """Use ``dirs`` as the per-pair data: set ``s_limit`` and empty the caches."""
+        self._dirs = dirs
+        self.s_limit = _tilt_limit(dirs.values())
         self._grid_cache: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._seq_cache: dict[tuple, SupResult] = {}
 
@@ -246,27 +270,28 @@ class PairKernel:
     # -- sequence-level evaluations ------------------------------------------
 
     def _check_sequences(self, x1: Sequence[int], x2: Sequence[int]) -> dict[tuple[int, int], int]:
-        if len(x1) != len(x2) or not x1:
-            raise PreconditionError("codewords must be nonempty and of equal length")
+        counts = joint_counts(x1, x2)
         nx = self.pair.nx
-        counts: dict[tuple[int, int], int] = {}
-        for u, v in zip(x1, x2):
-            if not (0 <= u < nx and 0 <= v < nx):
-                raise PreconditionError("codeword symbol out of range")
-            counts[(u, v)] = counts.get((u, v), 0) + 1
+        if not all(0 <= u < nx and 0 <= v < nx for u, v in counts):
+            raise PreconditionError("codeword symbol out of range")
         return counts
 
     def mu_sequence(self, x1: Sequence[int], x2: Sequence[int], s: float) -> float:
         """Kernel of two length-``n`` words; additive over letters, so this is
-        ``sum over (a,b) of count(a,b) * mu(a,b,s)`` (not normalized by ``n``)."""
+        ``sum over (a,b) of count(a,b) * mu(a,b,s)`` (not normalized by ``n``).
+
+        Infinite when some letter pair's kernel is; a sum of finite terms
+        that leaves the float range raises :class:`PreconditionError`.
+        """
         _check_tilt("mu_sequence", s, self.s_limit)
-        counts = self._check_sequences(x1, x2)
-        total = 0.0
-        for (a, b), c in counts.items():
-            v = self.mu(a, b, s)
-            if v == INF:
-                return INF
-            total += c * v
+        terms = [(c, self.mu(a, b, s)) for (a, b), c in self._check_sequences(x1, x2).items()]
+        if any(v == INF for _, v in terms):
+            return INF
+        total = sum(c * v for c, v in terms)
+        if not math.isfinite(total):
+            raise PreconditionError(
+                f"mu_sequence: the sum at tilt s = {s} leaves the float range; use a smaller tilt"
+            )
         return total
 
     def sequence_sup(self, x1: Sequence[int], x2: Sequence[int]) -> SupResult:
@@ -354,26 +379,9 @@ class PairKernel:
                 return SupResult(0.0, f(0.0), True)
             limit = sum(c * d.intercept for d, c in terms)
             return SupResult(INF, limit, False)
-        if fp(0.0) <= 0:
-            return SupResult(0.0, f(0.0), True)
-        # The limiting slope log(prod) is negative, so the slope turns at a
-        # finite tilt.  Should the float range run out first (the slope
-        # turns NaN or the tilt cannot double), the maximizer is unreachable.
-        lo, hi = 0.0, 1.0
-        while (slope := fp(hi)) > 0 or math.isnan(slope):
-            if math.isnan(slope) or hi > sys.float_info.max / 2.0:
-                return SupResult(INF, f(lo), False)
-            lo, hi = hi, 2.0 * hi
-        while hi - lo > _BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:   # adjacent floats: no finer split exists
-                break
-            if fp(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        s_star = 0.5 * (lo + hi)
-        return SupResult(s_star, f(s_star), True)
+        # The limiting slope log(prod) is negative: the slope turns at a finite tilt.
+        s, attained = _argmax_concave(fp)
+        return SupResult(s if attained else INF, f(s), attained)
 
     # -- vectorized matrix evaluations ----------------------------------------
 
@@ -393,17 +401,7 @@ class PairKernel:
 
     def mu_matrix(self, s: float) -> np.ndarray:
         """Matrix of ``mu(a, b, s)`` for ``s > 0`` (affine entries exact)."""
-        LW, LR, nonempty = self._padded()
-        x = LW + s * LR
-        m = x.max(axis=-1)
-        safe = np.where(np.isfinite(m), m, 0.0)
-        with np.errstate(divide="ignore"):
-            out = -(safe + np.log(np.exp(x - safe[..., None]).sum(axis=-1)))
-        for (a, b), d in self._dirs.items():
-            if d.affine:
-                out[a, b] = s * d.slope_limit + d.intercept
-        out[~nonempty] = INF
-        return out
+        return self.mu_grid([s])[0]
 
     def mu_grid(self, s_values: np.ndarray) -> np.ndarray:
         """Stacked ``mu`` matrices over a tilt grid, shape ``(len(s), nx, nx)``."""
@@ -451,10 +449,7 @@ def joint_counts(x1: Sequence[int], x2: Sequence[int]) -> dict[tuple[int, int], 
     """Letter-pair counts of two equal-length words."""
     if len(x1) != len(x2) or not x1:
         raise PreconditionError("codewords must be nonempty and of equal length")
-    counts: dict[tuple[int, int], int] = {}
-    for u, v in zip(x1, x2):
-        counts[(u, v)] = counts.get((u, v), 0) + 1
-    return counts
+    return dict(Counter(zip(x1, x2)))
 
 
 def write_mu_curve(

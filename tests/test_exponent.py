@@ -9,7 +9,7 @@ import pytest
 import zerorate as zr
 from zerorate import exponent as exponent_mod
 
-from conftest import random_full_support_pair
+from conftest import random_admissible_pair, random_full_support_pair
 
 F = Fraction
 
@@ -235,12 +235,50 @@ def test_non_finite_tilt_rejected_by_objective_and_q_max(bsc_pair, s):
         zr.maximize_over_Q(k, s)
 
 
-def test_tilt_search_rejects_tilts_above_the_kernel_limit():
+def test_tilt_search_rejects_tilts_above_the_kernel_limit(typewriter_pair):
     rows = ((Fraction(3, 4), Fraction(1, 4)), (Fraction(1, 4), Fraction(3, 4)))
     pair = zr.pair_from_rows(rows, rows)
     with pytest.raises(zr.PreconditionError, match="tilt search"):
         zr.expurgated_lower(pair, s_grid=[0.0, 1e308])
+    # only an unbalanced pair runs the lower route, whose grid reaches s_max
     with pytest.raises(zr.PreconditionError, match="tilt search"):
-        zr.zero_rate_exponent(pair, zr.SearchOptions(s_max=1e308))
+        zr.zero_rate_exponent(typewriter_pair, zr.SearchOptions(s_max=1e308))
     # a grid that stays below the limit still searches
     assert zr.expurgated_lower(pair, s_grid=[0.0, 0.5, 1e300]).value > 0
+
+
+def test_constant_curve_polish_stays_at_zero():
+    """A balanced pair whose objective is constant in s (exponent 0): float
+    noise in log(5/9) + log(9/5) once made the polish climb to s = 2**20."""
+    W = ((F(1), F(0), F(0)), (F(1), F(0), F(0)))
+    q = ((F(5), F(0), F(0)), (F(9), F(2, 5), F(7, 6)))
+    pair = zr.pair_from_rows(W, q)
+    assert zr.expurgated_lower(pair).value <= 1e-12
+    res = zr.zero_rate_exponent(pair)
+    assert res.s_star <= res.method_trace["s_cap"]
+
+
+def test_polish_restarts_from_zero_on_a_constant_curve():
+    """The lower route's polish must not stop on a curve that is flat because
+    every direction on the support of Q is affine: the best Q sits at s = 0."""
+    W = ((0, 0, 1), (F(3, 5), 0, F(2, 5)), (F(1, 3), 0, F(2, 3)),
+         (F(1, 11), F(6, 11), F(4, 11)), (F(2, 13), F(8, 13), F(3, 13)))
+    q = ((0, 0, F(1, 2)), (F(8, 9), 0, 1), (F(7, 2), F(2, 3), 1),
+         (F(1, 2), F(5, 3), F(8, 7)), (8, 2, 1))
+    pair = zr.pair_from_rows(*[[[F(v) for v in row] for row in m] for m in (W, q)])
+    assert zr.expurgated_lower(pair).value >= 0.38464074696970585 - 1e-12
+
+
+def test_lower_route_dominates_every_fixed_tilt():
+    rng = np.random.default_rng(11)
+    tilts = zr.geometric_s_grid(64.0, 512)[::8]
+    checked = 0
+    while checked < 40:
+        pair = random_admissible_pair(rng, nx=2 + checked % 4)
+        if not zr.check_c0bar_zero(pair)[0]:
+            continue
+        k = zr.PairKernel(pair)
+        lower = zr.expurgated_lower(pair).value
+        for s in tilts:
+            assert lower >= zr.maximize_over_Q(k, float(s)).value - 1e-9
+        checked += 1

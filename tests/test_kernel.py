@@ -368,3 +368,18 @@ def test_relaxed_boundary_sigma_is_constant(typewriter_pair):
     assert res.attained and res.s_star == 0.0
     for s in (0.0, 1.0, 5.0):
         assert rk.sigma(0, 1, s) == pytest.approx(res.value, abs=1e-10)
+
+
+def test_mu_sequence_overflow_below_the_limit_is_rejected(identity_pair):
+    e = Fraction(1, 10)
+    rows = ((1 - e, e), (e, 1 - e))
+    pair = zr.pair_from_rows(rows, rows)
+    k = zr.PairKernel(pair)
+    x1, x2, s = (0,) * 10, (1,) * 10, 0.9 * k.s_limit
+    assert math.isfinite(k.mu(0, 1, s))     # each term is finite, their sum is not
+    with pytest.raises(zr.PreconditionError, match="mu_sequence.*tilt s = "):
+        k.mu_sequence(x1, x2, s)
+    with pytest.raises(zr.PreconditionError, match="mu_sequence.*tilt s = "):
+        zr.tilted_error_lower_bound(pair, x1, x2, s)
+    # a letter pair that is never confused still makes the sum infinite
+    assert zr.PairKernel(identity_pair).mu_sequence((0, 0), (1, 0), 1.0) == math.inf

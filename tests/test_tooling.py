@@ -1,0 +1,23 @@
+"""The benchmark tracer wraps functions by name: every name must resolve."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def test_every_traced_target_resolves(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)   # its dataclasses look it up
+    spec.loader.exec_module(spans)
+    targets = spans.SPAN_TARGETS + spans.COUNT_TARGETS
+    assert targets
+    for module, qualname in targets:
+        owner = importlib.import_module(module)
+        for part in qualname.split("."):
+            assert hasattr(owner, part), f"{module}.{qualname} is traced but not defined"
+            owner = getattr(owner, part)
+        assert callable(owner), f"{module}.{qualname} is not callable"
