@@ -177,6 +177,10 @@ def _cmd_gap(args):
 
 
 def _cmd_mu_curve(args):
+    if args.points < 1:
+        raise ValidationError(f"--points must be at least 1, got {args.points}")
+    if not (math.isfinite(args.s_max) and args.s_max >= 0):
+        raise ValidationError(f"--s-max must be finite and nonnegative, got {args.s_max}")
     pair, digest = _load_pair(args.pair)
     kernel = PairKernel(pair)
     s_values = np.linspace(0.0, args.s_max, args.points)

@@ -29,7 +29,7 @@ from .exponent import (
     objective,
     optimized_objective,
 )
-from .kernel import INF, PairKernel, joint_counts
+from .kernel import INF, PairKernel, _as_kernel, joint_counts
 from .zero_error import is_balanced
 
 __all__ = [
@@ -160,14 +160,6 @@ def joint_type(
         raise ValidationError(f"joint type needs symbols in 0..{nx - 1}")
     counts = joint_counts(x1, x2)
     return tuple(tuple(Fraction(counts.get((a, b), 0), n) for b in range(nx)) for a in range(nx))
-
-
-def _as_kernel(pair: KernelSource) -> PairKernel:
-    if isinstance(pair, PairKernel):
-        return pair
-    if isinstance(pair, ChannelMetricPair):
-        return PairKernel(pair)
-    raise ValidationError("expected a channel/metric pair or a kernel built from one")
 
 
 def pair_distance(pair: KernelSource, x1: Sequence[int], x2: Sequence[int]) -> float:
@@ -519,7 +511,8 @@ def dmin_certificate(
     opts = options or SearchOptions()
 
     s_cap = kernel.s_cap()
-    grid = np.arange(0.0, s_cap, 1e-3)
+    # 1e-3 steps, but never more than 4096 of them on a long interval
+    grid = np.arange(0.0, s_cap, max(1e-3, s_cap / 4096))
     grid = np.append(grid, s_cap)
     k_const = float(np.abs(kernel.mu_grid(grid)).sum(axis=(1, 2)).max())
 

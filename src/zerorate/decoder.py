@@ -25,7 +25,7 @@ import numpy as np
 
 from .channel import ChannelMetricPair
 from .errors import BudgetExceededError, PreconditionError, ValidationError, ZerorateError
-from .kernel import INF, PairKernel, joint_counts
+from .kernel import INF, _as_kernel, joint_counts
 
 __all__ = [
     "TIE_POLICIES",
@@ -81,14 +81,6 @@ class BoundReport:
     mu_prime: Optional[float]
     delta_n: float
     trivial: bool = False
-
-
-def _kernel_of(pair) -> PairKernel:
-    if isinstance(pair, PairKernel):
-        return pair
-    if isinstance(pair, ChannelMetricPair):
-        return PairKernel(pair)
-    raise ValidationError("expected a channel/metric pair or a kernel built from one")
 
 
 def _words_of(code, expect: Optional[int] = None) -> tuple[tuple[int, ...], ...]:
@@ -428,7 +420,7 @@ def tilted_error_lower_bound(pair, x1: Sequence[int], x2: Sequence[int], s: floa
     regime where the tilted output distribution concentrates on decoding
     errors.
     """
-    kernel = _kernel_of(pair)
+    kernel = _as_kernel(pair)
     mu = kernel.mu_sequence(x1, x2, s)
     if mu == INF:
         raise PreconditionError(
@@ -458,7 +450,7 @@ def sup_error_lower_bound(pair, x1: Sequence[int], x2: Sequence[int]) -> BoundRe
     A diverging kernel (words that are never confused) yields the
     trivial bound zero, flagged as such.
     """
-    kernel = _kernel_of(pair)
+    kernel = _as_kernel(pair)
     res = kernel.sequence_sup(x1, x2)
     delta = type_counting_slack(kernel.pair, len(x1))
     if res.value == INF:

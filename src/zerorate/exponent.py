@@ -120,11 +120,6 @@ class RelaxedKernel(PairKernel):
         return self._lines[(a, b)]
 
 
-def relaxed_kernel(pair: ChannelMetricPair, kernel: Optional[PairKernel] = None) -> RelaxedKernel:
-    """Build the boundary-relaxation of the kernel (see :class:`RelaxedKernel`)."""
-    return RelaxedKernel(pair, kernel)
-
-
 def gap_bound(pair: ChannelMetricPair) -> float:
     """Width certificate between the relaxed upper bound and the raw lower bound.
 
@@ -162,28 +157,26 @@ KernelLike = Union[PairKernel, RelaxedKernel]
 # simplex faces; larger alphabets use multistart projected gradient.
 _EXACT_MAX_NX = 12
 
+_S_POINTS = 512          # tilts on the lower route's geometric grid
+_INTERVAL_POINTS = 65    # tilts on the grid over [0, s_cap]
+_Q_STARTS = 32           # projected-gradient starts
+_PG_ITERATIONS = 400     # projected-gradient steps per start
+_POLISH_TOL = 1e-12      # the polish stops once a round gains no more than this
+
 
 @dataclass
 class SearchOptions:
-    """Knobs for the exponent searches; defaults suit alphabets up to ~6.
+    """Knobs for the exponent searches.
 
-    ``s_max`` and ``s_points`` shape the lower route's geometric tilt
-    grid, ``interval_points`` the tilt grid on ``[0, s_cap]``, and
-    ``tol_value`` stops the alternating polish.  The other fields are
-    read only by the oracle methods of :func:`maximize_over_Q`:
-    ``grid_resolution`` by ``grid``; ``seed``, ``q_starts`` and
-    ``pg_iterations`` by ``multistart_pg``, which is also what the exact
-    method runs on alphabets above twelve letters.
+    ``s_max`` is the top of the lower route's geometric tilt grid.
+    ``seed`` seeds ``multistart_pg``, which the exact method runs on
+    alphabets above twelve letters, and ``grid_resolution`` sets the
+    step of the ``grid`` oracle of :func:`maximize_over_Q`.
     """
 
     seed: int = 0
     s_max: float = 64.0
-    s_points: int = 512
-    interval_points: int = 65
     grid_resolution: int = 200
-    q_starts: int = 32
-    pg_iterations: int = 400
-    tol_value: float = 1e-10
 
 
 @dataclass(frozen=True)
@@ -280,9 +273,9 @@ def _pg_ascent(G: np.ndarray, starts: np.ndarray, iterations: int) -> tuple[floa
 def _multistart_pg(G: np.ndarray, opts: SearchOptions) -> tuple[float, np.ndarray]:
     """Projected gradient ascent from many starts, then once more from the winner."""
     rng = np.random.default_rng(opts.seed)
-    starts = _pg_starts(len(G), opts.q_starts, rng)
-    value, q = _pg_ascent(G, starts, opts.pg_iterations)
-    value2, q2 = _pg_ascent(G, q[None, :], opts.pg_iterations)
+    starts = _pg_starts(len(G), _Q_STARTS, rng)
+    value, q = _pg_ascent(G, starts, _PG_ITERATIONS)
+    value2, q2 = _pg_ascent(G, q[None, :], _PG_ITERATIONS)
     if value2 > value:
         value, q = value2, q2
     return value, q
@@ -479,53 +472,27 @@ def _polish_tilt(kernel: KernelLike, q: np.ndarray, s_cap: Optional[float]) -> O
     return s if attained else None
 
 
-def _golden_refine(g, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization of ``g`` on ``[lo, hi]``."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = g(c), g(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = g(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = g(d)
-    s = c if fc > fd else d
-    return (s, fc if fc > fd else fd)
-
-
 def _search(
     kernel: KernelLike, grid: np.ndarray, s_cap: Optional[float], opts: SearchOptions,
 ) -> tuple[float, np.ndarray, float, dict]:
-    """``sup_s max_Q F(Q, s)`` by grid scan, golden refine and alternating polish.
+    """``sup_s max_Q F(Q, s)`` by grid scan, then exact alternating ascent.
 
-    ``g(s) = max_Q F(Q, s)`` is a maximum of concave curves, not concave,
-    so the scan brackets the best grid tilt before golden section.  The
-    polish alternates the best tilt for the current ``Q`` (at most
-    ``s_cap``; ``None`` leaves it free) with the best ``Q`` at that tilt.
+    From the best grid point the polish alternates the best tilt for the
+    current ``Q`` (at most ``s_cap``; ``None`` leaves it free) with the
+    best ``Q`` at that tilt.  Both steps are exact, so the value never
+    falls below the grid's best.  ``g(s) = max_Q F(Q, s)`` is a maximum
+    of concave curves, so its local maxima lie at smooth points, and the
+    ascent stops at such a point.
     """
     _check_tilt("the tilt search", float(grid.min()), kernel.s_limit)
     _check_tilt("the tilt search", float(grid.max()), kernel.s_limit)
 
-    def solve(s: float) -> tuple[float, np.ndarray]:
-        return _q_max(_sigma_grid(kernel, [s])[0], opts)
-
     if s_cap is not None and s_cap <= 0:
-        value, q = solve(0.0)
+        value, q = _q_max(_sigma_grid(kernel, [0.0])[0], opts)
         return value, q, 0.0, {"grid_points": 1, "grid_best_s": 0.0, "polish_rounds": 0}
 
-    v0, q0, idx = _scan_s_grid(kernel, grid, opts)
-    lo = float(grid[max(idx - 1, 0)])
-    hi = float(grid[min(idx + 1, len(grid) - 1)])
-    s_ref, _ = _golden_refine(lambda s: solve(s)[0], lo, hi, tol=1e-7 * max(1.0, hi))
-    v_ref, q_ref = solve(s_ref)
-    value, q, s = max((v0, q0, float(grid[idx])), (v_ref, q_ref, s_ref), key=lambda t: t[0])
-
+    value, q, idx = _scan_s_grid(kernel, grid, opts)
+    s = float(grid[idx])
     rounds = 0
     for rounds in range(1, 21):
         s_new = _polish_tilt(kernel, q, s_cap)
@@ -536,7 +503,7 @@ def _search(
         v_s = float(q @ G @ q)
         if v_new < v_s:
             v_new, q_new = v_s, q
-        if v_new <= value + opts.tol_value * 0.01:
+        if v_new <= value + _POLISH_TOL:
             if v_new > value:
                 value, q, s = v_new, q_new, s_new
             break
@@ -554,9 +521,7 @@ def _search(
 # ---------------------------------------------------------------------------
 
 
-def _tail_candidate(
-    pair: ChannelMetricPair, kernel: PairKernel, opts: SearchOptions,
-) -> tuple[float, Optional[np.ndarray]]:
+def _tail_candidate(kernel: PairKernel, opts: SearchOptions) -> tuple[float, Optional[np.ndarray]]:
     """Best limiting value of the objective as the tilt grows without bound.
 
     In the limit only boundary pairs keep a finite symmetric sum (its
@@ -564,10 +529,10 @@ def _tail_candidate(
     limit is therefore a maximization over distributions supported on a
     clique of the boundary-pair graph.
     """
-    boundary = [(a, b) for (a, b) in boundary_set_B(pair) if a < b]
+    boundary = [(a, b) for (a, b) in boundary_set_B(kernel.pair) if a < b]
     if not boundary:
         return -INF, None
-    nx = pair.nx
+    nx = kernel.pair.nx
     edges = set(boundary)
     ceil = np.full((nx, nx), -INF)
     np.fill_diagonal(ceil, 0.0)
@@ -630,9 +595,7 @@ def _distribution(q) -> InputDistribution:
 
 
 def expurgated_lower(
-    pair: ChannelMetricPair,
-    options: Optional[SearchOptions] = None,
-    s_grid: Optional[Sequence[float]] = None,
+    pair: ChannelMetricPair, options: Optional[SearchOptions] = None,
 ) -> LowerResult:
     """Supremum of the raw objective over ``(Q, s)``: the zero-rate lower bound.
 
@@ -641,12 +604,14 @@ def expurgated_lower(
     the average zero-error condition.
     """
     _check_zero_error(pair)
-    opts = options or SearchOptions()
-    kernel = PairKernel(pair)
-    grid = np.asarray(s_grid, dtype=float) if s_grid is not None \
-        else geometric_s_grid(opts.s_max, opts.s_points)
+    return _expurgated_lower(PairKernel(pair), options or SearchOptions())
+
+
+def _expurgated_lower(kernel: PairKernel, opts: SearchOptions) -> LowerResult:
+    """:func:`expurgated_lower` on a raw kernel of a pair that meets the condition."""
+    grid = geometric_s_grid(opts.s_max, _S_POINTS)
     value, q, s, trace = _search(kernel, grid, None, opts)
-    tail_v, tail_q = _tail_candidate(pair, kernel, opts)
+    tail_v, tail_q = _tail_candidate(kernel, opts)
     trace["tail_value"] = tail_v if tail_v > -INF else None
     if tail_v > value:
         value, q, s = tail_v, tail_q, INF
@@ -697,7 +662,7 @@ def zero_rate_exponent(
 
     provider: KernelLike = kernel if balanced else RelaxedKernel(pair, kernel)
     s_hi = provider.s_cap()
-    grid = np.linspace(0.0, s_hi, opts.interval_points)
+    grid = np.linspace(0.0, s_hi, _INTERVAL_POINTS)
     value, q, s_star, trace = _search(provider, grid, s_hi, opts)
     trace.update({"q_method": _q_method(pair.nx), "s_cap": float(s_hi)})
 
@@ -708,7 +673,7 @@ def zero_rate_exponent(
     else:
         # The relaxed objective dominates the raw one pointwise, so the lower
         # search's optimum is also a certified floor for the value.
-        lower = expurgated_lower(pair, opts)
+        lower = _expurgated_lower(kernel, opts)
         kind, lower_value, gap = KIND_UPPER, lower.value, _gap(provider)
         merged = lower.value > value
         if merged:
@@ -737,6 +702,6 @@ def optimized_objective(
     """
     opts = options or SearchOptions()
     s_hi = kernel.s_cap()
-    grid = np.linspace(0.0, s_hi, opts.interval_points)
+    grid = np.linspace(0.0, s_hi, _INTERVAL_POINTS)
     value, q, s_star, _ = _search(kernel, grid, s_hi, opts)
     return float(value), float(s_star), _floats(q)

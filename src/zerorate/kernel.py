@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .channel import ChannelMetricPair, SupportSets, support_sets
-from .errors import InfiniteExponentError, PreconditionError
+from .errors import InfiniteExponentError, PreconditionError, ValidationError
 
 INF = math.inf
 
@@ -443,6 +443,15 @@ class PairKernel:
         out = np.zeros(self.pair.ny)
         out[list(d.outputs)] = p
         return out
+
+
+def _as_kernel(pair: Union[ChannelMetricPair, PairKernel]) -> PairKernel:
+    """The kernel itself, or a fresh kernel built from a pair."""
+    if isinstance(pair, PairKernel):
+        return pair
+    if isinstance(pair, ChannelMetricPair):
+        return PairKernel(pair)
+    raise ValidationError("expected a channel/metric pair or a kernel built from one")
 
 
 def joint_counts(x1: Sequence[int], x2: Sequence[int]) -> dict[tuple[int, int], int]:

@@ -125,6 +125,19 @@ def test_mu_curve_writes_csv(bsc_file, tmp_path, capsys):
     float(rows[0]["mu"])  # parseable numbers
 
 
+@pytest.mark.parametrize("flags", [
+    ["--points", "-1"],
+    ["--points", "0"],
+    ["--s-max", "-1"],
+    ["--s-max", "inf"],
+    ["--s-max", "nan"],
+])
+def test_mu_curve_rejects_bad_flags(bsc_file, tmp_path, capsys, flags):
+    out_csv = str(tmp_path / "mu.csv")
+    assert cli.main(["mu-curve", "--pair", bsc_file, "--csv", out_csv, *flags]) == 2
+    capsys.readouterr()
+
+
 def test_dmin_payload(bsc_file, tmp_path, capsys):
     code = zr.Codebook(((0, 0), (0, 1), (1, 1)), 2)
     code_path = tmp_path / "three.txt"

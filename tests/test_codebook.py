@@ -224,7 +224,7 @@ def test_certificate_requires_balance(typewriter_pair, rng):
     selected, _ = zr.komlos_extract(code, t=2, target=4)
     with pytest.raises(zr.PreconditionError):
         zr.dmin_certificate(typewriter_pair, code, selected, t=2)
-    relaxed = zr.relaxed_kernel(typewriter_pair)
+    relaxed = zr.RelaxedKernel(typewriter_pair)
     cert = zr.dmin_certificate(relaxed, code, selected, t=2)
     assert cert.m_hat == len(selected)
     for check in cert.checks:
@@ -260,3 +260,23 @@ def test_subcode_indices_preserved():
     cols = code.column_counts()
     assert cols.shape == (2, 2)
     assert cols[0][0] == 2 and cols[0][1] == 2
+
+
+def test_certificate_kernel_grid_stays_bounded_on_a_long_interval(monkeypatch):
+    """A near-useless metric puts s_cap far out (about 220.8 here); the
+    grid bounding K keeps at most 4097 tilts instead of one per 1e-3."""
+    W = ((F(9, 10), F(1, 10)), (F(1, 10), F(9, 10)))
+    q = ((F(1), F(1)), (F(1), 1 + F(1, 100)))
+    pair = zr.pair_from_rows(W, q)
+    sizes = []
+    mu_grid = zr.PairKernel.mu_grid
+
+    def spy(self, s_values):
+        sizes.append(len(s_values))
+        return mu_grid(self, s_values)
+
+    monkeypatch.setattr(zr.PairKernel, "mu_grid", spy)
+    code = zr.Codebook(((0, 0, 1, 1), (0, 1, 0, 1), (1, 1, 0, 0)), 2)
+    cert = zr.dmin_certificate(pair, code, (0, 1, 2), t=1)
+    assert cert.s_cap > 200
+    assert sizes[0] <= 4097

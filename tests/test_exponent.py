@@ -140,7 +140,7 @@ def test_exponent_dominates_grid_oracle_over_tilts(typewriter_pair, bsc_pair):
     that interval, with Q maximized by the simplex-grid oracle, beats it."""
     for pair in (typewriter_pair, bsc_pair):
         res = zr.zero_rate_exponent(pair)
-        kernel = zr.PairKernel(pair) if res.balanced else zr.relaxed_kernel(pair)
+        kernel = zr.PairKernel(pair) if res.balanced else zr.RelaxedKernel(pair)
         s_cap = res.method_trace["s_cap"]
         best = max(
             zr.maximize_over_Q(kernel, float(s), method="grid").value
@@ -150,7 +150,7 @@ def test_exponent_dominates_grid_oracle_over_tilts(typewriter_pair, bsc_pair):
 
 
 def test_relaxed_kernel_from_balanced_pair_is_plain(bsc_pair):
-    rk = zr.relaxed_kernel(bsc_pair)
+    rk = zr.RelaxedKernel(bsc_pair)
     k = zr.PairKernel(bsc_pair)
     for s in (0.0, 0.5, 2.0):
         assert rk.mu(0, 1, s) == k.mu(0, 1, s)
@@ -239,12 +239,12 @@ def test_tilt_search_rejects_tilts_above_the_kernel_limit(typewriter_pair):
     rows = ((Fraction(3, 4), Fraction(1, 4)), (Fraction(1, 4), Fraction(3, 4)))
     pair = zr.pair_from_rows(rows, rows)
     with pytest.raises(zr.PreconditionError, match="tilt search"):
-        zr.expurgated_lower(pair, s_grid=[0.0, 1e308])
+        zr.expurgated_lower(pair, zr.SearchOptions(s_max=1e308))
     # only an unbalanced pair runs the lower route, whose grid reaches s_max
     with pytest.raises(zr.PreconditionError, match="tilt search"):
         zr.zero_rate_exponent(typewriter_pair, zr.SearchOptions(s_max=1e308))
     # a grid that stays below the limit still searches
-    assert zr.expurgated_lower(pair, s_grid=[0.0, 0.5, 1e300]).value > 0
+    assert zr.expurgated_lower(pair, zr.SearchOptions(s_max=1e300)).value > 0
 
 
 def test_constant_curve_polish_stays_at_zero():
@@ -282,3 +282,33 @@ def test_lower_route_dominates_every_fixed_tilt():
         for s in tilts:
             assert lower >= zr.maximize_over_Q(k, float(s)).value - 1e-9
         checked += 1
+
+
+def test_interval_route_dominates_every_fixed_tilt():
+    """The exponent is a supremum over [0, s_cap] of the raw kernel (balanced)
+    or the relaxed one: no tilt on a fine grid of that interval beats it."""
+    rng = np.random.default_rng(23)
+    checked = 0
+    while checked < 40:
+        pair = random_admissible_pair(rng, nx=2 + checked % 5)
+        if not zr.check_c0bar_zero(pair)[0]:
+            continue
+        res = zr.zero_rate_exponent(pair)
+        kernel = zr.PairKernel(pair) if res.balanced else zr.RelaxedKernel(pair)
+        for s in np.linspace(0.0, res.method_trace["s_cap"], 129):
+            assert res.value >= zr.maximize_over_Q(kernel, float(s)).value - 1e-9
+        checked += 1
+
+
+def test_unbalanced_exponent_builds_one_kernel(typewriter_pair, monkeypatch):
+    calls = []
+    init = zr.PairKernel.__init__
+
+    def spy(self, *args, **kwargs):
+        calls.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(zr.PairKernel, "__init__", spy)
+    res = zr.zero_rate_exponent(typewriter_pair)
+    assert not res.balanced
+    assert calls == ["PairKernel"]

@@ -279,7 +279,7 @@ def test_s_cap_needs_attained_sups(typewriter_pair, bsc_pair):
         zr.PairKernel(typewriter_pair).s_cap()
     cap = zr.PairKernel(bsc_pair).s_cap()
     assert cap == pytest.approx(0.5, abs=1e-6)
-    relaxed_cap = zr.relaxed_kernel(typewriter_pair).s_cap()
+    relaxed_cap = zr.RelaxedKernel(typewriter_pair).s_cap()
     assert math.isfinite(relaxed_cap) and relaxed_cap >= 0.0
 
 
@@ -345,7 +345,7 @@ def test_full_domain_only_differs_at_zero(typewriter_pair):
 
 def test_relaxed_kernel_replaces_boundary_pairs_with_their_asymptotes(typewriter_pair):
     k = zr.PairKernel(typewriter_pair)
-    rk = zr.relaxed_kernel(typewriter_pair)
+    rk = zr.RelaxedKernel(typewriter_pair)
     line = rk.line(0, 1)
     assert rk.is_boundary(0, 1)
     assert line.ratio == F(1, 9)
@@ -363,7 +363,7 @@ def test_relaxed_kernel_replaces_boundary_pairs_with_their_asymptotes(typewriter
 
 
 def test_relaxed_boundary_sigma_is_constant(typewriter_pair):
-    rk = zr.relaxed_kernel(typewriter_pair)
+    rk = zr.RelaxedKernel(typewriter_pair)
     res = rk.sup_sigma(0, 1)
     assert res.attained and res.s_star == 0.0
     for s in (0.0, 1.0, 5.0):

@@ -1,11 +1,16 @@
-"""The benchmark tracer wraps functions by name: every name must resolve."""
+"""Checks on the source itself: names the benchmark tracer wraps, and
+search knobs that something reads."""
 
+import dataclasses
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+import zerorate as zr
+
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def test_every_traced_target_resolves(monkeypatch):
@@ -21,3 +26,9 @@ def test_every_traced_target_resolves(monkeypatch):
             assert hasattr(owner, part), f"{module}.{qualname} is traced but not defined"
             owner = getattr(owner, part)
         assert callable(owner), f"{module}.{qualname} is not callable"
+
+
+def test_every_search_option_is_read():
+    source = (ROOT / "src" / "zerorate" / "exponent.py").read_text()
+    for f in dataclasses.fields(zr.SearchOptions):
+        assert f"opts.{f.name}" in source, f"SearchOptions.{f.name} is never read"
