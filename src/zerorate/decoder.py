@@ -421,14 +421,12 @@ def tilted_error_lower_bound(pair, x1: Sequence[int], x2: Sequence[int], s: floa
     errors.
     """
     kernel = _as_kernel(pair)
-    mu = kernel.mu_sequence(x1, x2, s)
+    mu, mu_prime = kernel._sequence(x1, x2, s)
     if mu == INF:
         raise PreconditionError(
             "the sequence kernel is infinite: these words are never confused"
         )
-    counts = kernel._check_sequences(x1, x2)
     n = len(x1)
-    mu_prime = sum(c * kernel.mu_prime(a, b, s) for (a, b), c in counts.items())
     if not mu_prime < 0:
         raise PreconditionError(
             f"the bound needs a negative sequence slope; mu'({s}) = {mu_prime}"

@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
@@ -34,9 +33,8 @@ import numpy as np
 
 from .channel import ChannelMetricPair, InputDistribution
 from .errors import InfiniteExponentError, PreconditionError, ValidationError
-from .kernel import PairKernel, _argmax_concave, _Direction, _check_tilt
+from .kernel import PairKernel, _argmax_concave, _check_tilt
 from .zero_error import (
-    boundary_ratio,
     boundary_set_B,
     check_c0bar_zero,
     is_balanced,
@@ -53,15 +51,6 @@ KIND_UPPER = "upper_bound"
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _BoundaryLine:
-    ratio: Fraction                 # common extremal ratio A(a, b)
-    tail_outputs: tuple[int, ...]   # overlap outputs attaining the ratio
-    slope: float                    # log A(a, b)
-    intercept: float                # -log mass of W(.|a) on the tail outputs
-    tail_mass: Fraction
-
-
 class RelaxedKernel(PairKernel):
     """Kernel with every boundary pair replaced by its asymptote line.
 
@@ -73,8 +62,9 @@ class RelaxedKernel(PairKernel):
 
     Restricting the raw kernel sum to the outputs attaining the extremal
     ratio reproduces that line exactly, so the relaxation is implemented
-    by swapping in restricted per-pair data; every kernel operation
-    (values, derivatives, suprema, sequence sums) then applies verbatim.
+    by swapping in each base direction's :meth:`_Direction.tail`; every
+    kernel operation (values, derivatives, suprema, sequence sums) then
+    applies verbatim.
     """
 
     def __init__(self, pair: ChannelMetricPair, kernel: Optional[PairKernel] = None):
@@ -84,40 +74,9 @@ class RelaxedKernel(PairKernel):
         self.base = base
         dirs = dict(base._dirs)
         self.boundary: tuple[tuple[int, int], ...] = boundary_set_B(pair)
-        self._lines: dict[tuple[int, int], _BoundaryLine] = {}
-        for a, b in self.boundary:
-            ratio = boundary_ratio(pair, a, b)
-            y_hat = self.support.y_hat[(a, b)]
-            tail = tuple(sorted(y for y in y_hat if pair.q[a][y] / pair.q[b][y] == ratio))
-            kept = [y for y in tail if pair.W[a][y] > 0]
-            weights = tuple(pair.W[a][y] for y in kept)
-            mass = sum(weights, Fraction(0))
-            inv = 1 / ratio
-            dirs[(a, b)] = _Direction(
-                outputs=tuple(kept),
-                weights=weights,
-                ratios=tuple(inv for _ in kept),
-                y_hat_mass=mass,
-                log_w=np.array([math.log(w) for w in weights]),
-                log_r=np.full(len(kept), -math.log(ratio)),
-                affine=True,
-                a_min=ratio,
-                tail_mass=mass,
-            )
-            self._lines[(a, b)] = _BoundaryLine(
-                ratio=ratio,
-                tail_outputs=tail,
-                slope=math.log(ratio),
-                intercept=-math.log(mass),
-                tail_mass=mass,
-            )
+        for ab in self.boundary:
+            dirs[ab] = dirs[ab].tail()
         self._install(dirs)
-
-    def is_boundary(self, a: int, b: int) -> bool:
-        return (a, b) in self._lines
-
-    def line(self, a: int, b: int) -> _BoundaryLine:
-        return self._lines[(a, b)]
 
 
 def gap_bound(pair: ChannelMetricPair) -> float:
@@ -132,15 +91,15 @@ def gap_bound(pair: ChannelMetricPair) -> float:
 
 
 def _gap(relaxed: RelaxedKernel) -> float:
-    """:func:`gap_bound` from a relaxed kernel's lines and its base directions."""
+    """:func:`gap_bound` from a relaxed kernel's boundary rows and its base directions."""
     best = 0.0
     for a, b in relaxed.boundary:
         if a > b:
             continue
         full_a = relaxed.base.direction(a, b).y_hat_mass
         full_b = relaxed.base.direction(b, a).y_hat_mass
-        tail_a = relaxed.line(a, b).tail_mass
-        tail_b = relaxed.line(b, a).tail_mass
+        tail_a = relaxed.direction(a, b).tail_mass
+        tail_b = relaxed.direction(b, a).tail_mass
         term = 0.5 * (math.log(full_a / tail_a) + math.log(full_b / tail_b))
         best = max(best, term)
     return best
@@ -459,16 +418,13 @@ def _polish_tilt(kernel: KernelLike, q: np.ndarray, s_cap: Optional[float]) -> O
     """
     support = np.flatnonzero(q > 0)
     pairs = [(a, b) for a in support for b in support if a != b]
-    terms = [(kernel.direction(a, b), q[a] * q[b]) for a, b in pairs]
     if not any(kernel.extreme_ratio(a, b) * kernel.extreme_ratio(b, a) < 1 for a, b in pairs):
-        if all(d.affine for d, _ in terms):
+        if all(kernel.direction(a, b).affine for a, b in pairs):
             return 0.0
         if s_cap is None:
             return None
-    s, attained = _argmax_concave(
-        lambda s: sum(w * d.derivative(s) for d, w in terms),
-        kernel.s_limit if s_cap is None else s_cap,
-    )
+    at = kernel._weighted(pairs, [q[a] * q[b] for a, b in pairs])
+    s, attained = _argmax_concave(lambda s: at(s)[1], kernel.s_limit if s_cap is None else s_cap)
     return s if attained else None
 
 

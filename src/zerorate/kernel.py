@@ -25,7 +25,7 @@ import csv
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -63,8 +63,6 @@ class _Direction:
     weights: tuple[Fraction, ...]     # W(y|a) on those outputs
     ratios: tuple[Fraction, ...]      # q(b,y) / q(a,y) on those outputs
     y_hat_mass: Fraction              # sum of W(y|a) over the whole metric-overlap set
-    log_w: np.ndarray
-    log_r: np.ndarray
     affine: bool
     a_min: Union[Fraction, float]     # min q(a,y)/q(b,y) over channel support (inf if empty)
     tail_mass: Fraction               # sum of W(y|a) over outputs attaining a_min
@@ -87,25 +85,15 @@ class _Direction:
             return INF
         return -math.log(self.tail_mass)
 
-    def value(self, s: float) -> float:
-        if self.empty:
-            return INF
-        if self.affine:
-            return s * self.slope_limit + self.intercept
-        x = self.log_w + s * self.log_r
-        m = float(x.max())
-        return -(m + math.log(np.exp(x - m).sum()))
-
-    def derivative(self, s: float) -> float:
-        if self.empty:
-            return INF
-        if self.affine:
-            return self.slope_limit
-        x = self.log_w + s * self.log_r
-        x = x - x.max()
-        p = np.exp(x)
-        p /= p.sum()
-        return -float(p @ self.log_r)
+    def tail(self) -> _Direction:
+        """This direction restricted to the outputs attaining its extreme
+        ratio: its large-``s`` asymptote line as a direction of its own."""
+        r_max = 1 / self.a_min
+        kept = [(y, w) for y, w, r in zip(self.outputs, self.weights, self.ratios) if r == r_max]
+        return replace(
+            self, outputs=tuple(y for y, _ in kept), weights=tuple(w for _, w in kept),
+            ratios=(r_max,) * len(kept), y_hat_mass=self.tail_mass, affine=True,
+        )
 
 
 def _build_direction(pair: ChannelMetricPair, support: SupportSets, a: int, b: int) -> _Direction:
@@ -120,8 +108,7 @@ def _build_direction(pair: ChannelMetricPair, support: SupportSets, a: int, b: i
     if not outputs:
         return _Direction(
             outputs=(), weights=(), ratios=(), y_hat_mass=y_hat_mass,
-            log_w=np.empty(0), log_r=np.empty(0), affine=False,
-            a_min=INF, tail_mass=Fraction(0),
+            affine=False, a_min=INF, tail_mass=Fraction(0),
         )
     r_max = max(ratios)
     tail_mass = sum((w for w, r in zip(weights, ratios) if r == r_max), Fraction(0))
@@ -130,20 +117,27 @@ def _build_direction(pair: ChannelMetricPair, support: SupportSets, a: int, b: i
         weights=tuple(weights),
         ratios=tuple(ratios),
         y_hat_mass=y_hat_mass,
-        log_w=np.array([math.log(w) for w in weights]),
-        log_r=np.array([math.log(r) for r in ratios]),
         affine=all(r == ratios[0] for r in ratios),
         a_min=1 / r_max,
         tail_mass=tail_mass,
     )
 
 
-def _tilt_limit(dirs: Iterable[_Direction]) -> float:
-    """About ``float_max / (4 max |log r|)``: below it ``s * log r`` and the
-    differences and sums of kernel values stay finite.  Infinite when
-    every ratio is one."""
-    span = max((float(np.abs(d.log_r).max()) for d in dirs if d.outputs), default=0.0)
-    return sys.float_info.max / (4.0 * span) if span > 0 else INF
+def _tilted(LW: np.ndarray, LR: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
+    """The one float evaluation of the kernel.
+
+    Over the last axis of padded direction rows (``LW = log W(y|a)``,
+    ``LR = log ratio``, padding ``-inf`` and ``0``) returns
+    ``-log sum_y exp(LW + s LR)`` and its slope in ``s``.  ``s`` broadcasts
+    against the leading axes.  Every row needs a finite ``LW`` entry:
+    callers keep empty directions out and read them as ``inf``.
+    """
+    x = LW + s * LR
+    m = x.max(axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    z = e.sum(axis=-1)
+    # 0.0 - (...) rather than -(...): a curve that is identically zero reads +0.0
+    return 0.0 - (m[..., 0] + np.log(z)), 0.0 - (e * LR).sum(axis=-1) / z
 
 
 def _argmax_concave(fp: Callable[[float], float], cap: float = INF) -> tuple[float, bool]:
@@ -209,10 +203,44 @@ class PairKernel:
         })
 
     def _install(self, dirs: dict[tuple[int, int], _Direction]) -> None:
-        """Use ``dirs`` as the per-pair data: set ``s_limit`` and empty the caches."""
+        """Use ``dirs`` as the per-pair data: pad their rows for :func:`_tilted`,
+        sort them into curves, set ``s_limit`` and empty the memo.
+
+        An affine row is padded as one entry, ``log`` of its mass and
+        ``-log A``, so it evaluates exactly to its line.  ``_curve`` maps
+        a direction to the first one with the same exact (weight, ratio)
+        multiset, hence the same curve, or to None when its curve is
+        identically zero (all ratios one, full mass).
+        """
         self._dirs = dirs
-        self.s_limit = _tilt_limit(dirs.values())
-        self._grid_cache: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        nx, ny = self.pair.nx, self.pair.ny
+        LW = [[-INF] * ny for _ in range(nx * nx)]
+        LR = [[0.0] * ny for _ in range(nx * nx)]
+        mu0 = [INF] * (nx * nx)                     # exact values at s = 0
+        self._curve: dict[tuple[int, int], Optional[tuple[int, int]]] = {}
+        reps: dict[tuple, tuple[int, int]] = {}
+        for (a, b), d in dirs.items():
+            k = a * nx + b
+            if d.empty:
+                LW[k][0] = 0.0     # keeps the evaluator finite; read as inf
+            elif d.affine:
+                LW[k][0], LR[k][0] = math.log(d.tail_mass), -d.slope_limit
+            else:
+                for y, w, r in zip(d.outputs, d.weights, d.ratios):
+                    LW[k][y], LR[k][y] = math.log(w), math.log(r)
+            if not d.empty:
+                mu0[k] = 0.0 - math.log(d.y_hat_mass)
+            zero = d.y_hat_mass == 1 and all(r == 1 for r in d.ratios)
+            key = tuple(sorted(w.as_integer_ratio() + r.as_integer_ratio()
+                               for w, r in zip(d.weights, d.ratios)))
+            self._curve[(a, b)] = None if zero else reps.setdefault(key, (a, b))
+        self._LW = np.array(LW).reshape(nx, nx, ny)
+        self._LR = np.array(LR).reshape(nx, nx, ny)
+        self._mu0 = np.array(mu0).reshape(nx, nx)
+        self._empty = self._mu0 == INF
+        span = float(np.abs(self._LR).max())
+        # below s_limit, s * log r and the sums and differences of kernel values stay finite
+        self.s_limit = sys.float_info.max / (4.0 * span) if span > 0 else INF
         self._seq_cache: dict[tuple, SupResult] = {}
 
     # -- scalar evaluations -------------------------------------------------
@@ -223,29 +251,19 @@ class PairKernel:
     def empty_support(self, a: int, b: int) -> bool:
         return self._dirs[(a, b)].empty
 
-    def mu(self, a: int, b: int, s: float, sum_domain: str = "qq_support") -> float:
-        """Kernel value at tilt ``s``.
-
-        ``sum_domain`` only matters at ``s = 0``: under ``"qq_support"``
-        the sum runs over the metric-overlap outputs (the convention the
-        exponent formulas use), while ``"full"`` treats every ratio to
-        the zeroth power as one, so the value is exactly zero there.
-        """
+    def mu(self, a: int, b: int, s: float) -> float:
+        """Kernel value at tilt ``s``.  At ``s = 0`` it is the exact
+        ``-log`` of the channel mass on the metric-overlap outputs."""
         _check_tilt("mu", s, self.s_limit)
-        if sum_domain not in ("qq_support", "full"):
-            raise PreconditionError(f"unknown sum_domain {sum_domain!r}")
-        d = self._dirs[(a, b)]
-        if s == 0:
-            if sum_domain == "full":
-                return 0.0
-            if d.y_hat_mass == 0:
-                return INF
-            return -math.log(d.y_hat_mass)
-        return d.value(s)
+        if s == 0 or self._dirs[(a, b)].empty:
+            return float(self._mu0[a, b])
+        return float(_tilted(self._LW[a, b], self._LR[a, b], s)[0])
 
     def mu_prime(self, a: int, b: int, s: float) -> float:
         _check_tilt("mu_prime", s, self.s_limit)
-        return self._dirs[(a, b)].derivative(s)
+        if self._dirs[(a, b)].empty:
+            return INF
+        return float(_tilted(self._LW[a, b], self._LR[a, b], s)[1])
 
     def mu_prime_limit(self, a: int, b: int) -> float:
         """Limiting slope ``log A(a, b)``; ``inf`` when the kernel is identically infinite."""
@@ -267,6 +285,33 @@ class PairKernel:
     def sigma(self, a: int, b: int, s: float) -> float:
         return self.mu(a, b, s) + self.mu(b, a, s)
 
+    # -- weighted sums of directions ------------------------------------------
+
+    def _weighted(
+        self, pairs: Sequence[tuple[int, int]], c: Sequence[float],
+    ) -> Callable[[float], tuple[float, float]]:
+        """``s -> (sum_k c_k mu(pairs_k, s), its slope)`` for nonempty
+        directions; the rows are gathered once, then evaluated together."""
+        a, b = np.array(pairs).T
+        LW, LR = self._LW[a, b], self._LR[a, b]
+        w = np.asarray(c, dtype=float)
+
+        def at(s: float) -> tuple[float, float]:
+            v, d = _tilted(LW, LR, s)
+            return float(w @ v), float(w @ d)
+
+        return at
+
+    def _curve_key(self, terms: Iterable[tuple[tuple[int, int], int]]) -> tuple:
+        """Canonical form of ``sum c mu(a, b, .)``: counts merged over
+        directions with equal curves, zero curves dropped.  Equal keys
+        are equal curves."""
+        merged: Counter = Counter()
+        for ab, c in terms:
+            if (rep := self._curve[ab]) is not None:
+                merged[rep] += c
+        return tuple(sorted(merged.items()))
+
     # -- sequence-level evaluations ------------------------------------------
 
     def _check_sequences(self, x1: Sequence[int], x2: Sequence[int]) -> dict[tuple[int, int], int]:
@@ -276,6 +321,23 @@ class PairKernel:
             raise PreconditionError("codeword symbol out of range")
         return counts
 
+    def _sequence(self, x1: Sequence[int], x2: Sequence[int], s: float) -> tuple[float, float]:
+        """Value and slope at ``s`` of the sequence kernel (see :meth:`mu_sequence`);
+        both infinite when some letter pair's kernel is."""
+        _check_tilt("mu_sequence", s, self.s_limit)
+        counts = self._check_sequences(x1, x2)
+        if any(self._dirs[ab].empty for ab in counts):
+            return INF, INF
+        with np.errstate(over="ignore"):    # an overflowing sum is rejected below
+            value, slope = self._weighted(list(counts), list(counts.values()))(s)
+        if s == 0:
+            value = sum(c * float(self._mu0[ab]) for ab, c in counts.items())
+        if not math.isfinite(value):
+            raise PreconditionError(
+                f"mu_sequence: the sum at tilt s = {s} leaves the float range; use a smaller tilt"
+            )
+        return value, slope
+
     def mu_sequence(self, x1: Sequence[int], x2: Sequence[int], s: float) -> float:
         """Kernel of two length-``n`` words; additive over letters, so this is
         ``sum over (a,b) of count(a,b) * mu(a,b,s)`` (not normalized by ``n``).
@@ -283,29 +345,19 @@ class PairKernel:
         Infinite when some letter pair's kernel is; a sum of finite terms
         that leaves the float range raises :class:`PreconditionError`.
         """
-        _check_tilt("mu_sequence", s, self.s_limit)
-        terms = [(c, self.mu(a, b, s)) for (a, b), c in self._check_sequences(x1, x2).items()]
-        if any(v == INF for _, v in terms):
-            return INF
-        total = sum(c * v for c, v in terms)
-        if not math.isfinite(total):
-            raise PreconditionError(
-                f"mu_sequence: the sum at tilt s = {s} leaves the float range; use a smaller tilt"
-            )
-        return total
+        return self._sequence(x1, x2, s)[0]
 
     def sequence_sup(self, x1: Sequence[int], x2: Sequence[int]) -> SupResult:
         """Supremum over ``s >= 0`` of the (unnormalized) sequence kernel.
 
-        Memoized on the letter-pair counts, since codebook scans revisit
-        the same joint type many times.
+        Memoized by curve: letter-pair counts merged over directions with
+        equal curves, so word pairs whose sums are equal as functions
+        share one entry and get bit-identical results.
         """
-        counts = self._check_sequences(x1, x2)
-        key = tuple(sorted(counts.items()))
+        key = self._curve_key(self._check_sequences(x1, x2).items())
         hit = self._seq_cache.get(key)
         if hit is None:
-            hit = self._sup_weighted([(self._dirs[k], c) for k, c in counts.items()])
-            self._seq_cache[key] = hit
+            hit = self._seq_cache[key] = self._sup_weighted(key)
         return hit
 
     # -- symmetric sums and their maximizers ----------------------------------
@@ -319,12 +371,11 @@ class PairKernel:
         """
         if a == b:
             return SupResult(0.0, 0.0, True)
-        d_ab, d_ba = self._dirs[(a, b)], self._dirs[(b, a)]
-        if d_ab.empty or d_ba.empty:
+        if self._dirs[(a, b)].empty or self._dirs[(b, a)].empty:
             raise InfiniteExponentError(
                 f"sigma({a},{b}) is identically infinite: inputs share no usable output"
             )
-        return self._sup_weighted([(d_ab, 1), (d_ba, 1)])
+        return self._sup_weighted(self._curve_key((((a, b), 1), ((b, a), 1))))
 
     def s_cap(self) -> float:
         """Upper end of the tilt interval that contains every pairwise maximizer.
@@ -352,91 +403,80 @@ class PairKernel:
                 cap = max(cap, res.s_star)
         return cap
 
-    def _sup_weighted(self, terms: list[tuple[_Direction, int]]) -> SupResult:
-        """Maximize ``sum c_k mu_k(s)`` over ``s >= 0`` for integer ``c_k > 0``.
+    def _sup_weighted(self, key: tuple) -> SupResult:
+        """Maximize ``sum c_k mu_k(s)`` over ``s >= 0`` for the curve ``key``
+        of :meth:`_curve_key` (integer ``c_k > 0``).
 
         The tail behaviour is classified exactly first: the limiting
         slope is ``log`` of the rational product ``prod A_k ** c_k``, so
         comparing that product with one decides between divergence, a
-        horizontal asymptote, and an attained interior maximum.
+        horizontal asymptote, and an attained interior maximum.  A
+        maximum at ``s = 0`` takes the exact value there.
         """
-        if any(d.empty and c > 0 for d, c in terms):
+        pairs = [ab for ab, _ in key]
+        counts = [c for _, c in key]
+        dirs = [self._dirs[ab] for ab in pairs]
+        if any(d.empty for d in dirs):
             return SupResult(INF, INF, False)
         prod: Union[Fraction, float] = Fraction(1)
-        for d, c in terms:
+        for d, c in zip(dirs, counts):
             prod *= Fraction(d.a_min) ** c
         if prod > 1:
             return SupResult(INF, INF, False)
-
-        def f(s: float) -> float:
-            return sum(c * d.value(s) for d, c in terms)
-
-        def fp(s: float) -> float:
-            return sum(c * d.derivative(s) for d, c in terms)
-
+        at_zero = SupResult(0.0, float(sum(c * self._mu0[ab] for ab, c in key)), True)
         if prod == 1:
-            if all(d.affine for d, _ in terms):
-                return SupResult(0.0, f(0.0), True)
-            limit = sum(c * d.intercept for d, c in terms)
+            if all(d.affine for d in dirs):
+                return at_zero
+            limit = sum(c * d.intercept for d, c in zip(dirs, counts))
             return SupResult(INF, limit, False)
         # The limiting slope log(prod) is negative: the slope turns at a finite tilt.
-        s, attained = _argmax_concave(fp)
-        return SupResult(s if attained else INF, f(s), attained)
+        at = self._weighted(pairs, counts)
+        s, attained = _argmax_concave(lambda s: at(s)[1])
+        if attained and s == 0:
+            return at_zero
+        return SupResult(s if attained else INF, at(s)[0], attained)
 
     # -- vectorized matrix evaluations ----------------------------------------
 
-    def _padded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._grid_cache is None:
-            nx, ny = self.pair.nx, self.pair.ny
-            LW = np.full((nx, nx, ny), -INF)
-            LR = np.zeros((nx, nx, ny))
-            nonempty = np.zeros((nx, nx), dtype=bool)
-            for (a, b), d in self._dirs.items():
-                if d.outputs:
-                    nonempty[a, b] = True
-                    LW[a, b, list(d.outputs)] = d.log_w
-                    LR[a, b, list(d.outputs)] = d.log_r
-            self._grid_cache = (LW, LR, nonempty)
-        return self._grid_cache
+    def _grid(self, s_values: Iterable[float]) -> tuple[np.ndarray, np.ndarray]:
+        """Values and slopes of every direction over a tilt grid, each of
+        shape ``(len(s), nx, nx)``.  Values at ``s = 0`` are exact; empty
+        directions read ``inf``."""
+        s = np.asarray(s_values, dtype=float)
+        mu, slope = _tilted(self._LW, self._LR, s[:, None, None, None])
+        mu[s == 0] = self._mu0
+        mu[:, self._empty] = INF
+        slope[:, self._empty] = INF
+        return mu, slope
 
     def mu_matrix(self, s: float) -> np.ndarray:
-        """Matrix of ``mu(a, b, s)`` for ``s > 0`` (affine entries exact)."""
+        """Matrix of ``mu(a, b, s)`` (affine entries exact)."""
         return self.mu_grid([s])[0]
 
     def mu_grid(self, s_values: np.ndarray) -> np.ndarray:
         """Stacked ``mu`` matrices over a tilt grid, shape ``(len(s), nx, nx)``."""
-        LW, LR, nonempty = self._padded()
-        s = np.asarray(s_values, dtype=float)[:, None, None, None]
-        x = LW[None, ...] + s * LR[None, ...]
-        m = x.max(axis=-1)
-        safe = np.where(np.isfinite(m), m, 0.0)
-        with np.errstate(divide="ignore"):
-            out = -(safe + np.log(np.exp(x - safe[..., None]).sum(axis=-1)))
-        for (a, b), d in self._dirs.items():
-            if d.affine:
-                out[:, a, b] = np.asarray(s_values) * d.slope_limit + d.intercept
-        out[:, ~nonempty] = INF
-        return out
+        return self._grid(s_values)[0]
 
     def sigma_matrix(self, s: float) -> np.ndarray:
         m = self.mu_matrix(s)
         return m + m.T
 
     def sigma_prime_matrix(self, s: float) -> np.ndarray:
-        nx = self.pair.nx
-        out = np.zeros((nx, nx))
-        for (a, b), d in self._dirs.items():
-            out[a, b] = d.derivative(s)
-        return out + out.T
+        d = self._grid([s])[1][0]
+        return d + d.T
 
     # -- tilted conditional distributions --------------------------------------
 
     def tilted_distribution(self, a: int, b: int, s: float) -> np.ndarray:
-        """Output law proportional to ``W(y|a) * ratio**s`` on the overlap outputs."""
+        """Output law proportional to ``W(y|a) * ratio**s`` on the overlap outputs.
+
+        Computed from the exact direction data on its own, so it serves as
+        an independent check on the slopes of :func:`_tilted`.
+        """
         d = self._dirs[(a, b)]
         if d.empty:
             raise PreconditionError(f"tilted distribution undefined: mu({a},{b}) is infinite")
-        x = d.log_w + s * d.log_r
+        x = np.array([math.log(w) + s * math.log(r) for w, r in zip(d.weights, d.ratios)])
         x = x - x.max()
         p = np.exp(x)
         p /= p.sum()
@@ -466,7 +506,6 @@ def write_mu_curve(
     path: str,
     s_values: Iterable[float],
     pairs: Optional[Iterable[tuple[int, int]]] = None,
-    sum_domain: str = "qq_support",
 ) -> int:
     """Dump kernel curves to CSV with columns ``a, b, s, mu, mu_prime``.
 
@@ -477,17 +516,19 @@ def write_mu_curve(
     if pairs is None:
         nx = kernel.pair.nx
         pairs = [(a, b) for a in range(nx) for b in range(nx) if a != b]
-    s_list = list(s_values)
+    s_list = [float(s) for s in s_values]
+    for s in s_list:
+        _check_tilt("write_mu_curve", s, kernel.s_limit)
+    mu, slope = kernel._grid(s_list)
     rows = 0
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["a", "b", "s", "mu", "mu_prime"])
         for a, b in pairs:
-            for s in s_list:
+            for i, s in enumerate(s_list):
                 writer.writerow(
-                    [labels[a], labels[b], repr(float(s)),
-                     repr(float(kernel.mu(a, b, s, sum_domain=sum_domain))),
-                     repr(float(kernel.mu_prime(a, b, s)))]
+                    [labels[a], labels[b], repr(s),
+                     repr(float(mu[i, a, b])), repr(float(slope[i, a, b]))]
                 )
                 rows += 1
     return rows

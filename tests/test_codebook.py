@@ -95,6 +95,35 @@ def test_d_min_two_letter_fixture(bsc_pair):
     assert mat[0, 2] >= mat[0, 1] - 1e-12
 
 
+def test_d_min_counts_a_supremum_at_zero_tilt_as_exactly_zero():
+    """On full-support pairs every sequence kernel starts at exactly 0 at
+    s = 0, so a supremum attained there is 0 and no distance is negative;
+    the first pair reaching it wins, not a rounding error."""
+    rng = np.random.default_rng(5)
+    random_full_support_pair(rng, nx=3, ny=2)
+    random_codebook(rng, 12, 24, 3)
+    pair = random_full_support_pair(rng, nx=3, ny=3)
+    code = random_codebook(rng, 12, 24, 3)
+    assert zr.d_min(pair, code) == (0.0, (0, 1))
+
+
+def test_sequence_sups_of_equal_curves_share_one_memo_entry(bsc_pair):
+    """On BSC mu(0,1) and mu(1,0) are the same curve, so letter-pair counts
+    (n00, n01, n10, n11) with n01 + n10 = 7 all give 7 mu: one memo entry
+    and bit-identical results, whatever the float noise."""
+    k = zr.PairKernel(bsc_pair)
+
+    def words(n00, n01, n10, n11):
+        x1 = (0,) * (n00 + n01) + (1,) * (n10 + n11)
+        x2 = (0,) * n00 + (1,) * n01 + (0,) * n10 + (1,) * n11
+        return x1, x2
+
+    results = [k.sequence_sup(*words(*c)) for c in ((15, 3, 4, 10), (14, 2, 5, 11), (16, 7, 0, 9))]
+    assert results[0] == results[1] == results[2]
+    assert len(k._seq_cache) == 1
+    assert results[0].value == pytest.approx(7 * 0.1438410362258904, abs=1e-9)
+
+
 def test_distance_infinite_for_disjoint_rows(identity_pair):
     code = zr.Codebook(((0, 0), (1, 1)), 2)
     assert zr.pair_distance(identity_pair, *code.words) == math.inf

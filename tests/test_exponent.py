@@ -154,7 +154,7 @@ def test_relaxed_kernel_from_balanced_pair_is_plain(bsc_pair):
     k = zr.PairKernel(bsc_pair)
     for s in (0.0, 0.5, 2.0):
         assert rk.mu(0, 1, s) == k.mu(0, 1, s)
-    assert not rk.is_boundary(0, 1)
+    assert (0, 1) not in rk.boundary
 
 
 def test_method_trace_records_route(bsc_pair):

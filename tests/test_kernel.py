@@ -151,6 +151,8 @@ def test_limit_classification_follows_extreme_ratio(rng, typewriter_pair):
     assert k.classify_limit(0, 1) == ("minus_infinity", -math.inf)
     assert k.extreme_ratio(1, 0) == F(9)
     assert k.classify_limit(1, 0)[0] == "plus_infinity"
+    # direction (1, 0): one channel output falls outside the metric overlap
+    assert k.mu(1, 0, 0.0) == pytest.approx(-math.log(9 / 10), abs=1e-12)
     for _ in range(10):
         pair = random_admissible_pair(rng)
         kk = zr.PairKernel(pair)
@@ -297,6 +299,79 @@ def test_grid_and_matrix_agree_with_pointwise(rng):
                 assert mat[a, b] == pytest.approx(k.mu(a, b, float(s)), abs=1e-12)
 
 
+def tail_outputs(pair, a, b):
+    """Overlap outputs reachable from ``a`` that attain the largest ratio."""
+    outputs = [
+        y for y in range(pair.ny) if pair.q[a][y] > 0 and pair.q[b][y] > 0 and pair.W[a][y] > 0
+    ]
+    r_max = max(pair.q[b][y] / pair.q[a][y] for y in outputs)
+    return tuple(y for y in outputs if pair.q[b][y] / pair.q[a][y] == r_max)
+
+
+def brute_tail_mu(pair, a, b, s):
+    """Direct evaluation restricted to :func:`tail_outputs`."""
+    total = 0.0
+    for y in tail_outputs(pair, a, b):
+        total += float(pair.W[a][y]) * float(pair.q[b][y] / pair.q[a][y]) ** s
+    return -math.log(total)
+
+
+def central_difference(f, s):
+    h = 1e-6 * max(1.0, s)
+    return (f(s + h) - f(s - h)) / (2 * h)
+
+
+def check_against_brute_force(kernel, pair, s, oracle):
+    """Grid values, symmetric slopes and one sequence sum of ``kernel`` at
+    ``s`` against ``oracle(a, b, s)`` and its central differences."""
+    nx = pair.nx
+    grid = kernel.mu_grid([s])[0]
+    sigma_prime = kernel.sigma_prime_matrix(s)
+    expect = np.full((nx, nx), math.inf)
+    slope = np.full((nx, nx), math.inf)
+    for a in range(nx):
+        for b in range(nx):
+            if not kernel.empty_support(a, b):
+                expect[a, b] = oracle(a, b, s)
+                slope[a, b] = central_difference(lambda t: oracle(a, b, t), s)
+    for a in range(nx):
+        for b in range(nx):
+            assert grid[a, b] == pytest.approx(expect[a, b], rel=1e-12, abs=1e-12)
+            fd = slope[a, b] + slope[b, a]
+            assert sigma_prime[a, b] == pytest.approx(fd, rel=1e-6, abs=1e-6)
+    x1 = [0, 1] * 3 + list(range(nx))
+    x2 = [1, 0] * 3 + list(range(nx))[::-1]
+    total = sum(expect[u, v] for u, v in zip(x1, x2))
+    assert kernel.mu_sequence(x1, x2, s) == pytest.approx(total, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("s", [0.3, 1.7, 12.0])
+def test_evaluations_match_brute_force_and_finite_differences(rng, s):
+    for _ in range(10):
+        pair = random_admissible_pair(rng)
+        check_against_brute_force(
+            zr.PairKernel(pair), pair, s, lambda a, b, t: brute_mu(pair, a, b, t)
+        )
+
+
+@pytest.mark.parametrize("s", [0.3, 1.7, 12.0])
+def test_relaxed_rows_match_brute_force_on_their_tails(rng, typewriter_pair, s):
+    pairs = [typewriter_pair] + [random_admissible_pair(rng, nx=3, ny=3) for _ in range(30)]
+    relaxed = 0
+    for pair in pairs:
+        rk = zr.RelaxedKernel(pair)
+        relaxed += len(rk.boundary)
+        for a, b in rk.boundary:
+            assert rk.direction(a, b).outputs == tail_outputs(pair, a, b)
+
+        def oracle(a, b, t):
+            tail = (a, b) in rk.boundary
+            return brute_tail_mu(pair, a, b, t) if tail else brute_mu(pair, a, b, t)
+
+        check_against_brute_force(rk, pair, s, oracle)
+    assert relaxed > 4
+
+
 def test_sequence_sup_dominates_grid(rng):
     pair = random_full_support_pair(rng, nx=3, ny=4)
     k = zr.PairKernel(pair)
@@ -334,30 +409,21 @@ def test_mu_curve_csv_round_trip(tmp_path, bsc_pair):
         assert float(row["mu_prime"]) == pytest.approx(k.mu_prime(a, b, s), abs=1e-15)
 
 
-def test_full_domain_only_differs_at_zero(typewriter_pair):
-    k = zr.PairKernel(typewriter_pair)
-    # direction (1, 0): one channel output falls outside the metric overlap
-    assert k.mu(1, 0, 0.0) == pytest.approx(-math.log(9 / 10), abs=1e-12)
-    assert k.mu(1, 0, 0.0, sum_domain="full") == 0.0
-    for s in (0.5, 1.5):
-        assert k.mu(1, 0, s, sum_domain="full") == pytest.approx(k.mu(1, 0, s), abs=1e-12)
-
-
 def test_relaxed_kernel_replaces_boundary_pairs_with_their_asymptotes(typewriter_pair):
     k = zr.PairKernel(typewriter_pair)
     rk = zr.RelaxedKernel(typewriter_pair)
-    line = rk.line(0, 1)
-    assert rk.is_boundary(0, 1)
-    assert line.ratio == F(1, 9)
+    line = rk.direction(0, 1)
+    assert (0, 1) in rk.boundary
+    assert line.a_min == F(1, 9)
     assert line.tail_mass == F(1, 10)
-    assert line.slope == pytest.approx(math.log(1 / 9), abs=1e-12)
+    assert line.slope_limit == pytest.approx(math.log(1 / 9), abs=1e-12)
     assert line.intercept == pytest.approx(math.log(10), abs=1e-12)
     for s in (0.0, 0.7, 2.0, 11.0):
-        assert rk.mu(0, 1, s) == pytest.approx(line.intercept + line.slope * s, abs=1e-10)
+        assert rk.mu(0, 1, s) == pytest.approx(line.intercept + line.slope_limit * s, abs=1e-10)
         # the asymptote lies above the concave curve it supports
         assert rk.mu(0, 1, s) >= k.mu(0, 1, s) - 1e-9
     # off the boundary set nothing changes
-    assert not rk.is_boundary(1, 2)
+    assert (1, 2) not in rk.boundary
     for s in (0.0, 0.7, 2.0):
         assert rk.mu(1, 2, s) == pytest.approx(k.mu(1, 2, s), abs=1e-12)
 

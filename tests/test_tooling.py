@@ -1,6 +1,7 @@
-"""Checks on the source itself: names the benchmark tracer wraps, and
-search knobs that something reads."""
+"""Checks on the source itself: names the benchmark tracer wraps, search
+knobs that something reads, and the one float evaluator of the kernel."""
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -32,3 +33,26 @@ def test_every_search_option_is_read():
     source = (ROOT / "src" / "zerorate" / "exponent.py").read_text()
     for f in dataclasses.fields(zr.SearchOptions):
         assert f"opts.{f.name}" in source, f"SearchOptions.{f.name} is never read"
+
+
+def test_kernel_exponentials_stay_in_the_evaluator():
+    """Every float kernel value and slope comes from ``kernel._tilted``; the
+    only other exponential is ``tilted_distribution``, the softmax over the
+    exact direction data that the tilt-identity test uses as an oracle."""
+    tree = ast.parse((ROOT / "src" / "zerorate" / "kernel.py").read_text())
+
+    def exp_calls(node):
+        return [
+            n for n in ast.walk(node)
+            if isinstance(n, ast.Call)
+            and ast.unparse(n.func) in ("np.exp", "math.exp", "np.logaddexp", "np.expm1")
+        ]
+
+    allowed = [
+        n for n in ast.walk(tree)
+        if isinstance(n, ast.FunctionDef) and n.name in ("_tilted", "tilted_distribution")
+    ]
+    assert len(allowed) == 2
+    inside = sum(len(exp_calls(fn)) for fn in allowed)
+    assert inside >= 2
+    assert len(exp_calls(tree)) == inside, "kernel.py evaluates an exponential outside _tilted"
