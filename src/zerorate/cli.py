@@ -14,6 +14,7 @@ zero-error condition fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -267,6 +268,7 @@ def _cmd_empirical(args):
 # -- argument wiring ---------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zerorate",

@@ -6,7 +6,8 @@ The decoder picks the codeword maximizing the product metric, breaking
 ties by policy.  Exact mode merges the output compositions of each
 letter-pair cell by their exact metric ratio and convolves the cells,
 so everything stays rational without visiting every conditional type;
-Monte Carlo mode samples, scores in log space, and re-checks anything
+Monte Carlo mode samples, scores each block of trials against every
+codeword with one matrix product in log space, and re-checks anything
 within float distance of the top exactly, first by counting the
 distinct metric values in each product and then, where the counts
 differ, as rational products, so tie events are decided by arithmetic
@@ -47,6 +48,7 @@ TIE_POLICIES = ("equiprobable", "as_error", "genie_correct")
 
 _Z95 = 1.959963984540054
 _CHUNK = 8192
+_BLOCK = 1024
 _NEAR_TIE = 1e-6
 
 
@@ -288,16 +290,24 @@ def monte_carlo_error(
     """Sampled decoding error of a codebook of any size.
 
     Messages are drawn uniformly, outputs from the channel, and the
-    decoder compares log metrics in floats; any codeword within a small
-    float margin of the leader is re-scored exactly, so winners and ties
-    are decided by exact arithmetic.  The re-check counts how often each
-    distinct metric value occurs in every candidate's product (see
-    :func:`_metric_counts`): when all candidates of a trial share one
-    count vector they are exactly the tied leaders, and only a trial
-    whose vectors differ multiplies its candidates' metrics as
-    ``Fraction`` products.  The stream splits into fixed chunks with
-    spawned seeds, making the result reproducible and the merge
-    order-independent.
+    decoder compares log metrics in floats: a block of trials becomes a
+    one-hot matrix over (position, output) and one product with the
+    per-word log-metric matrix scores every codeword.  A zero metric
+    entry has no finite log, so it enters that product as 0 and a second
+    product counts each word's zero entries; a word with any is scored
+    ``-inf``.  Any codeword within a small float margin of the leader is
+    re-scored exactly, so winners and ties are decided by exact
+    arithmetic.  The re-check counts how often each distinct metric value
+    occurs in every candidate's product (see :func:`_metric_counts`):
+    when all candidates of a trial share one count vector they are
+    exactly the tied leaders, and only a trial whose vectors differ
+    multiplies its candidates' metrics as ``Fraction`` products.
+
+    The stream splits into fixed chunks with spawned seeds, making the
+    result reproducible and the merge order-independent.  Each chunk
+    draws its messages first and then its outputs block by block, which
+    is the same random stream as one draw; the block bounds the working
+    arrays, so memory does not grow with ``trials``.
     """
     if trials < 1:
         raise PreconditionError("trials must be positive")
@@ -308,15 +318,15 @@ def monte_carlo_error(
     m_count = len(words)
     n = len(words[0])
 
-    wf = np.array([[float(v) for v in row] for row in pair.W])
-    cum = np.cumsum(wf, axis=1)
-    with np.errstate(divide="ignore"):
-        lq = np.where(
-            np.array([[v > 0 for v in row] for row in pair.q]),
-            np.log(np.array([[float(v) if v > 0 else 1.0 for v in row] for row in pair.q])),
-            -INF,
-        )
+    cum = np.cumsum(np.array([[float(v) for v in row] for row in pair.W]), axis=1)
+    zero = np.array([[v == 0 for v in row] for row in pair.q])
+    lq = np.log(np.array([[float(v) if v > 0 else 1.0 for v in row] for row in pair.q]))
     wd = np.array(words, dtype=np.int64)
+    # Row t*ny + y of the scoring matrices belongs to output y at position t;
+    # zero metric entries score 0 in ``lmat`` and are counted by ``zmat``.
+    lmat = lq[wd].reshape(m_count, n * pair.ny).T
+    zmat = zero[wd].reshape(m_count, n * pair.ny).T.astype(float) if zero.any() else None
+    offsets = np.arange(n) * pair.ny
     counts = _metric_counts(pair)
 
     sizes = [_CHUNK] * (trials // _CHUNK)
@@ -332,70 +342,73 @@ def monte_carlo_error(
         rng = np.random.default_rng(draw_seed)
         tie_rng = np.random.default_rng(tie_seed)
 
-        msgs = rng.integers(0, m_count, size=size)
-        letters = wd[msgs]
-        u = rng.random((size, n))
-        y = np.minimum((cum[letters] <= u[..., None]).sum(axis=-1), pair.ny - 1)
+        chunk_msgs = rng.integers(0, m_count, size=size)
+        sent += np.bincount(chunk_msgs, minlength=m_count)
+        for lo in range(0, size, _BLOCK):
+            msgs = chunk_msgs[lo:lo + _BLOCK]
+            letters = wd[msgs]
+            u = rng.random((len(msgs), n))
+            # cum is nondecreasing along y, so these indicators are monotone
+            # in k; leaving out the last column clips y at ny - 1.
+            y = np.zeros((len(msgs), n), dtype=np.int64)
+            for k in range(pair.ny - 1):
+                y += u >= cum[:, k][letters]
 
-        scores = np.empty((size, m_count))
-        for m in range(m_count):
-            scores[:, m] = lq[wd[m][None, :], y].sum(axis=1)
-        best = scores.max(axis=1)
-        margin = _NEAR_TIE * np.maximum(1.0, np.abs(best))
-        near = scores >= (best - margin)[:, None]
-        n_cand = near.sum(axis=1)
+            onehot = np.zeros((len(msgs), n * pair.ny))
+            np.put_along_axis(onehot, offsets + y, 1.0, axis=1)
+            scores = onehot @ lmat
+            if zmat is not None:
+                scores[onehot @ zmat > 0] = -INF
+            best = scores.max(axis=1)
+            margin = _NEAR_TIE * np.maximum(1.0, np.abs(best))
+            near = scores >= (best - margin)[:, None]
 
-        easy = n_cand == 1
-        winners = scores.argmax(axis=1)
-        err_mask = np.zeros(size, dtype=bool)
-        err_mask[easy] = winners[easy] != msgs[easy]
+            easy = near.sum(axis=1) == 1
+            err_mask = np.zeros(len(msgs), dtype=bool)
+            err_mask[easy] = scores.argmax(axis=1)[easy] != msgs[easy]
 
-        # Exact re-check of the near candidates of every hard trial: sum
-        # their count vectors one position at a time, grouped by trial.  The
-        # sent word's metric is positive, so every near candidate's is too.
-        hard = np.nonzero(~easy)[0]
-        group, cand = np.nonzero(near[hard])
-        rows = hard[group]
-        acc = np.zeros((len(cand), counts.shape[-1]), dtype=np.int64)
-        for t in range(n):
-            acc += counts[wd[cand, t], y[rows, t]]
-        # A trial is settled when all its candidates share one vector.
-        bounds = np.searchsorted(group, np.arange(len(hard) + 1))
-        unsettled = np.zeros(len(hard), dtype=bool)
-        unsettled[group[(acc != acc[bounds[group]]).any(axis=1)]] = True
+            # Exact re-check of the near candidates of every hard trial, grouped
+            # by trial.  The sent word's metric is positive, so every near
+            # candidate's is too.
+            hard = np.nonzero(~easy)[0]
+            group, cand = np.nonzero(near[hard])
+            acc = counts[wd[cand], y[hard[group]]].sum(axis=1)
+            # A trial is settled when all its candidates share one vector.
+            bounds = np.searchsorted(group, np.arange(len(hard) + 1))
+            unsettled = np.zeros(len(hard), dtype=bool)
+            unsettled[group[(acc != acc[bounds[group]]).any(axis=1)]] = True
 
-        for j, i in enumerate(hard):
-            cands = cand[bounds[j]:bounds[j + 1]]
-            if unsettled[j]:
-                exact = []
-                for m in cands:
-                    prod = Fraction(1)
-                    for letter, yy in zip(words[m], y[i]):
-                        prod *= pair.q[letter][yy]
-                    exact.append(prod)
-                top = max(exact)
-                argmax = [int(m) for m, v in zip(cands, exact) if v == top]
-            else:
-                argmax = [int(m) for m in cands]
-            truth = int(msgs[i])
-            if len(argmax) == 1:
-                err_mask[i] = argmax[0] != truth
-            else:
-                tie_events += 1
-                if tie_policy == "equiprobable":
-                    pick = argmax[int(tie_rng.integers(0, len(argmax)))]
-                    err_mask[i] = pick != truth
-                elif tie_policy == "as_error":
-                    err_mask[i] = True
+            for j, i in enumerate(hard):
+                cands = cand[bounds[j]:bounds[j + 1]]
+                if unsettled[j]:
+                    exact = []
+                    for m in cands:
+                        prod = Fraction(1)
+                        for letter, yy in zip(words[m], y[i]):
+                            prod *= pair.q[letter][yy]
+                        exact.append(prod)
+                    top = max(exact)
+                    argmax = [int(m) for m, v in zip(cands, exact) if v == top]
                 else:
-                    err_mask[i] = truth not in argmax
+                    argmax = [int(m) for m in cands]
+                truth = int(msgs[i])
+                if len(argmax) == 1:
+                    err_mask[i] = argmax[0] != truth
+                else:
+                    tie_events += 1
+                    if tie_policy == "equiprobable":
+                        pick = argmax[int(tie_rng.integers(0, len(argmax)))]
+                        err_mask[i] = pick != truth
+                    elif tie_policy == "as_error":
+                        err_mask[i] = True
+                    else:
+                        err_mask[i] = truth not in argmax
 
-        sent += np.bincount(msgs, minlength=m_count)
-        errors += np.bincount(msgs[err_mask], minlength=m_count)
+            errors += np.bincount(msgs[err_mask], minlength=m_count)
 
     total_err = int(errors.sum())
     per_message = tuple(
-        float(errors[m]) / sent[m] if sent[m] else 0.0 for m in range(m_count)
+        int(errors[m]) / int(sent[m]) if sent[m] else 0.0 for m in range(m_count)
     )
     return DecodingOutcome(
         per_message=per_message,

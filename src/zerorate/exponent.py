@@ -390,14 +390,14 @@ def _scan_s_grid(
     Every grid point is scored against one fixed bank of distributions
     (vertices, barycentre, edge midpoints) in a single pass; only the
     four most promising tilts are solved exactly.  Returns the best
-    (value, q, grid index).
+    (value, q, grid index); equal scores go to the smallest tilt.
     """
     Gs = _sigma_grid(kernel, s_values)
     _check_finite_sigma(Gs)
     bank = _pg_starts(kernel.pair.nx, 0, None)
     scores = np.einsum("ki,sij,kj->sk", bank, Gs, bank).max(axis=1)
     best = (-INF, bank[0], 0)
-    for i in np.argsort(scores)[::-1][:4]:
+    for i in np.argsort(-scores, kind="stable")[:4]:
         v, q = _q_max(Gs[i], opts)
         if v > best[0]:
             best = (v, q, int(i))

@@ -206,6 +206,24 @@ def test_simulate_payload_is_seed_deterministic(bsc_file, code_file, capsys):
     assert a["payload"]["trials"] == 20000
 
 
+def test_one_parser_serves_every_call(bsc_file, code_file, capsys):
+    simulate = ["simulate", "--pair", bsc_file, "--code", code_file, "--trials", "500"]
+    exponent = ["exponent", "--pair", bsc_file]
+    cli._build_parser.cache_clear()
+    fresh = []
+    for argv in (simulate, exponent):
+        fresh.append(cli.run(argv)["payload"])
+        cli._build_parser.cache_clear()
+    shared = [cli.run(simulate)["payload"], cli.run(exponent)["payload"]]
+    with pytest.raises(SystemExit) as bad:
+        cli.run(["simulate", "--pair", bsc_file, "--no-such-flag"])
+    assert bad.value.code == 2
+    shared.append(cli.run(simulate)["payload"])
+    capsys.readouterr()
+    assert shared == fresh + fresh[:1]
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_empirical_payload(bsc_file, capsys):
     res = cli.run(["empirical", "--pair", bsc_file, "--letters", "0,1",
                    "--n", "2,4"])

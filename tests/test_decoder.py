@@ -1,7 +1,9 @@
 """Two-codeword decoding: exact enumeration, sampling, and lower bounds."""
 
+import hashlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -220,6 +222,69 @@ def test_monte_carlo_tie_policies_on_constant_metric(constant_metric_pair):
     assert genie.average == 0.0
     assert 0.45 < equi.average < 0.55
     assert hard.tie_mass == 1.0
+
+
+# Monte Carlo outcomes recorded before scoring became blocked matrix
+# products: (errors, tie events, digest of every reported float).  The
+# typewriter pair has zero metric entries; the BSC book ties often.  1025
+# trials cross a scoring block and 9000 a seed chunk.
+MONTE_CARLO_PINS = {
+    ("typewriter", "equiprobable", 1): (0, 0, '4635eaee11388030'),
+    ("typewriter", "equiprobable", 1025): (194, 228, '169f7ea30a6416d4'),
+    ("typewriter", "equiprobable", 9000): (1780, 2164, 'a014e733d5704302'),
+    ("typewriter", "as_error", 1): (0, 0, '4635eaee11388030'),
+    ("typewriter", "as_error", 1025): (292, 228, '9bcdd43b906429d7'),
+    ("typewriter", "as_error", 9000): (2705, 2164, 'd6e6597635042e5c'),
+    ("typewriter", "genie_correct", 1): (0, 0, '4635eaee11388030'),
+    ("typewriter", "genie_correct", 1025): (90, 228, '92f1aa34fc8fd62e'),
+    ("typewriter", "genie_correct", 9000): (713, 2164, 'f6e4c2a9ba22774d'),
+    ("bsc", "equiprobable", 1): (1, 0, '90df5b57e0f41b5b'),
+    ("bsc", "equiprobable", 1025): (287, 180, '56c9553366ebd660'),
+    ("bsc", "equiprobable", 9000): (2694, 1553, 'd970501e767e49c8'),
+    ("bsc", "as_error", 1): (1, 0, '90df5b57e0f41b5b'),
+    ("bsc", "as_error", 1025): (353, 180, '4d1e15725d171dcd'),
+    ("bsc", "as_error", 9000): (3191, 1553, 'e142526392bbcdf8'),
+    ("bsc", "genie_correct", 1): (1, 0, '90df5b57e0f41b5b'),
+    ("bsc", "genie_correct", 1025): (227, 180, '084bf463c94bed70'),
+    ("bsc", "genie_correct", 9000): (2094, 1553, 'b9a3e400f88a3a1f'),
+}
+
+
+def _monte_carlo_book(name, request):
+    if name == "typewriter":
+        return request.getfixturevalue("typewriter_pair"), random_codebook(
+            np.random.default_rng(3), 4, 12, 3)
+    return request.getfixturevalue("bsc_pair"), random_codebook(np.random.default_rng(7), 32, 64, 2)
+
+
+@pytest.mark.parametrize("key", sorted(MONTE_CARLO_PINS), ids=lambda key: "-".join(map(str, key)))
+def test_monte_carlo_outcomes_are_pinned(key, request):
+    name, policy, trials = key
+    pair, code = _monte_carlo_book(name, request)
+    out = zr.monte_carlo_error(pair, code, trials, seed=5, tie_policy=policy)
+    fields = (*out.per_message, out.average, out.tie_mass, *out.confidence_interval)
+    digest = hashlib.sha256(",".join(float(v).hex() for v in fields).encode()).hexdigest()
+    assert (round(out.average * trials), round(out.tie_mass * trials), digest[:16]) == \
+        MONTE_CARLO_PINS[key]
+
+
+def test_monte_carlo_reports_python_floats(request):
+    pair, code = _monte_carlo_book("bsc", request)
+    out = zr.monte_carlo_error(pair, code, 2000, seed=5)
+    assert all(type(v) is float for v in out.per_message)
+
+
+def test_monte_carlo_memory_is_bounded_by_the_block(request):
+    pair, code = _monte_carlo_book("bsc", request)
+    peaks = []
+    for trials in (1000, 24000):
+        tracemalloc.start()
+        try:
+            zr.monte_carlo_error(pair, code, trials, seed=5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]
 
 
 def test_tilted_bound_is_sound_and_guarded(bsc_pair):

@@ -135,6 +135,13 @@ def test_metric_scaling_leaves_exponent_unchanged(rng):
     assert a.s_star == b.s_star
 
 
+def test_flat_objective_reports_the_smallest_tilt(constant_metric_pair):
+    # g(s) is identically 0, so every grid tilt scores the same
+    res = zr.expurgated_lower(constant_metric_pair)
+    assert res.value == 0.0
+    assert res.s_star == 0.0
+
+
 def test_exponent_dominates_grid_oracle_over_tilts(typewriter_pair, bsc_pair):
     """The searched value is a supremum over [0, s_cap]: no tilt of a grid on
     that interval, with Q maximized by the simplex-grid oracle, beats it."""
