@@ -14,13 +14,20 @@ Admissibility, enforced at construction time:
 * wherever a channel transition is possible the metric is positive
   (``W(y|x) > 0`` implies ``q(x, y) > 0``), so a transmitted codeword is
   never ranked at metric zero on an output it can actually produce.
+
+The exact facts of each ordered input pair (usable outputs, weights,
+metric ratios, extreme ratio, tail mass, affinity) live in one table,
+:attr:`ChannelMetricPair.directions`, built once per pair object and
+read by the zero-error decisions and the kernels alike.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import ValidationError
@@ -124,6 +131,75 @@ class ChannelMetricPair:
     @property
     def ny(self) -> int:
         return len(self.output_alphabet)
+
+    @cached_property
+    def directions(self) -> dict[tuple[int, int], _Direction]:
+        """The exact direction data of every ordered input pair, built on
+        first use and kept on this (immutable) pair object."""
+        return {(a, b): _build_direction(self, a, b)
+                for a in range(self.nx) for b in range(self.nx)}
+
+
+@dataclass(frozen=True)
+class _Direction:
+    """Exact data of one ordered input pair ``(a, b)``."""
+
+    outputs: tuple[int, ...]          # y with W(y|a) > 0 and q(a,y) q(b,y) > 0
+    weights: tuple[Fraction, ...]     # W(y|a) on those outputs
+    ratios: tuple[Fraction, ...]      # q(b,y) / q(a,y) on those outputs
+    affine: bool                      # one ratio on all outputs (False when empty)
+    a_min: Union[Fraction, float]     # min q(a,y)/q(b,y) over channel support (inf if empty)
+    tail_mass: Fraction               # sum of W(y|a) over outputs attaining a_min
+
+    @property
+    def empty(self) -> bool:
+        return not self.outputs
+
+    @property
+    def y_hat_mass(self) -> Fraction:
+        """Mass of ``W(.|a)`` on the metric-overlap outputs, all in :attr:`outputs`."""
+        return sum(self.weights, Fraction(0))
+
+    @property
+    def slope_limit(self) -> float:
+        """Limiting slope of mu(a, b, .), i.e. log of the extreme ratio."""
+        return math.inf if self.empty else math.log(self.a_min)
+
+    @property
+    def intercept(self) -> float:
+        """Height of the large-``s`` asymptote line at ``s = 0``."""
+        return math.inf if self.empty else -math.log(self.tail_mass)
+
+    def tail(self) -> _Direction:
+        """This direction restricted to the outputs attaining its extreme
+        ratio: its large-``s`` asymptote line as a direction of its own."""
+        r_max = 1 / self.a_min
+        kept = [(y, w) for y, w, r in zip(self.outputs, self.weights, self.ratios) if r == r_max]
+        return replace(
+            self, outputs=tuple(y for y, _ in kept), weights=tuple(w for _, w in kept),
+            ratios=(r_max,) * len(kept), affine=True,
+        )
+
+
+def _build_direction(pair: ChannelMetricPair, a: int, b: int) -> _Direction:
+    outputs, weights, ratios = [], [], []
+    for y in range(pair.ny):
+        if pair.W[a][y] > 0 and pair.q[b][y] > 0:   # W(y|a) > 0 implies q(a,y) > 0
+            outputs.append(y)
+            weights.append(pair.W[a][y])
+            ratios.append(pair.q[b][y] / pair.q[a][y])
+    if not outputs:
+        return _Direction(outputs=(), weights=(), ratios=(), affine=False,
+                          a_min=math.inf, tail_mass=Fraction(0))
+    r_max = max(ratios)
+    return _Direction(
+        outputs=tuple(outputs),
+        weights=tuple(weights),
+        ratios=tuple(ratios),
+        affine=all(r == ratios[0] for r in ratios),
+        a_min=1 / r_max,
+        tail_mass=sum((w for w, r in zip(weights, ratios) if r == r_max), Fraction(0)),
+    )
 
 
 @dataclass(frozen=True)

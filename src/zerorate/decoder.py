@@ -612,8 +612,8 @@ def empirical_exponent(
     """Normalized error exponents of the repeated-letter codeword pair
     ``a^n`` versus ``b^n`` for each blocklength in ``n_list``.
 
-    Exact enumeration is used while the class count fits the budget,
-    Monte Carlo with the given trial count beyond it.  These points
+    :func:`exact_error_probabilities` is used while its class count fits
+    ``budget``, Monte Carlo with the given trial count beyond it.  These points
     approach the single-letter kernel supremum of the better direction
     as ``n`` grows."""
     if a == b:
@@ -625,19 +625,14 @@ def empirical_exponent(
         if n < 1:
             raise PreconditionError("blocklengths must be positive")
         x1, x2 = (a,) * n, (b,) * n
-        classes = math.comb(n + pair.ny - 1, pair.ny - 1)
-        if classes <= budget:
-            res = exact_error_probabilities(pair, (x1, x2))
-            p_e = res.average
-            mode = "exact"
-            if p_e == 0:
-                expo = INF
-            else:
-                expo = -(math.log(p_e.numerator) - math.log(p_e.denominator)) / n
-        else:
-            res = monte_carlo_error(pair, (x1, x2), trials=trials, seed=seed + idx)
-            p_e = res.average
+        try:
+            p_e = exact_error_probabilities(pair, (x1, x2), budget=budget).average
+        except BudgetExceededError:
+            p_e = monte_carlo_error(pair, (x1, x2), trials=trials, seed=seed + idx).average
             mode = "monte_carlo"
             expo = INF if p_e == 0 else -math.log(p_e) / n
+        else:
+            mode = "exact"
+            expo = INF if p_e == 0 else -(math.log(p_e.numerator) - math.log(p_e.denominator)) / n
         out.append(EmpiricalPoint(n=n, error_probability=float(p_e), exponent=expo, mode=mode))
     return out

@@ -67,12 +67,9 @@ class RelaxedKernel(PairKernel):
     applies verbatim.
     """
 
-    def __init__(self, pair: ChannelMetricPair, kernel: Optional[PairKernel] = None):
-        base = kernel if kernel is not None else PairKernel(pair)
+    def __init__(self, pair: ChannelMetricPair):
         self.pair = pair
-        self.support = base.support
-        self.base = base
-        dirs = dict(base._dirs)
+        dirs = dict(pair.directions)
         self.boundary: tuple[tuple[int, int], ...] = boundary_set_B(pair)
         for ab in self.boundary:
             dirs[ab] = dirs[ab].tail()
@@ -87,21 +84,14 @@ def gap_bound(pair: ChannelMetricPair) -> float:
     direction.  Zero when there are no boundary pairs, and automatically
     zero for balanced pairs, where the two sets carry equal channel mass.
     """
-    return _gap(RelaxedKernel(pair))
-
-
-def _gap(relaxed: RelaxedKernel) -> float:
-    """:func:`gap_bound` from a relaxed kernel's boundary rows and its base directions."""
+    dirs = pair.directions
     best = 0.0
-    for a, b in relaxed.boundary:
-        if a > b:
-            continue
-        full_a = relaxed.base.direction(a, b).y_hat_mass
-        full_b = relaxed.base.direction(b, a).y_hat_mass
-        tail_a = relaxed.direction(a, b).tail_mass
-        tail_b = relaxed.direction(b, a).tail_mass
-        term = 0.5 * (math.log(full_a / tail_a) + math.log(full_b / tail_b))
-        best = max(best, term)
+    for a, b in boundary_set_B(pair):
+        if a < b:
+            d, e = dirs[(a, b)], dirs[(b, a)]
+            term = 0.5 * (math.log(d.y_hat_mass / d.tail_mass)
+                          + math.log(e.y_hat_mass / e.tail_mass))
+            best = max(best, term)
     return best
 
 
@@ -616,7 +606,7 @@ def zero_rate_exponent(
     kernel = PairKernel(pair)
     balanced, _ = is_balanced(pair)
 
-    provider: KernelLike = kernel if balanced else RelaxedKernel(pair, kernel)
+    provider: KernelLike = kernel if balanced else RelaxedKernel(pair)
     s_hi = provider.s_cap()
     grid = np.linspace(0.0, s_hi, _INTERVAL_POINTS)
     value, q, s_star, trace = _search(provider, grid, s_hi, opts)
@@ -630,7 +620,7 @@ def zero_rate_exponent(
         # The relaxed objective dominates the raw one pointwise, so the lower
         # search's optimum is also a certified floor for the value.
         lower = _expurgated_lower(kernel, opts)
-        kind, lower_value, gap = KIND_UPPER, lower.value, _gap(provider)
+        kind, lower_value, gap = KIND_UPPER, lower.value, gap_bound(pair)
         merged = lower.value > value
         if merged:
             value, q, s_star = lower.value, lower.q_star.as_floats(), lower.s_star

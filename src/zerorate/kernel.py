@@ -16,7 +16,9 @@ metric ratio: writing ``A(a, b)`` for the smallest value of
 Everything structural (which outputs participate, whether the kernel is
 affine, where the asymptote sits) is decided with exact rational
 arithmetic; only the final transcendental evaluations use floats, in a
-log-domain form that is stable for arbitrarily large tilts.
+log-domain form that is stable for arbitrarily large tilts.  The exact
+data is the pair's own direction table (``pair.directions``, built in
+:mod:`zerorate.channel`), which the zero-error decisions read too.
 """
 
 from __future__ import annotations
@@ -25,13 +27,13 @@ import csv
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .channel import ChannelMetricPair, SupportSets, support_sets
+from .channel import ChannelMetricPair, _Direction
 from .errors import InfiniteExponentError, PreconditionError, ValidationError
 
 INF = math.inf
@@ -53,74 +55,6 @@ def _check_tilt(name: str, s: float, limit: float) -> None:
             f"{name}: tilt s = {s} is above {limit:.6g}, the largest tilt this kernel "
             "evaluates without float overflow"
         )
-
-
-@dataclass(frozen=True)
-class _Direction:
-    """Precomputed data for one ordered input pair."""
-
-    outputs: tuple[int, ...]          # y with W(y|a) > 0 and q(a,y) q(b,y) > 0
-    weights: tuple[Fraction, ...]     # W(y|a) on those outputs
-    ratios: tuple[Fraction, ...]      # q(b,y) / q(a,y) on those outputs
-    y_hat_mass: Fraction              # sum of W(y|a) over the whole metric-overlap set
-    affine: bool
-    a_min: Union[Fraction, float]     # min q(a,y)/q(b,y) over channel support (inf if empty)
-    tail_mass: Fraction               # sum of W(y|a) over outputs attaining a_min
-
-    @property
-    def empty(self) -> bool:
-        return not self.outputs
-
-    @property
-    def slope_limit(self) -> float:
-        """Limiting slope of mu(a, b, .), i.e. log of the extreme ratio."""
-        if self.empty:
-            return INF
-        return math.log(self.a_min)
-
-    @property
-    def intercept(self) -> float:
-        """Height of the large-``s`` asymptote line at ``s = 0``."""
-        if self.empty:
-            return INF
-        return -math.log(self.tail_mass)
-
-    def tail(self) -> _Direction:
-        """This direction restricted to the outputs attaining its extreme
-        ratio: its large-``s`` asymptote line as a direction of its own."""
-        r_max = 1 / self.a_min
-        kept = [(y, w) for y, w, r in zip(self.outputs, self.weights, self.ratios) if r == r_max]
-        return replace(
-            self, outputs=tuple(y for y, _ in kept), weights=tuple(w for _, w in kept),
-            ratios=(r_max,) * len(kept), y_hat_mass=self.tail_mass, affine=True,
-        )
-
-
-def _build_direction(pair: ChannelMetricPair, support: SupportSets, a: int, b: int) -> _Direction:
-    y_hat = support.y_hat[(a, b)]
-    outputs, weights, ratios = [], [], []
-    for y in sorted(y_hat):
-        if pair.W[a][y] > 0:
-            outputs.append(y)
-            weights.append(pair.W[a][y])
-            ratios.append(pair.q[b][y] / pair.q[a][y])
-    y_hat_mass = sum((pair.W[a][y] for y in y_hat), Fraction(0))
-    if not outputs:
-        return _Direction(
-            outputs=(), weights=(), ratios=(), y_hat_mass=y_hat_mass,
-            affine=False, a_min=INF, tail_mass=Fraction(0),
-        )
-    r_max = max(ratios)
-    tail_mass = sum((w for w, r in zip(weights, ratios) if r == r_max), Fraction(0))
-    return _Direction(
-        outputs=tuple(outputs),
-        weights=tuple(weights),
-        ratios=tuple(ratios),
-        y_hat_mass=y_hat_mass,
-        affine=all(r == ratios[0] for r in ratios),
-        a_min=1 / r_max,
-        tail_mass=tail_mass,
-    )
 
 
 def _tilted(LW: np.ndarray, LR: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
@@ -193,14 +127,9 @@ class PairKernel:
     they raise :class:`PreconditionError` rather than overflow.
     """
 
-    def __init__(self, pair: ChannelMetricPair, support: Optional[SupportSets] = None):
+    def __init__(self, pair: ChannelMetricPair):
         self.pair = pair
-        self.support = support if support is not None else support_sets(pair)
-        nx = pair.nx
-        self._install({
-            (a, b): _build_direction(pair, self.support, a, b)
-            for a in range(nx) for b in range(nx)
-        })
+        self._install(pair.directions)
 
     def _install(self, dirs: dict[tuple[int, int], _Direction]) -> None:
         """Use ``dirs`` as the per-pair data: pad their rows for :func:`_tilted`,
@@ -318,7 +247,7 @@ class PairKernel:
         counts = joint_counts(x1, x2)
         nx = self.pair.nx
         if not all(0 <= u < nx and 0 <= v < nx for u, v in counts):
-            raise PreconditionError("codeword symbol out of range")
+            raise ValidationError("codeword symbol outside the input alphabet")
         return counts
 
     def _sequence(self, x1: Sequence[int], x2: Sequence[int], s: float) -> tuple[float, float]:

@@ -16,12 +16,18 @@ share an output both inputs can produce.  Pairs achieving equality form
 the boundary set, and a pair of matrices is *balanced* when, on top of
 the average condition, each boundary pair sees one constant metric ratio
 across all relevant outputs.  All comparisons are exact.
+
+Every check reads the exact direction table that the pair builds once
+and shares with the kernels (``pair.directions``).  :func:`extremal_ratios`
+computes the two sides from the matrices instead; no check calls it, so
+it stays an independent oracle for tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import permutations
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -33,7 +39,9 @@ ExactRatio = Union[Fraction, float]
 
 
 def extremal_ratios(pair: ChannelMetricPair, a: int, b: int) -> tuple[ExactRatio, Fraction]:
-    """Exact ``(min_side, max_side)`` for the ordered input pair ``(a, b)``."""
+    """Exact ``(min_side, max_side)`` for the ordered input pair ``(a, b)``,
+    computed from the matrices alone: the oracle the checks are tested
+    against (they read the direction table instead)."""
     ny = pair.ny
     min_side: ExactRatio = INF
     for y in range(ny):
@@ -70,17 +78,22 @@ class BalanceViolation:
     ratios: tuple[Fraction, Fraction]
 
 
+def _sides(pair: ChannelMetricPair, a: int, b: int) -> tuple[ExactRatio, Fraction]:
+    """``(min_side, max_side)`` of ``(a, b)`` read from the pair's direction
+    table: the min side is ``A(a, b)`` and the max side is ``1 / A(b, a)``,
+    or zero when ``b`` reaches no output that ``a``'s metric row covers."""
+    dirs = pair.directions
+    back = dirs[(b, a)]
+    return dirs[(a, b)].a_min, Fraction(0) if back.empty else 1 / back.a_min
+
+
 def check_c0bar_zero(pair: ChannelMetricPair) -> tuple[bool, Optional[RatioWitness]]:
     """Average-sense zero-error capacity is zero iff no ordered pair violates
     ``min_side <= max_side``; on failure the first violating pair is returned."""
-    nx = pair.nx
-    for a in range(nx):
-        for b in range(nx):
-            if a == b:
-                continue
-            lo, hi = extremal_ratios(pair, a, b)
-            if lo > hi:
-                return False, RatioWitness("ordering_violation", (a, b), lo, hi)
+    for a, b in permutations(range(pair.nx), 2):
+        lo, hi = _sides(pair, a, b)
+        if lo > hi:
+            return False, RatioWitness("ordering_violation", (a, b), lo, hi)
     return True, None
 
 
@@ -90,18 +103,11 @@ def check_c0_zero(pair: ChannelMetricPair) -> tuple[bool, Optional[RatioWitness]
     ok, witness = check_c0bar_zero(pair)
     if not ok:
         return False, witness
-    nx, ny = pair.nx, pair.ny
-    for a in range(nx):
-        for b in range(nx):
-            if a == b:
-                continue
-            lo, hi = extremal_ratios(pair, a, b)
-            if lo == hi:
-                overlap = any(pair.W[a][y] > 0 and pair.W[b][y] > 0 for y in range(ny))
-                if not overlap:
-                    return False, RatioWitness(
-                        "equality_without_overlap", (a, b), lo, hi, overlap=False
-                    )
+    for a, b in boundary_set_B(pair):
+        # an output of direction (a, b) that b can produce is one both can produce
+        if not any(pair.W[b][y] > 0 for y in pair.directions[(a, b)].outputs):
+            lo, hi = _sides(pair, a, b)
+            return False, RatioWitness("equality_without_overlap", (a, b), lo, hi, overlap=False)
     return True, None
 
 
@@ -112,21 +118,17 @@ def boundary_set_B(pair: ChannelMetricPair) -> tuple[tuple[int, int], ...]:
     reciprocals of those for ``(a, b)``.  Diagonal pairs always satisfy
     the equality trivially (ratio one) and are omitted.
     """
-    nx = pair.nx
     out = []
-    for a in range(nx):
-        for b in range(nx):
-            if a == b:
-                continue
-            lo, hi = extremal_ratios(pair, a, b)
-            if lo == hi:
-                out.append((a, b))
+    for a, b in permutations(range(pair.nx), 2):
+        lo, hi = _sides(pair, a, b)
+        if lo == hi:
+            out.append((a, b))
     return tuple(out)
 
 
 def boundary_ratio(pair: ChannelMetricPair, a: int, b: int) -> Fraction:
     """The common extremal ratio of a boundary pair (exact)."""
-    lo, hi = extremal_ratios(pair, a, b)
+    lo, hi = _sides(pair, a, b)
     if lo != hi:
         raise PreconditionError(f"({a},{b}) is not a boundary pair")
     return hi
@@ -135,23 +137,26 @@ def boundary_ratio(pair: ChannelMetricPair, a: int, b: int) -> Fraction:
 def is_balanced(pair: ChannelMetricPair) -> tuple[bool, Optional[BalanceViolation]]:
     """A pair is balanced when the average zero-error condition holds and on
     every boundary pair the metric ratio ``q(a,y)/q(b,y)`` is one constant
-    across all overlap outputs that either input can produce."""
+    across all overlap outputs that either input can produce: on a boundary
+    pair, exactly when both directions are affine.  Only the first pair
+    that fails is scanned output by output, for the witness."""
     ok, _ = check_c0bar_zero(pair)
     if not ok:
         return False, None
-    ny = pair.ny
+    dirs = pair.directions
     for a, b in boundary_set_B(pair):
-        relevant = [
-            y for y in range(ny)
-            if pair.q[a][y] > 0 and pair.q[b][y] > 0
-            and (pair.W[a][y] > 0 or pair.W[b][y] > 0)
-        ]
-        ratios = [pair.q[a][y] / pair.q[b][y] for y in relevant]
-        for y, r in zip(relevant[1:], ratios[1:]):
-            if r != ratios[0]:
-                return False, BalanceViolation(
-                    pair=(a, b), outputs=(relevant[0], y), ratios=(ratios[0], r)
-                )
+        fwd, back = dirs[(a, b)], dirs[(b, a)]
+        if fwd.affine and back.affine:
+            continue
+        # q(a,y)/q(b,y) on every output either input can produce
+        ratio = {y: 1 / r for y, r in zip(fwd.outputs, fwd.ratios)}
+        ratio.update(zip(back.outputs, back.ratios))
+        relevant = sorted(ratio)
+        first = ratio[relevant[0]]
+        y = next(y for y in relevant if ratio[y] != first)
+        return False, BalanceViolation(
+            pair=(a, b), outputs=(relevant[0], y), ratios=(first, ratio[y])
+        )
     return True, None
 
 

@@ -1,11 +1,15 @@
 """Channel/metric pair construction, validation, and serialization."""
 
+import dataclasses
 import json
+import pickle
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import zerorate as zr
+from zerorate import channel
 
 from conftest import random_admissible_pair, random_full_support_pair
 
@@ -114,6 +118,31 @@ def test_support_sets_identity(identity_pair):
 def test_w_min_ignores_zeros(typewriter_pair):
     ss = zr.support_sets(typewriter_pair)
     assert ss.w_min == F(1, 10)
+
+
+def test_direction_table_is_built_once_per_pair(monkeypatch, typewriter_pair, bsc_pair):
+    """The zero-error checks, both exponent routes and the gap all read one
+    table, built on first use and kept on the pair object."""
+    built = Counter()
+    build = channel._build_direction
+
+    def counting(pair, a, b):
+        built[id(pair)] += 1
+        return build(pair, a, b)
+
+    monkeypatch.setattr(channel, "_build_direction", counting)
+    for pair in (typewriter_pair, bsc_pair):        # unbalanced, then balanced
+        zr.zero_error_report(pair)
+        zr.zero_rate_exponent(pair)
+        zr.gap_bound(pair)
+        assert built[id(pair)] == pair.nx ** 2
+    # the table is no field: an equal copy builds its own and compares, hashes
+    # and pickles like the pair it came from
+    twin = dataclasses.replace(typewriter_pair)
+    assert twin == typewriter_pair and hash(twin) == hash(typewriter_pair)
+    zr.gap_bound(twin)
+    assert built[id(twin)] == twin.nx ** 2
+    assert pickle.loads(pickle.dumps(typewriter_pair)) == typewriter_pair
 
 
 def test_input_distribution_validates():

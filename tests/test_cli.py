@@ -260,6 +260,16 @@ def test_exit_codes(bsc_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_symbol_outside_the_pair_alphabet_is_malformed_input(bsc_file, tmp_path, capsys):
+    book = tmp_path / "wide.txt"
+    book.write_text(zr.serialize_codebook(zr.Codebook(((0, 2, 1), (1, 1, 0)), 3)))
+    code = ["--pair", bsc_file, "--code", str(book)]
+    for argv in (["dmin"] + code, ["certificate"] + code + ["--t", "2", "--target", "2"],
+                 ["exact-pe"] + code, ["simulate"] + code + ["--trials", "10"]):
+        assert cli.main(argv) == 2, argv[0]
+    capsys.readouterr()
+
+
 def test_certificate_relaxes_unbalanced_pairs(tmp_path, tw_file, rng, capsys):
     words = tuple(tuple(int(v) for v in rng.integers(0, 3, 8)) for _ in range(8))
     path = tmp_path / "c3.txt"

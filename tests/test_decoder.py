@@ -399,3 +399,7 @@ def test_empirical_exponent_monte_carlo_route(bsc_pair):
     pts = zr.empirical_exponent(bsc_pair, 0, 1, (4,), trials=20000, seed=9, budget=3)
     assert pts[0].mode == "monte_carlo"
     assert pts[0].exponent == pytest.approx(0.46407449759140657, abs=0.08)
+    # a^4 against b^4 on two outputs has 5 classes: the exact decoder's own
+    # budget check decides, so a budget of exactly 5 stays exact
+    assert zr.empirical_exponent(bsc_pair, 0, 1, (4,), budget=5)[0].mode == "exact"
+    assert zr.empirical_exponent(bsc_pair, 0, 1, (4,), trials=100, budget=4)[0].mode == "monte_carlo"

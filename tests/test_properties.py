@@ -1,9 +1,10 @@
 """Property-based checks for the exact-arithmetic layers."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import zerorate as zr
 
@@ -26,6 +27,36 @@ def full_support_pairs(draw):
     ny = draw(st.integers(2, 3))
     W = tuple(draw(stochastic_row(ny)) for _ in range(nx))
     q = tuple(tuple(draw(positive_rational) for _ in range(ny)) for _ in range(nx))
+    return zr.pair_from_rows(W, q)
+
+
+@st.composite
+def near_useless_pairs(draw):
+    """Rows within 1e-6 of one common row: ``(1 - eps) base + eps noise``,
+    each row with its own noise support.  The metric is the channel itself
+    (ratios within about 1e-6 of each other) or a positive metric on the
+    channel support, with or without extra mass off it.  The rows share
+    the base outputs, so the ordering condition holds; the boundary set
+    and balance vary."""
+    eps = F(1, 10 ** 6)
+    nx = draw(st.integers(2, 3))
+    ny = draw(st.integers(2, 4))
+    outputs = st.sets(st.integers(0, ny - 1), min_size=1)
+
+    def row(support):
+        weights = draw(st.lists(st.integers(1, 9), min_size=len(support), max_size=len(support)))
+        out = [F(0)] * ny
+        for y, w in zip(sorted(support), weights):
+            out[y] = F(w, sum(weights))
+        return out
+
+    base = row(draw(outputs))
+    W = [tuple((1 - eps) * u + eps * v for u, v in zip(base, row(draw(outputs))))
+         for _ in range(nx)]
+    if draw(st.booleans()):
+        return zr.pair_from_rows(W, W)
+    extra = st.one_of(st.just(F(0)), positive_rational)
+    q = [tuple(draw(positive_rational if w > 0 else extra) for w in r) for r in W]
     return zr.pair_from_rows(W, q)
 
 
@@ -126,3 +157,37 @@ def test_tie_ordering_property(pair, n, word_bits):
     for m in (0, 1):
         assert hard.per_message[m] >= equi.per_message[m] >= genie.per_message[m]
     assert hard.average - genie.average == hard.tie_mass
+
+
+@given(near_useless_pairs())
+@settings(max_examples=40, deadline=None)
+def test_near_useless_channels_decide_like_the_oracle(pair):
+    sides = {(a, b): zr.extremal_ratios(pair, a, b)
+             for a in range(pair.nx) for b in range(pair.nx) if a != b}
+    c0bar = all(lo <= hi for lo, hi in sides.values())
+    boundary = tuple(ab for ab, (lo, hi) in sides.items() if lo == hi)
+    c0 = c0bar and all(
+        any(pair.W[a][y] > 0 and pair.W[b][y] > 0 for y in range(pair.ny)) for a, b in boundary)
+    balanced = c0bar and all(
+        len({pair.q[a][y] / pair.q[b][y] for y in range(pair.ny)
+             if pair.q[a][y] > 0 and pair.q[b][y] > 0
+             and (pair.W[a][y] > 0 or pair.W[b][y] > 0)}) == 1
+        for a, b in boundary)
+    rep = zr.zero_error_report(pair)
+    assert (rep.c0bar_zero, rep.c0_zero, rep.boundary_pairs, rep.balanced) == (
+        c0bar, c0, boundary, balanced)
+    value = zr.zero_rate_exponent(pair).value    # the ordering condition holds
+    assert math.isfinite(value) and value >= 0
+
+
+@given(st.one_of(full_support_pairs(), near_useless_pairs()),
+       st.one_of(st.just(1e300), st.floats(0.0, 1e300)))
+@settings(max_examples=60, deadline=None)
+def test_huge_tilts_give_finite_kernel_values(pair, s):
+    k = zr.PairKernel(pair)
+    assume(s <= k.s_limit)
+    for a in range(pair.nx):
+        for b in range(pair.nx):
+            if not k.empty_support(a, b):
+                assert math.isfinite(k.mu(a, b, s))
+                assert math.isfinite(k.mu_prime(a, b, s))

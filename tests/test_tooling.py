@@ -1,5 +1,6 @@
 """Checks on the source itself: names the benchmark tracer wraps, search
-knobs that something reads, and the one float evaluator of the kernel."""
+knobs that something reads, the one float evaluator of the kernel, and
+the zero-error oracle that production code must not call."""
 
 import ast
 import dataclasses
@@ -56,3 +57,17 @@ def test_kernel_exponentials_stay_in_the_evaluator():
     inside = sum(len(exp_calls(fn)) for fn in allowed)
     assert inside >= 2
     assert len(exp_calls(tree)) == inside, "kernel.py evaluates an exponential outside _tilted"
+
+
+def test_package_never_reads_the_extremal_ratios_oracle():
+    """``zero_error.extremal_ratios`` recomputes the two sides of a pair from
+    the matrices; tests compare the table-based checks against it, which
+    only means something while no package code uses it."""
+    for path in sorted((ROOT / "src" / "zerorate").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        uses = [
+            n.lineno for n in ast.walk(tree)
+            if (isinstance(n, ast.Name) and n.id == "extremal_ratios")
+            or (isinstance(n, ast.Attribute) and n.attr == "extremal_ratios")
+        ]
+        assert uses == [], f"{path.name} reads extremal_ratios on lines {uses}"
