@@ -192,7 +192,7 @@ def _cmd_mu_curve(args):
 def _cmd_dmin(args):
     pair, pair_digest = _load_pair(args.pair)
     code, code_digest = _load_code(args.code)
-    kernel = PairKernel(pair)   # one kernel, so the second scan hits its memo
+    kernel = PairKernel(pair)
     value, arg = d_min(kernel, code)
     payload = {
         "value": _scale(value, args.bits),

@@ -29,7 +29,7 @@ from .exponent import (
     objective,
     optimized_objective,
 )
-from .kernel import INF, PairKernel, _as_kernel, joint_counts
+from .kernel import INF, PairKernel, SupResult, _as_kernel, joint_counts
 from .zero_error import is_balanced
 
 __all__ = [
@@ -174,27 +174,54 @@ def pair_distance(pair: KernelSource, x1: Sequence[int], x2: Sequence[int]) -> f
     return float(best) / len(x1) if best != INF else INF
 
 
+def _book_sups(kernel: PairKernel, words: Sequence[Sequence[int]]):
+    """Both directional sequence suprema of every word pair ``i < j``, in one batch.
+
+    Returns the index arrays ``i, j`` (row-major) and the ``s_star``,
+    ``value`` and ``attained`` arrays of shape ``(2, pairs)``: row 0 is
+    word ``i`` against word ``j``, row 1 the reverse.  Each entry is bit
+    for bit ``kernel.sequence_sup`` of that ordered pair: the letter-pair
+    counts, merged onto the kernel's curves, are its memo key, and each
+    distinct key is solved once.
+    """
+    x = np.asarray(words)
+    nx = kernel.pair.nx
+    if x.min() < 0 or x.max() >= nx:
+        raise ValidationError("codeword symbol outside the input alphabet")
+    m = len(x)
+    onehot = (x[:, :, None] == np.arange(nx)).astype(np.int64)
+    counts = np.einsum("ita,jtb->ijab", onehot, onehot).reshape(m, m, nx * nx)
+    i, j = np.triu_indices(m, 1)
+    rows = np.concatenate([counts[i, j], counts[j, i]]) @ kernel._merge
+    # Deduplicated by a dict, not np.unique: its first call imports numpy.ma (1.3 MB).
+    index: dict[tuple, int] = {}
+    inverse = np.array([index.setdefault(tuple(r), len(index)) for r in rows.tolist()])
+    keys = np.array(list(index), dtype=np.int64).reshape(len(index), rows.shape[1])
+    return (i, j) + tuple(a[inverse.reshape(2, len(i))] for a in kernel._sup_rows(keys))
+
+
+def _distances(kernel: PairKernel, code: Codebook):
+    """``pair_distance`` of every word pair ``i < j``, as index and value arrays."""
+    i, j, _, value, _ = _book_sups(kernel, code.words)
+    forward, backward = value
+    return i, j, np.where(backward < forward, backward, forward) / code.n
+
+
 def distance_matrix(pair: KernelSource, code: Codebook) -> np.ndarray:
-    kernel = _as_kernel(pair)
-    m = code.size
-    out = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            out[i, j] = out[j, i] = pair_distance(kernel, code.words[i], code.words[j])
+    i, j, dist = _distances(_as_kernel(pair), code)
+    out = np.zeros((code.size, code.size))
+    out[i, j] = out[j, i] = dist
     return out
 
 
 def d_min(pair: KernelSource, code: Codebook) -> tuple[float, tuple[int, int]]:
     """Smallest pairwise distance and the first index pair attaining it."""
-    kernel = _as_kernel(pair)
-    best = INF
-    arg = (0, 1)
-    for i in range(code.size):
-        for j in range(i + 1, code.size):
-            d = pair_distance(kernel, code.words[i], code.words[j])
-            if d < best:
-                best, arg = d, (i, j)
-    return best, arg
+    i, j, dist = _distances(_as_kernel(pair), code)
+    dist = np.where(dist < INF, dist, INF)     # NaN never wins
+    k = int(np.argmin(dist))
+    if not dist[k] < INF:
+        return INF, (0, 1)
+    return float(dist[k]), (int(i[k]), int(j[k]))
 
 
 def plotkin_identity(code: Codebook, a: int, b: int) -> tuple[Fraction, Fraction]:
@@ -516,13 +543,13 @@ def dmin_certificate(
     grid = np.append(grid, s_cap)
     k_const = float(np.abs(kernel.mu_grid(grid)).sum(axis=(1, 2)).max())
 
-    sup_cache: dict[tuple[int, int], tuple] = {}
-    for i in picked:
-        for j in picked:
-            if i < j:
-                sf = kernel.sequence_sup(code.words[i], code.words[j])
-                sb = kernel.sequence_sup(code.words[j], code.words[i])
-                sup_cache[(i, j)] = (sf, sb)
+    ii, jj, s_star, value, attained = _book_sups(kernel, [code.words[i] for i in picked])
+    sup_cache = {
+        (picked[a], picked[b]): tuple(
+            SupResult(float(s_star[d, p]), float(value[d, p]), bool(attained[d, p])) for d in (0, 1)
+        )
+        for p, (a, b) in enumerate(zip(ii.tolist(), jj.tolist()))
+    }
 
     def own_tilt(sf, sb) -> float:
         cands = [r.s_star if r.attained else INF for r in (sf, sb)]

@@ -104,6 +104,45 @@ def _argmax_concave(fp: Callable[[float], float], cap: float = INF) -> tuple[flo
     return 0.5 * (lo + hi), True
 
 
+def _argmax_concave_rows(
+    fp: Callable[[np.ndarray, np.ndarray], np.ndarray], rows: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_argmax_concave` with ``cap = inf`` on ``rows`` curves at once.
+
+    ``fp(s, idx)`` returns the slopes of the curves ``idx`` at the tilts
+    ``s``.  Each call evaluates the rows still running; every row takes
+    the steps of its own scalar run (the exit at ``s = 0``, the doubling,
+    the float-range exit, the bisection), so given slopes equal to the
+    scalar ones it returns the same tilts and flags.
+    """
+    s_out = np.zeros(rows)
+    attained = np.ones(rows, dtype=bool)
+    lo, hi = np.zeros(rows), np.ones(rows)
+    doubling = np.ones(rows, dtype=bool)
+    running = ~(fp(np.zeros(rows), np.arange(rows)) <= 0)
+    while True:
+        mid = 0.5 * (lo + hi)
+        # bisection ends at the tolerance or at adjacent floats
+        done = running & ~doubling & ~((hi - lo > _BISECT_TOL) & (lo < mid) & (mid < hi))
+        s_out[done] = mid[done]
+        running &= ~done
+        idx = np.flatnonzero(running)
+        if idx.size == 0:
+            return s_out, attained
+        grow = doubling[idx]
+        slope = fp(np.where(grow, hi[idx], mid[idx]), idx)
+        rising = (slope > 0) | np.isnan(slope)
+        out_of_range = np.isnan(slope) | (hi[idx] > sys.float_info.max / 2.0)
+        lost = idx[grow & rising & out_of_range]
+        s_out[lost], attained[lost], running[lost] = lo[lost], False, False
+        up = idx[grow & rising & ~out_of_range]
+        lo[up], hi[up] = hi[up], 2.0 * hi[up]
+        doubling[idx[grow & ~rising]] = False
+        right = idx[~grow & (slope > 0)]
+        left = idx[~grow & ~(slope > 0)]
+        lo[right], hi[left] = mid[right], mid[left]
+
+
 @dataclass(frozen=True)
 class SupResult:
     """Outcome of a one-dimensional concave maximization over ``s >= 0``.
@@ -165,6 +204,13 @@ class PairKernel:
             self._curve[(a, b)] = None if zero else reps.setdefault(key, (a, b))
         self._LW = np.array(LW).reshape(nx, nx, ny)
         self._LR = np.array(LR).reshape(nx, nx, ny)
+        # The curves in key order; column k of _merge marks the directions of curve k.
+        self._reps = sorted(reps.values())
+        column = {rep: k for k, rep in enumerate(self._reps)}
+        self._merge = np.zeros((nx * nx, len(self._reps)), dtype=np.int64)
+        for (a, b), rep in self._curve.items():
+            if rep is not None:
+                self._merge[a * nx + b, column[rep]] = 1
         self._mu0 = np.array(mu0).reshape(nx, nx)
         self._empty = self._mu0 == INF
         span = float(np.abs(self._LR).max())
@@ -332,38 +378,95 @@ class PairKernel:
                 cap = max(cap, res.s_star)
         return cap
 
+    def _at_zero(self, key: tuple) -> SupResult:
+        """The curve ``key`` maximized at ``s = 0``, with its exact value there."""
+        return SupResult(0.0, float(sum(c * self._mu0[ab] for ab, c in key)), True)
+
+    def _closed_form(self, key: tuple) -> Optional[SupResult]:
+        """Supremum of the curve ``key`` when its tail settles it; None when
+        the maximum is interior and needs a search.
+
+        The tail is classified exactly: the limiting slope is ``log`` of
+        the rational product ``prod A_k ** c_k``, so comparing its integer
+        numerator and denominator decides between divergence (above one),
+        a horizontal asymptote or a constant (one), and an interior
+        maximum (below one).
+        """
+        dirs = [self._dirs[ab] for ab, _ in key]
+        if any(d.empty for d in dirs):
+            return SupResult(INF, INF, False)
+        num = den = 1
+        for d, (_, c) in zip(dirs, key):
+            num *= d.a_min.numerator ** c
+            den *= d.a_min.denominator ** c
+        if num > den:
+            return SupResult(INF, INF, False)
+        if num < den:
+            return None
+        if all(d.affine for d in dirs):
+            return self._at_zero(key)
+        return SupResult(INF, sum(c * d.intercept for d, (_, c) in zip(dirs, key)), False)
+
     def _sup_weighted(self, key: tuple) -> SupResult:
         """Maximize ``sum c_k mu_k(s)`` over ``s >= 0`` for the curve ``key``
         of :meth:`_curve_key` (integer ``c_k > 0``).
 
-        The tail behaviour is classified exactly first: the limiting
-        slope is ``log`` of the rational product ``prod A_k ** c_k``, so
-        comparing that product with one decides between divergence, a
-        horizontal asymptote, and an attained interior maximum.  A
-        maximum at ``s = 0`` takes the exact value there.
+        Tails that settle the supremum are read off exactly
+        (:meth:`_closed_form`); otherwise the limiting slope is negative
+        and the slope turns at a finite tilt.  A maximum at ``s = 0``
+        takes the exact value there.
         """
-        pairs = [ab for ab, _ in key]
-        counts = [c for _, c in key]
-        dirs = [self._dirs[ab] for ab in pairs]
-        if any(d.empty for d in dirs):
-            return SupResult(INF, INF, False)
-        prod: Union[Fraction, float] = Fraction(1)
-        for d, c in zip(dirs, counts):
-            prod *= Fraction(d.a_min) ** c
-        if prod > 1:
-            return SupResult(INF, INF, False)
-        at_zero = SupResult(0.0, float(sum(c * self._mu0[ab] for ab, c in key)), True)
-        if prod == 1:
-            if all(d.affine for d in dirs):
-                return at_zero
-            limit = sum(c * d.intercept for d, c in zip(dirs, counts))
-            return SupResult(INF, limit, False)
-        # The limiting slope log(prod) is negative: the slope turns at a finite tilt.
-        at = self._weighted(pairs, counts)
+        if (closed := self._closed_form(key)) is not None:
+            return closed
+        at = self._weighted([ab for ab, _ in key], [c for _, c in key])
         s, attained = _argmax_concave(lambda s: at(s)[1])
         if attained and s == 0:
-            return at_zero
+            return self._at_zero(key)
         return SupResult(s if attained else INF, at(s)[0], attained)
+
+    def _sup_rows(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`_sup_weighted` of many curves at once.
+
+        Row ``k`` of ``keys`` counts each curve of ``self._reps`` in one
+        curve key, zeros for curves it lacks.  Returns ``s_star``,
+        ``value`` and ``attained`` per row, bit for bit those of the
+        scalar solve: closed-form tails are read key by key, and interior
+        keys with the same number of terms run one
+        :func:`_argmax_concave_rows`, whose weighted sums are the scalar
+        dot products of the same lengths (``matmul`` of stacked vectors).
+        """
+        rows = len(keys)
+        s_star, value, attained = np.zeros(rows), np.zeros(rows), np.ones(rows, dtype=bool)
+        key_of, interior = [], []
+        for r, counts in enumerate(keys.tolist()):
+            key = tuple((rep, c) for rep, c in zip(self._reps, counts) if c)
+            key_of.append(key)
+            closed = self._closed_form(key)
+            if closed is None:
+                interior.append(r)
+            else:
+                s_star[r], value[r], attained[r] = closed.s_star, closed.value, closed.attained
+        ra, rb = np.array(self._reps, dtype=np.intp).reshape(-1, 2).T
+        LW_reps, LR_reps = self._LW[ra, rb], self._LR[ra, rb]
+        interior = np.array(interior, dtype=np.intp)
+        terms = np.count_nonzero(keys[interior], axis=1)
+        for k in sorted(set(terms.tolist())):
+            group = interior[terms == k]
+            cols = np.nonzero(keys[group])[1].reshape(len(group), k)
+            LW, LR = LW_reps[cols], LR_reps[cols]
+            w = np.take_along_axis(keys[group], cols, axis=1).astype(float)[:, None, :]
+
+            def at(s: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                v, d = _tilted(LW[idx], LR[idx], s[:, None, None])
+                return (w[idx] @ v[:, :, None])[:, 0, 0], (w[idx] @ d[:, :, None])[:, 0, 0]
+
+            with np.errstate(over="ignore", invalid="ignore"):   # NaN slopes end a run
+                s, ok = _argmax_concave_rows(lambda s, idx: at(s, idx)[1], len(group))
+                value[group] = at(s, np.arange(len(group)))[0]
+            s_star[group], attained[group] = np.where(ok, s, INF), ok
+            for r in group[ok & (s == 0)]:
+                value[r] = self._at_zero(key_of[r]).value
+        return s_star, value, attained
 
     # -- vectorized matrix evaluations ----------------------------------------
 

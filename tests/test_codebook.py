@@ -1,6 +1,7 @@
 """Codebooks: joint types, distances, the counting identity, subcode
 extraction, and the minimum-distance certificate chain."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 
 import zerorate as zr
 
-from conftest import random_codebook, random_full_support_pair
+from conftest import random_admissible_pair, random_codebook, random_full_support_pair
 
 F = Fraction
 
@@ -309,3 +310,69 @@ def test_certificate_kernel_grid_stays_bounded_on_a_long_interval(monkeypatch):
     cert = zr.dmin_certificate(pair, code, (0, 1, 2), t=1)
     assert cert.s_cap > 200
     assert sizes[0] <= 4097
+
+
+def _scalar_distances(kernel, code):
+    """The per-pair loop the batch replaces: ``pair_distance`` on every
+    pair, and the first pair that lowers the running minimum."""
+    mat = np.zeros((code.size, code.size))
+    best, arg = math.inf, (0, 1)
+    for i in range(code.size):
+        for j in range(i + 1, code.size):
+            mat[i, j] = mat[j, i] = d = zr.pair_distance(kernel, code.words[i], code.words[j])
+            if d < best:
+                best, arg = d, (i, j)
+    return mat, (best, arg)
+
+
+def test_book_batch_equals_the_scalar_pair_loop(bsc_pair, typewriter_pair, constant_metric_pair):
+    """``distance_matrix`` and ``d_min`` solve every word pair in one batch;
+    entry by entry, and in the argmin pair, they equal the scalar loop.
+    The books cover every way a directional supremum ends: empty
+    directions (inf), product of extreme ratios above one (inf), equal to
+    one with an unattained ceiling or a constant, zero curves, s* = 0 and
+    interior maxima."""
+    rng = np.random.default_rng(2718)
+    pairs = [bsc_pair, typewriter_pair, constant_metric_pair]
+    pairs += [random_full_support_pair(rng, nx=3, ny=2 + k % 3) for k in range(3)]
+    pairs += [random_admissible_pair(np.random.default_rng(seed), nx=3, ny=3)
+              for seed in (1, 4, 5, 14, 16, 22, 25, 38)]
+    ends = set()
+    for pair in pairs:
+        for make in (zr.PairKernel, zr.RelaxedKernel):
+            kernel, oracle = make(pair), make(pair)
+            for m, n in ((9, 6), (6, 11)):
+                words = rng.integers(0, pair.nx, (m, n)).tolist()
+                words[-1] = words[0]               # equal words: the empty curve key
+                code = zr.Codebook(tuple(map(tuple, words)), pair.nx)
+                mat, best = _scalar_distances(oracle, code)
+                got = zr.distance_matrix(kernel, code)
+                assert [got[i, j] for i, j in np.ndindex(m, m)] == \
+                    [mat[i, j] for i, j in np.ndindex(m, m)]
+                value, arg = zr.d_min(kernel, code)
+                assert (value, arg) == best and type(value) is float
+                for x1, x2 in itertools.permutations(code.words, 2):
+                    key = oracle._curve_key(zr.joint_counts(x1, x2).items())
+                    closed = oracle._closed_form(key)
+                    res = oracle.sequence_sup(x1, x2)
+                    if any(oracle.direction(*ab).empty for ab, _ in key):
+                        ends.add("empty direction")
+                    elif closed is None:
+                        ends.add("s* = 0" if res.s_star == 0 else "interior")
+                    elif closed.value == math.inf:
+                        ends.add("diverges")
+                    else:
+                        ends.add("constant" if closed.attained else "ceiling")
+                    if not key:
+                        ends.add("zero curves only")
+    assert ends == {"empty direction", "diverges", "ceiling", "constant", "zero curves only",
+                    "s* = 0", "interior"}
+
+
+def test_book_batch_rejects_symbols_outside_the_pair_alphabet(bsc_pair):
+    code = zr.Codebook(((0, 1, 2), (1, 1, 0)), 3)
+    for fn in (zr.d_min, zr.distance_matrix):
+        with pytest.raises(zr.ValidationError):
+            fn(bsc_pair, code)
+    with pytest.raises(zr.ValidationError):
+        zr.pair_distance(bsc_pair, *code.words)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import zerorate as zr
+from zerorate.kernel import _argmax_concave
 
 from conftest import random_admissible_pair, random_full_support_pair
 
@@ -449,3 +450,42 @@ def test_mu_sequence_overflow_below_the_limit_is_rejected(identity_pair):
         zr.tilted_error_lower_bound(pair, x1, x2, s)
     # a letter pair that is never confused still makes the sum infinite
     assert zr.PairKernel(identity_pair).mu_sequence((0, 0), (1, 0), 1.0) == math.inf
+
+
+def test_a_batched_supremum_equals_its_one_key_and_scalar_solves(bsc_pair):
+    """``_sup_rows`` runs the interior keys of a batch through one row-wise
+    doubling and bisection; a key's result must not depend on its company.
+    On the far-maximizer pair the batch mixes a key whose slope is <= 0 at
+    s = 0, keys with maximizers near 2.2e7 and beyond, an unattained
+    ceiling and a smaller interior key; each equals its one-key batch, the
+    scalar ``_sup_weighted`` and a direct ``_argmax_concave`` run."""
+    W = ((F(9, 10), F(1, 10)), (F(1, 10), F(9, 10)))
+    q = ((F(1), F(1)), (F(1), 1 + F(1, 10**7)))
+    k = zr.PairKernel(zr.pair_from_rows(W, q))
+    assert k._reps == [(0, 1), (1, 0)]
+    keys = np.array([[1, 0], [1, 1], [0, 1], [3, 1], [1, 5], [2, 2], [7, 3]])
+    mixed = k._sup_rows(keys)
+    far = 0
+    for r, row in enumerate(keys):
+        key = tuple((rep, int(c)) for rep, c in zip(k._reps, row) if c)
+        alone = k._sup_rows(row[None, :])
+        scalar = k._sup_weighted(key)
+        got = zr.SupResult(float(mixed[0][r]), float(mixed[1][r]), bool(mixed[2][r]))
+        assert got == zr.SupResult(*(float(a[0]) for a in alone[:2]), bool(alone[2][0])) == scalar
+        if k._closed_form(key) is None:
+            at = k._weighted([ab for ab, _ in key], [c for _, c in key])
+            s, attained = _argmax_concave(lambda s: at(s)[1])
+            assert (scalar.s_star, scalar.attained) == (s, attained)
+            far += s > 1e7
+    assert mixed[0][0] == 0.0 and not mixed[2][2] and far >= 2
+
+    # BSC: mu(0,1) and mu(1,0) are one curve, so these counts are one key.
+    words = [((0,) * (a + b) + (1,) * (c + d), (0,) * a + (1,) * b + (0,) * c + (1,) * d)
+             for a, b, c, d in ((15, 3, 4, 10), (14, 2, 5, 11))]
+    bsc = zr.PairKernel(bsc_pair)
+    rows = np.array([[a, b, c, d] for a, b, c, d in ((15, 3, 4, 10), (14, 2, 5, 11))]) @ bsc._merge
+    assert rows.tolist() == [[7], [7]]
+    s_star, value, attained = bsc._sup_rows(rows)
+    for r, (x1, x2) in enumerate(words):
+        assert zr.SupResult(float(s_star[r]), float(value[r]), bool(attained[r])) == \
+            bsc.sequence_sup(x1, x2)

@@ -1,6 +1,7 @@
 """Checks on the source itself: names the benchmark tracer wraps, search
-knobs that something reads, the one float evaluator of the kernel, and
-the zero-error oracle that production code must not call."""
+knobs that something reads, the one float evaluator of the kernel, the
+zero-error oracle that production code must not call, and the book-level
+distance functions that must not fall back to a per-pair loop."""
 
 import ast
 import dataclasses
@@ -71,3 +72,18 @@ def test_package_never_reads_the_extremal_ratios_oracle():
             or (isinstance(n, ast.Attribute) and n.attr == "extremal_ratios")
         ]
         assert uses == [], f"{path.name} reads extremal_ratios on lines {uses}"
+
+
+def test_book_distances_never_loop_over_word_pairs():
+    """``d_min``, ``distance_matrix`` and ``dmin_certificate`` read one batch
+    of sequence suprema; the scalar ``pair_distance`` and ``sequence_sup``
+    stay for single pairs and as the batch's test oracle."""
+    tree = ast.parse((ROOT / "src" / "zerorate" / "codebook.py").read_text())
+    funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    for name in ("d_min", "distance_matrix", "dmin_certificate"):
+        calls = [
+            n.lineno for n in ast.walk(funcs[name])
+            if isinstance(n, ast.Call)
+            and ast.unparse(n.func).rsplit(".", 1)[-1] in ("pair_distance", "sequence_sup")
+        ]
+        assert calls == [], f"{name} solves word pairs one at a time on lines {calls}"
