@@ -112,6 +112,17 @@ def _int_list(text: str) -> list[int]:
         raise ValidationError(f"expected a comma-separated integer list, got {text!r}") from exc
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy seeds only with nonnegative integers."""
+    try:
+        seed = int(text)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+
+
 def _options(args) -> SearchOptions:
     return SearchOptions(seed=args.seed)
 
@@ -287,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if bits:
             p.add_argument("--bits", action="store_true", help="report values in bits")
         if seed:
-            p.add_argument("--seed", type=int, default=0, help="master random seed")
+            p.add_argument("--seed", type=_seed, default=0, help="master random seed (nonnegative)")
         p.add_argument("--out", default=None, help="write the result document here")
         return p
 

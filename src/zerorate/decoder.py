@@ -3,15 +3,18 @@ fixed-metric rule, the tilted finite-blocklength lower bounds, and the
 method-of-types utilities used to sanity-check them.
 
 The decoder picks the codeword maximizing the product metric, breaking
-ties by policy.  Exact mode merges the output compositions of each
-letter-pair cell by their exact metric ratio and convolves the cells,
-so everything stays rational without visiting every conditional type;
-Monte Carlo mode samples, scores each block of trials against every
-codeword with one matrix product in log space, and re-checks anything
-within float distance of the top exactly, first by counting the
-distinct metric values in each product and then, where the counts
-differ, as rational products, so tie events are decided by arithmetic
-rather than rounding.
+ties by policy.  Both modes compare metric products through value
+counts (:func:`_metric_counts`): how often each distinct metric value
+occurs in a product.  Exact mode keys the output compositions of each
+letter-pair cell by the two words' count difference, carries integer
+masses over each word's fixed denominator, convolves the cells without
+visiting every conditional type, and classifies each final key once by
+one exact comparison of integer products.  Monte Carlo mode samples,
+scores each block of trials against every codeword with one matrix
+product in log space, and re-checks anything within float distance of
+the top exactly from the same counts, so tie events are decided by
+arithmetic rather than rounding; the winners, tie events and tie draws
+of a block are array steps.
 """
 
 from __future__ import annotations
@@ -133,51 +136,114 @@ def type_counting_slack(pair: ChannelMetricPair, n: int) -> float:
     return pair.nx**2 * pair.ny * (1.0 + 2.0 * math.log(n + 1.0) - math.log(float(w_min)))
 
 
+# -- value counts: the comparison key of both decoders ---------------------------
+
+
+def _metric_values(pair: ChannelMetricPair) -> list[Fraction]:
+    """The distinct positive metric entries, ascending: the value axis of
+    :func:`_metric_counts`."""
+    return sorted({v for row in pair.q for v in row if v > 0})
+
+
+def _metric_counts(pair: ChannelMetricPair) -> np.ndarray:
+    """Metric entries as one-hot vectors over the distinct positive values.
+
+    Returns ``vec`` of shape ``(nx, ny, K)``: ``vec[x, y]`` marks the
+    index of ``q(x,y)`` among the ``K`` distinct positive entries (zero
+    entries get a zero row).  Summed along a word, it counts how often
+    each value occurs in the word's metric product, so equal sums mean
+    equal products; unequal sums can still give equal products, as in
+    ``(2/3)^2 = 4/9``.
+    """
+    index = {v: k for k, v in enumerate(_metric_values(pair))}
+    vec = np.zeros((pair.nx, pair.ny, len(index)), dtype=np.int64)
+    for x, row in enumerate(pair.q):
+        for y, v in enumerate(row):
+            if v > 0:
+                vec[x, y, index[v]] = 1
+    return vec
+
+
+def _sign_of_power_product(values: Sequence[Fraction], exponents) -> int:
+    """Sign of ``prod_k values[k] ** exponents[k] - 1``, by one comparison
+    of two integer products."""
+    num = den = 1
+    for v, e in zip(values, exponents):
+        e = int(e)
+        if e > 0:
+            num *= v.numerator ** e
+            den *= v.denominator ** e
+        elif e < 0:
+            num *= v.denominator ** -e
+            den *= v.numerator ** -e
+    return (num > den) - (num < den)
+
+
 # -- exact two-codeword decoding ---------------------------------------------
 
 
-_Key = tuple[bool, bool, Fraction]   # (word-1 metric zero, word-2 metric zero, s1/s2)
+_Key = tuple[bool, bool, int]   # (word-1 metric zero, word-2 metric zero, count code)
+_TIE_SHARE = {"equiprobable": Fraction(1, 2), "as_error": Fraction(1), "genie_correct": Fraction(0)}
 
 
-def _cell_masses(pair: ChannelMetricPair, a: int, b: int, cnt: int) -> dict[_Key, list[Fraction]]:
+def _cell_masses(pair, a: int, b: int, cnt: int, nums, codes, zero) -> dict[_Key, list[int]]:
     """Output compositions of one letter-pair cell, merged by comparison key.
 
-    Each composition with metric products ``s1`` (word 1) and ``s2``
-    (word 2) is keyed by which product is zero and by ``s1/s2``, set to
-    one once either is zero; the key carries the summed ``coeff * p1``
-    and ``coeff * p2``, the composition's probability under either word.
+    Each composition is keyed by which metric product is zero (word 1,
+    word 2) and, when neither is, by the code of its count difference,
+    ``sum_y k_y (codes[a][y] - codes[b][y])``; the key carries the summed
+    integer masses ``coeff * prod nums[a][y]^k_y`` and its word-2 twin,
+    the composition's probability under either word times the cell's
+    fixed denominators.
     """
-    out: dict[_Key, list[Fraction]] = {}
+    out: dict[_Key, list[int]] = {}
     for comp in _compositions(cnt, pair.ny):
-        coeff = _multinomial(comp)
-        p1 = p2 = s1 = s2 = Fraction(1)
+        m1 = m2 = _multinomial(comp)
+        z1 = z2 = False
+        code = 0
         for y, k in enumerate(comp):
             if k:
-                p1 *= pair.W[a][y] ** k
-                p2 *= pair.W[b][y] ** k
-                s1 *= pair.q[a][y] ** k
-                s2 *= pair.q[b][y] ** k
-        if p1 == 0 and p2 == 0:
+                m1 *= nums[a][y] ** k
+                m2 *= nums[b][y] ** k
+                z1 = z1 or zero[a][y]
+                z2 = z2 or zero[b][y]
+                code += k * (codes[a][y] - codes[b][y])
+        if m1 == 0 and m2 == 0:
             continue
-        z1, z2 = s1 == 0, s2 == 0
-        key = (z1, z2, Fraction(1) if z1 or z2 else s1 / s2)
-        mass = out.setdefault(key, [Fraction(0), Fraction(0)])
-        mass[0] += coeff * p1
-        mass[1] += coeff * p2
+        key = (z1, z2, 0 if z1 or z2 else code)
+        mass = out.setdefault(key, [0, 0])
+        mass[0] += m1
+        mass[1] += m2
     return out
 
 
-def _convolve(left: dict[_Key, list[Fraction]], right: dict[_Key, list[Fraction]]):
-    """Merge two independent groups of cells: zero flags OR, ratios multiply,
-    masses multiply."""
-    out: dict[_Key, list[Fraction]] = {}
+def _convolve(left: dict[_Key, list[int]], right: dict[_Key, list[int]]):
+    """Merge two independent groups of cells: zero flags OR, count codes
+    add, masses multiply."""
+    out: dict[_Key, list[int]] = {}
     for (z1, z2, r), (m1, m2) in left.items():
         for (w1, w2, t), (n1, n2) in right.items():
             y1, y2 = z1 or w1, z2 or w2
-            key = (y1, y2, Fraction(1) if y1 or y2 else r * t)
-            mass = out.setdefault(key, [Fraction(0), Fraction(0)])
-            mass[0] += m1 * n1
-            mass[1] += m2 * n2
+            key = (y1, y2, 0 if y1 or y2 else r + t)
+            mass = out.get(key)
+            if mass is None:
+                out[key] = [m1 * n1, m2 * n2]
+            else:
+                mass[0] += m1 * n1
+                mass[1] += m2 * n2
+    return out
+
+
+def _code_digits(code: int, base: int, size: int) -> list[int]:
+    """The ``size`` digits of ``code`` in balanced base ``base`` (each in
+    ``(-base/2, base/2)``), least significant first."""
+    out = []
+    for _ in range(size):
+        digit = code % base
+        if digit > base // 2:
+            digit -= base
+        out.append(digit)
+        code = (code - digit) // base
     return out
 
 
@@ -189,15 +255,20 @@ def exact_error_probabilities(
 ) -> DecodingOutcome:
     """Exact error probabilities of the two-codeword metric decoder.
 
-    The output compositions of each letter-pair cell are merged by an
-    exact comparison key (which metric product is zero, and the ratio of
-    the two), the cells are convolved key by key, and each final key
-    decides a win, a loss or a tie; all masses are exact rationals.  Tie
-    weight is assigned per policy: ``equiprobable`` charges half,
-    ``as_error`` all, ``genie_correct`` none of the tied mass.  Raises
-    when the number of conditional-type classes (the product of the
-    cells' composition counts) exceeds ``budget``; Monte Carlo is the
-    fallback at that point.
+    Masses are Python integers over each word's fixed denominator, the
+    product along the word of each channel row's common denominator.  The
+    output compositions of each letter-pair cell are keyed by which
+    metric product is zero and by the difference of the two words' value
+    counts (:func:`_metric_counts`), packed into one integer in balanced
+    base ``2n + 1``; the cells are convolved key by key.  Equal counts
+    mean equal metric ratios, so no key joins outputs the decoder treats
+    differently.  Each final key is classified once as a win, a loss or a
+    tie by an exact comparison of two integer products, and a
+    ``Fraction`` is built only for each reported quantity.  Tie weight is
+    assigned per policy: ``equiprobable`` charges half, ``as_error`` all,
+    ``genie_correct`` none of the tied mass.  Raises when the number of
+    conditional-type classes (the product of the cells' composition
+    counts) exceeds ``budget``; Monte Carlo is the fallback at that point.
     """
     if tie_policy not in TIE_POLICIES:
         raise ValidationError(f"unknown tie policy {tie_policy!r}")
@@ -215,17 +286,28 @@ def exact_error_probabilities(
             "use monte_carlo_error instead"
         )
 
-    total = {(False, False, Fraction(1)): [Fraction(1), Fraction(1)]}
+    dens = [math.lcm(*(v.denominator for v in row)) for row in pair.W]
+    nums = [[v.numerator * (d // v.denominator) for v in row] for row, d in zip(pair.W, dens)]
+    values = _metric_values(pair)
+    counts = _metric_counts(pair)
+    zero = (~counts.any(axis=2)).tolist()
+    # Each value count of a word pair's difference lies in [-n, n], so base
+    # 2n + 1 packs the difference vector into one integer that adds exactly.
+    base = 2 * len(x1) + 1
+    codes = [[sum(int(c) * base**k for k, c in enumerate(row)) for row in rows] for rows in counts]
+
+    total = {(False, False, 0): [1, 1]}
+    den1 = den2 = 1
     for (a, b), cnt in cells:
-        total = _convolve(total, _cell_masses(pair, a, b, cnt))
-    err1 = err2 = tie1 = tie2 = Fraction(0)
+        total = _convolve(total, _cell_masses(pair, a, b, cnt, nums, codes, zero))
+        den1 *= dens[a] ** cnt
+        den2 *= dens[b] ** cnt
+    err1 = err2 = tie1 = tie2 = 0
     for (z1, z2, r), (m1, m2) in total.items():
-        if z1 and z2:
-            order = 0
-        elif z1 or z2:
-            order = -1 if z1 else 1
+        if z1 or z2:
+            order = z2 - z1     # a zero product loses; two zeros tie
         else:
-            order = (r > 1) - (r < 1)
+            order = _sign_of_power_product(values, _code_digits(r, base, len(values)))
         if order > 0:       # s1 > s2: word 2 loses
             err2 += m2
         elif order < 0:     # s1 < s2: word 1 loses
@@ -234,16 +316,13 @@ def exact_error_probabilities(
             tie1 += m1
             tie2 += m2
 
-    if tie_policy == "equiprobable":
-        e1, e2 = err1 + tie1 / 2, err2 + tie2 / 2
-    elif tie_policy == "as_error":
-        e1, e2 = err1 + tie1, err2 + tie2
-    else:
-        e1, e2 = err1, err2
+    share = _TIE_SHARE[tie_policy]
+    t1, t2 = Fraction(tie1, den1), Fraction(tie2, den2)
+    e1, e2 = Fraction(err1, den1) + share * t1, Fraction(err2, den2) + share * t2
     return DecodingOutcome(
         per_message=(e1, e2),
         average=(e1 + e2) / 2,
-        tie_mass=(tie1 + tie2) / 2,
+        tie_mass=(t1 + t2) / 2,
         mode="exact",
         tie_policy=tie_policy,
     )
@@ -261,23 +340,14 @@ def _wilson(errors: int, trials: int) -> tuple[float, float]:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _metric_counts(pair: ChannelMetricPair) -> np.ndarray:
-    """Metric entries as one-hot vectors over the distinct positive values.
-
-    Returns ``vec`` of shape ``(nx, ny, K)``: ``vec[x, y]`` marks the
-    index of ``q(x,y)`` among the ``K`` distinct positive entries (zero
-    entries get a zero row).  Summed along a word, it counts how often
-    each value occurs in the word's metric product, so equal sums mean
-    equal products; unequal sums can still give equal products, as in
-    ``(2/3)^2 = 4/9``.
-    """
-    index = {v: k for k, v in enumerate(sorted({v for row in pair.q for v in row if v > 0}))}
-    vec = np.zeros((pair.nx, pair.ny, len(index)), dtype=np.int64)
-    for x, row in enumerate(pair.q):
-        for y, v in enumerate(row):
-            if v > 0:
-                vec[x, y, index[v]] = 1
-    return vec
+def _leaders(values: Sequence[Fraction], vectors: np.ndarray) -> np.ndarray:
+    """Mask of the rows of ``vectors`` (value counts) whose metric product
+    ``prod_k values[k] ** row[k]`` is largest, decided exactly."""
+    top = vectors[0]
+    for row in vectors[1:]:
+        if _sign_of_power_product(values, row - top) > 0:
+            top = row
+    return np.array([_sign_of_power_product(values, row - top) == 0 for row in vectors])
 
 
 def monte_carlo_error(
@@ -301,7 +371,11 @@ def monte_carlo_error(
     occurs in every candidate's product (see :func:`_metric_counts`):
     when all candidates of a trial share one count vector they are
     exactly the tied leaders, and only a trial whose vectors differ
-    multiplies its candidates' metrics as ``Fraction`` products.
+    compares ``prod v^c`` across its candidates, as integer products
+    (:func:`_leaders`).  Errors and tie events of a block follow from
+    the winner mask by array steps, and the ``equiprobable`` picks of a
+    block are one ``tie_rng`` draw with one bound per tied trial, in
+    trial order, which takes the same stream as one draw per trial.
 
     The stream splits into fixed chunks with spawned seeds, making the
     result reproducible and the merge order-independent.  Each chunk
@@ -311,6 +385,8 @@ def monte_carlo_error(
     """
     if trials < 1:
         raise PreconditionError("trials must be positive")
+    if seed < 0:
+        raise ValidationError(f"the seed must be nonnegative, got {seed}")
     if tie_policy not in TIE_POLICIES:
         raise ValidationError(f"unknown tie policy {tie_policy!r}")
     words = _words_of(code)
@@ -328,6 +404,7 @@ def monte_carlo_error(
     zmat = zero[wd].reshape(m_count, n * pair.ny).T.astype(float) if zero.any() else None
     offsets = np.arange(n) * pair.ny
     counts = _metric_counts(pair)
+    values = _metric_values(pair)
 
     sizes = [_CHUNK] * (trials // _CHUNK)
     if trials % _CHUNK:
@@ -353,12 +430,16 @@ def monte_carlo_error(
             y = np.zeros((len(msgs), n), dtype=np.int64)
             for k in range(pair.ny - 1):
                 y += u >= cum[:, k][letters]
+            # Block-sized arrays are dropped as soon as they are spent, so
+            # the next one does not raise the peak working set.
+            del u, letters
 
             onehot = np.zeros((len(msgs), n * pair.ny))
             np.put_along_axis(onehot, offsets + y, 1.0, axis=1)
             scores = onehot @ lmat
             if zmat is not None:
                 scores[onehot @ zmat > 0] = -INF
+            del onehot
             best = scores.max(axis=1)
             margin = _NEAR_TIE * np.maximum(1.0, np.abs(best))
             near = scores >= (best - margin)[:, None]
@@ -371,38 +452,37 @@ def monte_carlo_error(
             # by trial.  The sent word's metric is positive, so every near
             # candidate's is too.
             hard = np.nonzero(~easy)[0]
+            truth = msgs[hard]
             group, cand = np.nonzero(near[hard])
             acc = counts[wd[cand], y[hard[group]]].sum(axis=1)
-            # A trial is settled when all its candidates share one vector.
+            # A trial is settled when all its candidates share one vector: they
+            # are then exactly its tied leaders.  Only the others compare
+            # products, from the same vectors.
             bounds = np.searchsorted(group, np.arange(len(hard) + 1))
             unsettled = np.zeros(len(hard), dtype=bool)
             unsettled[group[(acc != acc[bounds[group]]).any(axis=1)]] = True
+            win = np.ones(len(cand), dtype=bool)
+            for j in np.nonzero(unsettled)[0]:
+                lo, hi = bounds[j], bounds[j + 1]
+                win[lo:hi] = _leaders(values, acc[lo:hi])
 
-            for j, i in enumerate(hard):
-                cands = cand[bounds[j]:bounds[j + 1]]
-                if unsettled[j]:
-                    exact = []
-                    for m in cands:
-                        prod = Fraction(1)
-                        for letter, yy in zip(words[m], y[i]):
-                            prod *= pair.q[letter][yy]
-                        exact.append(prod)
-                    top = max(exact)
-                    argmax = [int(m) for m, v in zip(cands, exact) if v == top]
-                else:
-                    argmax = [int(m) for m in cands]
-                truth = int(msgs[i])
-                if len(argmax) == 1:
-                    err_mask[i] = argmax[0] != truth
-                else:
-                    tie_events += 1
-                    if tie_policy == "equiprobable":
-                        pick = argmax[int(tie_rng.integers(0, len(argmax)))]
-                        err_mask[i] = pick != truth
-                    elif tie_policy == "as_error":
-                        err_mask[i] = True
-                    else:
-                        err_mask[i] = truth not in argmax
+            # A trial errs when the sent word is not among its winners, and a
+            # tie is then charged by the policy.
+            n_win = np.bincount(group[win], minlength=len(hard))
+            hard_err = np.bincount(group[win & (cand == truth[group])], minlength=len(hard)) == 0
+            tie = n_win > 1
+            tie_events += int(tie.sum())
+            if tie_policy == "as_error":
+                hard_err |= tie
+            elif tie_policy == "equiprobable":
+                # One draw per tied trial, in trial order: an array bound
+                # takes the same stream as one scalar draw per trial.
+                tied = np.nonzero(tie)[0]
+                picks = tie_rng.integers(0, n_win[tied])
+                pick = cand[win][np.searchsorted(group[win], tied) + picks]
+                hard_err[tied] = pick != truth[tied]
+            err_mask[hard] = hard_err
+            del y, scores, near
 
             errors += np.bincount(msgs[err_mask], minlength=m_count)
 

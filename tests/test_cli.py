@@ -270,6 +270,18 @@ def test_symbol_outside_the_pair_alphabet_is_malformed_input(bsc_file, tmp_path,
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_seeded_commands_reject_a_bad_seed(bsc_file, code_file, capsys, seed):
+    for argv in (["exponent", "--pair", bsc_file],
+                 ["certificate", "--pair", bsc_file, "--code", code_file, "--t", "2", "--target", "2"],
+                 ["simulate", "--pair", bsc_file, "--code", code_file, "--trials", "10"],
+                 ["empirical", "--pair", bsc_file, "--letters", "0,1", "--n", "2"]):
+        with pytest.raises(SystemExit) as bad:
+            cli.main(argv + ["--seed", seed])
+        assert bad.value.code == 2, argv[0]
+        assert "--seed" in capsys.readouterr().err
+
+
 def test_certificate_relaxes_unbalanced_pairs(tmp_path, tw_file, rng, capsys):
     words = tuple(tuple(int(v) for v in rng.integers(0, 3, 8)) for _ in range(8))
     path = tmp_path / "c3.txt"

@@ -202,6 +202,11 @@ def test_monte_carlo_is_bit_for_bit_deterministic(bsc_pair):
     assert a.mode == "monte_carlo" and a.trials == 30000 and a.seed == 11
 
 
+def test_monte_carlo_rejects_a_negative_seed(bsc_pair):
+    with pytest.raises(zr.ValidationError):
+        zr.monte_carlo_error(bsc_pair, zr.Codebook(((0,), (1,)), 2), trials=10, seed=-1)
+
+
 def test_monte_carlo_interval_covers_exact(bsc_pair):
     code = zr.Codebook(((0, 0), (1, 1)), 2)
     exact = zr.exact_error_probabilities(bsc_pair, code).average

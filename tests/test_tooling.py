@@ -1,7 +1,8 @@
 """Checks on the source itself: names the benchmark tracer wraps, search
 knobs that something reads, the one float evaluator of the kernel, the
-zero-error oracle that production code must not call, and the book-level
-distance functions that must not fall back to a per-pair loop."""
+zero-error oracle that production code must not call, the book-level
+distance functions that must not fall back to a per-pair loop, and the
+decoders' integer keys and Monte Carlo's one tie draw per block."""
 
 import ast
 import dataclasses
@@ -87,3 +88,56 @@ def test_book_distances_never_loop_over_word_pairs():
             and ast.unparse(n.func).rsplit(".", 1)[-1] in ("pair_distance", "sequence_sup")
         ]
         assert calls == [], f"{name} solves word pairs one at a time on lines {calls}"
+
+
+def _loops_above(tree):
+    """Map each node to the loops (``for``, ``while``, comprehensions) around it."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    above = {}
+
+    def visit(node, chain):
+        above[node] = chain
+        inner = chain + (node,) if isinstance(node, loops) else chain
+        for child in ast.iter_child_nodes(node):
+            visit(child, inner)
+
+    visit(tree, ())
+    return above
+
+
+def test_decoders_key_on_metric_counts():
+    """Both decoders key outputs on ``_metric_counts`` value counts: no
+    function they reach in ``decoder.py`` builds a ``Fraction`` in a loop,
+    so a rational ratio or product can no longer serve as a key.
+    ``monte_carlo_error`` draws its tie picks once per scored block, at
+    the loop depth of the block's scoring product, never per trial."""
+    tree = ast.parse((ROOT / "src" / "zerorate" / "decoder.py").read_text())
+    funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    above = _loops_above(tree)
+
+    def called(fn):
+        return {ast.unparse(n.func) for n in ast.walk(fn) if isinstance(n, ast.Call)}
+
+    for name in ("exact_error_probabilities", "monte_carlo_error"):
+        assert "_metric_counts" in called(funcs[name]), f"{name} does not key on _metric_counts"
+        reached, todo = set(), [name]
+        while todo:
+            fn = todo.pop()
+            reached.add(fn)
+            todo.extend(c for c in called(funcs[fn]) if c in funcs and c not in reached)
+        for fn in sorted(reached):
+            in_loops = [
+                n.lineno for n in ast.walk(funcs[fn])
+                if isinstance(n, ast.Name) and n.id == "Fraction" and above[n]
+            ]
+            assert in_loops == [], f"{fn} (reached from {name}) builds Fractions in a loop: {in_loops}"
+
+    mc = funcs["monte_carlo_error"]
+    scoring = [n for n in ast.walk(mc) if isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)]
+    draws = [
+        n for n in ast.walk(mc)
+        if isinstance(n, ast.Call) and ast.unparse(n.func).startswith("tie_rng.")
+    ]
+    assert scoring and draws
+    for draw in draws:
+        assert above[draw] == above[scoring[0]], f"tie_rng is drawn inside a loop on line {draw.lineno}"
