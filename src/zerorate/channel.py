@@ -202,6 +202,21 @@ def _build_direction(pair: ChannelMetricPair, a: int, b: int) -> _Direction:
     )
 
 
+def _sign_of_power_product(values: Sequence[Fraction], exponents) -> int:
+    """Sign of ``prod_k values[k] ** exponents[k] - 1``, by one comparison
+    of two integer products."""
+    num = den = 1
+    for v, e in zip(values, exponents):
+        e = int(e)
+        if e > 0:
+            num *= v.numerator ** e
+            den *= v.denominator ** e
+        elif e < 0:
+            num *= v.denominator ** -e
+            den *= v.numerator ** -e
+    return (num > den) - (num < den)
+
+
 @dataclass(frozen=True)
 class SupportSets:
     """Support structure of a pair, all derived exactly.

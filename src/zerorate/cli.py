@@ -30,11 +30,11 @@ from . import __version__
 from .channel import ChannelMetricPair, parse_pair
 from .codebook import (
     Codebook,
+    _rate_cap,
     d_min,
     dmin_certificate,
     komlos_extract,
     parse_codebook,
-    pe_lower_bound_from_dmin,
 )
 from .decoder import (
     empirical_exponent,
@@ -208,7 +208,7 @@ def _cmd_dmin(args):
     payload = {
         "value": _scale(value, args.bits),
         "pair": list(arg),
-        "exponent_cap_with_rate": _scale(pe_lower_bound_from_dmin(kernel, code), args.bits),
+        "exponent_cap_with_rate": _scale(_rate_cap(value, code), args.bits),
         "units": "bits" if args.bits else "nats",
     }
     return payload, {args.pair: pair_digest, args.code: code_digest}

@@ -29,7 +29,7 @@ from .exponent import (
     objective,
     optimized_objective,
 )
-from .kernel import INF, PairKernel, SupResult, _as_kernel, joint_counts
+from .kernel import INF, PairKernel, _as_kernel, joint_counts
 from .zero_error import is_balanced
 
 __all__ = [
@@ -99,11 +99,7 @@ class Codebook:
 
     def column_counts(self) -> np.ndarray:
         """Per-column composition: ``out[c, a]`` counts letter ``a`` in column ``c``."""
-        out = np.zeros((self.n, self.alphabet_size), dtype=np.int64)
-        for w in self.words:
-            for c, v in enumerate(w):
-                out[c, v] += 1
-        return out
+        return _onehot(self.words, self.alphabet_size).sum(axis=0)
 
 
 def parse_codebook(text: str) -> Codebook:
@@ -174,6 +170,21 @@ def pair_distance(pair: KernelSource, x1: Sequence[int], x2: Sequence[int]) -> f
     return float(best) / len(x1) if best != INF else INF
 
 
+def _onehot(words: Sequence[Sequence[int]], nx: int) -> np.ndarray:
+    """``out[w, c, a]`` is 1 where word ``w`` shows letter ``a`` in column ``c``."""
+    x = np.asarray(words)
+    if x.min() < 0 or x.max() >= nx:
+        raise ValidationError("codeword symbol outside the input alphabet")
+    return (x[:, :, None] == np.arange(nx)).astype(np.int64)
+
+
+def _pair_counts(words: Sequence[Sequence[int]], nx: int) -> np.ndarray:
+    """Letter-pair counts of every ordered word pair of a book: ``out[i, j, a, b]``
+    counts the columns where word ``i`` shows ``a`` and word ``j`` shows ``b``."""
+    onehot = _onehot(words, nx)
+    return np.einsum("ita,jtb->ijab", onehot, onehot)
+
+
 def _book_sups(kernel: PairKernel, words: Sequence[Sequence[int]]):
     """Both directional sequence suprema of every word pair ``i < j``, in one batch.
 
@@ -184,13 +195,8 @@ def _book_sups(kernel: PairKernel, words: Sequence[Sequence[int]]):
     counts, merged onto the kernel's curves, are its memo key, and each
     distinct key is solved once.
     """
-    x = np.asarray(words)
-    nx = kernel.pair.nx
-    if x.min() < 0 or x.max() >= nx:
-        raise ValidationError("codeword symbol outside the input alphabet")
-    m = len(x)
-    onehot = (x[:, :, None] == np.arange(nx)).astype(np.int64)
-    counts = np.einsum("ita,jtb->ijab", onehot, onehot).reshape(m, m, nx * nx)
+    m, nx = len(words), kernel.pair.nx
+    counts = _pair_counts(words, nx).reshape(m, m, nx * nx)
     i, j = np.triu_indices(m, 1)
     rows = np.concatenate([counts[i, j], counts[j, i]]) @ kernel._merge
     # Deduplicated by a dict, not np.unique: its first call imports numpy.ma (1.3 MB).
@@ -200,28 +206,32 @@ def _book_sups(kernel: PairKernel, words: Sequence[Sequence[int]]):
     return (i, j) + tuple(a[inverse.reshape(2, len(i))] for a in kernel._sup_rows(keys))
 
 
-def _distances(kernel: PairKernel, code: Codebook):
-    """``pair_distance`` of every word pair ``i < j``, as index and value arrays."""
-    i, j, _, value, _ = _book_sups(kernel, code.words)
+def _distances(value: np.ndarray, n: int) -> np.ndarray:
+    """``pair_distance`` of each pair from the ``value`` rows of :func:`_book_sups`."""
     forward, backward = value
-    return i, j, np.where(backward < forward, backward, forward) / code.n
+    return np.where(backward < forward, backward, forward) / n
 
 
-def distance_matrix(pair: KernelSource, code: Codebook) -> np.ndarray:
-    i, j, dist = _distances(_as_kernel(pair), code)
-    out = np.zeros((code.size, code.size))
-    out[i, j] = out[j, i] = dist
-    return out
-
-
-def d_min(pair: KernelSource, code: Codebook) -> tuple[float, tuple[int, int]]:
-    """Smallest pairwise distance and the first index pair attaining it."""
-    i, j, dist = _distances(_as_kernel(pair), code)
+def _argmin(i: np.ndarray, j: np.ndarray, dist: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """Smallest distance and the first pair ``(i[k], j[k])`` attaining it."""
     dist = np.where(dist < INF, dist, INF)     # NaN never wins
     k = int(np.argmin(dist))
     if not dist[k] < INF:
         return INF, (0, 1)
     return float(dist[k]), (int(i[k]), int(j[k]))
+
+
+def distance_matrix(pair: KernelSource, code: Codebook) -> np.ndarray:
+    i, j, _, value, _ = _book_sups(_as_kernel(pair), code.words)
+    out = np.zeros((code.size, code.size))
+    out[i, j] = out[j, i] = _distances(value, code.n)
+    return out
+
+
+def d_min(pair: KernelSource, code: Codebook) -> tuple[float, tuple[int, int]]:
+    """Smallest pairwise distance and the first index pair attaining it."""
+    i, j, _, value, _ = _book_sups(_as_kernel(pair), code.words)
+    return _argmin(i, j, _distances(value, code.n))
 
 
 def plotkin_identity(code: Codebook, a: int, b: int) -> tuple[Fraction, Fraction]:
@@ -237,12 +247,8 @@ def plotkin_identity(code: Codebook, a: int, b: int) -> tuple[Fraction, Fraction
             "the diagonal picks up a -M_c(a) correction"
         )
     n = code.n
-    total = 0
-    for i, wi in enumerate(code.words):
-        for j, wj in enumerate(code.words):
-            if i != j:
-                total += sum(1 for u, v in zip(wi, wj) if u == a and v == b)
-    lhs = Fraction(total, n)
+    # a word against itself counts only equal letters, so i == j adds nothing here
+    lhs = Fraction(int(_pair_counts(code.words, nx)[:, :, a, b].sum()), n)
     cols = code.column_counts()
     rhs = Fraction(int(np.sum(cols[:, a].astype(object) * cols[:, b].astype(object))), n)
     return lhs, rhs
@@ -381,15 +387,14 @@ def komlos_extract(
         raise PreconditionError("need 2 <= target <= number of codewords")
     n, nx = code.n, code.alphabet_size
 
-    cells = [(a, b) for a in range(nx) for b in range(nx)]
-    pair_cnt: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+    counts = _pair_counts(code.words, nx)
+    i, j = np.triu_indices(m, 1)
+    # From t = n on, floor(t * c / n) rises strictly with c, so t = n gives the same
+    # classes in the same order, and the product stays within int64.
+    keys = (min(t, n) * counts[i, j].reshape(len(i), nx * nx)) // n
     colors: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            counts = joint_counts(code.words[i], code.words[j])
-            pair_cnt[(i, j)] = counts
-            key = tuple((t * counts.get(ab, 0)) // n for ab in cells)
-            colors.setdefault(key, []).append((i, j))
+    for edge, key in zip(zip(i.tolist(), j.tolist()), keys.tolist()):
+        colors.setdefault(tuple(key), []).append(edge)
 
     first_edge = (0, 1)
     best_mask = (1 << first_edge[0]) | (1 << first_edge[1])
@@ -420,23 +425,11 @@ def komlos_extract(
     m_hat = len(selected)
     target_met = m_hat >= target
 
-    spread = Fraction(0)
-    asym = Fraction(0)
-    for a in range(nx):
-        for b in range(nx):
-            values = [
-                pair_cnt[(selected[ii], selected[jj])].get((a, b), 0)
-                for ii in range(m_hat)
-                for jj in range(ii + 1, m_hat)
-            ]
-            spread = max(spread, Fraction(max(values) - min(values), n))
-    for ii in range(m_hat):
-        for jj in range(ii + 1, m_hat):
-            counts = pair_cnt[(selected[ii], selected[jj])]
-            for a in range(nx):
-                for b in range(a + 1, nx):
-                    gap = counts.get((a, b), 0) - counts.get((b, a), 0)
-                    asym = max(asym, Fraction(abs(gap), n))
+    si, sj = np.triu_indices(m_hat, 1)
+    sel = np.array(selected)
+    chosen = counts[sel[si], sel[sj]]
+    spread = Fraction(int((chosen.max(axis=0) - chosen.min(axis=0)).max()), n)
+    asym = Fraction(int(np.abs(chosen - chosen.transpose(0, 2, 1)).max()), n)
 
     cert = SubcodeCertificate(
         selected=tuple(selected),
@@ -543,28 +536,20 @@ def dmin_certificate(
     grid = np.append(grid, s_cap)
     k_const = float(np.abs(kernel.mu_grid(grid)).sum(axis=(1, 2)).max())
 
-    ii, jj, s_star, value, attained = _book_sups(kernel, [code.words[i] for i in picked])
-    sup_cache = {
-        (picked[a], picked[b]): tuple(
-            SupResult(float(s_star[d, p]), float(value[d, p]), bool(attained[d, p])) for d in (0, 1)
-        )
-        for p, (a, b) in enumerate(zip(ii.tolist(), jj.tolist()))
-    }
-
-    def own_tilt(sf, sb) -> float:
-        cands = [r.s_star if r.attained else INF for r in (sf, sb)]
-        s_bar = min(cands)
+    # One batch over the whole book: its minimum, and the subcode pairs' suprema.
+    ii, jj, s_star, value, attained = _book_sups(kernel, code.words)
+    dist = _distances(value, n)
+    dmin_code, dmin_pair = _argmin(ii, jj, dist)
+    dists = {}
+    tilts = {}
+    for p in np.flatnonzero(np.isin(ii, picked) & np.isin(jj, picked)).tolist():
+        s_bar = min(float(s_star[d, p]) if attained[d, p] else INF for d in (0, 1))
         if s_bar == INF:
             raise PreconditionError(
                 "a subcode pair lacks a finite best tilt; the kernel is not usable here"
             )
-        return s_bar
-
-    dists = {}
-    tilts = {}
-    for (i, j), (sf, sb) in sup_cache.items():
-        dists[(i, j)] = min(sf.value, sb.value) / n
-        tilts[(i, j)] = own_tilt(sf, sb)
+        ij = (int(ii[p]), int(jj[p]))
+        dists[ij], tilts[ij] = float(dist[p]), s_bar
 
     anchor = (picked[0], picked[1])
     s_bar_anchor = tilts[anchor]
@@ -578,7 +563,7 @@ def dmin_certificate(
     anchor_sum = 0.0
     tilt_shift_ok = True
     budget = 4.0 * k_const * delta
-    for (i, j) in sup_cache:
+    for (i, j) in tilts:
         wi, wj = code.words[i], code.words[j]
         s_own = tilts[(i, j)]
         f_own = kernel.mu_sequence(wi, wj, s_own)
@@ -603,7 +588,6 @@ def dmin_certificate(
     sup_value = max(sup_value, q_at_anchor)
     factor = m_hat / (m_hat - 1)
 
-    dmin_code, dmin_pair = d_min(kernel, code)
     lines = (
         ("dmin_code", float(dmin_code)),
         ("dmin_subcode", float(dmin_sub)),
@@ -653,7 +637,9 @@ def dmin_certificate(
 def pe_lower_bound_from_dmin(pair: KernelSource, code: Codebook) -> float:
     """Exponent-level cap implied by the book's minimum distance: the
     best pair's distance plus the rate ``log(M)/n``, in nats per symbol."""
-    value, _ = d_min(pair, code)
-    if value == INF:
-        return INF
-    return value + math.log(code.size) / code.n
+    return _rate_cap(d_min(pair, code)[0], code)
+
+
+def _rate_cap(value: float, code: Codebook) -> float:
+    """A book's distance plus its rate ``log(M)/n``."""
+    return INF if value == INF else value + math.log(code.size) / code.n

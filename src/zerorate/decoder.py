@@ -27,7 +27,7 @@ from typing import Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .channel import ChannelMetricPair
+from .channel import ChannelMetricPair, _sign_of_power_product
 from .errors import BudgetExceededError, PreconditionError, ValidationError, ZerorateError
 from .kernel import INF, _as_kernel, joint_counts
 
@@ -162,21 +162,6 @@ def _metric_counts(pair: ChannelMetricPair) -> np.ndarray:
             if v > 0:
                 vec[x, y, index[v]] = 1
     return vec
-
-
-def _sign_of_power_product(values: Sequence[Fraction], exponents) -> int:
-    """Sign of ``prod_k values[k] ** exponents[k] - 1``, by one comparison
-    of two integer products."""
-    num = den = 1
-    for v, e in zip(values, exponents):
-        e = int(e)
-        if e > 0:
-            num *= v.numerator ** e
-            den *= v.denominator ** e
-        elif e < 0:
-            num *= v.denominator ** -e
-            den *= v.numerator ** -e
-    return (num > den) - (num < den)
 
 
 # -- exact two-codeword decoding ---------------------------------------------
@@ -700,6 +685,8 @@ def empirical_exponent(
         raise PreconditionError("the two letters must be distinct")
     if not (0 <= a < pair.nx and 0 <= b < pair.nx):
         raise ValidationError("letter index outside the input alphabet")
+    if seed < 0:
+        raise ValidationError(f"the seed must be nonnegative, got {seed}")
     out = []
     for idx, n in enumerate(n_list):
         if n < 1:

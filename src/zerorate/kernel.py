@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .channel import ChannelMetricPair, _Direction
+from .channel import ChannelMetricPair, _Direction, _sign_of_power_product
 from .errors import InfiniteExponentError, PreconditionError, ValidationError
 
 INF = math.inf
@@ -387,21 +387,17 @@ class PairKernel:
         the maximum is interior and needs a search.
 
         The tail is classified exactly: the limiting slope is ``log`` of
-        the rational product ``prod A_k ** c_k``, so comparing its integer
-        numerator and denominator decides between divergence (above one),
-        a horizontal asymptote or a constant (one), and an interior
-        maximum (below one).
+        the rational product ``prod A_k ** c_k``, whose exact comparison
+        with one decides between divergence (above one), a horizontal
+        asymptote or a constant (one), and an interior maximum (below one).
         """
         dirs = [self._dirs[ab] for ab, _ in key]
         if any(d.empty for d in dirs):
             return SupResult(INF, INF, False)
-        num = den = 1
-        for d, (_, c) in zip(dirs, key):
-            num *= d.a_min.numerator ** c
-            den *= d.a_min.denominator ** c
-        if num > den:
+        sign = _sign_of_power_product([d.a_min for d in dirs], [c for _, c in key])
+        if sign > 0:
             return SupResult(INF, INF, False)
-        if num < den:
+        if sign < 0:
             return None
         if all(d.affine for d in dirs):
             return self._at_zero(key)

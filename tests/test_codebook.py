@@ -2,6 +2,7 @@
 extraction, and the minimum-distance certificate chain."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import zerorate as zr
+from zerorate import cli, codebook
 
 from conftest import random_admissible_pair, random_codebook, random_full_support_pair
 
@@ -179,25 +181,40 @@ def test_komlos_extract_shared_type_code_keeps_everything():
 
 
 def test_komlos_extract_certificate_invariants(rng):
-    for trial in range(6):
-        code = random_codebook(rng, n=16, m=24, nx=2)
-        t = 3
+    """The certificate's spread and asymmetry are exactly those of the
+    selected pairs' joint types, on binary and ternary books (greedy
+    clique search above 16 words, exact below)."""
+    for nx, m in ((2, 24), (3, 24), (3, 12)):
+        for trial in range(6):
+            code = random_codebook(rng, n=16, m=m, nx=nx)
+            t = 3
+            selected, cert = zr.komlos_extract(code, t=t, target=6)
+            assert len(selected) == cert.m_hat == len(set(selected))
+            assert cert.t == t
+            # spread below the coloring resolution
+            assert cert.observed_spread < F(1, t)
+            types = [zr.joint_type(code.words[i], code.words[j], nx)
+                     for i, j in itertools.combinations(selected, 2)]
+            cells = list(itertools.product(range(nx), repeat=2))
+            assert cert.observed_spread == max(
+                max(P[a][b] for P in types) - min(P[a][b] for P in types) for a, b in cells)
+            assert cert.observed_asymmetry == max(
+                abs(P[a][b] - P[b][a]) for P in types for a, b in cells)
+            assert float(cert.observed_asymmetry) <= cert.asymmetry_bound + 1e-12
+            assert cert.asymmetry_bound == pytest.approx(
+                zr.komlos_asymmetry_bound(cert.m_hat, cert.observed_spread), abs=1e-15)
+
+
+def test_komlos_extract_colors_exactly_past_int64():
+    """From ``t = n`` on, colors separate every count and keep its order,
+    so a ``t`` whose products leave int64 selects what ``t = n`` does.  In
+    int64, ``2**62 * 4`` wraps to 0, and every pair of this book would
+    share one color."""
+    code = zr.Codebook(((0, 0, 0, 0),) * 3 + ((1, 1, 1, 1),) * 3, 2)
+    for t in (4, 2**62):
         selected, cert = zr.komlos_extract(code, t=t, target=6)
-        assert len(selected) == cert.m_hat == len(set(selected))
-        assert cert.t == t
-        # spread below the coloring resolution
-        assert cert.observed_spread < F(1, t)
-        for i in selected:
-            for j in selected:
-                if i < j:
-                    jt1 = zr.joint_type(code.words[i], code.words[j], 2)
-                    jt2 = zr.joint_type(code.words[j], code.words[i], 2)
-                    for a in range(2):
-                        for b in range(2):
-                            assert abs(jt1[a][b] - jt2[a][b]) <= cert.observed_asymmetry
-        assert float(cert.observed_asymmetry) <= cert.asymmetry_bound + 1e-12
-        assert cert.asymmetry_bound == pytest.approx(
-            zr.komlos_asymmetry_bound(cert.m_hat, cert.observed_spread), abs=1e-15)
+        assert selected == (3, 4, 5) and not cert.target_met
+        assert cert.observed_spread == cert.observed_asymmetry == 0
 
 
 def test_komlos_same_color_means_close_types(rng):
@@ -269,6 +286,23 @@ def test_certificate_anchor_and_tilt_fields(bsc_pair, rng):
     assert 0.0 <= cert.s_bar_anchor <= cert.s_cap + 1e-12 or cert.s_bar_anchor == math.inf
     assert cert.k_const > 0
     assert cert.delta == pytest.approx(zr.delta_closeness(cert.m_hat, cert.t), abs=1e-15)
+
+
+def test_each_codebook_command_solves_one_book_batch(bsc_pair, tmp_path, monkeypatch, capsys):
+    """``dmin`` takes its rate cap from the minimum it has; the certificate
+    reads the subcode pairs and the book's minimum from one batch."""
+    calls = []
+    batch = codebook._book_sups
+    monkeypatch.setattr(codebook, "_book_sups", lambda *args: calls.append(1) or batch(*args))
+    code = zr.Codebook(((0, 0, 1, 1), (0, 1, 0, 1), (1, 1, 0, 0), (1, 0, 1, 1), (0, 0, 0, 1)), 2)
+    pair_path, code_path = tmp_path / "pair.json", tmp_path / "code.txt"
+    pair_path.write_text(json.dumps(zr.serialize_pair(bsc_pair)))
+    code_path.write_text(zr.serialize_codebook(code))
+    cli.run(["dmin", "--pair", str(pair_path), "--code", str(code_path)])
+    capsys.readouterr()
+    assert len(calls) == 1
+    zr.dmin_certificate(bsc_pair, code, (0, 1, 2), t=2)
+    assert len(calls) == 2
 
 
 def test_pe_lower_bound_from_dmin(bsc_pair):

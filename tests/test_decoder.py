@@ -205,6 +205,10 @@ def test_monte_carlo_is_bit_for_bit_deterministic(bsc_pair):
 def test_monte_carlo_rejects_a_negative_seed(bsc_pair):
     with pytest.raises(zr.ValidationError):
         zr.monte_carlo_error(bsc_pair, zr.Codebook(((0,), (1,)), 2), trials=10, seed=-1)
+    # empirical_exponent rejects it up front, on its exact and its sampled route alike
+    for budget in (1_000_000, 3):
+        with pytest.raises(zr.ValidationError):
+            zr.empirical_exponent(bsc_pair, 0, 1, (4,), seed=-1, budget=budget)
 
 
 def test_monte_carlo_interval_covers_exact(bsc_pair):

@@ -77,17 +77,20 @@ def test_package_never_reads_the_extremal_ratios_oracle():
 
 def test_book_distances_never_loop_over_word_pairs():
     """``d_min``, ``distance_matrix`` and ``dmin_certificate`` read one batch
-    of sequence suprema; the scalar ``pair_distance`` and ``sequence_sup``
-    stay for single pairs and as the batch's test oracle."""
+    of sequence suprema, and they, ``komlos_extract`` and ``plotkin_identity``
+    read one letter-pair count array (``_pair_counts``); the scalar
+    ``pair_distance``, ``sequence_sup`` and ``joint_counts`` stay for single
+    pairs and as the batch's test oracles."""
     tree = ast.parse((ROOT / "src" / "zerorate" / "codebook.py").read_text())
     funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-    for name in ("d_min", "distance_matrix", "dmin_certificate"):
+    for name in ("d_min", "distance_matrix", "dmin_certificate", "komlos_extract",
+                 "plotkin_identity"):
         calls = [
             n.lineno for n in ast.walk(funcs[name])
-            if isinstance(n, ast.Call)
-            and ast.unparse(n.func).rsplit(".", 1)[-1] in ("pair_distance", "sequence_sup")
+            if isinstance(n, ast.Call) and ast.unparse(n.func).rsplit(".", 1)[-1]
+            in ("pair_distance", "sequence_sup", "joint_counts")
         ]
-        assert calls == [], f"{name} solves word pairs one at a time on lines {calls}"
+        assert calls == [], f"{name} handles word pairs one at a time on lines {calls}"
 
 
 def _loops_above(tree):
