@@ -63,23 +63,33 @@ class Codebook:
     alphabet_size: int
 
     def __post_init__(self):
-        words = tuple(tuple(int(v) for v in w) for w in self.words)
-        object.__setattr__(self, "words", words)
+        rows = [tuple(w) for w in self.words]
         if self.alphabet_size < 1:
             raise ValidationError("alphabet size must be positive")
-        if len(words) < 2:
+        if len(rows) < 2:
             raise ValidationError("a codebook needs at least two codewords")
-        n = len(words[0])
+        n = len(rows[0])
         if n < 1:
             raise ValidationError("codewords must be nonempty")
-        for idx, w in enumerate(words):
-            if len(w) != n:
-                raise ValidationError(f"codeword {idx} has length {len(w)}, expected {n}")
-            for v in w:
-                if not 0 <= v < self.alphabet_size:
-                    raise ValidationError(
-                        f"codeword {idx} contains symbol {v} outside [0, {self.alphabet_size})"
-                    )
+        # Words are checked in order, each for its length and then its
+        # symbols: the first ragged word ends the range check.
+        ragged = next((i for i, w in enumerate(rows) if len(w) != n), len(rows))
+        try:
+            x = np.array(rows[:ragged], dtype=np.int64)
+        except OverflowError:
+            x = np.array(rows[:ragged], dtype=object)
+        bad = (x < 0) | (x >= self.alphabet_size)
+        if bad.any():
+            idx = int(bad.any(axis=1).argmax())
+            raise ValidationError(
+                f"codeword {idx} contains symbol {x[idx, bad[idx].argmax()]} "
+                f"outside [0, {self.alphabet_size})"
+            )
+        if ragged < len(rows):
+            raise ValidationError(
+                f"codeword {ragged} has length {len(rows[ragged])}, expected {n}"
+            )
+        object.__setattr__(self, "words", tuple(map(tuple, x.tolist())))
 
     @property
     def n(self) -> int:
@@ -128,7 +138,7 @@ def parse_codebook(text: str) -> Codebook:
         if len(parts) != n:
             raise ValidationError(f"codeword {idx} has {len(parts)} symbols, expected {n}")
         try:
-            words.append(tuple(int(v) for v in parts))
+            words.append(list(map(int, parts)))
         except ValueError as exc:
             raise ValidationError(f"codeword {idx} contains a non-integer symbol") from exc
     return Codebook(tuple(words), nx)
@@ -234,6 +244,16 @@ def d_min(pair: KernelSource, code: Codebook) -> tuple[float, tuple[int, int]]:
     return _argmin(i, j, _distances(value, code.n))
 
 
+def _plotkin_sides(code: Codebook) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the counting identity for every letter pair, times ``n``:
+    ``lhs[a, b]`` sums the letter-pair counts ``(a, b)`` over all ordered
+    word pairs, ``rhs[a, b]`` sums ``M_c(a) M_c(b)`` over the columns ``c``
+    (as Python integers)."""
+    lhs = _pair_counts(code.words, code.alphabet_size).sum(axis=(0, 1))
+    cols = code.column_counts().astype(object)
+    return lhs, cols.T @ cols
+
+
 def plotkin_identity(code: Codebook, a: int, b: int) -> tuple[Fraction, Fraction]:
     """Both sides of the pair-counting identity for distinct letters:
     summing the joint type entry ``(a, b)`` over all ordered codeword
@@ -246,23 +266,17 @@ def plotkin_identity(code: Codebook, a: int, b: int) -> tuple[Fraction, Fraction
             "the counting identity is stated for distinct letters; "
             "the diagonal picks up a -M_c(a) correction"
         )
-    n = code.n
     # a word against itself counts only equal letters, so i == j adds nothing here
-    lhs = Fraction(int(_pair_counts(code.words, nx)[:, :, a, b].sum()), n)
-    cols = code.column_counts()
-    rhs = Fraction(int(np.sum(cols[:, a].astype(object) * cols[:, b].astype(object))), n)
-    return lhs, rhs
+    lhs, rhs = _plotkin_sides(code)
+    return Fraction(int(lhs[a, b]), code.n), Fraction(int(rhs[a, b]), code.n)
 
 
 def plotkin_holds(code: Codebook) -> bool:
-    """Exact check of the counting identity over every distinct letter pair."""
-    for a in range(code.alphabet_size):
-        for b in range(code.alphabet_size):
-            if a != b:
-                lhs, rhs = plotkin_identity(code, a, b)
-                if lhs != rhs:
-                    return False
-    return True
+    """Exact check of the counting identity over every distinct letter
+    pair, from one count of the book's letter pairs and its columns."""
+    lhs, rhs = _plotkin_sides(code)
+    off = ~np.eye(code.alphabet_size, dtype=bool)
+    return all(int(left) == right for left, right in zip(lhs[off], rhs[off]))
 
 
 # -- near-regular subcode extraction --------------------------------------------

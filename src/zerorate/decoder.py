@@ -96,17 +96,16 @@ def _words_of(code, expect: Optional[int] = None) -> tuple[tuple[int, ...], ...]
         raise PreconditionError(f"expected exactly {expect} codewords, got {len(words)}")
     if len(words) < 2:
         raise PreconditionError("need at least two codewords")
-    n = len(words[0])
-    if n < 1 or any(len(w) != n for w in words):
+    lengths = [len(w) for w in words]
+    if min(lengths) < 1 or min(lengths) != max(lengths):
         raise ValidationError("codewords must be nonempty and of equal length")
     return words
 
 
 def _check_symbols(words, nx: int) -> None:
-    for w in words:
-        for v in w:
-            if not 0 <= v < nx:
-                raise ValidationError(f"symbol {v} outside the input alphabet")
+    if min(map(min, words)) < 0 or max(map(max, words)) >= nx:
+        bad = next(v for w in words for v in w if not 0 <= v < nx)
+        raise ValidationError(f"symbol {bad} outside the input alphabet")
 
 
 def _multinomial(counts: Sequence[int]) -> int:
@@ -345,28 +344,37 @@ def monte_carlo_error(
     """Sampled decoding error of a codebook of any size.
 
     Messages are drawn uniformly, outputs from the channel, and the
-    decoder compares log metrics in floats: a block of trials becomes a
-    one-hot matrix over (position, output) and one product with the
-    per-word log-metric matrix scores every codeword.  A zero metric
-    entry has no finite log, so it enters that product as 0 and a second
-    product counts each word's zero entries; a word with any is scored
-    ``-inf``.  Any codeword within a small float margin of the leader is
-    re-scored exactly, so winners and ties are decided by exact
-    arithmetic.  The re-check counts how often each distinct metric value
-    occurs in every candidate's product (see :func:`_metric_counts`):
-    when all candidates of a trial share one count vector they are
-    exactly the tied leaders, and only a trial whose vectors differ
-    compares ``prod v^c`` across its candidates, as integer products
-    (:func:`_leaders`).  Errors and tie events of a block follow from
-    the winner mask by array steps, and the ``equiprobable`` picks of a
-    block are one ``tie_rng`` draw with one bound per tied trial, in
-    trial order, which takes the same stream as one draw per trial.
+    decoder compares log metrics in floats.  A block of trials samples
+    its outputs by comparing its uniform draws with its messages' rows
+    of the per-word channel thresholds (the cumulative channel entries
+    of each word's letters), writes them as a one-hot matrix over
+    (position, output) with one flat index, and scores every codeword
+    with one product against the per-word log-metric matrix.  A zero
+    metric entry has no finite log, so it enters that product as 0 and
+    a second product counts each word's zero entries; a word with any is
+    scored ``-inf``.  Any codeword within a small float margin of the
+    leader is re-scored exactly, so winners and ties are decided by
+    exact arithmetic.  The re-check counts how often each distinct
+    metric value occurs in every candidate's product (see
+    :func:`_metric_counts`), with one ``bincount`` over the value indices
+    of all candidates' entries at their trials' outputs, read from a
+    per-word index table built once per call.  When all candidates of a
+    trial share one count vector they are exactly the tied leaders, and
+    only a trial whose vectors differ compares ``prod v^c`` across its
+    candidates, as integer products (:func:`_leaders`).  Errors and tie
+    events of a block follow from the winner mask by array steps, and
+    the ``equiprobable`` picks of a block are one ``tie_rng`` draw with
+    one bound per tied trial, in trial order, which takes the same
+    stream as one draw per trial.
 
     The stream splits into fixed chunks with spawned seeds, making the
     result reproducible and the merge order-independent.  Each chunk
     draws its messages first and then its outputs block by block, which
-    is the same random stream as one draw; the block bounds the working
-    arrays, so memory does not grow with ``trials``.
+    is the same random stream as one draw.  The thresholds, the scoring
+    matrices, the value-index table and the working arrays of one block
+    are built once per call; each block fills the leading rows of the
+    working arrays in place, so memory does not grow with ``trials`` and
+    no block allocates a working array of its own.
     """
     if trials < 1:
         raise PreconditionError("trials must be positive")
@@ -376,25 +384,47 @@ def monte_carlo_error(
         raise ValidationError(f"unknown tie policy {tie_policy!r}")
     words = _words_of(code)
     _check_symbols(words, pair.nx)
-    m_count = len(words)
-    n = len(words[0])
+    wd = np.array(words, dtype=np.int64)
+    m_count, n = wd.shape
+    ny = pair.ny
 
     cum = np.cumsum(np.array([[float(v) for v in row] for row in pair.W]), axis=1)
     zero = np.array([[v == 0 for v in row] for row in pair.q])
     lq = np.log(np.array([[float(v) if v > 0 else 1.0 for v in row] for row in pair.q]))
-    wd = np.array(words, dtype=np.int64)
+    # thresholds[k, m, t] is the k-th cumulative channel entry of word m's
+    # letter at position t; cum is nondecreasing along y, so counting the
+    # thresholds a uniform draw reaches gives its output, and leaving out
+    # the last column clips y at ny - 1.
+    thresholds = np.ascontiguousarray(cum[:, :-1].T[:, wd])
     # Row t*ny + y of the scoring matrices belongs to output y at position t;
     # zero metric entries score 0 in ``lmat`` and are counted by ``zmat``.
-    lmat = lq[wd].reshape(m_count, n * pair.ny).T
-    zmat = zero[wd].reshape(m_count, n * pair.ny).T.astype(float) if zero.any() else None
-    offsets = np.arange(n) * pair.ny
+    lmat = lq[wd].reshape(m_count, n * ny).T
+    zmat = zero[wd].reshape(m_count, n * ny).T.astype(float) if zero.any() else None
     counts = _metric_counts(pair)
     values = _metric_values(pair)
+    n_values = counts.shape[2]
+    # value_index[m * n * ny + t * ny + y] indexes word m's metric entry at
+    # position t and output y among the distinct values; near candidates
+    # have no zero entry, so the index 0 a zero entry gets is never read.
+    value_index = counts.argmax(axis=2)[wd].reshape(-1)
 
     sizes = [_CHUNK] * (trials // _CHUNK)
     if trials % _CHUNK:
         sizes.append(trials % _CHUNK)
     children = np.random.SeedSequence(seed).spawn(len(sizes))
+
+    # Working arrays of the largest block; each block fills their leading rows.
+    rows = min(_BLOCK, sizes[0])
+    reach_buf = np.empty((rows, n), dtype=bool)
+    index_buf = np.empty((rows, n), dtype=np.int64)
+    # Output y at position t of row r sits at r*n*ny + t*ny + y of the flat
+    # one-hot.  Until a block's outputs are known it holds the block's uniform
+    # draws and thresholds, so it has room for two floats per position.
+    row_start = np.arange(rows)[:, None] * (n * ny)
+    letter_start = np.arange(n) * ny
+    flat_onehot = np.zeros(rows * n * max(ny, 2))
+    score_buf = np.empty((rows, m_count))
+    zero_buf = np.empty((rows, m_count)) if zmat is not None else None
 
     errors = np.zeros(m_count, dtype=np.int64)
     sent = np.zeros(m_count, dtype=np.int64)
@@ -408,30 +438,29 @@ def monte_carlo_error(
         sent += np.bincount(chunk_msgs, minlength=m_count)
         for lo in range(0, size, _BLOCK):
             msgs = chunk_msgs[lo:lo + _BLOCK]
-            letters = wd[msgs]
-            u = rng.random((len(msgs), n))
-            # cum is nondecreasing along y, so these indicators are monotone
-            # in k; leaving out the last column clips y at ny - 1.
-            y = np.zeros((len(msgs), n), dtype=np.int64)
-            for k in range(pair.ny - 1):
-                y += u >= cum[:, k][letters]
-            # Block-sized arrays are dropped as soon as they are spent, so
-            # the next one does not raise the peak working set.
-            del u, letters
+            b = len(msgs)
+            u = rng.random(out=flat_onehot[:b * n].reshape(b, n))
+            cut = flat_onehot[b * n:2 * b * n].reshape(b, n)
+            index = np.add(row_start[:b], letter_start, out=index_buf[:b])
+            for k in range(ny - 1):
+                np.take(thresholds[k], msgs, axis=0, out=cut, mode="clip")
+                index += np.greater_equal(u, cut, out=reach_buf[:b])
 
-            onehot = np.zeros((len(msgs), n * pair.ny))
-            np.put_along_axis(onehot, offsets + y, 1.0, axis=1)
-            scores = onehot @ lmat
+            onehot = flat_onehot[:b * n * ny].reshape(b, n * ny)
+            onehot.fill(0.0)
+            flat_onehot[index] = 1.0
+            scores = np.matmul(onehot, lmat, out=score_buf[:b])
             if zmat is not None:
-                scores[onehot @ zmat > 0] = -INF
-            del onehot
-            best = scores.max(axis=1)
+                scores[np.matmul(onehot, zmat, out=zero_buf[:b]) > 0] = -INF
+            top = scores.argmax(axis=1)
+            best = scores[np.arange(b), top]
             margin = _NEAR_TIE * np.maximum(1.0, np.abs(best))
             near = scores >= (best - margin)[:, None]
 
+            # A trial with one near candidate is decided by it; the hard
+            # trials' errors are overwritten below.
             easy = near.sum(axis=1) == 1
-            err_mask = np.zeros(len(msgs), dtype=bool)
-            err_mask[easy] = scores.argmax(axis=1)[easy] != msgs[easy]
+            err_mask = top != msgs
 
             # Exact re-check of the near candidates of every hard trial, grouped
             # by trial.  The sent word's metric is positive, so every near
@@ -439,14 +468,20 @@ def monte_carlo_error(
             hard = np.nonzero(~easy)[0]
             truth = msgs[hard]
             group, cand = np.nonzero(near[hard])
-            acc = counts[wd[cand], y[hard[group]]].sum(axis=1)
+            # index[r] holds r*n*ny + t*ny + y_t; shifted by (c - r)*n*ny it reads
+            # candidate c's value index at each of trial r's outputs, and one
+            # bincount tallies them per candidate.
+            trial = hard[group]
+            keys = value_index[index[trial] + ((cand - trial) * (n * ny))[:, None]]
+            keys += np.arange(len(cand))[:, None] * n_values
+            acc = np.bincount(keys.ravel(), minlength=len(cand) * n_values).reshape(-1, n_values)
             # A trial is settled when all its candidates share one vector: they
             # are then exactly its tied leaders.  Only the others compare
             # products, from the same vectors.
             bounds = np.searchsorted(group, np.arange(len(hard) + 1))
-            unsettled = np.zeros(len(hard), dtype=bool)
-            unsettled[group[(acc != acc[bounds[group]]).any(axis=1)]] = True
-            win = np.ones(len(cand), dtype=bool)
+            differs = (acc != acc[bounds[group]]).any(axis=1)
+            unsettled = np.bincount(group[differs], minlength=len(hard)) > 0
+            win = ~unsettled[group]         # the unsettled trials' rows are set below
             for j in np.nonzero(unsettled)[0]:
                 lo, hi = bounds[j], bounds[j + 1]
                 win[lo:hi] = _leaders(values, acc[lo:hi])
@@ -467,7 +502,6 @@ def monte_carlo_error(
                 pick = cand[win][np.searchsorted(group[win], tied) + picks]
                 hard_err[tied] = pick != truth[tied]
             err_mask[hard] = hard_err
-            del y, scores, near
 
             errors += np.bincount(msgs[err_mask], minlength=m_count)
 

@@ -28,6 +28,39 @@ def test_codebook_validation():
     assert code.n == 2 and code.size == 2
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: zr.Codebook(((0, 1, 0), (1, 0), (0, 0, 0)), 2), "codeword 1 has length 2, expected 3"),
+    (lambda: zr.Codebook(((0, 1, 0), (1, 2, 0), (0, 3, 0)), 2),
+     "codeword 1 contains symbol 2 outside [0, 2)"),
+    (lambda: zr.Codebook(((0, 1, 0), (1, 0, -1)), 2), "codeword 1 contains symbol -1 outside [0, 2)"),
+    (lambda: zr.Codebook(((0, 1), (0, 5), (1,)), 2), "codeword 1 contains symbol 5 outside [0, 2)"),
+    (lambda: zr.Codebook(((0, 1), (0, 2**64)), 2), "codeword 1 contains symbol 18446744073709551616 "
+     "outside [0, 2)"),
+    (lambda: zr.Codebook(((), ()), 2), "codewords must be nonempty"),
+    (lambda: zr.Codebook(((0, 1),), 2), "a codebook needs at least two codewords"),
+    (lambda: zr.Codebook(((0,), (0,)), 0), "alphabet size must be positive"),
+    (lambda: zr.parse_codebook("2 3 2\n0 1\n1 x\n0 y\n"), "codeword 1 contains a non-integer symbol"),
+    (lambda: zr.parse_codebook("2 3 2\n0 1\n1 x\n0\n"), "codeword 1 contains a non-integer symbol"),
+    (lambda: zr.parse_codebook("2 2 2\n0 1\n1 2\n"), "codeword 1 contains symbol 2 outside [0, 2)"),
+], ids=["ragged", "at-alphabet-size", "negative", "range-before-ragged", "past-int64", "empty-word",
+        "one-word", "alphabet", "parse-token", "parse-token-before-ragged", "parse-range"])
+def test_codebook_validation_messages(build, message):
+    """Exact messages, naming the first offending word and symbol."""
+    with pytest.raises(zr.ValidationError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_codebook_words_are_python_ints():
+    code = zr.Codebook([np.array([0, 1]), [np.int64(1), 1]], 2)
+    assert code.words == ((0, 1), (1, 1))
+    assert type(code.words) is tuple
+    assert all(type(w) is tuple and all(type(v) is int for v in w) for w in code.words)
+    parsed = zr.parse_codebook("2 2 3\n0 2\n1 0\n")
+    assert parsed.words == ((0, 2), (1, 0))
+    assert all(type(w) is tuple and all(type(v) is int for v in w) for w in parsed.words)
+
+
 def test_codebook_text_round_trip(rng):
     for _ in range(10):
         code = random_codebook(rng, n=6, m=4, nx=3)
@@ -144,6 +177,14 @@ def test_plotkin_identity_exact_on_random_books(rng):
                 assert isinstance(lhs, Fraction) and isinstance(rhs, Fraction)
                 assert lhs == rhs
         assert zr.plotkin_holds(code)
+
+
+def test_plotkin_holds_counts_letter_pairs_once(rng, monkeypatch):
+    calls = []
+    count = codebook._pair_counts
+    monkeypatch.setattr(codebook, "_pair_counts", lambda *args: calls.append(1) or count(*args))
+    assert zr.plotkin_holds(random_codebook(rng, n=7, m=5, nx=3))
+    assert len(calls) == 1
 
 
 def test_plotkin_identity_rejects_diagonal():

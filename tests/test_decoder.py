@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zerorate as zr
+from zerorate import decoder
 from zerorate.decoder import _metric_counts
 
 from conftest import random_codebook, random_full_support_pair
@@ -211,6 +212,25 @@ def test_monte_carlo_rejects_a_negative_seed(bsc_pair):
             zr.empirical_exponent(bsc_pair, 0, 1, (4,), seed=-1, budget=budget)
 
 
+def test_decoders_name_the_first_symbol_outside_the_pair_alphabet(bsc_pair):
+    cases = [
+        (lambda: zr.monte_carlo_error(bsc_pair, ((0, 1), (1, 2), (3, 0)), trials=10),
+         "symbol 2 outside the input alphabet"),
+        (lambda: zr.monte_carlo_error(bsc_pair, zr.Codebook(((0, 2), (1, 0)), 3), trials=10),
+         "symbol 2 outside the input alphabet"),
+        (lambda: zr.exact_error_probabilities(bsc_pair, ((0, -1), (1, 0))),
+         "symbol -1 outside the input alphabet"),
+        (lambda: zr.monte_carlo_error(bsc_pair, ((0, 1), (0, 2**63)), trials=10),
+         "symbol 9223372036854775808 outside the input alphabet"),
+        (lambda: zr.exact_error_probabilities(bsc_pair, ((0, 1), (1,))),
+         "codewords must be nonempty and of equal length"),
+    ]
+    for call, message in cases:
+        with pytest.raises(zr.ValidationError) as err:
+            call()
+        assert str(err.value) == message
+
+
 def test_monte_carlo_interval_covers_exact(bsc_pair):
     code = zr.Codebook(((0, 0), (1, 1)), 2)
     exact = zr.exact_error_probabilities(bsc_pair, code).average
@@ -258,11 +278,44 @@ MONTE_CARLO_PINS = {
     ("bsc", "genie_correct", 9000): (2094, 1553, 'b9a3e400f88a3a1f'),
 }
 
+# Recorded before the Monte Carlo blocks reused buffers allocated once per
+# call.  "ternary" is a full-support ny = 3 pair (two threshold comparisons
+# per letter, no zero metric entries) that ties often; "leaders" has the
+# metric values 4/9, 2/3 and 1, so unequal count vectors tie and the exact
+# comparison of :func:`_leaders` runs; "generic" has nine distinct metric
+# values and no block with a hard trial.  8193 trials end in a seed chunk
+# of a single trial.
+MONTE_CARLO_PINS.update({
+    ("ternary", "equiprobable", 1025): (807, 519, '3eed2e8d56366e8c'),
+    ("ternary", "as_error", 1025): (886, 519, '608c156f4d907d58'),
+    ("leaders", "equiprobable", 1025): (952, 385, '53d73a02f5aca97d'),
+    ("leaders", "genie_correct", 1025): (897, 385, '0adc95ab3c635e74'),
+    ("bsc", "equiprobable", 8193): (2440, 1408, '62dafd84c25b92a0'),
+    ("typewriter", "as_error", 8193): (2450, 1958, '10ce0f8ee52d629a'),
+    ("generic", "equiprobable", 3072): (791, 0, '067e03d326a240cf'),
+})
+
 
 def _monte_carlo_book(name, request):
     if name == "typewriter":
         return request.getfixturevalue("typewriter_pair"), random_codebook(
             np.random.default_rng(3), 4, 12, 3)
+    if name == "ternary":
+        W = [[F(1, 4)] * 3 for _ in range(3)]
+        q = [[F(1, 5)] * 3 for _ in range(3)]
+        for x in range(3):
+            W[x][x], q[x][x] = F(1, 2), F(3, 5)
+        return zr.pair_from_rows(W, q), random_codebook(np.random.default_rng(11), 6, 16, 3)
+    if name == "generic":
+        W = [[F(1, 5)] * 3 for _ in range(3)]
+        for x in range(3):
+            W[x][x] = F(3, 5)
+        q = [[F(7, 10), F(1, 5), F(1, 10)], [F(2, 7), F(4, 7), F(1, 7)], [F(1, 6), F(1, 3), F(1, 2)]]
+        return zr.pair_from_rows(W, q), random_codebook(np.random.default_rng(13), 16, 8, 3)
+    if name == "leaders":
+        W = [[F(1, 2), F(1, 2)], [F(1, 3), F(2, 3)]]
+        q = [[F(4, 9), F(1)], [F(2, 3), F(2, 3)]]
+        return zr.pair_from_rows(W, q), random_codebook(np.random.default_rng(17), 8, 6, 2)
     return request.getfixturevalue("bsc_pair"), random_codebook(np.random.default_rng(7), 32, 64, 2)
 
 
@@ -275,6 +328,28 @@ def test_monte_carlo_outcomes_are_pinned(key, request):
     digest = hashlib.sha256(",".join(float(v).hex() for v in fields).encode()).hexdigest()
     assert (round(out.average * trials), round(out.tie_mass * trials), digest[:16]) == \
         MONTE_CARLO_PINS[key]
+
+
+def test_monte_carlo_on_a_single_output_channel():
+    """With one output letter every trial sees the same metric products:
+    here both words score 1/2, so every trial ties."""
+    pair = zr.pair_from_rows(((F(1),), (F(1),)), ((F(1),), (F(1, 2),)))
+    code = zr.Codebook(((0, 1), (1, 0)), 2)
+    for trials in (1, 1025):
+        out = zr.monte_carlo_error(pair, code, trials, seed=3, tie_policy="as_error")
+        assert out.average == 1.0 and out.tie_mass == 1.0
+        assert zr.monte_carlo_error(pair, code, trials, seed=3, tie_policy="genie_correct").average == 0.0
+
+
+def test_monte_carlo_leaders_pin_compares_unequal_count_vectors(request, monkeypatch):
+    """The "leaders" book settles some hard trials by the exact product
+    comparison, not only by shared count vectors."""
+    calls = []
+    leaders = decoder._leaders
+    monkeypatch.setattr(decoder, "_leaders", lambda *args: calls.append(1) or leaders(*args))
+    pair, code = _monte_carlo_book("leaders", request)
+    zr.monte_carlo_error(pair, code, 1025, seed=5)
+    assert calls
 
 
 def test_monte_carlo_reports_python_floats(request):

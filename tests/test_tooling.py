@@ -2,7 +2,8 @@
 knobs that something reads, the one float evaluator of the kernel, the
 zero-error oracle that production code must not call, the book-level
 distance functions that must not fall back to a per-pair loop, and the
-decoders' integer keys and Monte Carlo's one tie draw per block."""
+decoders' integer keys, Monte Carlo's one tie draw per block and its
+block loop that allocates no working array."""
 
 import ast
 import dataclasses
@@ -108,6 +109,13 @@ def _loops_above(tree):
     return above
 
 
+def _is_product(node):
+    """A matrix product, as the ``@`` operator or as a ``np.matmul`` call."""
+    if isinstance(node, ast.BinOp):
+        return isinstance(node.op, ast.MatMult)
+    return isinstance(node, ast.Call) and ast.unparse(node.func) == "np.matmul"
+
+
 def test_decoders_key_on_metric_counts():
     """Both decoders key outputs on ``_metric_counts`` value counts: no
     function they reach in ``decoder.py`` builds a ``Fraction`` in a loop,
@@ -136,7 +144,7 @@ def test_decoders_key_on_metric_counts():
             assert in_loops == [], f"{fn} (reached from {name}) builds Fractions in a loop: {in_loops}"
 
     mc = funcs["monte_carlo_error"]
-    scoring = [n for n in ast.walk(mc) if isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)]
+    scoring = [n for n in ast.walk(mc) if _is_product(n)]
     draws = [
         n for n in ast.walk(mc)
         if isinstance(n, ast.Call) and ast.unparse(n.func).startswith("tie_rng.")
@@ -144,3 +152,23 @@ def test_decoders_key_on_metric_counts():
     assert scoring and draws
     for draw in draws:
         assert above[draw] == above[scoring[0]], f"tie_rng is drawn inside a loop on line {draw.lineno}"
+
+
+def test_monte_carlo_blocks_allocate_no_working_arrays():
+    """The block loop of ``monte_carlo_error`` (the loop around its scoring
+    product) fills buffers allocated once per call: it makes no array with
+    ``np.zeros``, ``np.empty``, ``np.ones`` or ``np.full`` and scatters no
+    one-hot row with ``put_along_axis``."""
+    tree = ast.parse((ROOT / "src" / "zerorate" / "decoder.py").read_text())
+    mc = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "monte_carlo_error")
+    above = _loops_above(tree)
+    scoring = [n for n in ast.walk(mc) if _is_product(n) and above[n]]
+    assert scoring
+    block = above[scoring[0]][-1]
+    banned = {"zeros", "empty", "ones", "full", "zeros_like", "empty_like", "ones_like",
+              "full_like", "put_along_axis"}
+    made = [
+        (n.lineno, ast.unparse(n.func)) for n in ast.walk(block)
+        if isinstance(n, ast.Call) and ast.unparse(n.func).rsplit(".", 1)[-1] in banned
+    ]
+    assert made == [], f"the Monte Carlo block loop allocates working arrays: {made}"
