@@ -15,25 +15,35 @@ Admissibility, enforced at construction time:
   (``W(y|x) > 0`` implies ``q(x, y) > 0``), so a transmitted codeword is
   never ranked at metric zero on an output it can actually produce.
 
-The exact facts of each ordered input pair (usable outputs, weights,
-metric ratios, extreme ratio, tail mass, affinity) live in one table,
-:attr:`ChannelMetricPair.directions`, built once per pair object and
-read by the zero-error decisions and the kernels alike.
+Every exact step reads one integer view of the entries,
+:func:`integer_view`: each row as integer numerators over the
+least common denominator of the row, read once when the pair is built.
+Signs are numerator signs, row sums are integer sums, and metric ratios
+are ordered by cross-multiplying integers; a ``Fraction`` is built only
+for a value that is stored.  The exact facts of each ordered input pair
+(usable outputs, weights, metric ratios, extreme ratio, tail mass,
+overlap mass, affinity) live in one table,
+:attr:`ChannelMetricPair.directions`, built once per pair object from
+that view and read by the zero-error decisions and the kernels alike.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+import re
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import ValidationError
 
 Rational = Fraction
 EntryLike = Union[int, float, str, Fraction]
+
+# A plain ASCII "[+-]digits[/digits]" entry; anything else goes to Fraction(str).
+_PLAIN_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _to_fraction(value: EntryLike, where: str) -> Fraction:
@@ -42,8 +52,18 @@ def _to_fraction(value: EntryLike, where: str) -> Fraction:
     Strings are parsed as ``"num/den"`` (or a plain integer/decimal
     literal); numbers are converted through their decimal representation
     so that a JSON ``0.1`` means one tenth, not the nearest binary float.
+    A plain ASCII ``[+-]digits[/digits]`` string is read as two integers;
+    every other string takes the ``Fraction(str)`` parser, with the same
+    value and the same errors.
     """
     try:
+        if isinstance(value, str):
+            text = value.strip()
+            plain = _PLAIN_RATIONAL.fullmatch(text)
+            if plain is None:
+                return Fraction(text)
+            num, den = plain.groups()
+            return Fraction(int(num), int(den) if den else 1)
         if isinstance(value, Fraction):
             return value
         if isinstance(value, bool):
@@ -52,8 +72,6 @@ def _to_fraction(value: EntryLike, where: str) -> Fraction:
             return Fraction(value)
         if isinstance(value, float):
             return Fraction(str(value))
-        if isinstance(value, str):
-            return Fraction(value.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"{where}: cannot parse entry {value!r} as a rational") from exc
     raise ValidationError(f"{where}: unsupported entry type {type(value).__name__}")
@@ -72,6 +90,38 @@ def _parse_matrix(raw: object, rows: int, cols: int, where: str) -> tuple[tuple[
             raise ValidationError(f"{where}[{i}]: expected {cols} entries, got {len(row)}")
         out.append(tuple(_to_fraction(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)))
     return tuple(out)
+
+
+class IntegerRows(NamedTuple):
+    """A rational matrix as integers: row ``a`` is ``nums[a]`` over
+    ``dens[a]``, the least common denominator of the row's entries."""
+
+    nums: tuple[tuple[int, ...], ...]
+    dens: tuple[int, ...]
+
+
+def _integer_rows(rows: Sequence[Sequence[Union[Fraction, int]]]) -> IntegerRows:
+    dens = tuple(math.lcm(*(v.denominator for v in row)) for row in rows)
+    nums = tuple(tuple(v.numerator * (d // v.denominator) for v in row)
+                 for row, d in zip(rows, dens))
+    return IntegerRows(nums=nums, dens=dens)
+
+
+def _kept(pair, name: str, build):
+    """``build(pair)``, built on first use and kept in the pair object's
+    attribute dict, as :func:`functools.cached_property` keeps its value,
+    so equality, hashing and pickling ignore it.  Any object with the
+    pair's rows (``nx``, ``ny``, ``W``, ``q``) keeps its own."""
+    cache = vars(pair)
+    if name not in cache:
+        cache[name] = build(pair)
+    return cache[name]
+
+
+def integer_view(pair) -> tuple[IntegerRows, IntegerRows]:
+    """``W`` and ``q`` of ``pair`` as integer rows, each entry's numerator
+    and denominator read once; kept on the pair object."""
+    return _kept(pair, "_integer_view", lambda p: (_integer_rows(p.W), _integer_rows(p.q)))
 
 
 @dataclass(frozen=True)
@@ -106,23 +156,38 @@ class ChannelMetricPair:
             raise ValidationError(f"W must be {nx}x{ny}")
         if len(self.q) != nx or any(len(row) != ny for row in self.q):
             raise ValidationError(f"q must be {nx}x{ny}")
-        for a, row in enumerate(self.W):
-            if any(v < 0 for v in row):
+        for name, rows in (("W", self.W), ("q", self.q)):
+            for a, row in enumerate(rows):
+                for y, v in enumerate(row):
+                    if not isinstance(v, (Fraction, int)) or isinstance(v, bool):
+                        raise ValidationError(
+                            f"{name}[{a}][{y}]: entry {v!r} is a {type(v).__name__}, "
+                            "expected a Fraction or an int"
+                        )
+        W, q = integer_view(self)
+        for a, (row, den) in enumerate(zip(W.nums, W.dens)):
+            if min(row) < 0:
                 raise ValidationError(f"W row {a} has a negative entry")
-            total = sum(row)
-            if total != 1:
-                raise ValidationError(f"W row {a} sums to {total}, expected exactly 1")
-        for a, row in enumerate(self.q):
-            if any(v < 0 for v in row):
+            if sum(row) != den:
+                raise ValidationError(
+                    f"W row {a} sums to {sum(self.W[a])}, expected exactly 1"
+                )
+        for a, row in enumerate(q.nums):
+            if min(row) < 0:
                 raise ValidationError(f"q row {a} has a negative entry")
-            if all(v == 0 for v in row):
+            if not any(row):
                 raise ValidationError(f"q row {a} is identically zero")
-        for a in range(nx):
-            for y in range(ny):
-                if self.W[a][y] > 0 and self.q[a][y] == 0:
+        for a, (w_row, q_row) in enumerate(zip(W.nums, q.nums)):
+            for y, (w, v) in enumerate(zip(w_row, q_row)):
+                if w > 0 and v == 0:
                     raise ValidationError(
                         f"inadmissible pair: W[{a}][{y}] > 0 but q[{a}][{y}] == 0"
                     )
+
+    def __getstate__(self) -> dict:
+        """Pickle the fields alone: the pickle carries none of the tables
+        kept on the pair, and the unpickled pair builds its own on first use."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def nx(self) -> int:
@@ -150,15 +215,11 @@ class _Direction:
     affine: bool                      # one ratio on all outputs (False when empty)
     a_min: Union[Fraction, float]     # min q(a,y)/q(b,y) over channel support (inf if empty)
     tail_mass: Fraction               # sum of W(y|a) over outputs attaining a_min
+    y_hat_mass: Fraction              # sum of W(y|a) over outputs (the metric overlap)
 
     @property
     def empty(self) -> bool:
         return not self.outputs
-
-    @property
-    def y_hat_mass(self) -> Fraction:
-        """Mass of ``W(.|a)`` on the metric-overlap outputs, all in :attr:`outputs`."""
-        return sum(self.weights, Fraction(0))
 
     @property
     def slope_limit(self) -> float:
@@ -177,28 +238,34 @@ class _Direction:
         kept = [(y, w) for y, w, r in zip(self.outputs, self.weights, self.ratios) if r == r_max]
         return replace(
             self, outputs=tuple(y for y, _ in kept), weights=tuple(w for _, w in kept),
-            ratios=(r_max,) * len(kept), affine=True,
+            ratios=(r_max,) * len(kept), affine=True, y_hat_mass=self.tail_mass,
         )
 
 
 def _build_direction(pair: ChannelMetricPair, a: int, b: int) -> _Direction:
-    outputs, weights, ratios = [], [], []
-    for y in range(pair.ny):
-        if pair.W[a][y] > 0 and pair.q[b][y] > 0:   # W(y|a) > 0 implies q(a,y) > 0
-            outputs.append(y)
-            weights.append(pair.W[a][y])
-            ratios.append(pair.q[b][y] / pair.q[a][y])
+    W, q = integer_view(pair)
+    wa, qa, qb = W.nums[a], q.nums[a], q.nums[b]
+    # W(y|a) > 0 implies q(a,y) > 0
+    outputs = tuple(y for y in range(pair.ny) if wa[y] > 0 and qb[y] > 0)
     if not outputs:
         return _Direction(outputs=(), weights=(), ratios=(), affine=False,
-                          a_min=math.inf, tail_mass=Fraction(0))
-    r_max = max(ratios)
+                          a_min=math.inf, tail_mass=Fraction(0), y_hat_mass=Fraction(0))
+    # q(b,y)/q(a,y) is qb[y]/qa[y] times a constant of the direction, so
+    # ratios order by cross-multiplying integers
+    top = outputs[0]
+    for y in outputs[1:]:
+        if qb[y] * qa[top] > qb[top] * qa[y]:
+            top = y
+    tied = [y for y in outputs if qb[y] * qa[top] == qb[top] * qa[y]]
+    den_a, den_b = q.dens[a], q.dens[b]
     return _Direction(
-        outputs=tuple(outputs),
-        weights=tuple(weights),
-        ratios=tuple(ratios),
-        affine=all(r == ratios[0] for r in ratios),
-        a_min=1 / r_max,
-        tail_mass=sum((w for w, r in zip(weights, ratios) if r == r_max), Fraction(0)),
+        outputs=outputs,
+        weights=tuple(pair.W[a][y] for y in outputs),
+        ratios=tuple(Fraction(qb[y] * den_a, qa[y] * den_b) for y in outputs),
+        affine=len(tied) == len(outputs),
+        a_min=Fraction(qa[top] * den_b, qb[top] * den_a),
+        tail_mass=Fraction(sum(wa[y] for y in tied), W.dens[a]),
+        y_hat_mass=Fraction(sum(wa[y] for y in outputs), W.dens[a]),
     )
 
 

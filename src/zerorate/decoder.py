@@ -27,7 +27,7 @@ from typing import Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .channel import ChannelMetricPair, _sign_of_power_product
+from .channel import ChannelMetricPair, _kept, _sign_of_power_product, integer_view
 from .errors import BudgetExceededError, PreconditionError, ValidationError, ZerorateError
 from .kernel import INF, _as_kernel, joint_counts
 
@@ -138,10 +138,16 @@ def type_counting_slack(pair: ChannelMetricPair, n: int) -> float:
 # -- value counts: the comparison key of both decoders ---------------------------
 
 
-def _metric_values(pair: ChannelMetricPair) -> list[Fraction]:
+def _metric_values(pair: ChannelMetricPair) -> tuple[Fraction, ...]:
     """The distinct positive metric entries, ascending: the value axis of
-    :func:`_metric_counts`."""
-    return sorted({v for row in pair.q for v in row if v > 0})
+    :func:`_metric_counts`.  Kept on the pair object."""
+
+    def build(pair):
+        _, q = integer_view(pair)
+        return tuple(sorted({v for row, nums in zip(pair.q, q.nums)
+                             for v, n in zip(row, nums) if n > 0}))
+
+    return _kept(pair, "_metric_values", build)
 
 
 def _metric_counts(pair: ChannelMetricPair) -> np.ndarray:
@@ -152,15 +158,22 @@ def _metric_counts(pair: ChannelMetricPair) -> np.ndarray:
     entries get a zero row).  Summed along a word, it counts how often
     each value occurs in the word's metric product, so equal sums mean
     equal products; unequal sums can still give equal products, as in
-    ``(2/3)^2 = 4/9``.
+    ``(2/3)^2 = 4/9``.  The array is read-only and kept on the pair
+    object.
     """
-    index = {v: k for k, v in enumerate(_metric_values(pair))}
-    vec = np.zeros((pair.nx, pair.ny, len(index)), dtype=np.int64)
-    for x, row in enumerate(pair.q):
-        for y, v in enumerate(row):
-            if v > 0:
-                vec[x, y, index[v]] = 1
-    return vec
+
+    def build(pair):
+        _, q = integer_view(pair)
+        index = {v: k for k, v in enumerate(_metric_values(pair))}
+        vec = np.zeros((pair.nx, pair.ny, len(index)), dtype=np.int64)
+        for x, (row, nums) in enumerate(zip(pair.q, q.nums)):
+            for y, (v, n) in enumerate(zip(row, nums)):
+                if n > 0:
+                    vec[x, y, index[v]] = 1
+        vec.setflags(write=False)
+        return vec
+
+    return _kept(pair, "_metric_counts", build)
 
 
 # -- exact two-codeword decoding ---------------------------------------------
@@ -270,8 +283,8 @@ def exact_error_probabilities(
             "use monte_carlo_error instead"
         )
 
-    dens = [math.lcm(*(v.denominator for v in row)) for row in pair.W]
-    nums = [[v.numerator * (d // v.denominator) for v in row] for row, d in zip(pair.W, dens)]
+    w_rows, _ = integer_view(pair)
+    nums, dens = w_rows.nums, w_rows.dens
     values = _metric_values(pair)
     counts = _metric_counts(pair)
     zero = (~counts.any(axis=2)).tolist()

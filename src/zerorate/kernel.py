@@ -198,7 +198,8 @@ class PairKernel:
                     LW[k][y], LR[k][y] = math.log(w), math.log(r)
             if not d.empty:
                 mu0[k] = 0.0 - math.log(d.y_hat_mass)
-            zero = d.y_hat_mass == 1 and all(r == 1 for r in d.ratios)
+            # one ratio on all outputs, the largest 1: every ratio is 1
+            zero = d.affine and d.a_min == 1 and d.y_hat_mass == 1
             key = tuple(sorted(w.as_integer_ratio() + r.as_integer_ratio()
                                for w, r in zip(d.weights, d.ratios)))
             self._curve[(a, b)] = None if zero else reps.setdefault(key, (a, b))

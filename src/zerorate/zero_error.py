@@ -31,7 +31,7 @@ from itertools import permutations
 from fractions import Fraction
 from typing import Optional, Union
 
-from .channel import ChannelMetricPair
+from .channel import ChannelMetricPair, integer_view
 from .errors import PreconditionError
 
 INF = math.inf
@@ -87,13 +87,26 @@ def _sides(pair: ChannelMetricPair, a: int, b: int) -> tuple[ExactRatio, Fractio
     return dirs[(a, b)].a_min, Fraction(0) if back.empty else 1 / back.a_min
 
 
+def _order(pair: ChannelMetricPair, a: int, b: int) -> int:
+    """Sign of ``min_side - max_side`` for ``(a, b)``.  With both directions
+    nonempty the sides compare as ``A(a, b) A(b, a)`` against one, by one
+    comparison of integer products; an empty direction makes ``min_side``
+    infinite or ``max_side`` zero, so the sign is then positive."""
+    dirs = pair.directions
+    fwd, back = dirs[(a, b)], dirs[(b, a)]
+    if fwd.empty or back.empty:
+        return 1
+    lo, rev = fwd.a_min, back.a_min
+    left, right = lo.numerator * rev.numerator, lo.denominator * rev.denominator
+    return (left > right) - (left < right)
+
+
 def check_c0bar_zero(pair: ChannelMetricPair) -> tuple[bool, Optional[RatioWitness]]:
     """Average-sense zero-error capacity is zero iff no ordered pair violates
     ``min_side <= max_side``; on failure the first violating pair is returned."""
     for a, b in permutations(range(pair.nx), 2):
-        lo, hi = _sides(pair, a, b)
-        if lo > hi:
-            return False, RatioWitness("ordering_violation", (a, b), lo, hi)
+        if _order(pair, a, b) > 0:
+            return False, RatioWitness("ordering_violation", (a, b), *_sides(pair, a, b))
     return True, None
 
 
@@ -103,9 +116,10 @@ def check_c0_zero(pair: ChannelMetricPair) -> tuple[bool, Optional[RatioWitness]
     ok, witness = check_c0bar_zero(pair)
     if not ok:
         return False, witness
+    w_nums = integer_view(pair)[0].nums
     for a, b in boundary_set_B(pair):
         # an output of direction (a, b) that b can produce is one both can produce
-        if not any(pair.W[b][y] > 0 for y in pair.directions[(a, b)].outputs):
+        if not any(w_nums[b][y] > 0 for y in pair.directions[(a, b)].outputs):
             lo, hi = _sides(pair, a, b)
             return False, RatioWitness("equality_without_overlap", (a, b), lo, hi, overlap=False)
     return True, None
@@ -118,20 +132,14 @@ def boundary_set_B(pair: ChannelMetricPair) -> tuple[tuple[int, int], ...]:
     reciprocals of those for ``(a, b)``.  Diagonal pairs always satisfy
     the equality trivially (ratio one) and are omitted.
     """
-    out = []
-    for a, b in permutations(range(pair.nx), 2):
-        lo, hi = _sides(pair, a, b)
-        if lo == hi:
-            out.append((a, b))
-    return tuple(out)
+    return tuple(ab for ab in permutations(range(pair.nx), 2) if _order(pair, *ab) == 0)
 
 
 def boundary_ratio(pair: ChannelMetricPair, a: int, b: int) -> Fraction:
     """The common extremal ratio of a boundary pair (exact)."""
-    lo, hi = _sides(pair, a, b)
-    if lo != hi:
+    if _order(pair, a, b) != 0:
         raise PreconditionError(f"({a},{b}) is not a boundary pair")
-    return hi
+    return _sides(pair, a, b)[1]
 
 
 def is_balanced(pair: ChannelMetricPair) -> tuple[bool, Optional[BalanceViolation]]:
@@ -162,10 +170,11 @@ def is_balanced(pair: ChannelMetricPair) -> tuple[bool, Optional[BalanceViolatio
 
 def is_strict_support_match(pair: ChannelMetricPair) -> bool:
     """True when the metric is positive exactly where the channel is."""
+    W, q = integer_view(pair)
     return all(
-        (pair.W[a][y] > 0) == (pair.q[a][y] > 0)
-        for a in range(pair.nx)
-        for y in range(pair.ny)
+        (w > 0) == (v > 0)
+        for w_row, q_row in zip(W.nums, q.nums)
+        for w, v in zip(w_row, q_row)
     )
 
 

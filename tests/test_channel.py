@@ -2,16 +2,21 @@
 
 import dataclasses
 import json
+import math
 import pickle
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zerorate as zr
 from zerorate import channel
 
 from conftest import random_admissible_pair, random_full_support_pair
+from test_zero_error_pins import seeded_pairs
 
 F = Fraction
 
@@ -157,3 +162,167 @@ def test_dimensions_exposed(typewriter_pair):
     assert typewriter_pair.nx == 3
     assert typewriter_pair.ny == 3
     assert len(typewriter_pair.input_alphabet) == 3
+
+
+def test_rejects_entries_that_are_not_exact():
+    """A pair built directly checks every entry's type and names the first
+    one that is not a ``Fraction`` or an ``int``; ``bool`` is no entry."""
+    labels = dict(input_alphabet=("0", "1"), output_alphabet=("0", "1"))
+    q = ((F(1), F(1)), (F(1), F(1)))
+    for bad, name in ((0.5, "float"), (True, "bool"), ("1/2", "str")):
+        with pytest.raises(zr.ValidationError) as err:
+            zr.ChannelMetricPair(W=((F(1, 2), bad), (F(1), F(0))), q=q, **labels)
+        assert str(err.value) == (f"W[0][1]: entry {bad!r} is a {name}, "
+                                  "expected a Fraction or an int")
+    with pytest.raises(zr.ValidationError, match=r"^q\[1\]\[0\]: entry 1\.0 is a float"):
+        zr.ChannelMetricPair(W=((F(1), F(0)), (F(0), F(1))), q=((1, 1), (1.0, 1)), **labels)
+    # ints are exact entries: a pair with int metric entries gives the
+    # exponent of the same pair with Fraction entries
+    W = ((F(3, 4), F(1, 4)), (F(1, 4), F(3, 4)))
+    ints = zr.ChannelMetricPair(W=W, q=((2, 1), (1, 2)), **labels)
+    fractions = zr.ChannelMetricPair(W=W, q=((F(2), F(1)), (F(1), F(2))), **labels)
+    assert ints.directions == fractions.directions
+    assert zr.zero_rate_exponent(ints).value == zr.zero_rate_exponent(fractions).value
+
+
+def test_validation_messages():
+    """The messages of the value checks, recorded before the checks read
+    the pair's integer view."""
+    cases = [
+        (((F(5, 4), F(-1, 4)), (F(1, 4), F(3, 4))), ((F(1), F(1)), (F(1), F(1))),
+         "W row 0 has a negative entry"),
+        (((F(1, 2), F(1, 4)), (F(1, 4), F(3, 4))), ((F(1), F(1)), (F(1), F(1))),
+         "W row 0 sums to 3/4, expected exactly 1"),
+        (((F(1), F(0)), (F(1, 3), F(1, 7))), ((F(1), F(1)), (F(1), F(1))),
+         "W row 1 sums to 10/21, expected exactly 1"),
+        (((F(3, 4), F(1, 4)), (F(1, 4), F(3, 4))), ((F(1), F(1)), (F(1), F(-1, 3))),
+         "q row 1 has a negative entry"),
+        (((F(1), F(0)), (F(0), F(1))), ((F(0), F(0)), (F(1), F(1))),
+         "q row 0 is identically zero"),
+        (((F(3, 4), F(1, 4)), (F(1, 4), F(3, 4))), ((F(1), F(0)), (F(1), F(1))),
+         "inadmissible pair: W[0][1] > 0 but q[0][1] == 0"),
+    ]
+    for W, q, message in cases:
+        with pytest.raises(zr.ValidationError) as err:
+            zr.pair_from_rows(W, q)
+        assert str(err.value) == message
+
+
+# Strings the plain-integer path must read as Fraction(str) does, or refuse
+# with the same message: whitespace, signs, underscores, non-ASCII digits,
+# zero and missing denominators, decimals and exponents.
+ENTRY_TEXTS = ("1/2", " 3/4\t", "+7/08", "-5", "-0", "0/9", "1_0/3", "\u0661/\u0662",
+               "1/0", "/3", "3/", "3/-4", "", "   ", "1.5", ".5", "5.", "1e3", "-2E-2",
+               "1/2/3", "+-1", "1 /2", "12345678901234567890/98765432109876543210", "nan")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.sampled_from(ENTRY_TEXTS),
+    st.from_regex(r"\s*[+-]?[0-9]{1,25}(/[0-9]{1,25})?\s*", fullmatch=True),
+    st.text(alphabet="0123456789+-/_.eE \t\u0661\u0662", max_size=12),
+))
+def test_entry_strings_parse_as_the_fraction_parser_does(text):
+    try:
+        expected = F(text.strip())
+    except (ValueError, ZeroDivisionError):
+        expected = None
+    if expected is None:
+        with pytest.raises(zr.ValidationError) as err:
+            channel._to_fraction(text, "W[0][0]")
+        assert str(err.value) == f"W[0][0]: cannot parse entry {text!r} as a rational"
+    else:
+        got = channel._to_fraction(text, "W[0][0]")
+        assert type(got) is Fraction and got == expected
+
+
+def reference_direction(pair, a, b):
+    """The direction builder in ``Fraction`` arithmetic: ratios by division,
+    their maximum by comparison, masses by summing the weights."""
+    outputs, weights, ratios = [], [], []
+    for y in range(pair.ny):
+        if pair.W[a][y] > 0 and pair.q[b][y] > 0:
+            outputs.append(y)
+            weights.append(pair.W[a][y])
+            ratios.append(pair.q[b][y] / pair.q[a][y])
+    if not outputs:
+        return channel._Direction(outputs=(), weights=(), ratios=(), affine=False,
+                                  a_min=math.inf, tail_mass=F(0), y_hat_mass=F(0))
+    r_max = max(ratios)
+    return channel._Direction(
+        outputs=tuple(outputs),
+        weights=tuple(weights),
+        ratios=tuple(ratios),
+        affine=all(r == ratios[0] for r in ratios),
+        a_min=1 / r_max,
+        tail_mass=sum((w for w, r in zip(weights, ratios) if r == r_max), F(0)),
+        y_hat_mass=sum(weights, F(0)),
+    )
+
+
+def assert_directions_match_reference(pair):
+    for (a, b), d in pair.directions.items():
+        ref = reference_direction(pair, a, b)
+        assert d == ref, (a, b)
+        assert [type(v) for v in (d.a_min, d.tail_mass, d.y_hat_mass)] == \
+            [type(v) for v in (ref.a_min, ref.tail_mass, ref.y_hat_mass)]
+        assert all(type(r) is Fraction for r in d.ratios)
+        if not d.empty:
+            tail = d.tail()
+            assert tail.y_hat_mass == sum(tail.weights, F(0)) == d.tail_mass
+            assert tail.affine and set(tail.ratios) == {max(ref.ratios)}
+
+
+# Large, pairwise coprime denominators, so the rows' common denominators are large.
+DENOMINATORS = (1, 7, 65_537, 999_983, 1_000_003, 998_244_353, 2_147_483_647)
+
+
+@st.composite
+def exact_pairs(draw):
+    """Rows with zeros and large coprime denominators.  Metric entries are a
+    row scale times values from a small shared pool, so ratios tie often,
+    at the maximum too, and a one-value pool makes every direction affine."""
+    nx, ny = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    entry = st.builds(F, st.integers(1, 10**6), st.sampled_from(DENOMINATORS))
+    pool = draw(st.lists(entry, min_size=1, max_size=4))
+    W, q = [], []
+    for _ in range(nx):
+        support = draw(st.lists(st.booleans(), min_size=ny, max_size=ny))
+        support[draw(st.integers(0, ny - 1))] = True
+        parts = [draw(entry) if s else F(0) for s in support]
+        total = sum(parts)
+        W.append([p / total for p in parts])
+        scale = draw(st.integers(1, 3))
+        q.append([scale * draw(st.sampled_from(pool)) if s or draw(st.booleans()) else F(0)
+                  for s in support])
+    return zr.pair_from_rows(W, q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_pairs())
+def test_integer_builder_matches_the_fraction_builder(pair):
+    assert_directions_match_reference(pair)
+
+
+def test_integer_builder_matches_on_pinned_and_corpus_pairs(monkeypatch):
+    """Every direction of the 312 pinned pairs and of the 54 benchmark
+    exponent-corpus pairs equals the ``Fraction`` builder's."""
+    for _, pair in seeded_pairs():
+        assert_directions_match_reference(pair)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    monkeypatch.delitem(sys.modules, "inputs", raising=False)
+    import workloads
+    pool = workloads.exponent_pool()
+    assert len(pool) == 54
+    for item in pool:
+        assert_directions_match_reference(zr.parse_pair(item.docs[0][2]))
+
+
+def test_integer_view_reads_each_row_over_its_common_denominator():
+    W = ((F(1, 6), F(1, 4), F(7, 12)), (F(0), F(1), F(0)))
+    q = ((F(2), F(1, 3), F(1, 2)), (F(5, 7), F(5, 14), F(0)))
+    pair = zr.pair_from_rows(W, q)
+    w_rows, q_rows = channel.integer_view(pair)
+    assert w_rows == channel.IntegerRows(nums=((2, 3, 7), (0, 1, 0)), dens=(12, 1))
+    assert q_rows == channel.IntegerRows(nums=((12, 2, 3), (10, 5, 0)), dens=(6, 14))
+    assert channel.integer_view(pair) is channel.integer_view(pair)

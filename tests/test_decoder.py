@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import pickle
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -152,6 +153,30 @@ def test_equal_metric_counts_mean_equal_products():
             assert v1 == v2
         dependent += v1 == v2 and e1 != e2
     assert dependent > 10   # (2/3)^2 = 4/9, 6 * 1/6 = 1, ...: left to the fallback
+
+
+def test_metric_tables_are_kept_on_the_pair():
+    """Both decoders read the value counts and the channel's integer rows
+    that the pair object keeps; the counts are read-only."""
+    W = ((F(1, 3), F(1, 3), F(1, 3), F(0)), (F(1, 4),) * 4)
+    q = ((F(2, 3), F(4, 9), F(6), F(0)), (F(1, 6), F(3, 4), F(1), F(2, 3)))
+    pair = zr.pair_from_rows(W, q)
+    vec, values = _metric_counts(pair), decoder._metric_values(pair)
+    assert not vec.flags.writeable
+    with pytest.raises(ValueError):
+        vec[0, 0, 0] = 2
+    assert values == (F(1, 6), F(4, 9), F(2, 3), F(3, 4), F(1), F(6))
+    w_rows, _ = zr.channel.integer_view(pair)
+    assert w_rows.dens == (3, 4) and w_rows.nums == ((1, 1, 1, 0), (1, 1, 1, 1))
+    code = zr.Codebook(((0, 1, 0), (1, 0, 1)), 2)
+    zr.exact_error_probabilities(pair, code)
+    zr.monte_carlo_error(pair, code, trials=10, seed=1)
+    assert _metric_counts(pair) is vec and decoder._metric_values(pair) is values
+    assert zr.channel.integer_view(pair)[0] is w_rows
+    # a pickled pair carries its fields only and builds its own read-only tables
+    twin = pickle.loads(pickle.dumps(pair))
+    assert twin == pair and "_metric_counts" not in vars(twin)
+    assert not _metric_counts(twin).flags.writeable
 
 
 def test_monte_carlo_ties_dependent_products_through_the_fallback():

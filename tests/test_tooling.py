@@ -1,9 +1,10 @@
 """Checks on the source itself: names the benchmark tracer wraps, search
 knobs that something reads, the one float evaluator of the kernel, the
 zero-error oracle that production code must not call, the book-level
-distance functions that must not fall back to a per-pair loop, and the
+distance functions that must not fall back to a per-pair loop, the
 decoders' integer keys, Monte Carlo's one tie draw per block and its
-block loop that allocates no working array."""
+block loop that allocates no working array, and the pair's validation
+and direction builder, which divide no rationals."""
 
 import ast
 import dataclasses
@@ -74,6 +75,23 @@ def test_package_never_reads_the_extremal_ratios_oracle():
             or (isinstance(n, ast.Attribute) and n.attr == "extremal_ratios")
         ]
         assert uses == [], f"{path.name} reads extremal_ratios on lines {uses}"
+
+
+def test_pair_checks_and_direction_builder_divide_nothing():
+    """``ChannelMetricPair.__post_init__`` and ``_build_direction`` read the
+    pair's integer view: signs, row sums and the order of metric ratios
+    come from integer products, so neither holds a true division ``/``."""
+    tree = ast.parse((ROOT / "src" / "zerorate" / "channel.py").read_text())
+    pair_class = next(n for n in tree.body
+                      if isinstance(n, ast.ClassDef) and n.name == "ChannelMetricPair")
+    post_init = next(n for n in pair_class.body
+                     if isinstance(n, ast.FunctionDef) and n.name == "__post_init__")
+    builder = next(n for n in tree.body
+                   if isinstance(n, ast.FunctionDef) and n.name == "_build_direction")
+    for fn in (post_init, builder):
+        divisions = [n.lineno for n in ast.walk(fn)
+                     if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.Div)]
+        assert divisions == [], f"{fn.name} divides on lines {divisions}"
 
 
 def test_book_distances_never_loop_over_word_pairs():
