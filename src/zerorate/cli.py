@@ -6,9 +6,16 @@ version, sha256 digests of the inputs, elapsed milliseconds, and a
 command-specific payload.  Values are reported in nats unless ``--bits``
 is given; exact rationals are serialized as fraction strings.
 
-Exit codes: 0 on success, 2 for malformed input (bad files, bad flags,
-unknown commands), 3 for violated preconditions such as a pair whose
-zero-error condition fails.
+Each subcommand's parser entry declares the documents it reads and the
+checks on its flags; the parser applies the checks, ``run`` reads and
+hashes the documents once each and hands them to the command, which only
+builds its payload.
+
+Exit codes: 0 on success, 2 for malformed input (bad files, unknown
+commands, and flags that are invalid whatever the documents hold), 3 for
+violated preconditions, where the documents make the request impossible,
+such as a pair whose zero-error condition fails or a ``--target`` above
+the book size.
 """
 
 from __future__ import annotations
@@ -27,9 +34,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .channel import ChannelMetricPair, parse_pair
+from .channel import parse_pair
 from .codebook import (
-    Codebook,
     _rate_cap,
     d_min,
     dmin_certificate,
@@ -89,23 +95,9 @@ def _scale(value, bits: bool):
     return value
 
 
-def _read_file(path: str) -> tuple[str, str]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    return raw.decode("utf-8"), hashlib.sha256(raw).hexdigest()
-
-
-def _load_pair(path: str) -> tuple[ChannelMetricPair, str]:
-    text, digest = _read_file(path)
-    return parse_pair(text), digest
-
-
-def _load_code(path: str) -> tuple[Codebook, str]:
-    text, digest = _read_file(path)
-    return parse_codebook(text), digest
-
-
 def _int_list(text: str) -> list[int]:
+    """An argparse ``type`` for integer lists; argparse lets its
+    ``ValidationError`` through, so ``main`` reports it (exit 2)."""
     try:
         return [int(v) for v in text.replace(";", ",").split(",") if v.strip() != ""]
     except ValueError as exc:
@@ -123,28 +115,55 @@ def _seed(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
 
 
-def _options(args) -> SearchOptions:
-    return SearchOptions(seed=args.seed)
+def _bounded(convert, flag: str, ok, rule: str):
+    """An argparse ``type`` for ``flag``: ``convert`` the text, then raise
+    ``ValidationError`` unless ``ok`` holds.  argparse applies it while
+    parsing, before ``run`` reads any document, and lets the error through
+    to ``main`` (exit 2): such a flag is invalid whatever the documents hold."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise ValidationError(f"{flag} must be {rule}, got {value}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+def _at_least(flag: str, low: int):
+    return _bounded(int, flag, lambda value: value >= low, f"at least {low}")
+
+
+def _load(args) -> tuple[list, dict[str, str]]:
+    """Read, hash and parse the documents the subcommand declares, pair first."""
+    documents, digests = [], {}
+    for flag in args.documents:
+        path = getattr(args, flag)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        text = raw.decode("utf-8")
+        digests[path] = hashlib.sha256(raw).hexdigest()
+        documents.append(parse_pair(text) if flag == "pair" else parse_codebook(text))
+    return documents, digests
 
 
 # -- per-command payload builders -------------------------------------------------
+# Each takes the parsed flags and the documents its parser entry declares.
 
 
-def _cmd_validate(args):
-    pair, digest = _load_pair(args.pair)
-    payload = {
+def _cmd_validate(args, pair):
+    return {
         "valid": True,
         "name": pair.name,
         "input_alphabet": list(pair.input_alphabet),
         "output_alphabet": list(pair.output_alphabet),
     }
-    return payload, {args.pair: digest}
 
 
-def _cmd_zero_error(args):
-    pair, digest = _load_pair(args.pair)
+def _cmd_zero_error(args, pair):
     report = zero_error_report(pair)
-    payload = {
+    return {
         "c0bar_zero": report.c0bar_zero,
         "c0_zero": report.c0_zero,
         "balanced": report.balanced,
@@ -153,19 +172,16 @@ def _cmd_zero_error(args):
         "witness": _plain(report.witness),
         "balance_violation": _plain(report.balance_violation),
     }
-    return payload, {args.pair: digest}
 
 
-def _cmd_balanced(args):
-    pair, digest = _load_pair(args.pair)
+def _cmd_balanced(args, pair):
     balanced, violation = is_balanced(pair)
-    return {"balanced": balanced, "violation": _plain(violation)}, {args.pair: digest}
+    return {"balanced": balanced, "violation": _plain(violation)}
 
 
-def _cmd_exponent(args):
-    pair, digest = _load_pair(args.pair)
-    result = zero_rate_exponent(pair, _options(args))
-    payload = {
+def _cmd_exponent(args, pair):
+    result = zero_rate_exponent(pair, SearchOptions(seed=args.seed))
+    return {
         "value": _scale(result.value, args.bits),
         "kind": result.kind,
         "balanced": result.balanced,
@@ -173,95 +189,61 @@ def _cmd_exponent(args):
         "s_star": result.s_star,
         "lower_expurgated": _scale(result.lower_expurgated, args.bits),
         "gap_bound": _scale(result.gap_bound, args.bits),
-        "units": "bits" if args.bits else "nats",
     }
-    return payload, {args.pair: digest}
 
 
-def _cmd_gap(args):
-    pair, digest = _load_pair(args.pair)
-    value = gap_bound(pair)
-    payload = {
-        "gap_bound": _scale(value, args.bits),
-        "units": "bits" if args.bits else "nats",
-    }
-    return payload, {args.pair: digest}
+def _cmd_gap(args, pair):
+    return {"gap_bound": _scale(gap_bound(pair), args.bits)}
 
 
-def _cmd_mu_curve(args):
-    if args.points < 1:
-        raise ValidationError(f"--points must be at least 1, got {args.points}")
-    if not (math.isfinite(args.s_max) and args.s_max >= 0):
-        raise ValidationError(f"--s-max must be finite and nonnegative, got {args.s_max}")
-    pair, digest = _load_pair(args.pair)
-    kernel = PairKernel(pair)
+def _cmd_mu_curve(args, pair):
     s_values = np.linspace(0.0, args.s_max, args.points)
-    rows = write_mu_curve(kernel, args.csv, s_values)
-    return {"csv": args.csv, "rows": rows, "units": "nats"}, {args.pair: digest}
+    rows = write_mu_curve(PairKernel(pair), args.csv, s_values)
+    return {"csv": args.csv, "rows": rows, "units": "nats"}
 
 
-def _cmd_dmin(args):
-    pair, pair_digest = _load_pair(args.pair)
-    code, code_digest = _load_code(args.code)
-    kernel = PairKernel(pair)
-    value, arg = d_min(kernel, code)
-    payload = {
+def _cmd_dmin(args, pair, code):
+    value, arg = d_min(PairKernel(pair), code)
+    return {
         "value": _scale(value, args.bits),
         "pair": list(arg),
         "exponent_cap_with_rate": _scale(_rate_cap(value, code), args.bits),
-        "units": "bits" if args.bits else "nats",
     }
-    return payload, {args.pair: pair_digest, args.code: code_digest}
 
 
-def _cmd_komlos(args):
-    code, digest = _load_code(args.code)
+def _cmd_komlos(args, code):
     selected, cert = komlos_extract(code, t=args.t, target=args.target)
-    payload = {"selected": list(selected), "certificate": _plain(cert)}
-    return payload, {args.code: digest}
+    return {"selected": list(selected), "certificate": _plain(cert)}
 
 
-def _cmd_certificate(args):
-    pair, pair_digest = _load_pair(args.pair)
-    code, code_digest = _load_code(args.code)
+def _cmd_certificate(args, pair, code):
     selected, extraction = komlos_extract(code, t=args.t, target=args.target)
     balanced, _ = is_balanced(pair)
     kernel = PairKernel(pair) if balanced else RelaxedKernel(pair)
-    report = dmin_certificate(kernel, code, selected, args.t, options=_options(args))
-    payload = {
+    report = dmin_certificate(kernel, code, selected, args.t, options=SearchOptions(seed=args.seed))
+    return {
         "balanced": balanced,
         "kernel": "raw" if balanced else "relaxed",
         "extraction": _plain(extraction),
         "report": _plain(report),
     }
-    return payload, {args.pair: pair_digest, args.code: code_digest}
 
 
-def _cmd_exact_pe(args):
-    pair, pair_digest = _load_pair(args.pair)
-    code, code_digest = _load_code(args.code)
-    outcome = exact_error_probabilities(pair, code, tie_policy=_TIE_NAMES[args.ties])
-    return _plain(outcome), {args.pair: pair_digest, args.code: code_digest}
+def _cmd_exact_pe(args, pair, code):
+    return _plain(exact_error_probabilities(pair, code, tie_policy=_TIE_NAMES[args.ties]))
 
 
-def _cmd_simulate(args):
-    pair, pair_digest = _load_pair(args.pair)
-    code, code_digest = _load_code(args.code)
+def _cmd_simulate(args, pair, code):
     outcome = monte_carlo_error(
         pair, code, trials=args.trials, seed=args.seed, tie_policy=_TIE_NAMES[args.ties]
     )
-    return _plain(outcome), {args.pair: pair_digest, args.code: code_digest}
+    return _plain(outcome)
 
 
-def _cmd_empirical(args):
-    pair, digest = _load_pair(args.pair)
-    letters = _int_list(args.letters)
-    if len(letters) != 2:
-        raise ValidationError("--letters wants exactly two comma-separated letters")
-    points = empirical_exponent(
-        pair, letters[0], letters[1], _int_list(args.n), trials=args.trials, seed=args.seed
-    )
-    payload = {
+def _cmd_empirical(args, pair):
+    a, b = args.letters
+    points = empirical_exponent(pair, a, b, args.n, trials=args.trials, seed=args.seed)
+    return {
         "points": [
             {
                 "n": p.n,
@@ -270,10 +252,8 @@ def _cmd_empirical(args):
                 "mode": p.mode,
             }
             for p in points
-        ],
-        "units": "bits" if args.bits else "nats",
+        ]
     }
-    return payload, {args.pair: digest}
 
 
 # -- argument wiring ---------------------------------------------------------------
@@ -289,8 +269,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def new(name, func, help_text, pair=False, code=False, bits=False, seed=False):
+        """One subcommand: the documents its command receives (pair before
+        code), and ``--bits``, which also adds ``"units"`` to its payload."""
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, documents=tuple(
+            flag for flag, wanted in (("pair", pair), ("code", code)) if wanted))
         if pair:
             p.add_argument("--pair", required=True, help="channel/metric pair JSON file")
         if code:
@@ -312,31 +295,35 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = new("mu-curve", _cmd_mu_curve, "CSV of kernel values and slopes", pair=True)
     p.add_argument("--csv", required=True, help="destination CSV file")
-    p.add_argument("--s-max", type=float, default=4.0, dest="s_max")
-    p.add_argument("--points", type=int, default=201)
+    s_max = _bounded(float, "--s-max", lambda v: math.isfinite(v) and v >= 0, "finite and nonnegative")
+    p.add_argument("--s-max", type=s_max, default=4.0, dest="s_max")
+    p.add_argument("--points", type=_at_least("--points", 1), default=201)
 
     new("dmin", _cmd_dmin, "minimum pairwise distance of a codebook", pair=True, code=True, bits=True)
 
     p = new("komlos", _cmd_komlos, "extract a near-regular subcode", code=True)
-    p.add_argument("--t", type=int, required=True, help="type quantization denominator")
-    p.add_argument("--target", type=int, required=True, help="desired subcode size")
+    p.add_argument("--t", type=_at_least("--t", 1), required=True, help="type quantization denominator")
+    p.add_argument("--target", type=_at_least("--target", 2), required=True, help="desired subcode size")
 
     p = new("certificate", _cmd_certificate, "distance chain certificate", pair=True, code=True, seed=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--target", type=int, required=True)
+    p.add_argument("--t", type=_at_least("--t", 1), required=True)
+    p.add_argument("--target", type=_at_least("--target", 2), required=True)
 
     p = new("exact-pe", _cmd_exact_pe, "exact two-codeword error probabilities", pair=True, code=True)
     p.add_argument("--ties", default="equiprobable", choices=tuple(_TIE_NAMES))
 
     p = new("simulate", _cmd_simulate, "Monte Carlo decoding error", pair=True, code=True, seed=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_at_least("--trials", 1), required=True)
     p.add_argument("--ties", default="equiprobable", choices=tuple(_TIE_NAMES))
 
     p = new("empirical", _cmd_empirical, "normalized exponents of repeated-letter pairs",
             pair=True, bits=True, seed=True)
-    p.add_argument("--letters", required=True, help="two letters, e.g. 0,1")
-    p.add_argument("--n", required=True, help="comma-separated blocklengths")
-    p.add_argument("--trials", type=int, default=200_000)
+    letters = _bounded(_int_list, "--letters", lambda v: len(v) == 2 and v[0] != v[1],
+                       "two distinct letters")
+    p.add_argument("--letters", type=letters, required=True, help="two letters, e.g. 0,1")
+    ns = _bounded(_int_list, "--n", lambda v: v and min(v) >= 1, "blocklengths of at least 1")
+    p.add_argument("--n", type=ns, required=True, help="comma-separated blocklengths")
+    p.add_argument("--trials", type=_at_least("--trials", 1), default=200_000)
 
     return parser
 
@@ -346,7 +333,10 @@ def run(argv: Optional[Sequence[str]] = None) -> dict:
     the full result document."""
     args = _build_parser().parse_args(argv)
     start = time.perf_counter()
-    payload, digests = args.func(args)
+    documents, digests = _load(args)
+    payload = args.func(args, *documents)
+    if "bits" in vars(args):
+        payload["units"] = "bits" if args.bits else "nats"
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     result = {
         "command": args.command,
@@ -367,10 +357,7 @@ def run(argv: Optional[Sequence[str]] = None) -> dict:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         run(argv)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PreconditionError as exc:

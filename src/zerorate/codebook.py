@@ -25,9 +25,9 @@ from .errors import PreconditionError, ValidationError
 from .exponent import (
     RelaxedKernel,
     SearchOptions,
+    _interval_search,
+    _objective_rows,
     maximize_over_Q,
-    objective,
-    optimized_objective,
 )
 from .kernel import INF, PairKernel, _as_kernel, joint_counts
 from .zero_error import is_balanced
@@ -596,10 +596,10 @@ def dmin_certificate(
     # The chain's comparison point is reachable from the subcode's own column
     # compositions, so feed those in as well; the search then can never land
     # below the value the algebra guarantees.
-    for column in code.subcode(picked).column_counts():
-        q_at_anchor = max(q_at_anchor, objective(kernel, column / m_hat, s_bar_anchor))
-    sup_value, _, _ = optimized_objective(kernel, opts)
-    sup_value = max(sup_value, q_at_anchor)
+    sub = code.subcode(picked)
+    columns = _objective_rows(kernel.mu_matrix(s_bar_anchor), sub.column_counts() / m_hat)
+    q_at_anchor = max(q_at_anchor, float(columns.max()))
+    sup_value = max(_interval_search(kernel, s_cap, opts)[0], q_at_anchor)
     factor = m_hat / (m_hat - 1)
 
     lines = (
@@ -618,7 +618,7 @@ def dmin_certificate(
         for k in range(len(lines) - 1)
     )
 
-    plotkin_ok = plotkin_holds(code.subcode(picked))
+    plotkin_ok = plotkin_holds(sub)
     all_ok = (
         all(c.ok for c in checks) and plotkin_ok and tilt_shift_ok and s_bar_within_cap
     )

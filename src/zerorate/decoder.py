@@ -734,6 +734,8 @@ def empirical_exponent(
         raise ValidationError("letter index outside the input alphabet")
     if seed < 0:
         raise ValidationError(f"the seed must be nonnegative, got {seed}")
+    if trials < 1:
+        raise PreconditionError("trials must be positive")
     out = []
     for idx, n in enumerate(n_list):
         if n < 1:

@@ -150,11 +150,17 @@ def objective(kernel: KernelLike, Q: Union[InputDistribution, Sequence[float]], 
     zero-error precondition fails for some positively weighted pair."""
     _check_tilt("objective", s, kernel.s_limit)
     q = _as_probe(Q, kernel.pair.nx)
-    m = kernel.mu_matrix(s)
-    weights = np.outer(q, q)
-    if np.any((m == INF) & (weights > 0)):
-        return INF
-    return float(np.sum(weights * np.where(m == INF, 0.0, m)))
+    return float(_objective_rows(kernel.mu_matrix(s), q[None])[0])
+
+
+def _objective_rows(m: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """:func:`objective` for each row of ``Q``, shape ``(k, nx)``, at one
+    kernel matrix ``m``: ``inf`` where a positively weighted entry is."""
+    weights = Q[:, :, None] * Q[:, None, :]
+    infinite = m == INF
+    values = (weights * np.where(infinite, 0.0, m)).sum(axis=(1, 2))
+    values[((weights > 0) & infinite).any(axis=(1, 2))] = INF
+    return values
 
 
 def _sigma_grid(kernel: KernelLike, s_values: Sequence[float]) -> np.ndarray:
@@ -462,6 +468,12 @@ def _search(
     return value, q, s, trace
 
 
+def _interval_search(kernel: KernelLike, s_cap: float, opts: SearchOptions):
+    """:func:`_search` on the ``_INTERVAL_POINTS`` grid over ``[0, s_cap]``,
+    with ``s_cap`` the caller's ``kernel.s_cap()``."""
+    return _search(kernel, np.linspace(0.0, s_cap, _INTERVAL_POINTS), s_cap, opts)
+
+
 # ---------------------------------------------------------------------------
 # Tail (limit tilt) candidate for the unrestricted search
 # ---------------------------------------------------------------------------
@@ -608,8 +620,7 @@ def zero_rate_exponent(
 
     provider: KernelLike = kernel if balanced else RelaxedKernel(pair)
     s_hi = provider.s_cap()
-    grid = np.linspace(0.0, s_hi, _INTERVAL_POINTS)
-    value, q, s_star, trace = _search(provider, grid, s_hi, opts)
+    value, q, s_star, trace = _interval_search(provider, s_hi, opts)
     trace.update({"q_method": _q_method(pair.nx), "s_cap": float(s_hi)})
 
     if balanced:
@@ -646,8 +657,5 @@ def optimized_objective(
     kernel it is handed (raw or relaxed) and skips the expurgated lower
     search.  Returns ``(value, s_star, Q)``.
     """
-    opts = options or SearchOptions()
-    s_hi = kernel.s_cap()
-    grid = np.linspace(0.0, s_hi, _INTERVAL_POINTS)
-    value, q, s_star, _ = _search(kernel, grid, s_hi, opts)
+    value, q, s_star, _ = _interval_search(kernel, kernel.s_cap(), options or SearchOptions())
     return float(value), float(s_star), _floats(q)

@@ -1,6 +1,7 @@
 """Command-line interface: payload schemas, exit codes, and determinism."""
 
 import csv
+import hashlib
 import json
 import math
 
@@ -136,6 +137,71 @@ def test_mu_curve_rejects_bad_flags(bsc_file, tmp_path, capsys, flags):
     out_csv = str(tmp_path / "mu.csv")
     assert cli.main(["mu-curve", "--pair", bsc_file, "--csv", out_csv, *flags]) == 2
     capsys.readouterr()
+
+
+def test_every_subcommand_digests_its_declared_documents(
+        bsc_file, code_file, big_code_file, tmp_path, capsys):
+    """``input_digest`` holds exactly the documents the parser entry
+    declares, pair before code, each hashed from the file's bytes."""
+    csv_path = str(tmp_path / "mu.csv")
+    pair, code, big = ["--pair", bsc_file], ["--code", code_file], ["--code", big_code_file]
+    table = {
+        "validate": (pair, [bsc_file]),
+        "zero-error": (pair, [bsc_file]),
+        "balanced": (pair, [bsc_file]),
+        "exponent": (pair, [bsc_file]),
+        "gap": (pair, [bsc_file]),
+        "mu-curve": (pair + ["--csv", csv_path, "--points", "3"], [bsc_file]),
+        "dmin": (code + pair, [bsc_file, code_file]),
+        "komlos": (big + ["--t", "3", "--target", "4"], [big_code_file]),
+        "certificate": (big + pair + ["--t", "3", "--target", "4"], [bsc_file, big_code_file]),
+        "exact-pe": (code + pair, [bsc_file, code_file]),
+        "simulate": (code + pair + ["--trials", "50"], [bsc_file, code_file]),
+        "empirical": (pair + ["--letters", "0,1", "--n", "2"], [bsc_file]),
+    }
+    assert set(table) == set(cli._build_parser()._subparsers._group_actions[0].choices)
+    for command, (flags, documents) in table.items():
+        digests = cli.run([command, *flags])["input_digest"]
+        assert list(digests) == documents, command
+        for path in documents:
+            with open(path, "rb") as fh:
+                assert digests[path] == hashlib.sha256(fh.read()).hexdigest(), command
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mu-curve", "--pair", "{pair}", "--csv", "{csv}", "--points", "0"],
+     "--points must be at least 1, got 0"),
+    (["mu-curve", "--pair", "{pair}", "--csv", "{csv}", "--s-max", "-1"],
+     "--s-max must be finite and nonnegative, got -1.0"),
+    (["simulate", "--pair", "{pair}", "--code", "{code}", "--trials", "0"],
+     "--trials must be at least 1, got 0"),
+    (["komlos", "--code", "{code}", "--t", "0", "--target", "2"],
+     "--t must be at least 1, got 0"),
+    (["certificate", "--pair", "{pair}", "--code", "{code}", "--t", "0", "--target", "2"],
+     "--t must be at least 1, got 0"),
+    (["komlos", "--code", "{code}", "--t", "2", "--target", "1"],
+     "--target must be at least 2, got 1"),
+    (["certificate", "--pair", "{pair}", "--code", "{code}", "--t", "2", "--target", "1"],
+     "--target must be at least 2, got 1"),
+    (["empirical", "--pair", "{pair}", "--letters", "0,1", "--n", "2,0"],
+     "--n must be blocklengths of at least 1, got [2, 0]"),
+    (["empirical", "--pair", "{pair}", "--letters", "0,1", "--n", ""],
+     "--n must be blocklengths of at least 1, got []"),
+    (["empirical", "--pair", "{pair}", "--letters", "0,0", "--n", "2"],
+     "--letters must be two distinct letters, got [0, 0]"),
+    (["empirical", "--pair", "{pair}", "--letters", "0,1", "--n", "4", "--trials", "0"],
+     "--trials must be at least 1, got 0"),
+])
+def test_flags_invalid_whatever_the_documents_hold_exit_2(
+        bsc_file, code_file, tmp_path, capsys, argv, message):
+    """Such a flag exits 2 on good documents, and it is checked before any
+    document is read: with absent documents the error still names the flag."""
+    csv_path = str(tmp_path / "mu.csv")
+    absent = {role: str(tmp_path / f"absent.{role}") for role in ("pair", "code")}
+    for paths in ({"pair": bsc_file, "code": code_file}, absent):
+        assert cli.main([arg.format(csv=csv_path, **paths) for arg in argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_dmin_payload(bsc_file, tmp_path, capsys):

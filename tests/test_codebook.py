@@ -346,6 +346,18 @@ def test_each_codebook_command_solves_one_book_batch(bsc_pair, tmp_path, monkeyp
     assert len(calls) == 2
 
 
+def test_certificate_solves_the_tilt_interval_once(bsc_pair, rng, monkeypatch):
+    """The interval search reuses the certificate's own ``s_cap``."""
+    calls = []
+    s_cap = zr.PairKernel.s_cap
+    monkeypatch.setattr(zr.PairKernel, "s_cap", lambda self: calls.append(1) or s_cap(self))
+    code = random_codebook(rng, n=12, m=16, nx=2)
+    selected, _ = zr.komlos_extract(code, t=4, target=5)
+    cert = zr.dmin_certificate(bsc_pair, code, selected, t=4)
+    assert len(calls) == 1
+    assert cert.optimized_objective >= zr.optimized_objective(zr.PairKernel(bsc_pair))[0]
+
+
 def test_pe_lower_bound_from_dmin(bsc_pair):
     code = zr.Codebook(((0, 0), (0, 1), (1, 1)), 2)
     bound = zr.pe_lower_bound_from_dmin(bsc_pair, code)

@@ -237,6 +237,13 @@ def test_monte_carlo_rejects_a_negative_seed(bsc_pair):
             zr.empirical_exponent(bsc_pair, 0, 1, (4,), seed=-1, budget=budget)
 
 
+def test_empirical_exponent_rejects_no_trials_on_either_route(bsc_pair):
+    # n = 4 fits the default budget, so the exact route would never read trials
+    for budget in (1_000_000, 3):
+        with pytest.raises(zr.PreconditionError, match="trials must be positive"):
+            zr.empirical_exponent(bsc_pair, 0, 1, (4,), trials=0, budget=budget)
+
+
 def test_decoders_name_the_first_symbol_outside_the_pair_alphabet(bsc_pair):
     cases = [
         (lambda: zr.monte_carlo_error(bsc_pair, ((0, 1), (1, 2), (3, 0)), trials=10),

@@ -72,6 +72,34 @@ def test_objective_is_the_quadratic_form(rng):
             assert zr.objective(k, Q, s) == pytest.approx(manual, abs=1e-12)
 
 
+def _objective_reference(m, q):
+    """The one-vector formula ``objective`` used before it batched rows."""
+    weights = np.outer(q, q)
+    if np.any((m == math.inf) & (weights > 0)):
+        return math.inf
+    return float(np.sum(weights * np.where(m == math.inf, 0.0, m)))
+
+
+def test_objective_rows_match_the_one_vector_formula(rng, identity_pair):
+    """The certificate scores a batch of columns at one kernel matrix; each
+    row equals the one-vector formula bit for bit, the ``inf`` rule included,
+    and ``objective`` is its one-row call."""
+    for nx in (2, 3, 5, 6):
+        k = zr.PairKernel(random_full_support_pair(rng, nx=nx, ny=3))
+        Q = rng.dirichlet(np.ones(nx), size=12)
+        Q[0] = np.eye(nx)[1]
+        m = k.mu_matrix(0.9)
+        rows = exponent_mod._objective_rows(m, Q)
+        assert rows.tolist() == [_objective_reference(m, q) for q in Q]
+        assert rows.tolist() == [zr.objective(k, q, 0.9) for q in Q]
+    k = zr.PairKernel(identity_pair)
+    Q = np.array([[0.5, 0.5], [1.0, 0.0]])
+    m = k.mu_matrix(0.5)
+    rows = exponent_mod._objective_rows(m, Q)
+    assert rows.tolist() == [_objective_reference(m, q) for q in Q]
+    assert rows[0] == math.inf and math.isfinite(rows[1])
+
+
 def test_maximize_over_q_methods_agree(rng):
     for _ in range(12):
         nx = int(rng.integers(2, 4))

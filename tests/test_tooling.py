@@ -3,8 +3,9 @@ knobs that something reads, the one float evaluator of the kernel, the
 zero-error oracle that production code must not call, the book-level
 distance functions that must not fall back to a per-pair loop, the
 decoders' integer keys, Monte Carlo's one tie draw per block and its
-block loop that allocates no working array, and the pair's validation
-and direction builder, which divide no rationals."""
+block loop that allocates no working array, the pair's validation and
+direction builder, which divide no rationals, and the CLI commands,
+which load no document of their own."""
 
 import ast
 import dataclasses
@@ -190,3 +191,15 @@ def test_monte_carlo_blocks_allocate_no_working_arrays():
         if isinstance(n, ast.Call) and ast.unparse(n.func).rsplit(".", 1)[-1] in banned
     ]
     assert made == [], f"the Monte Carlo block loop allocates working arrays: {made}"
+
+
+def test_cli_commands_only_build_payloads():
+    """``cli.run`` reads, hashes and parses the documents a subcommand's
+    parser entry declares; no ``_cmd_*`` loads one itself."""
+    tree = ast.parse((ROOT / "src" / "zerorate" / "cli.py").read_text())
+    commands = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name.startswith("_cmd_")]
+    assert len(commands) == 12
+    loaders = {"open", "_read_file", "parse_pair", "parse_codebook"}
+    for fn in commands:
+        called = {ast.unparse(n.func).rsplit(".", 1)[-1] for n in ast.walk(fn) if isinstance(n, ast.Call)}
+        assert not called & loaders, f"{fn.name} calls {sorted(called & loaders)}"
