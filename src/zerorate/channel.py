@@ -329,10 +329,12 @@ class InputDistribution:
     def __post_init__(self) -> None:
         if not self.probs:
             raise ValidationError("empty distribution")
+        exact = all(isinstance(p, (int, Fraction)) for p in self.probs)
+        if not exact and not all(math.isfinite(p) for p in self.probs):
+            raise ValidationError("probabilities must be finite")
         if any(p < 0 for p in self.probs):
             raise ValidationError("negative probability")
         total = sum(self.probs)
-        exact = all(isinstance(p, (int, Fraction)) for p in self.probs)
         if exact:
             if total != 1:
                 raise ValidationError(f"distribution sums to {total}, expected 1")

@@ -64,7 +64,10 @@ class Codebook:
 
     def __post_init__(self):
         rows = [tuple(w) for w in self.words]
-        if self.alphabet_size < 1:
+        size = self.alphabet_size
+        if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+            raise ValidationError(f"alphabet size must be an integer, got {size!r}")
+        if size < 1:
             raise ValidationError("alphabet size must be positive")
         if len(rows) < 2:
             raise ValidationError("a codebook needs at least two codewords")
@@ -90,6 +93,7 @@ class Codebook:
                 f"codeword {ragged} has length {len(rows[ragged])}, expected {n}"
             )
         object.__setattr__(self, "words", tuple(map(tuple, x.tolist())))
+        object.__setattr__(self, "alphabet_size", int(size))
 
     @property
     def n(self) -> int:
@@ -296,8 +300,8 @@ def komlos_asymmetry_bound(m_hat: int, spread: Union[float, Fraction]) -> float:
     if m_hat < 2:
         raise PreconditionError("need m_hat >= 2")
     d = float(spread)
-    if d < 0:
-        raise PreconditionError("spread must be nonnegative")
+    if not (math.isfinite(d) and d >= 0):
+        raise PreconditionError("spread must be finite and nonnegative")
     return 6.0 / math.sqrt(m_hat) + 4.0 * math.sqrt(d) + 4.0 * d
 
 

@@ -680,7 +680,10 @@ def quantize_to_type(dist: Sequence, n: int) -> tuple[Fraction, ...]:
     remainder: entries move by at most ``1/n`` and zeros stay zero."""
     if n < 1:
         raise PreconditionError("denominator must be positive")
-    vals = [Fraction(v) for v in dist]
+    try:
+        vals = [Fraction(v) for v in dist]
+    except (ValueError, OverflowError) as exc:   # nan, inf
+        raise ValidationError(f"distribution entries must be finite numbers: {exc}") from exc
     if any(v < 0 for v in vals):
         raise ValidationError("distribution entries must be nonnegative")
     total = sum(vals)

@@ -16,9 +16,9 @@ gap certificate.
 The ``Q`` maximization for a fixed tilt is an indefinite quadratic
 program over the simplex, solved exactly by enumerating the KKT point
 of every simplex face (Bomze, J. Global Optim. 1998); above twelve input
-letters multistart projected gradient ascent runs instead.  Projected
-gradient, an exhaustive simplex grid and the closed-form best two-point
-restriction also remain as independent oracles for cross-checks.
+letters multistart projected gradient ascent runs instead.  That is the
+one Q-maximizer; the exhaustive simplex grid and the closed-form best
+two-point restriction it is checked against live in the tests.
 """
 
 from __future__ import annotations
@@ -113,19 +113,26 @@ _PG_ITERATIONS = 400     # projected-gradient steps per start
 _POLISH_TOL = 1e-12      # the polish stops once a round gains no more than this
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchOptions:
     """Knobs for the exponent searches.
 
-    ``s_max`` is the top of the lower route's geometric tilt grid.
-    ``seed`` seeds ``multistart_pg``, which the exact method runs on
-    alphabets above twelve letters, and ``grid_resolution`` sets the
-    step of the ``grid`` oracle of :func:`maximize_over_Q`.
+    ``s_max`` (finite, positive) is the top of the lower route's
+    geometric tilt grid.  ``seed`` (a nonnegative integer) seeds the
+    multistart projected gradient that the Q-maximizer runs on alphabets
+    above twelve letters.
     """
 
     seed: int = 0
     s_max: float = 64.0
-    grid_resolution: int = 200
+
+    def __post_init__(self) -> None:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValidationError(f"the seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ValidationError(f"the seed must be nonnegative, got {self.seed}")
+        if not (math.isfinite(self.s_max) and self.s_max > 0):
+            raise ValidationError(f"s_max must be finite and positive, got {self.s_max!r}")
 
 
 @dataclass(frozen=True)
@@ -140,6 +147,8 @@ def _as_probe(Q: Union[InputDistribution, Sequence[float]], nx: int) -> np.ndarr
     if len(probs) != nx:
         raise ValidationError(f"distribution has {len(probs)} entries, expected {nx}")
     arr = np.asarray(probs, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValidationError("distribution entries must be finite")
     if (arr < -1e-12).any() or abs(arr.sum() - 1.0) > 1e-9:
         raise ValidationError("not a probability vector")
     return np.clip(arr, 0.0, None)
@@ -301,76 +310,22 @@ def _q_max(G: np.ndarray, opts: SearchOptions) -> tuple[float, np.ndarray]:
     return best_v, best_q
 
 
-def _simplex_grid(nx: int, resolution: int) -> np.ndarray:
-    r = resolution
-    if nx == 1:
-        return np.array([[1.0]])
-    if nx == 2:
-        i = np.arange(r + 1)
-        return np.stack([i, r - i], axis=1) / r
-    if nx == 3:
-        i, j = np.meshgrid(np.arange(r + 1), np.arange(r + 1), indexing="ij")
-        keep = i + j <= r
-        i, j = i[keep], j[keep]
-        return np.stack([i, j, r - i - j], axis=1) / r
-    if nx == 4:
-        i, j, k = np.meshgrid(
-            np.arange(r + 1), np.arange(r + 1), np.arange(r + 1), indexing="ij"
-        )
-        keep = i + j + k <= r
-        i, j, k = i[keep], j[keep], k[keep]
-        return np.stack([i, j, k, r - i - j - k], axis=1) / r
-    raise PreconditionError(f"simplex grid oracle supports alphabets up to 4, got {nx}")
-
-
 def _floats(q) -> tuple[float, ...]:
     return tuple(float(v) for v in q)
 
 
 def maximize_over_Q(
-    kernel: KernelLike,
-    s: float,
-    method: str = "exact",
-    options: Optional[SearchOptions] = None,
+    kernel: KernelLike, s: float, options: Optional[SearchOptions] = None,
 ) -> QResult:
     """Maximize the objective over input distributions at a fixed tilt.
 
-    ``exact`` enumerates the simplex faces (see :func:`_q_max`); the
-    result's ``method`` names the primitive that ran.  ``multistart_pg``,
-    ``grid`` and ``two_point`` are independent oracles.
+    Runs the one Q-maximizer, :func:`_q_max`; the result's ``method``
+    names the primitive that ran: ``exact`` face enumeration up to
+    twelve input letters, ``multistart_pg`` above.
     """
     _check_tilt("maximize_over_Q", s, kernel.s_limit)
-    opts = options or SearchOptions()
-    G = _sigma_grid(kernel, [s])[0]
-    _check_finite_sigma(G)
-    nx = kernel.pair.nx
-    if method == "exact":
-        value, q = _q_max(G, opts)
-        return QResult(value, _floats(q), _q_method(nx))
-    if method == "grid":
-        pts = _simplex_grid(nx, opts.grid_resolution)
-        best_v, best_q = -INF, pts[0]
-        for lo in range(0, len(pts), 200_000):
-            chunk = pts[lo:lo + 200_000]
-            vals = _quad(G, chunk)
-            i = int(np.argmax(vals))
-            if vals[i] > best_v:
-                best_v, best_q = float(vals[i]), chunk[i]
-        return QResult(best_v, _floats(best_q), "grid")
-    if method == "two_point":
-        best_v, best_q = 0.0, _floats(np.eye(nx)[0])
-        for a in range(nx):
-            for b in range(a + 1, nx):
-                v = G[a, b] / 2.0  # lambda = 1/2 on the two-point support
-                if v > best_v:
-                    q = np.zeros(nx)
-                    q[a] = q[b] = 0.5
-                    best_v, best_q = float(v), _floats(q)
-        return QResult(best_v, best_q, "two_point")
-    if method == "multistart_pg":
-        value, q = _multistart_pg(G, opts)
-        return QResult(value, _floats(q), "multistart_pg")
-    raise PreconditionError(f"unknown Q-maximization method {method!r}")
+    value, q = _q_max(_sigma_grid(kernel, [s])[0], options or SearchOptions())
+    return QResult(value, _floats(q), _q_method(kernel.pair.nx))
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +488,8 @@ class LowerResult:
 
 def geometric_s_grid(s_max: float, points: int) -> np.ndarray:
     """``{0}`` followed by a geometric sweep up to ``s_max``."""
-    if points < 2 or s_max <= 0:
-        raise PreconditionError("need at least two grid points and positive s_max")
+    if points < 2 or not (math.isfinite(s_max) and s_max > 0):
+        raise PreconditionError("need at least two grid points and a finite positive s_max")
     lo = min(1.0 / 1024.0, s_max / 2.0)
     return np.concatenate([[0.0], np.geomspace(lo, s_max, points - 1)])
 

@@ -530,21 +530,16 @@ def joint_counts(x1: Sequence[int], x2: Sequence[int]) -> dict[tuple[int, int], 
     return dict(Counter(zip(x1, x2)))
 
 
-def write_mu_curve(
-    kernel: PairKernel,
-    path: str,
-    s_values: Iterable[float],
-    pairs: Optional[Iterable[tuple[int, int]]] = None,
-) -> int:
-    """Dump kernel curves to CSV with columns ``a, b, s, mu, mu_prime``.
+def write_mu_curve(kernel: PairKernel, path: str, s_values: Iterable[float]) -> int:
+    """Dump the curve of every direction ``a != b`` to CSV with columns
+    ``a, b, s, mu, mu_prime``.
 
     Returns the number of data rows written.  Infinite values are
     rendered as ``inf`` so the file round-trips through ``float()``.
     """
     labels = kernel.pair.input_alphabet
-    if pairs is None:
-        nx = kernel.pair.nx
-        pairs = [(a, b) for a in range(nx) for b in range(nx) if a != b]
+    nx = kernel.pair.nx
+    pairs = [(a, b) for a in range(nx) for b in range(nx) if a != b]
     s_list = [float(s) for s in s_values]
     for s in s_list:
         _check_tilt("write_mu_curve", s, kernel.s_limit)

@@ -69,6 +69,42 @@ def random_admissible_pair(rng, nx=None, ny=None, name=""):
     return zr.pair_from_rows(W_rows, q_rows, name=name)
 
 
+def sigma_at(kernel, s):
+    """The matrix ``G`` with ``F(Q, s) = Q^T G Q`` that ``maximize_over_Q`` solves."""
+    return zr.exponent._sigma_grid(kernel, [s])[0]
+
+
+def grid_q_max(G, resolution):
+    """Oracle: best ``x^T G x`` over the simplex points whose entries are
+    multiples of ``1/resolution``, as ``(value, q)``; ties go to the first
+    point in lexicographic order of the entries."""
+    counts = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([resolution])
+    for _ in range(len(G) - 1):
+        # every row branches into each value 0..left of its next entry
+        width = left + 1
+        row = np.repeat(np.arange(len(counts)), width)
+        value = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+        counts = np.column_stack([counts[row], value])
+        left = left[row] - value
+    pts = np.column_stack([counts, left]) / resolution
+    vals = np.einsum("ki,ij,kj->k", pts, G, pts)
+    i = int(np.argmax(vals))
+    return float(vals[i]), pts[i]
+
+
+def two_point_q_max(G):
+    """Oracle: best ``x^T G x`` over the uniform distributions on two
+    letters (worth ``G[a, b] / 2`` each) and the vertices (worth 0)."""
+    a, b = np.triu_indices(len(G), 1)
+    if len(a) == 0 or G[a, b].max() <= 0:
+        return 0.0, np.eye(len(G))[0]
+    i = int(np.argmax(G[a, b]))
+    q = np.zeros(len(G))
+    q[[a[i], b[i]]] = 0.5
+    return float(G[a[i], b[i]] / 2.0), q
+
+
 def random_codebook(rng, n, m, nx):
     words = tuple(tuple(int(v) for v in rng.integers(0, nx, n)) for _ in range(m))
     return zr.Codebook(words, nx)

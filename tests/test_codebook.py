@@ -39,11 +39,14 @@ def test_codebook_validation():
     (lambda: zr.Codebook(((), ()), 2), "codewords must be nonempty"),
     (lambda: zr.Codebook(((0, 1),), 2), "a codebook needs at least two codewords"),
     (lambda: zr.Codebook(((0,), (0,)), 0), "alphabet size must be positive"),
+    (lambda: zr.Codebook(((0, 1), (1, 0)), 2.5), "alphabet size must be an integer, got 2.5"),
+    (lambda: zr.Codebook(((0,), (0,)), True), "alphabet size must be an integer, got True"),
     (lambda: zr.parse_codebook("2 3 2\n0 1\n1 x\n0 y\n"), "codeword 1 contains a non-integer symbol"),
     (lambda: zr.parse_codebook("2 3 2\n0 1\n1 x\n0\n"), "codeword 1 contains a non-integer symbol"),
     (lambda: zr.parse_codebook("2 2 2\n0 1\n1 2\n"), "codeword 1 contains symbol 2 outside [0, 2)"),
 ], ids=["ragged", "at-alphabet-size", "negative", "range-before-ragged", "past-int64", "empty-word",
-        "one-word", "alphabet", "parse-token", "parse-token-before-ragged", "parse-range"])
+        "one-word", "alphabet", "alphabet-float", "alphabet-bool", "parse-token",
+        "parse-token-before-ragged", "parse-range"])
 def test_codebook_validation_messages(build, message):
     """Exact messages, naming the first offending word and symbol."""
     with pytest.raises(zr.ValidationError) as err:

@@ -9,7 +9,13 @@ import pytest
 import zerorate as zr
 from zerorate import exponent as exponent_mod
 
-from conftest import random_admissible_pair, random_full_support_pair
+from conftest import (
+    grid_q_max,
+    random_admissible_pair,
+    random_full_support_pair,
+    sigma_at,
+    two_point_q_max,
+)
 
 F = Fraction
 
@@ -104,18 +110,16 @@ def test_maximize_over_q_methods_agree(rng):
     for _ in range(12):
         nx = int(rng.integers(2, 4))
         pair = random_full_support_pair(rng, nx=nx)
-        k = zr.PairKernel(pair)
-        s = float(rng.uniform(0.1, 2.0))
-        multi = zr.maximize_over_Q(k, s, method="multistart_pg")
-        grid = zr.maximize_over_Q(k, s, method="grid")
-        assert multi.value == pytest.approx(grid.value, abs=1e-4)
-        assert multi.value >= grid.value - 1e-4
+        G = sigma_at(zr.PairKernel(pair), float(rng.uniform(0.1, 2.0)))
+        multi, _ = exponent_mod._multistart_pg(G, zr.SearchOptions())
+        grid, _ = grid_q_max(G, 200)
+        assert multi == pytest.approx(grid, abs=1e-4)
+        assert multi >= grid - 1e-4
+        two, _ = two_point_q_max(G)
         if nx == 2:
-            two = zr.maximize_over_Q(k, s, method="two_point")
-            assert two.value == pytest.approx(multi.value, abs=1e-6)
+            assert two == pytest.approx(multi, abs=1e-6)
         else:
-            two = zr.maximize_over_Q(k, s, method="two_point")
-            assert two.value <= multi.value + 1e-9
+            assert two <= multi + 1e-9
 
 
 def test_maximizer_q_is_a_distribution(rng):
@@ -178,7 +182,7 @@ def test_exponent_dominates_grid_oracle_over_tilts(typewriter_pair, bsc_pair):
         kernel = zr.PairKernel(pair) if res.balanced else zr.RelaxedKernel(pair)
         s_cap = res.method_trace["s_cap"]
         best = max(
-            zr.maximize_over_Q(kernel, float(s), method="grid").value
+            grid_q_max(sigma_at(kernel, float(s)), 200)[0]
             for s in np.linspace(0.0, s_cap, 33)
         )
         assert res.value >= best - 1e-4
@@ -211,11 +215,10 @@ def test_exact_q_max_matches_grid_oracle(rng):
         k = zr.PairKernel(pair)
         s = float(rng.uniform(0.1, 2.0))
         exact = zr.maximize_over_Q(k, s)
-        grid = zr.maximize_over_Q(k, s, method="grid",
-                                  options=zr.SearchOptions(grid_resolution=200))
+        grid, _ = grid_q_max(sigma_at(k, s), 200)
         assert exact.method == "exact"
-        assert exact.value == pytest.approx(grid.value, abs=1e-4)
-        assert exact.value >= grid.value - 1e-12
+        assert exact.value == pytest.approx(grid, abs=1e-4)
+        assert exact.value >= grid - 1e-12
 
 
 def test_exact_q_max_dominates_multistart(rng):
@@ -248,17 +251,55 @@ def test_large_alphabet_takes_projected_gradient(rng):
     k = zr.PairKernel(pair)
     res = zr.maximize_over_Q(k, 0.5)
     assert res.method == "multistart_pg"
-    assert res.value >= zr.maximize_over_Q(k, 0.5, method="two_point").value - 1e-12
+    assert res.value >= two_point_q_max(sigma_at(k, 0.5))[0] - 1e-12
     small = zr.maximize_over_Q(zr.PairKernel(random_full_support_pair(rng, nx=12, ny=3)), 0.5)
     assert small.method == "exact"
 
 
 def test_q_results_hold_plain_floats(rng):
-    k = zr.PairKernel(random_full_support_pair(rng, nx=3))
-    for method in ("exact", "multistart_pg", "grid", "two_point"):
-        res = zr.maximize_over_Q(k, 0.7, method=method)
+    for nx, method in ((3, "exact"), (13, "multistart_pg")):
+        k = zr.PairKernel(random_full_support_pair(rng, nx=nx))
+        res = zr.maximize_over_Q(k, 0.7)
+        assert res.method == method
         assert type(res.value) is float
         assert all(type(v) is float for v in res.q)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda pair: zr.InputDistribution((math.nan, 1.0)), zr.ValidationError),
+    (lambda pair: zr.objective(zr.PairKernel(pair), (math.nan, 1.0), 0.5), zr.ValidationError),
+    (lambda pair: zr.komlos_asymmetry_bound(4, math.nan), zr.PreconditionError),
+    (lambda pair: zr.komlos_asymmetry_bound(4, math.inf), zr.PreconditionError),
+    (lambda pair: zr.geometric_s_grid(math.nan, 4), zr.PreconditionError),
+    (lambda pair: zr.geometric_s_grid(math.inf, 4), zr.PreconditionError),
+    (lambda pair: zr.quantize_to_type([math.nan, 1.0], 4), zr.ValidationError),
+    (lambda pair: zr.quantize_to_type([math.inf, 1.0], 4), zr.ValidationError),
+], ids=["distribution", "objective-q", "komlos-nan", "komlos-inf", "s-grid-nan", "s-grid-inf",
+        "quantize-nan", "quantize-inf"])
+def test_non_finite_public_inputs_rejected(bsc_pair, call, error):
+    """A non-finite entry or value is an error, never a silent ``nan``."""
+    with pytest.raises(error):
+        call(bsc_pair)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"seed": -1}, "the seed must be nonnegative, got -1"),
+    ({"seed": 1.5}, "the seed must be an integer, got 1.5"),
+    ({"seed": True}, "the seed must be an integer, got True"),
+    ({"s_max": math.inf}, "s_max must be finite and positive, got inf"),
+    ({"s_max": math.nan}, "s_max must be finite and positive, got nan"),
+    ({"s_max": 0.0}, "s_max must be finite and positive, got 0.0"),
+], ids=["negative-seed", "float-seed", "bool-seed", "inf-s-max", "nan-s-max", "zero-s-max"])
+def test_search_options_check_their_fields(fields, message):
+    with pytest.raises(zr.ValidationError) as err:
+        zr.SearchOptions(**fields)
+    assert str(err.value) == message
+
+
+def test_search_options_accept_numpy_integer_seeds(rng):
+    k = zr.PairKernel(random_full_support_pair(rng, nx=13, ny=3))
+    res = zr.maximize_over_Q(k, 0.5, options=zr.SearchOptions(seed=np.int64(7)))
+    assert res == zr.maximize_over_Q(k, 0.5, options=zr.SearchOptions(seed=7))
 
 
 @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])

@@ -1,11 +1,11 @@
 """Checks on the source itself: names the benchmark tracer wraps, search
-knobs that something reads, the one float evaluator of the kernel, the
-zero-error oracle that production code must not call, the book-level
-distance functions that must not fall back to a per-pair loop, the
-decoders' integer keys, Monte Carlo's one tie draw per block and its
-block loop that allocates no working array, the pair's validation and
-direction builder, which divide no rationals, and the CLI commands,
-which load no document of their own."""
+knobs that something reads, the one Q-maximizer, the one float evaluator
+of the kernel, the zero-error oracle that production code must not call,
+the book-level distance functions that must not fall back to a per-pair
+loop, the decoders' integer keys, Monte Carlo's one tie draw per block
+and its block loop that allocates no working array, the pair's
+validation and direction builder, which divide no rationals, and the CLI
+commands, which load no document of their own."""
 
 import ast
 import dataclasses
@@ -39,6 +39,24 @@ def test_every_search_option_is_read():
     source = (ROOT / "src" / "zerorate" / "exponent.py").read_text()
     for f in dataclasses.fields(zr.SearchOptions):
         assert f"opts.{f.name}" in source, f"SearchOptions.{f.name} is never read"
+
+
+def test_one_q_maximizer():
+    """``maximize_over_Q`` has no method switch, only ``_q_max`` falls back
+    to projected gradient, and the simplex grid oracle lives in the tests."""
+    tree = ast.parse((ROOT / "src" / "zerorate" / "exponent.py").read_text())
+    funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert "_simplex_grid" not in funcs
+    params = [a.arg for a in ast.walk(funcs["maximize_over_Q"].args) if isinstance(a, ast.arg)]
+    assert "method" not in params, "maximize_over_Q takes a method"
+    callers = []
+    for path in sorted((ROOT / "src" / "zerorate").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            callers += [
+                f"{path.name}:{getattr(node, 'name', node.lineno)}" for n in ast.walk(node)
+                if isinstance(n, ast.Call) and ast.unparse(n.func).rsplit(".", 1)[-1] == "_multistart_pg"
+            ]
+    assert callers == ["exponent.py:_q_max"], f"_multistart_pg is called from {callers}"
 
 
 def test_kernel_exponentials_stay_in_the_evaluator():
