@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import cached_property
@@ -330,8 +331,9 @@ class InputDistribution:
         if not self.probs:
             raise ValidationError("empty distribution")
         exact = all(isinstance(p, (int, Fraction)) for p in self.probs)
-        if not exact and not all(math.isfinite(p) for p in self.probs):
-            raise ValidationError("probabilities must be finite")
+        # compared exactly, so an entry too large for a float fails rather than overflows
+        if not exact and not all(abs(p) <= sys.float_info.max for p in self.probs):
+            raise ValidationError("probabilities must be finite floats")
         if any(p < 0 for p in self.probs):
             raise ValidationError("negative probability")
         total = sum(self.probs)

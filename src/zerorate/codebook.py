@@ -335,17 +335,17 @@ def _max_clique_exact(adj: dict[int, int], vertices: int, stop_at: int) -> int:
 
     def expand(r_mask: int, r_size: int, p_mask: int, x_mask: int):
         nonlocal best_mask
-        if bin(best_mask).count("1") >= stop_at:
+        if best_mask.bit_count() >= stop_at:
             return
         if not p_mask and not x_mask:
-            if r_size > bin(best_mask).count("1"):
+            if r_size > best_mask.bit_count():
                 best_mask = r_mask
             return
-        if r_size + bin(p_mask).count("1") <= bin(best_mask).count("1"):
+        if r_size + p_mask.bit_count() <= best_mask.bit_count():
             return
         pivot, pivot_deg = -1, -1
         for u in bits(p_mask | x_mask):
-            deg = bin(p_mask & adj[u]).count("1")
+            deg = (p_mask & adj[u]).bit_count()
             if deg > pivot_deg:
                 pivot, pivot_deg = u, deg
         for v in list(bits(p_mask & ~adj[pivot])):
@@ -373,7 +373,7 @@ def _greedy_clique(adj: dict[int, int], verts: Sequence[int]) -> int:
                 low = m & -m
                 u = low.bit_length() - 1
                 m ^= low
-                deg = bin(cand & adj[u]).count("1")
+                deg = (cand & adj[u]).bit_count()
                 if deg > pick_deg:
                     pick, pick_deg = u, deg
             mask |= 1 << pick
@@ -418,9 +418,9 @@ def komlos_extract(
     best_mask = (1 << first_edge[0]) | (1 << first_edge[1])
     ordered = sorted(colors.items(), key=lambda kv: (-len(kv[1]), kv[0]))
     for _, edges in ordered:
-        if bin(best_mask).count("1") >= target:
+        if best_mask.bit_count() >= target:
             break
-        if len(edges) + 1 <= bin(best_mask).count("1"):
+        if len(edges) + 1 <= best_mask.bit_count():
             continue  # even a complete color class cannot beat the incumbent
         verts = sorted({v for e in edges for v in e})
         adj = {v: 0 for v in verts}
@@ -434,7 +434,7 @@ def komlos_extract(
             mask = _max_clique_exact(adj, vert_mask, target)
         else:
             mask = _greedy_clique(adj, verts)
-        if bin(mask).count("1") > bin(best_mask).count("1"):
+        if mask.bit_count() > best_mask.bit_count():
             best_mask = mask
 
     selected = [v for v in range(m) if best_mask >> v & 1]
@@ -581,13 +581,11 @@ def dmin_certificate(
     anchor_sum = 0.0
     tilt_shift_ok = True
     budget = 4.0 * k_const * delta
-    for (i, j) in tilts:
-        wi, wj = code.words[i], code.words[j]
-        s_own = tilts[(i, j)]
-        f_own = kernel.mu_sequence(wi, wj, s_own)
-        b_own = kernel.mu_sequence(wj, wi, s_own)
-        f_anchor = kernel.mu_sequence(wi, wj, s_bar_anchor)
-        b_anchor = kernel.mu_sequence(wj, wi, s_bar_anchor)
+    # every pair's sequence kernels both ways, at its own tilt and the anchor's, in one batch
+    ij, words = np.array(list(tilts)), np.array(code.words)
+    seq = kernel._sequence_rows(words[ij[:, [0, 1, 0, 1]].ravel()], words[ij[:, [1, 0, 1, 0]].ravel()],
+                                np.ravel([(s, s, s_bar_anchor, s_bar_anchor) for s in tilts.values()]))
+    for f_own, b_own, f_anchor, b_anchor in seq.reshape(-1, 4).tolist():
         own_sum += f_own + b_own
         anchor_sum += f_anchor + b_anchor
         tol = 1e-9 * max(1.0, budget)

@@ -104,43 +104,45 @@ def _argmax_concave(fp: Callable[[float], float], cap: float = INF) -> tuple[flo
     return 0.5 * (lo + hi), True
 
 
-def _argmax_concave_rows(
-    fp: Callable[[np.ndarray, np.ndarray], np.ndarray], rows: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_argmax_concave` with ``cap = inf`` on ``rows`` curves at once.
+def _row_slopes(LW: np.ndarray, LR: np.ndarray, w: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Slopes at ``s`` of the :func:`_argmax_concave_rows` curves, each row's as the scalar ``w @ d``."""
+    return (w @ _tilted(LW, LR, s[:, None, None])[1][:, :, None])[:, 0, 0]
 
-    ``fp(s, idx)`` returns the slopes of the curves ``idx`` at the tilts
-    ``s``.  Each call evaluates the rows still running; every row takes
-    the steps of its own scalar run (the exit at ``s = 0``, the doubling,
-    the float-range exit, the bisection), so given slopes equal to the
-    scalar ones it returns the same tilts and flags.
-    """
-    s_out = np.zeros(rows)
-    attained = np.ones(rows, dtype=bool)
-    lo, hi = np.zeros(rows), np.ones(rows)
-    doubling = np.ones(rows, dtype=bool)
-    running = ~(fp(np.zeros(rows), np.arange(rows)) <= 0)
+
+def _argmax_concave_rows(LW: np.ndarray, LR: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_argmax_concave` with ``cap = inf`` on the curves ``w[r, 0] @ mu``
+    over the padded direction rows ``LW[r]``, ``LR[r]`` (shapes ``(rows, k, ny)``
+    and ``(rows, 1, k)``).  Every row takes the steps of its scalar run (the
+    exit at ``s = 0``, the doubling, the float-range exit, the bisection), so
+    tilts and flags are the scalar ones bit for bit.  The doubling runs first,
+    then the bisection, each over a working set of the rows it still runs,
+    compressed only when some row finishes."""
+    s_out, lo_at, hi_at = np.zeros((3, len(w)))     # lo_at, hi_at: brackets as doubling ends
+    attained = np.ones(len(w), dtype=bool)
+    run = np.flatnonzero(~(_row_slopes(LW, LR, w, np.zeros(len(w))) <= 0))
+    lo, hi, data = np.zeros(run.size), np.ones(run.size), (LW[run], LR[run], w[run])
+    while run.size:
+        slope = _row_slopes(*data, hi)
+        rising = (slope > 0) | (nan := np.isnan(slope))
+        lost = rising & (nan | (hi > sys.float_info.max / 2.0))
+        if not (keep := rising & ~lost).all():
+            s_out[run[lost]], attained[run[lost]] = lo[lost], False
+            lo_at[run[~rising]], hi_at[run[~rising]] = lo[~rising], hi[~rising]
+            run, lo, hi, *data = (a[keep] for a in (run, lo, hi, *data))
+        lo, hi = hi, 2.0 * hi
+    run = np.flatnonzero(hi_at)       # a turned slope leaves hi >= 1
+    lo, hi, data = lo_at[run], hi_at[run], (LW[run], LR[run], w[run])
     while True:
         mid = 0.5 * (lo + hi)
         # bisection ends at the tolerance or at adjacent floats
-        done = running & ~doubling & ~((hi - lo > _BISECT_TOL) & (lo < mid) & (mid < hi))
-        s_out[done] = mid[done]
-        running &= ~done
-        idx = np.flatnonzero(running)
-        if idx.size == 0:
+        done = (hi - lo <= _BISECT_TOL) | (mid <= lo) | (hi <= mid)
+        if done.any():
+            s_out[run[done]] = mid[done]
+            run, lo, hi, mid, *data = (a[~done] for a in (run, lo, hi, mid, *data))
+        if not run.size:
             return s_out, attained
-        grow = doubling[idx]
-        slope = fp(np.where(grow, hi[idx], mid[idx]), idx)
-        rising = (slope > 0) | np.isnan(slope)
-        out_of_range = np.isnan(slope) | (hi[idx] > sys.float_info.max / 2.0)
-        lost = idx[grow & rising & out_of_range]
-        s_out[lost], attained[lost], running[lost] = lo[lost], False, False
-        up = idx[grow & rising & ~out_of_range]
-        lo[up], hi[up] = hi[up], 2.0 * hi[up]
-        doubling[idx[grow & ~rising]] = False
-        right = idx[~grow & (slope > 0)]
-        left = idx[~grow & ~(slope > 0)]
-        lo[right], hi[left] = mid[right], mid[left]
+        right = _row_slopes(*data, mid) > 0
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
 
 
 @dataclass(frozen=True)
@@ -314,6 +316,40 @@ class PairKernel:
             )
         return value, slope
 
+    def _sequence_rows(self, x1: np.ndarray, x2: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """:meth:`mu_sequence` of the word pairs ``(x1[r], x2[r])`` (checked integer
+        arrays of shape ``(rows, n)``) at the tilts ``s[r]``, bit for bit: rows with
+        equally many letter pairs are evaluated together, each with its terms in
+        :func:`joint_counts` order.  The first row whose scalar call raises raises."""
+        nx, (rows, n) = self.pair.nx, x1.shape
+        cell = (np.arange(rows)[:, None] * nx * nx + x1 * nx + x2).ravel()   # (row, letter pair)
+        counts = np.bincount(cell, minlength=rows * nx * nx).reshape(rows, -1)
+        first = np.full(rows * nx * nx, n)
+        np.minimum.at(first, cell, np.tile(np.arange(n), rows))     # where each pair first shows
+        order = np.argsort(first.reshape(rows, -1), axis=1, kind="stable")
+        terms = np.count_nonzero(counts, axis=1)
+        tilt_ok = np.isfinite(s) & (s >= 0) & (s <= self.s_limit)
+        live = tilt_ok & ~(counts.astype(bool) & self._empty.ravel()).any(axis=1)
+        value = np.full(rows, INF)
+        LW, LR = self._LW.reshape(nx * nx, -1), self._LR.reshape(nx * nx, -1)
+        for k in sorted(set(terms[live].tolist())):
+            group = np.flatnonzero(live & (terms == k))
+            cols = order[group, :k]
+            w = np.take_along_axis(counts[group], cols, axis=1).astype(float)[:, None, :]
+            with np.errstate(over="ignore"):    # an overflowing sum is rejected below
+                v = _tilted(LW[cols], LR[cols], s[group, None, None])[0]
+                value[group] = (w @ v[:, :, None])[:, 0, 0]
+        mu0 = self._mu0.ravel().tolist()
+        for r in np.flatnonzero(live & (s == 0)).tolist():
+            ab = order[r, :terms[r]].tolist()
+            value[r] = sum(c * mu0[d] for d, c in zip(ab, counts[r, ab].tolist()))
+        if (wrong := ~tilt_ok | (live & ~np.isfinite(value))).any():
+            r = int(wrong.argmax())     # the first row whose scalar call raises
+            _check_tilt("mu_sequence", float(s[r]), self.s_limit)
+            raise PreconditionError(f"mu_sequence: the sum at tilt s = {float(s[r])} "
+                                    "leaves the float range; use a smaller tilt")
+        return value
+
     def mu_sequence(self, x1: Sequence[int], x2: Sequence[int], s: float) -> float:
         """Kernel of two length-``n`` words; additive over letters, so this is
         ``sum over (a,b) of count(a,b) * mu(a,b,s)`` (not normalized by ``n``).
@@ -360,23 +396,28 @@ class PairKernel:
         a constant).  A divergent sum means the zero-error condition
         fails; a non-constant sum with an unattained ceiling means the
         pair has an unbalanced boundary pair, and the caller should move
-        to the relaxed kernel.
+        to the relaxed kernel.  The sums ``a < b`` are rows of one
+        :meth:`_sup_rows` batch, read in ``(a, b)`` order, so the first
+        failing pair raises the error of the pair-by-pair loop.
         """
-        cap = 0.0
-        nx = self.pair.nx
-        for a in range(nx):
-            for b in range(a + 1, nx):
-                res = self.sup_sigma(a, b)
-                if res.value == INF:
-                    raise InfiniteExponentError(
-                        f"sigma({a},{b}) diverges: zero-error condition fails for this pair"
-                    )
-                if not res.attained:
-                    raise PreconditionError(
-                        f"sigma({a},{b}) only approaches its ceiling in the limit; "
-                        "use the relaxed kernel for a finite search interval"
-                    )
-                cap = max(cap, res.s_star)
+        nx, cap = self.pair.nx, 0.0
+        a, b = np.triu_indices(nx, 1)
+        sups = self._sup_rows(self._merge[a * nx + b] + self._merge[b * nx + a])
+        for a, b, s_star, value, ok in zip(a.tolist(), b.tolist(), *(x.tolist() for x in sups)):
+            if self._dirs[(a, b)].empty or self._dirs[(b, a)].empty:
+                raise InfiniteExponentError(
+                    f"sigma({a},{b}) is identically infinite: inputs share no usable output"
+                )
+            if value == INF:
+                raise InfiniteExponentError(
+                    f"sigma({a},{b}) diverges: zero-error condition fails for this pair"
+                )
+            if not ok:
+                raise PreconditionError(
+                    f"sigma({a},{b}) only approaches its ceiling in the limit; "
+                    "use the relaxed kernel for a finite search interval"
+                )
+            cap = max(cap, s_star)
         return cap
 
     def _at_zero(self, key: tuple) -> SupResult:
@@ -428,9 +469,9 @@ class PairKernel:
         curve key, zeros for curves it lacks.  Returns ``s_star``,
         ``value`` and ``attained`` per row, bit for bit those of the
         scalar solve: closed-form tails are read key by key, and interior
-        keys with the same number of terms run one
-        :func:`_argmax_concave_rows`, whose weighted sums are the scalar
-        dot products of the same lengths (``matmul`` of stacked vectors).
+        keys with the same number of terms are stacked and handed to one
+        :func:`_argmax_concave_rows` (its only caller), whose weighted sums
+        are the scalar dot products of the same lengths.
         """
         rows = len(keys)
         s_star, value, attained = np.zeros(rows), np.zeros(rows), np.ones(rows, dtype=bool)
@@ -452,14 +493,9 @@ class PairKernel:
             cols = np.nonzero(keys[group])[1].reshape(len(group), k)
             LW, LR = LW_reps[cols], LR_reps[cols]
             w = np.take_along_axis(keys[group], cols, axis=1).astype(float)[:, None, :]
-
-            def at(s: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                v, d = _tilted(LW[idx], LR[idx], s[:, None, None])
-                return (w[idx] @ v[:, :, None])[:, 0, 0], (w[idx] @ d[:, :, None])[:, 0, 0]
-
             with np.errstate(over="ignore", invalid="ignore"):   # NaN slopes end a run
-                s, ok = _argmax_concave_rows(lambda s, idx: at(s, idx)[1], len(group))
-                value[group] = at(s, np.arange(len(group)))[0]
+                s, ok = _argmax_concave_rows(LW, LR, w)
+                value[group] = (w @ _tilted(LW, LR, s[:, None, None])[0][:, :, None])[:, 0, 0]
             s_star[group], attained[group] = np.where(ok, s, INF), ok
             for r in group[ok & (s == 0)]:
                 value[r] = self._at_zero(key_of[r]).value

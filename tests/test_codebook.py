@@ -466,3 +466,73 @@ def test_book_batch_rejects_symbols_outside_the_pair_alphabet(bsc_pair):
             fn(bsc_pair, code)
     with pytest.raises(zr.ValidationError):
         zr.pair_distance(bsc_pair, *code.words)
+
+
+def _scalar_sequences(kernel, x1, x2, s):
+    """``mu_sequence`` row by row: the values, or the first error's message."""
+    try:
+        return [kernel.mu_sequence(tuple(a), tuple(b), float(t)).hex()
+                for a, b, t in zip(x1.tolist(), x2.tolist(), s)]
+    except zr.PreconditionError as exc:
+        return str(exc)
+
+
+def _batched_sequences(kernel, x1, x2, s):
+    try:
+        return [v.hex() for v in kernel._sequence_rows(x1, x2, np.array(s)).tolist()]
+    except zr.PreconditionError as exc:
+        return str(exc)
+
+
+def test_certificate_sequence_batch_equals_mu_sequence(identity_pair, typewriter_pair):
+    """The certificate's batched sequence kernels equal scalar ``mu_sequence``
+    bit for bit: terms in first-appearance order (up to 36 of them), the
+    exact sum at s = 0, ``inf`` for a letter pair with an empty direction,
+    and the scalar's first error, a tilt above ``s_limit`` or a sum that
+    leaves the float range, with its message."""
+    rng = np.random.default_rng(1603)
+    kernels = [zr.PairKernel(identity_pair), zr.RelaxedKernel(typewriter_pair)]
+    kernels += [zr.PairKernel(random_admissible_pair(rng, nx=nx)) for nx in (2, 3, 4, 6)]
+    kernels += [zr.PairKernel(random_full_support_pair(rng, nx=6, ny=3))]
+    ends = set()
+    for kernel in kernels:
+        for n in (1, 5, 40):
+            x1, x2 = rng.integers(0, kernel.pair.nx, (2, 30, n))
+            s = [0.0] * 10 + [float(v) for v in 10.0 ** rng.uniform(-3, 3, 20)]
+            got = _batched_sequences(kernel, x1, x2, s)
+            assert got == _scalar_sequences(kernel, x1, x2, s)
+            ends |= {"inf" if v == "inf" else "finite" for v in got}
+            # a huge tilt: the first row that overflows, or whose tilt is too large, raises
+            big = [0.5, 0.9 * kernel.s_limit, 2.0 * kernel.s_limit] * 10
+            err = _batched_sequences(kernel, x1, x2, big)
+            assert err == _scalar_sequences(kernel, x1, x2, big)
+            ends.add(next((m for m in ("leaves the float range", "is above", "requires a finite")
+                           if m in err), "no error"))
+    assert ends == {"inf", "finite", "leaves the float range", "is above", "requires a finite"}
+
+
+def test_certificate_averages_equal_the_scalar_loop(bsc_pair):
+    """``average_at_own_tilt`` and ``average_at_anchor_tilt`` sum the scalar
+    ``mu_sequence`` values of every subcode pair, in pair order, bit for
+    bit; the full-support book has pairs whose own tilt is 0."""
+    rng = np.random.default_rng(5)
+    random_full_support_pair(rng, nx=3, ny=2)
+    random_codebook(rng, 12, 24, 3)
+    books = [(random_full_support_pair(rng, nx=3, ny=3), random_codebook(rng, 12, 24, 3), 2),
+             (bsc_pair, random_codebook(rng, 16, 24, 2), 3)]
+    zero_tilts = 0
+    for pair, code, t in books:
+        kernel = zr.PairKernel(pair)
+        selected, _ = zr.komlos_extract(code, t=t, target=6)
+        cert = zr.dmin_certificate(kernel, code, selected, t=t)
+        own = anchor = 0.0
+        for i, j in itertools.combinations(cert.selected, 2):
+            wi, wj = code.words[i], code.words[j]
+            s_bar = min(r.s_star for r in (kernel.sequence_sup(wi, wj), kernel.sequence_sup(wj, wi)))
+            zero_tilts += s_bar == 0
+            own += kernel.mu_sequence(wi, wj, s_bar) + kernel.mu_sequence(wj, wi, s_bar)
+            anchor += (kernel.mu_sequence(wi, wj, cert.s_bar_anchor)
+                       + kernel.mu_sequence(wj, wi, cert.s_bar_anchor))
+        ordered = cert.m_hat * (cert.m_hat - 1) * code.n
+        assert (cert.average_at_own_tilt, cert.average_at_anchor_tilt) == (own / ordered, anchor / ordered)
+    assert zero_tilts > 0

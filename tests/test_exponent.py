@@ -267,6 +267,7 @@ def test_q_results_hold_plain_floats(rng):
 
 @pytest.mark.parametrize("call, error", [
     (lambda pair: zr.InputDistribution((math.nan, 1.0)), zr.ValidationError),
+    (lambda pair: zr.InputDistribution((0.5, Fraction(10**400))), zr.ValidationError),
     (lambda pair: zr.objective(zr.PairKernel(pair), (math.nan, 1.0), 0.5), zr.ValidationError),
     (lambda pair: zr.komlos_asymmetry_bound(4, math.nan), zr.PreconditionError),
     (lambda pair: zr.komlos_asymmetry_bound(4, math.inf), zr.PreconditionError),
@@ -274,7 +275,7 @@ def test_q_results_hold_plain_floats(rng):
     (lambda pair: zr.geometric_s_grid(math.inf, 4), zr.PreconditionError),
     (lambda pair: zr.quantize_to_type([math.nan, 1.0], 4), zr.ValidationError),
     (lambda pair: zr.quantize_to_type([math.inf, 1.0], 4), zr.ValidationError),
-], ids=["distribution", "objective-q", "komlos-nan", "komlos-inf", "s-grid-nan", "s-grid-inf",
+], ids=["distribution", "distribution-huge-fraction", "objective-q", "komlos-nan", "komlos-inf", "s-grid-nan", "s-grid-inf",
         "quantize-nan", "quantize-inf"])
 def test_non_finite_public_inputs_rejected(bsc_pair, call, error):
     """A non-finite entry or value is an error, never a silent ``nan``."""

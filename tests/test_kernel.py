@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import zerorate as zr
-from zerorate.kernel import _argmax_concave
+from zerorate.kernel import _argmax_concave, _argmax_concave_rows, _tilted
 
 from conftest import random_admissible_pair, random_full_support_pair
 
@@ -489,3 +489,93 @@ def test_a_batched_supremum_equals_its_one_key_and_scalar_solves(bsc_pair):
     for r, (x1, x2) in enumerate(words):
         assert zr.SupResult(float(s_star[r]), float(value[r]), bool(attained[r])) == \
             bsc.sequence_sup(x1, x2)
+
+
+def _scalar_argmax_rows(LW, LR, w):
+    """The scalar ``_argmax_concave`` on each row's own curve ``w[r, 0] @ mu``."""
+    out = []
+    for r in range(len(w)):
+        def slope(s, r=r):
+            return float(w[r, 0] @ _tilted(LW[r], LR[r], s)[1])
+        out.append(_argmax_concave(slope))
+    return out
+
+
+def test_row_maximizer_takes_each_scalar_run():
+    """``_argmax_concave_rows`` on seeded curves equals the scalar maximizer
+    row by row, whatever rows share its batch: slopes <= 0 at s = 0,
+    maximizers past 2**20, slopes positive until the float range runs out
+    and slopes that turn NaN (both unattained) sit side by side."""
+    rng = np.random.default_rng(1601)
+    rows, k, ny = 240, 3, 4
+    LW = np.log(rng.integers(1, 10, (rows, k, ny)) / 10.0)
+    LW[rng.random((rows, k, ny)) < 0.2] = -math.inf
+    LW[:, :, 0] = np.log(0.5)                         # every direction keeps one output
+    scale = 10.0 ** rng.choice([-8.0, -3.0, 0.0, 1.5], (rows, 1, 1))
+    LR = rng.normal(size=(rows, k, ny)) * scale
+    LR[LW == -math.inf] = 0.0
+    LR[:20] = -np.abs(LR[:20])                       # rising forever: the range runs out
+    LR[20:30] = -1e10                                # s * log r overflows: NaN slopes
+    LR[30:60, :, 0] = 1e-7 * np.abs(LR[30:60, :, 0]) + 1e-9   # far maximizers
+    LR[30:60, :, 1:] = -np.abs(LR[30:60, :, 1:])
+    w = rng.integers(1, 6, (rows, 1, k)).astype(float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, attained = _argmax_concave_rows(LW, LR, w)
+        expected = _scalar_argmax_rows(LW, LR, w)
+        for r in rng.choice(rows, 12, replace=False):
+            alone = _argmax_concave_rows(LW[r:r + 1], LR[r:r + 1], w[r:r + 1])
+            assert (alone[0][0].hex(), alone[1][0]) == (s[r].hex(), attained[r])
+    assert [(float(a).hex(), bool(b)) for a, b in zip(s, attained)] == \
+        [(a.hex(), b) for a, b in expected]
+    assert (s[attained] == 0).any() and (s[attained] > 2.0 ** 20).any()
+    assert not attained[:30].any() and attained[30:].any()
+
+
+def _s_cap_pair_loop(kernel):
+    """The pair-by-pair ``s_cap``: ``sup_sigma`` on every ``a < b`` in order."""
+    cap = 0.0
+    for a in range(kernel.pair.nx):
+        for b in range(a + 1, kernel.pair.nx):
+            res = kernel.sup_sigma(a, b)
+            if res.value == math.inf:
+                raise zr.InfiniteExponentError(
+                    f"sigma({a},{b}) diverges: zero-error condition fails for this pair")
+            if not res.attained:
+                raise zr.PreconditionError(
+                    f"sigma({a},{b}) only approaches its ceiling in the limit; "
+                    "use the relaxed kernel for a finite search interval")
+            cap = max(cap, res.s_star)
+    return cap
+
+
+def _outcome(call):
+    try:
+        return call().hex()
+    except (zr.InfiniteExponentError, zr.PreconditionError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_batched_s_cap_equals_the_pair_loop(typewriter_pair, identity_pair):
+    """``s_cap`` solves every symmetric sum in one batch; its cap, or its
+    first error with the message, equals the ``sup_sigma`` loop's on
+    seeded raw and relaxed kernels with two to seven inputs."""
+    rng = np.random.default_rng(1602)
+    # noiseless, with a metric that favours the sent letter: sigma(0,1) diverges
+    divergent = zr.pair_from_rows(((F(1), F(0)), (F(0), F(1))), ((F(1), F(1, 2)), (F(1, 2), F(1))))
+    pairs = [typewriter_pair, identity_pair, divergent]
+    for nx in range(2, 8):
+        pairs += [random_full_support_pair(rng, nx=nx) for _ in range(3)]
+        pairs += [random_admissible_pair(rng, nx=nx) for _ in range(5)]
+    seen = set()
+    for pair in pairs:
+        for make in (zr.PairKernel, zr.RelaxedKernel):
+            got = _outcome(make(pair).s_cap)
+            assert got == _outcome(lambda: _s_cap_pair_loop(make(pair)))
+            seen.add(next((m for m in ("identically infinite", "diverges", "only approaches")
+                           if m in got), "cap"))
+    assert seen == {"cap", "identically infinite", "diverges", "only approaches"}
+    assert _outcome(zr.PairKernel(typewriter_pair).s_cap) == (
+        "PreconditionError: sigma(0,1) only approaches its ceiling in the limit; "
+        "use the relaxed kernel for a finite search interval")
+    assert _outcome(zr.PairKernel(identity_pair).s_cap) == (
+        "InfiniteExponentError: sigma(0,1) is identically infinite: inputs share no usable output")

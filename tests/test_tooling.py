@@ -4,8 +4,10 @@ of the kernel, the zero-error oracle that production code must not call,
 the book-level distance functions that must not fall back to a per-pair
 loop, the decoders' integer keys, Monte Carlo's one tie draw per block
 and its block loop that allocates no working array, the pair's
-validation and direction builder, which divide no rationals, and the CLI
-commands, which load no document of their own."""
+validation and direction builder, which divide no rationals, the CLI
+commands, which load no document of their own, and the batched tilt
+maximizations: ``s_cap`` and the certificate solve no curve one at a
+time, and the row-wise maximizer runs only under ``_sup_rows``."""
 
 import ast
 import dataclasses
@@ -221,3 +223,28 @@ def test_cli_commands_only_build_payloads():
     for fn in commands:
         called = {ast.unparse(n.func).rsplit(".", 1)[-1] for n in ast.walk(fn) if isinstance(n, ast.Call)}
         assert not called & loaders, f"{fn.name} calls {sorted(called & loaders)}"
+
+
+def _callers(name):
+    """``file:function`` of every package function that calls ``name``."""
+    found = []
+    for path in sorted((ROOT / "src" / "zerorate").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and any(
+                isinstance(n, ast.Call) and ast.unparse(n.func).rsplit(".", 1)[-1] == name
+                for n in ast.walk(fn)
+            ):
+                found.append(f"{path.name}:{fn.name}")
+    return found
+
+
+def test_tilt_maximizations_run_as_batches():
+    """``s_cap`` solves its symmetric sums as rows of one ``_sup_rows`` batch,
+    not through ``sup_sigma``; ``dmin_certificate`` evaluates its sequence
+    kernels as one batch, not through ``mu_sequence``; and the row-wise
+    maximizer ``_argmax_concave_rows`` runs only under ``_sup_rows``."""
+    assert "kernel.py:s_cap" in _callers("_sup_rows")
+    assert "kernel.py:s_cap" not in _callers("sup_sigma")
+    assert "codebook.py:dmin_certificate" in _callers("_sequence_rows")
+    assert "codebook.py:dmin_certificate" not in _callers("mu_sequence")
+    assert _callers("_argmax_concave_rows") == ["kernel.py:_sup_rows"]
