@@ -27,7 +27,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -63,7 +63,7 @@ _TIE_NAMES = {"equiprobable": "equiprobable", "error": "as_error", "genie": "gen
 
 def _plain(value):
     """Make a payload JSON-ready: fractions become strings, infinities
-    become the strings "inf"/"-inf", containers recurse."""
+    become the strings "inf"/"-inf", containers and dataclass fields recurse."""
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, bool):
@@ -75,7 +75,7 @@ def _plain(value):
             return "inf" if value > 0 else "-inf"
         return value
     if is_dataclass(value) and not isinstance(value, type):
-        return _plain(asdict(value))
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (frozenset, set)):

@@ -269,44 +269,52 @@ def _q_method(nx: int) -> str:
     return "exact" if nx <= _EXACT_MAX_NX else "multistart_pg"
 
 
-def _q_max(G: np.ndarray, opts: SearchOptions) -> tuple[float, np.ndarray]:
-    """Maximum of ``x^T G x`` over the simplex, for a finite symmetric ``G``.
+def _q_max(G: np.ndarray, opts: SearchOptions):
+    """Maximum of ``x^T G x`` over the simplex, for a finite symmetric ``G``
+    (for a stack of them, arrays of each one's value and maximizer).
 
     A global maximizer is a KKT point in the relative interior of some
     face ``S``, where it solves ``G_SS x = t 1, sum(x) = 1``.  That system
-    is solved on every face, batched by face size.  Singular faces are
-    skipped, which is exact: along a null direction the objective is
-    constant, so a smaller face holds a maximizer.  The best nonnegative
-    solution wins, valued at its clipped, renormalized point, so the
-    value is always attained.  Above ``_EXACT_MAX_NX`` letters
-    multistart projected gradient runs instead.
+    is solved on every face of every matrix, one batched solve per face
+    size.  Singular faces, found by ``slogdet`` once a solve refuses one,
+    are skipped, which is exact: along a null direction the objective is
+    constant, so a smaller face holds a maximizer.  Each matrix's first
+    best nonnegative solution wins, valued at its clipped, renormalized
+    point, so the value is always attained.  Above ``_EXACT_MAX_NX``
+    letters multistart projected gradient runs instead.
     """
+    if G.ndim == 2:
+        values, qs = _q_max(G[None], opts)
+        return float(values[0]), qs[0]
     _check_finite_sigma(G)
-    nx = len(G)
+    g, nx = len(G), G.shape[-1]
     if nx > _EXACT_MAX_NX:
-        return _multistart_pg(G, opts)
-    best_v, best_q = -INF, None
+        return tuple(np.array(a) for a in zip(*(_multistart_pg(one, opts) for one in G)))
+    best_v, best_q = np.full(g, -INF), np.zeros((g, nx))
     for idx in _faces(nx):
         m, k = idx.shape
-        A = np.zeros((m, k + 1, k + 1))
-        A[:, :k, :k] = G[idx[:, :, None], idx[:, None, :]]
+        A = np.zeros((g * m, k + 1, k + 1))
+        A[:, :k, :k] = G[:, idx[:, :, None], idx[:, None, :]].reshape(g * m, k, k)
         A[:, :k, k] = -1.0
         A[:, k, :k] = 1.0
-        nonsingular = np.linalg.slogdet(A)[0] != 0
-        A, idx = A[nonsingular], idx[nonsingular]
-        b = np.zeros((len(A), k + 1, 1))
-        b[:, k] = 1.0
-        x = np.linalg.solve(A, b)[:, :k, 0]
+        which, face, b = np.repeat(np.arange(g), m), np.concatenate([idx] * g), np.eye(k + 1)[:, k:]
+        try:
+            x = np.linalg.solve(A, b)[:, :k, 0]
+        except np.linalg.LinAlgError:
+            nonsingular = np.linalg.slogdet(A)[0] != 0
+            which, face = which[nonsingular], face[nonsingular]
+            x = np.linalg.solve(A[nonsingular], b)[:, :k, 0]
         keep = np.isfinite(x).all(axis=1) & (x >= -1e-12).all(axis=1)
         if not keep.any():
             continue
         q = np.zeros((int(keep.sum()), nx))
-        np.put_along_axis(q, idx[keep], np.clip(x[keep], 0.0, None), axis=1)
+        np.put_along_axis(q, face[keep], np.clip(x[keep], 0.0, None), axis=1)
         q /= q.sum(axis=1, keepdims=True)
-        vals = _quad(G, q)
-        i = int(np.argmax(vals))
-        if vals[i] > best_v:
-            best_v, best_q = float(vals[i]), q[i]
+        ends = np.searchsorted(which[keep], np.arange(g + 1)).tolist()   # rows of each matrix
+        for i, lo, hi in zip(range(g), ends, ends[1:]):
+            vals = _quad(G[i], q[lo:hi])
+            if lo < hi and vals[j := int(np.argmax(vals))] > best_v[i]:
+                best_v[i], best_q[i] = vals[j], q[lo + j]
     return best_v, best_q
 
 
@@ -340,19 +348,17 @@ def _scan_s_grid(
 
     Every grid point is scored against one fixed bank of distributions
     (vertices, barycentre, edge midpoints) in a single pass; only the
-    four most promising tilts are solved exactly.  Returns the best
+    four most promising tilts are solved exactly, as one stack.  Returns the best
     (value, q, grid index); equal scores go to the smallest tilt.
     """
     Gs = _sigma_grid(kernel, s_values)
     _check_finite_sigma(Gs)
     bank = _pg_starts(kernel.pair.nx, 0, None)
     scores = np.einsum("ki,sij,kj->sk", bank, Gs, bank).max(axis=1)
-    best = (-INF, bank[0], 0)
-    for i in np.argsort(-scores, kind="stable")[:4]:
-        v, q = _q_max(Gs[i], opts)
-        if v > best[0]:
-            best = (v, q, int(i))
-    return best
+    top = np.argsort(-scores, kind="stable")[:4]
+    values, qs = _q_max(Gs[top], opts)
+    i = int(np.argmax(values))      # the first of equal values
+    return float(values[i]), qs[i], int(top[i])
 
 
 def _polish_tilt(kernel: KernelLike, q: np.ndarray, s_cap: Optional[float]) -> Optional[float]:
@@ -375,7 +381,7 @@ def _polish_tilt(kernel: KernelLike, q: np.ndarray, s_cap: Optional[float]) -> O
         if s_cap is None:
             return None
     at = kernel._weighted(pairs, [q[a] * q[b] for a, b in pairs])
-    s, attained = _argmax_concave(lambda s: at(s)[1], kernel.s_limit if s_cap is None else s_cap)
+    s, attained = _argmax_concave(lambda s: at(s, value=False), kernel.s_limit if s_cap is None else s_cap)
     return s if attained else None
 
 

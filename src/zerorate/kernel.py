@@ -28,6 +28,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -57,21 +58,22 @@ def _check_tilt(name: str, s: float, limit: float) -> None:
         )
 
 
-def _tilted(LW: np.ndarray, LR: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
+def _tilted(LW: np.ndarray, LR: np.ndarray, s, value: bool = True):
     """The one float evaluation of the kernel.
 
     Over the last axis of padded direction rows (``LW = log W(y|a)``,
     ``LR = log ratio``, padding ``-inf`` and ``0``) returns
-    ``-log sum_y exp(LW + s LR)`` and its slope in ``s``.  ``s`` broadcasts
-    against the leading axes.  Every row needs a finite ``LW`` entry:
-    callers keep empty directions out and read them as ``inf``.
+    ``-log sum_y exp(LW + s LR)`` and its slope in ``s`` (if not ``value``, the
+    slope alone).  ``s`` broadcasts against the leading axes.  Every row needs a
+    finite ``LW`` entry: callers keep empty directions out and read them as ``inf``.
     """
     x = LW + s * LR
     m = x.max(axis=-1, keepdims=True)
     e = np.exp(x - m)
     z = e.sum(axis=-1)
+    slope = 0.0 - (e * LR).sum(axis=-1) / z
     # 0.0 - (...) rather than -(...): a curve that is identically zero reads +0.0
-    return 0.0 - (m[..., 0] + np.log(z)), 0.0 - (e * LR).sum(axis=-1) / z
+    return (0.0 - (m[..., 0] + np.log(z)), slope) if value else slope
 
 
 def _argmax_concave(fp: Callable[[float], float], cap: float = INF) -> tuple[float, bool]:
@@ -93,10 +95,7 @@ def _argmax_concave(fp: Callable[[float], float], cap: float = INF) -> tuple[flo
         if hi >= cap:
             return cap, True
         lo, hi = hi, min(2.0 * hi, cap)
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:   # adjacent floats: no finer split exists
-            break
+    while hi - lo > _BISECT_TOL and lo < (mid := 0.5 * (lo + hi)) < hi:  # or at adjacent floats
         if fp(mid) > 0:
             lo = mid
         else:
@@ -104,9 +103,19 @@ def _argmax_concave(fp: Callable[[float], float], cap: float = INF) -> tuple[flo
     return 0.5 * (lo + hi), True
 
 
+@lru_cache(maxsize=None)
+def _bisect_steps(lo: float, hi: float) -> int:
+    """Steps of :func:`_argmax_concave`'s bisection on a doubling bracket, ``[0, 1]`` or ``[2**j,
+    2**(j+1)]``: its midpoints are exact up to adjacent floats, so any halves kept take as many."""
+    steps = 0
+    while hi - lo > _BISECT_TOL and lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, steps = mid, steps + 1
+    return steps
+
+
 def _row_slopes(LW: np.ndarray, LR: np.ndarray, w: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Slopes at ``s`` of the :func:`_argmax_concave_rows` curves, each row's as the scalar ``w @ d``."""
-    return (w @ _tilted(LW, LR, s[:, None, None])[1][:, :, None])[:, 0, 0]
+    return (w @ _tilted(LW, LR, s[:, None, None], value=False)[:, :, None])[:, 0, 0]
 
 
 def _argmax_concave_rows(LW: np.ndarray, LR: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -114,9 +123,9 @@ def _argmax_concave_rows(LW: np.ndarray, LR: np.ndarray, w: np.ndarray) -> tuple
     over the padded direction rows ``LW[r]``, ``LR[r]`` (shapes ``(rows, k, ny)``
     and ``(rows, 1, k)``).  Every row takes the steps of its scalar run (the
     exit at ``s = 0``, the doubling, the float-range exit, the bisection), so
-    tilts and flags are the scalar ones bit for bit.  The doubling runs first,
-    then the bisection, each over a working set of the rows it still runs,
-    compressed only when some row finishes."""
+    tilts and flags are the scalar ones bit for bit.  The doubling runs over a
+    working set compressed only when some row finishes; each bisection step,
+    over the rows with steps left (:func:`_bisect_steps`), sorted first."""
     s_out, lo_at, hi_at = np.zeros((3, len(w)))     # lo_at, hi_at: brackets as doubling ends
     attained = np.ones(len(w), dtype=bool)
     run = np.flatnonzero(~(_row_slopes(LW, LR, w, np.zeros(len(w))) <= 0))
@@ -131,18 +140,15 @@ def _argmax_concave_rows(LW: np.ndarray, LR: np.ndarray, w: np.ndarray) -> tuple
             run, lo, hi, *data = (a[keep] for a in (run, lo, hi, *data))
         lo, hi = hi, 2.0 * hi
     run = np.flatnonzero(hi_at)       # a turned slope leaves hi >= 1
+    steps = np.array([_bisect_steps(*b) for b in zip(lo_at[run].tolist(), hi_at[run].tolist())], np.intp)
+    run = run[np.argsort(-steps, kind="stable")]
     lo, hi, data = lo_at[run], hi_at[run], (LW[run], LR[run], w[run])
-    while True:
-        mid = 0.5 * (lo + hi)
-        # bisection ends at the tolerance or at adjacent floats
-        done = (hi - lo <= _BISECT_TOL) | (mid <= lo) | (hi <= mid)
-        if done.any():
-            s_out[run[done]] = mid[done]
-            run, lo, hi, mid, *data = (a[~done] for a in (run, lo, hi, mid, *data))
-        if not run.size:
-            return s_out, attained
-        right = _row_slopes(*data, mid) > 0
-        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    for n in (run.size - np.cumsum(np.bincount(steps)))[:-1].tolist():
+        mid = 0.5 * (lo[:n] + hi[:n])
+        right = _row_slopes(*(a[:n] for a in data), mid) > 0
+        lo[:n], hi[:n] = np.where(right, mid, lo[:n]), np.where(right, hi[:n], mid)
+    s_out[run] = 0.5 * (lo + hi)
+    return s_out, attained
 
 
 @dataclass(frozen=True)
@@ -210,10 +216,16 @@ class PairKernel:
         # The curves in key order; column k of _merge marks the directions of curve k.
         self._reps = sorted(reps.values())
         column = {rep: k for k, rep in enumerate(self._reps)}
+        ra, rb = np.array(self._reps, dtype=np.intp).reshape(-1, 2).T
+        self._LW_reps, self._LR_reps = self._LW[ra, rb], self._LR[ra, rb]
         self._merge = np.zeros((nx * nx, len(self._reps)), dtype=np.int64)
         for (a, b), rep in self._curve.items():
             if rep is not None:
                 self._merge[a * nx + b, column[rep]] = 1
+        self._a_min = [dirs[rep].a_min for rep in self._reps]
+        self._tail_logs = np.array([(0.0, 0.0, 1.0) if dirs[rep].empty else (
+            math.log(a.numerator) - math.log(a.denominator), math.log(a.numerator * a.denominator), 0.0)
+            for rep, a in zip(self._reps, self._a_min)]).reshape(-1, 3)
         self._mu0 = np.array(mu0).reshape(nx, nx)
         self._empty = self._mu0 == INF
         span = float(np.abs(self._LR).max())
@@ -241,7 +253,7 @@ class PairKernel:
         _check_tilt("mu_prime", s, self.s_limit)
         if self._dirs[(a, b)].empty:
             return INF
-        return float(_tilted(self._LW[a, b], self._LR[a, b], s)[1])
+        return float(_tilted(self._LW[a, b], self._LR[a, b], s, value=False))
 
     def mu_prime_limit(self, a: int, b: int) -> float:
         """Limiting slope ``log A(a, b)``; ``inf`` when the kernel is identically infinite."""
@@ -267,16 +279,16 @@ class PairKernel:
 
     def _weighted(
         self, pairs: Sequence[tuple[int, int]], c: Sequence[float],
-    ) -> Callable[[float], tuple[float, float]]:
-        """``s -> (sum_k c_k mu(pairs_k, s), its slope)`` for nonempty
-        directions; the rows are gathered once, then evaluated together."""
+    ) -> Callable[..., Union[tuple[float, float], float]]:
+        """``s -> (sum_k c_k mu(pairs_k, s), its slope)`` (the slope if not ``value``) for
+        nonempty directions; the rows are gathered once, then evaluated together."""
         a, b = np.array(pairs).T
         LW, LR = self._LW[a, b], self._LR[a, b]
         w = np.asarray(c, dtype=float)
 
-        def at(s: float) -> tuple[float, float]:
-            v, d = _tilted(LW, LR, s)
-            return float(w @ v), float(w @ d)
+        def at(s: float, value: bool = True) -> Union[tuple[float, float], float]:
+            t = _tilted(LW, LR, s, value)
+            return (float(w @ t[0]), float(w @ t[1])) if value else float(w @ t)
 
         return at
 
@@ -401,7 +413,7 @@ class PairKernel:
         failing pair raises the error of the pair-by-pair loop.
         """
         nx, cap = self.pair.nx, 0.0
-        a, b = np.triu_indices(nx, 1)
+        a, b = np.nonzero(np.arange(nx)[:, None] < np.arange(nx))   # a < b, row-major
         sups = self._sup_rows(self._merge[a * nx + b] + self._merge[b * nx + a])
         for a, b, s_star, value, ok in zip(a.tolist(), b.tolist(), *(x.tolist() for x in sups)):
             if self._dirs[(a, b)].empty or self._dirs[(b, a)].empty:
@@ -424,40 +436,50 @@ class PairKernel:
         """The curve ``key`` maximized at ``s = 0``, with its exact value there."""
         return SupResult(0.0, float(sum(c * self._mu0[ab] for ab, c in key)), True)
 
-    def _closed_form(self, key: tuple) -> Optional[SupResult]:
+    def _tail_signs(self, keys: np.ndarray) -> list[int]:
+        """Sign of ``prod_k A_k ** c_k - 1`` per row of curve counts ``keys`` (1 with an empty
+        curve, which diverges too), from ``_tail_logs``: ``sum c_k (log num_k - log den_k)`` rounds
+        far below ``1e-9 sum c_k log(num_k den_k)``, and rows within that of 0 are decided exactly."""
+        est, size, empty = (keys @ self._tail_logs).T
+        signs = np.where(empty > 0, 1, np.sign(est)).astype(np.int64)
+        for r in np.flatnonzero((empty == 0) & (np.abs(est) <= 1e-9 * size)).tolist():
+            signs[r] = _sign_of_power_product(self._a_min, keys[r])
+        return signs.tolist()
+
+    def _closed_form(self, key: tuple, sign: Optional[int] = None) -> Optional[SupResult]:
         """Supremum of the curve ``key`` when its tail settles it; None when
         the maximum is interior and needs a search.
 
-        The tail is classified exactly: the limiting slope is ``log`` of
-        the rational product ``prod A_k ** c_k``, whose exact comparison
-        with one decides between divergence (above one), a horizontal
+        The limiting slope is ``log`` of the rational product ``prod A_k ** c_k``,
+        whose comparison with one, ``sign`` (:meth:`_tail_signs`, found here
+        when not given), decides between divergence (above one), a horizontal
         asymptote or a constant (one), and an interior maximum (below one).
         """
-        dirs = [self._dirs[ab] for ab, _ in key]
-        if any(d.empty for d in dirs):
-            return SupResult(INF, INF, False)
-        sign = _sign_of_power_product([d.a_min for d in dirs], [c for _, c in key])
+        if sign is None:
+            counts = dict(key)
+            sign = self._tail_signs(np.array([[counts.get(rep, 0) for rep in self._reps]]))[0]
         if sign > 0:
             return SupResult(INF, INF, False)
         if sign < 0:
             return None
+        dirs = [self._dirs[ab] for ab, _ in key]
         if all(d.affine for d in dirs):
             return self._at_zero(key)
         return SupResult(INF, sum(c * d.intercept for d, (_, c) in zip(dirs, key)), False)
 
-    def _sup_weighted(self, key: tuple) -> SupResult:
+    def _sup_weighted(self, key: tuple, sign: Optional[int] = None) -> SupResult:
         """Maximize ``sum c_k mu_k(s)`` over ``s >= 0`` for the curve ``key``
-        of :meth:`_curve_key` (integer ``c_k > 0``).
+        of :meth:`_curve_key` (integer ``c_k > 0``) with tail sign ``sign``, if known.
 
         Tails that settle the supremum are read off exactly
         (:meth:`_closed_form`); otherwise the limiting slope is negative
         and the slope turns at a finite tilt.  A maximum at ``s = 0``
         takes the exact value there.
         """
-        if (closed := self._closed_form(key)) is not None:
+        if (closed := self._closed_form(key, sign)) is not None:
             return closed
         at = self._weighted([ab for ab, _ in key], [c for _, c in key])
-        s, attained = _argmax_concave(lambda s: at(s)[1])
+        s, attained = _argmax_concave(lambda s: at(s, value=False))
         if attained and s == 0:
             return self._at_zero(key)
         return SupResult(s if attained else INF, at(s)[0], attained)
@@ -468,37 +490,39 @@ class PairKernel:
         Row ``k`` of ``keys`` counts each curve of ``self._reps`` in one
         curve key, zeros for curves it lacks.  Returns ``s_star``,
         ``value`` and ``attained`` per row, bit for bit those of the
-        scalar solve: closed-form tails are read key by key, and interior
-        keys with the same number of terms are stacked and handed to one
-        :func:`_argmax_concave_rows` (its only caller), whose weighted sums
-        are the scalar dot products of the same lengths.
+        scalar solve: tails are read at once (:meth:`_tail_signs`), and interior
+        keys with the same number of terms (unless alone) are stacked and handed
+        to one :func:`_argmax_concave_rows` (its only caller), whose weighted
+        sums are the scalar dot products of the same lengths.
         """
         rows = len(keys)
         s_star, value, attained = np.zeros(rows), np.zeros(rows), np.ones(rows, dtype=bool)
-        key_of, interior = [], []
+        key_of, interior, signs = [], [], self._tail_signs(keys)
         for r, counts in enumerate(keys.tolist()):
             key = tuple((rep, c) for rep, c in zip(self._reps, counts) if c)
             key_of.append(key)
-            closed = self._closed_form(key)
+            closed = self._closed_form(key, signs[r])
             if closed is None:
                 interior.append(r)
             else:
                 s_star[r], value[r], attained[r] = closed.s_star, closed.value, closed.attained
-        ra, rb = np.array(self._reps, dtype=np.intp).reshape(-1, 2).T
-        LW_reps, LR_reps = self._LW[ra, rb], self._LR[ra, rb]
         interior = np.array(interior, dtype=np.intp)
         terms = np.count_nonzero(keys[interior], axis=1)
-        for k in sorted(set(terms.tolist())):
-            group = interior[terms == k]
-            cols = np.nonzero(keys[group])[1].reshape(len(group), k)
-            LW, LR = LW_reps[cols], LR_reps[cols]
-            w = np.take_along_axis(keys[group], cols, axis=1).astype(float)[:, None, :]
-            with np.errstate(over="ignore", invalid="ignore"):   # NaN slopes end a run
+        with np.errstate(over="ignore", invalid="ignore"):   # NaN slopes end a run
+            for k in sorted(set(terms.tolist())):
+                group = interior[terms == k]
+                if len(group) == 1:
+                    res = self._sup_weighted(key_of[group[0]], signs[group[0]])
+                    s_star[group], value[group], attained[group] = res.s_star, res.value, res.attained
+                    continue
+                cols = np.nonzero(keys[group])[1].reshape(len(group), k)
+                LW, LR = self._LW_reps[cols], self._LR_reps[cols]
+                w = np.take_along_axis(keys[group], cols, axis=1).astype(float)[:, None, :]
                 s, ok = _argmax_concave_rows(LW, LR, w)
                 value[group] = (w @ _tilted(LW, LR, s[:, None, None])[0][:, :, None])[:, 0, 0]
-            s_star[group], attained[group] = np.where(ok, s, INF), ok
-            for r in group[ok & (s == 0)]:
-                value[r] = self._at_zero(key_of[r]).value
+                s_star[group], attained[group] = np.where(ok, s, INF), ok
+                for r in group[ok & (s == 0)]:
+                    value[r] = self._at_zero(key_of[r]).value
         return s_star, value, attained
 
     # -- vectorized matrix evaluations ----------------------------------------

@@ -1,6 +1,7 @@
 """Command-line interface: payload schemas, exit codes, and determinism."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -366,3 +367,42 @@ def test_json_output_is_machine_readable(bsc_file, capsys):
     captured = capsys.readouterr()
     doc = json.loads(captured.out)
     assert doc["command"] == "zero-error"
+
+
+def test_payloads_equal_the_asdict_route(bsc_file, tw_file, code_file, big_code_file,
+                                         tmp_path, rng, monkeypatch, capsys):
+    """``_plain`` reads dataclass fields in place; every subcommand's
+    payload, on both pairs, equals the one built by ``dataclasses.asdict``
+    first and then walked, kept here as the oracle."""
+    csv_path = str(tmp_path / "mu.csv")
+    ternary = []
+    for m, n in ((2, 4), (10, 12)):
+        ternary.append(tmp_path / f"ternary{m}.txt")
+        words = tuple(tuple(int(v) for v in rng.integers(0, 3, n)) for _ in range(m))
+        ternary[-1].write_text(zr.serialize_codebook(zr.Codebook(words, 3)))
+    runs = [["komlos", "--code", big_code_file, "--t", "3", "--target", "4"]]
+    for pair_file, small, big in ((bsc_file, code_file, big_code_file),
+                                  (tw_file, str(ternary[0]), str(ternary[1]))):
+        pair, code = ["--pair", pair_file], ["--code", small]
+        runs += [
+            ["validate", *pair], ["zero-error", *pair], ["balanced", *pair],
+            ["exponent", *pair], ["gap", *pair], ["mu-curve", *pair, "--csv", csv_path],
+            ["dmin", *code, *pair], ["exact-pe", *code, *pair],
+            ["simulate", *code, *pair, "--trials", "50"],
+            ["certificate", "--code", big, *pair, "--t", "3", "--target", "4"],
+            ["empirical", *pair, "--letters", "0,1", "--n", "2"],
+        ]
+    assert {argv[0] for argv in runs} == set(
+        cli._build_parser()._subparsers._group_actions[0].choices)
+    fields_route = [json.dumps(cli.run(argv)["payload"]) for argv in runs]
+
+    plain = cli._plain
+
+    def asdict_route(value):
+        if dataclasses.is_dataclass(value) and not isinstance(value, type):
+            value = dataclasses.asdict(value)
+        return plain(value)
+
+    monkeypatch.setattr(cli, "_plain", asdict_route)
+    assert [json.dumps(cli.run(argv)["payload"]) for argv in runs] == fields_route
+    capsys.readouterr()

@@ -389,3 +389,65 @@ def test_unbalanced_exponent_builds_one_kernel(typewriter_pair, monkeypatch):
     res = zr.zero_rate_exponent(typewriter_pair)
     assert not res.balanced
     assert calls == ["PairKernel"]
+
+
+def _q_max_one_at_a_time(G):
+    """The exact Q-maximizer on one matrix, ``slogdet`` on every face before
+    one solve per face size: the reference for the stacked solve."""
+    nx = len(G)
+    best_v, best_q = -math.inf, None
+    for idx in exponent_mod._faces(nx):
+        m, k = idx.shape
+        A = np.zeros((m, k + 1, k + 1))
+        A[:, :k, :k] = G[idx[:, :, None], idx[:, None, :]]
+        A[:, :k, k] = -1.0
+        A[:, k, :k] = 1.0
+        nonsingular = np.linalg.slogdet(A)[0] != 0
+        A, idx = A[nonsingular], idx[nonsingular]
+        b = np.zeros((len(A), k + 1, 1))
+        b[:, k] = 1.0
+        x = np.linalg.solve(A, b)[:, :k, 0]
+        keep = np.isfinite(x).all(axis=1) & (x >= -1e-12).all(axis=1)
+        if not keep.any():
+            continue
+        q = np.zeros((int(keep.sum()), nx))
+        np.put_along_axis(q, idx[keep], np.clip(x[keep], 0.0, None), axis=1)
+        q /= q.sum(axis=1, keepdims=True)
+        vals = np.einsum("ki,ij,kj->k", q, G, q)
+        i = int(np.argmax(vals))
+        if vals[i] > best_v:
+            best_v, best_q = float(vals[i]), q[i]
+    return best_v, best_q
+
+
+def test_stacked_q_max_equals_one_matrix_at_a_time(bsc_pair, typewriter_pair, monkeypatch):
+    """``_q_max`` on a stack solves each face size once for every matrix;
+    each matrix's value and maximizer equal its own solve, by float hex and
+    bytes: seeded stacks with one to eight letters, the BSC and typewriter
+    sigma matrices (singular faces, ties between faces) and a planted
+    matrix with two equal rows, mixed with regular ones."""
+    rng = np.random.default_rng(1804)
+    slogdets = []
+    real_slogdet = np.linalg.slogdet
+    monkeypatch.setattr(np.linalg, "slogdet", lambda A: slogdets.append(len(A)) or real_slogdet(A))
+    stacks = [np.stack([_random_sym(rng, nx) for _ in range(g)])
+              for nx in range(1, 9) for g in (1, 2, 4)]
+    for pair in (bsc_pair, typewriter_pair):
+        for make in (zr.PairKernel, zr.RelaxedKernel):
+            stacks.append(exponent_mod._sigma_grid(make(pair), [0.0, 0.25, 1.0, 3.0]))
+    planted = _random_sym(rng, 4)
+    planted[1], planted[:, 1] = planted[0], planted[:, 0]
+    planted[1, 1] = planted[0, 0] = 0.0
+    stacks.append(np.stack([_random_sym(rng, 4), planted, _random_sym(rng, 4)]))
+    opts = zr.SearchOptions()
+    for stack in stacks:
+        values, qs = exponent_mod._q_max(stack, opts)
+        assert values.shape == (len(stack),) and qs.shape == stack.shape[:2]
+        for G, value, q in zip(stack, values, qs):
+            ref_v, ref_q = _q_max_one_at_a_time(G)
+            one_v, one_q = exponent_mod._q_max(G, opts)
+            assert float(value).hex() == ref_v.hex() == one_v.hex()
+            assert q.tobytes() == ref_q.tobytes() == one_q.tobytes()
+    # the reference calls slogdet on every face size; the stacked solve only
+    # after LAPACK refused a singular face, which the sigma matrices have
+    assert slogdets

@@ -8,6 +8,7 @@ sequences) before being frozen into the assertions.
 import csv
 import itertools
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -579,3 +580,123 @@ def test_batched_s_cap_equals_the_pair_loop(typewriter_pair, identity_pair):
         "use the relaxed kernel for a finite search interval")
     assert _outcome(zr.PairKernel(identity_pair).s_cap) == (
         "InfiniteExponentError: sigma(0,1) is identically infinite: inputs share no usable output")
+
+
+def _scalar_bisection_steps(lo, hi, keep_right):
+    """Bisection steps ``_argmax_concave`` takes inside ``[lo, hi]`` on a
+    slope that turns at ``hi`` and, inside, always keeps one half."""
+    inside = []
+
+    def slope(s):
+        if lo < s < hi:
+            inside.append(s)
+            return 1.0 if keep_right else -1.0
+        return 1.0 if s <= lo else -1.0
+
+    _argmax_concave(slope)
+    return len(inside)
+
+
+def test_bisection_length_is_fixed_by_the_bracket():
+    """On every bracket the uncapped doubling can leave, ``[0, 1]`` and
+    ``[2**j, 2**(j+1)]`` up to the float range, the step count of
+    ``_bisect_steps`` is the scalar loop's whichever halves it keeps."""
+    brackets = [(0.0, 1.0)] + [(2.0 ** j, 2.0 ** (j + 1)) for j in range(1023)]
+    for lo, hi in brackets:
+        steps = zr.kernel._bisect_steps(lo, hi)
+        assert steps == _scalar_bisection_steps(lo, hi, True) == \
+            _scalar_bisection_steps(lo, hi, False), (lo, hi)
+    assert zr.kernel._bisect_steps(0.0, 1.0) == 30 and zr.kernel._bisect_steps(2.0, 4.0) == 31
+    assert zr.kernel._bisect_steps(2.0 ** 1022, 2.0 ** 1023) == 52
+
+
+def test_a_one_row_group_takes_the_scalar_maximizer(monkeypatch):
+    """A term-count group of one key is solved by the scalar maximizer;
+    its result equals the same key's run through the row loop (a group of
+    two equal keys) and ``_sup_weighted``, float for float."""
+    rng = np.random.default_rng(1801)
+    row_calls = []
+    real_rows = zr.kernel._argmax_concave_rows
+    monkeypatch.setattr(zr.kernel, "_argmax_concave_rows",
+                        lambda *a: row_calls.append(len(a[2])) or real_rows(*a))
+    solved = 0
+    for nx in (2, 3, 4, 5):
+        for _ in range(4):
+            pair = random_full_support_pair(rng, nx=nx)
+            for k in (zr.PairKernel(pair), zr.RelaxedKernel(pair)):
+                for row in rng.integers(0, 5, (6, len(k._reps))):
+                    key = tuple((rep, int(c)) for rep, c in zip(k._reps, row) if c)
+                    if k._closed_form(key) is not None:
+                        continue
+                    row_calls.clear()
+                    alone = k._sup_rows(row[None, :])
+                    assert row_calls == []
+                    twice = k._sup_rows(np.stack([row, row]))
+                    assert row_calls == [2]
+                    scalar = k._sup_weighted(key)
+                    got = [(float(s).hex(), float(v).hex(), bool(a)) for s, v, a in zip(*alone)]
+                    assert got * 2 == [(float(s).hex(), float(v).hex(), bool(a))
+                                       for s, v, a in zip(*twice)]
+                    assert got == [(scalar.s_star.hex(), scalar.value.hex(), scalar.attained)]
+                    solved += 1
+    assert solved > 50
+
+
+def test_tail_signs_equal_the_exact_sign():
+    """``_tail_signs`` reads each key's tail in floats; on seeded raw and
+    relaxed kernels (empty curves read 1) it equals the exact sign of
+    ``prod A_k ** c_k - 1`` for small and large counts."""
+    rng = np.random.default_rng(1802)
+    checked = 0
+    for nx in range(2, 7):
+        for make_pair in (random_full_support_pair, random_admissible_pair):
+            pair = make_pair(rng, nx=nx)
+            for k in (zr.PairKernel(pair), zr.RelaxedKernel(pair)):
+                empty = np.array([k.direction(*rep).empty for rep in k._reps])
+                keys = rng.integers(0, 4, (40, len(k._reps))) * rng.choice([1, 7, 1000], (40, 1))
+                keys = np.vstack([keys, np.eye(len(k._reps), dtype=np.int64)])
+                expected = [1 if (row[empty] > 0).any() else
+                            zr.kernel._sign_of_power_product(k._a_min, row) for row in keys]
+                assert k._tail_signs(keys) == expected
+                checked += len(keys)
+    assert checked > 1000
+
+
+def test_exact_tail_ties_take_the_exact_route(monkeypatch):
+    """Keys whose ``prod A_k ** c_k`` is exactly one, such as ``(4/9) (3/2)**2``
+    or a ratio times its reciprocal, are decided by the exact integer
+    comparison; keys far from a tie never raise an integer power."""
+    third = F(1, 3)
+    W = ((third,) * 3,) * 3
+    q = ((F(4), F(4), F(4)), (F(9), F(9), F(9)), (F(6), F(6), F(6)))   # A(0,1) = 4/9, A(2,0) = 3/2
+    k = zr.PairKernel(zr.pair_from_rows(W, q))
+    col = {rep: i for i, rep in enumerate(k._reps)}
+    assert k.extreme_ratio(0, 1) == F(4, 9) and k.extreme_ratio(2, 0) == F(3, 2)
+    ties = np.zeros((4, len(k._reps)), dtype=np.int64)
+    ties[0, [col[k._curve[(0, 1)]], col[k._curve[(2, 0)]]]] = (1, 2)
+    ties[1, [col[k._curve[(0, 1)]], col[k._curve[(2, 0)]]]] = (3, 6)
+    ties[2, [col[k._curve[(0, 1)]], col[k._curve[(1, 0)]]]] = (5, 5)
+    ties[3, [col[k._curve[(1, 2)]], col[k._curve[(2, 1)]]]] = (2, 2)
+    far = ties.copy()
+    far[:, col[k._curve[(0, 1)]]] += 1
+    exact = []
+    real = zr.kernel._sign_of_power_product
+    monkeypatch.setattr(zr.kernel, "_sign_of_power_product",
+                        lambda v, e: exact.append(tuple(e)) or real(v, e))
+    assert k._tail_signs(ties) == [0, 0, 0, 0]
+    assert exact == [tuple(row) for row in ties]
+    exact.clear()
+    assert k._tail_signs(far) == [-1, -1, -1, -1] and exact == []
+
+
+def test_long_word_tails_are_decided_fast():
+    """Counts near a few million: the exact integer powers took seconds per
+    key, the float tail sign takes none (both kernels of a seeded pair)."""
+    rng = np.random.default_rng(1803)
+    pair = random_full_support_pair(rng, nx=3, ny=3)
+    for k in (zr.PairKernel(pair), zr.RelaxedKernel(pair)):
+        keys = rng.integers(10 ** 6, 3 * 10 ** 6, (2, len(k._reps)))
+        start = time.perf_counter()
+        s_star, value, attained = k._sup_rows(keys)
+        assert time.perf_counter() - start < 1.0
+        assert np.isfinite(value).all()

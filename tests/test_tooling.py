@@ -7,7 +7,10 @@ and its block loop that allocates no working array, the pair's
 validation and direction builder, which divide no rationals, the CLI
 commands, which load no document of their own, and the batched tilt
 maximizations: ``s_cap`` and the certificate solve no curve one at a
-time, and the row-wise maximizer runs only under ``_sup_rows``."""
+time, and the row-wise maximizer runs only under ``_sup_rows``.  The
+grid scan solves its best tilts as one stack (one ``_q_max`` call, in no
+loop), ``slogdet`` runs only once a batched solve has refused a singular
+face, and the CLI turns dataclasses into payloads without ``asdict``."""
 
 import ast
 import dataclasses
@@ -248,3 +251,44 @@ def test_tilt_maximizations_run_as_batches():
     assert "codebook.py:dmin_certificate" in _callers("_sequence_rows")
     assert "codebook.py:dmin_certificate" not in _callers("mu_sequence")
     assert _callers("_argmax_concave_rows") == ["kernel.py:_sup_rows"]
+
+
+def _parents(tree):
+    return {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+
+def _ancestors(node, parents):
+    while node in parents:
+        node = parents[node]
+        yield node
+
+
+def test_q_solves_run_as_stacks():
+    """``_scan_s_grid`` makes one ``_q_max`` call, outside any loop, for
+    all its tilts; every ``np.linalg.slogdet`` in ``exponent.py`` sits in
+    an ``except np.linalg.LinAlgError`` handler, so singular faces are
+    looked for only after a batched solve has met one."""
+    tree = ast.parse((ROOT / "src" / "zerorate" / "exponent.py").read_text())
+    parents = _parents(tree)
+    scan = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_scan_s_grid")
+    calls = [n for n in ast.walk(scan)
+             if isinstance(n, ast.Call) and ast.unparse(n.func) == "_q_max"]
+    assert len(calls) == 1, f"_scan_s_grid calls _q_max {len(calls)} times"
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    assert not any(isinstance(a, loops) for a in _ancestors(calls[0], parents)), \
+        "_scan_s_grid calls _q_max inside a loop"
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call) and ast.unparse(n.func) == "np.linalg.slogdet":
+            handlers = [a for a in _ancestors(n, parents) if isinstance(a, ast.ExceptHandler)]
+            assert handlers and ast.unparse(handlers[0].type) == "np.linalg.LinAlgError", \
+                f"slogdet outside a LinAlgError handler on line {n.lineno}"
+
+
+def test_cli_builds_payloads_without_asdict():
+    """``cli._plain`` walks dataclass fields in place; ``asdict`` would
+    deep-copy every nested value before the walk."""
+    tree = ast.parse((ROOT / "src" / "zerorate" / "cli.py").read_text())
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))
+                for a in n.names}
+    assert "asdict" not in imported
+    assert not any(isinstance(n, ast.Attribute) and n.attr == "asdict" for n in ast.walk(tree))
