@@ -297,7 +297,7 @@ def _q_max(G: np.ndarray, opts: SearchOptions):
         A[:, :k, :k] = G[:, idx[:, :, None], idx[:, None, :]].reshape(g * m, k, k)
         A[:, :k, k] = -1.0
         A[:, k, :k] = 1.0
-        which, face, b = np.repeat(np.arange(g), m), np.concatenate([idx] * g), np.eye(k + 1)[:, k:]
+        which, face, b = np.repeat(np.arange(g), m), np.concatenate([idx] * g), np.eye(k + 1)[None, :, k:]
         try:
             x = np.linalg.solve(A, b)[:, :k, 0]
         except np.linalg.LinAlgError:

@@ -451,3 +451,21 @@ def test_stacked_q_max_equals_one_matrix_at_a_time(bsc_pair, typewriter_pair, mo
     # the reference calls slogdet on every face size; the stacked solve only
     # after LAPACK refused a singular face, which the sigma matrices have
     assert slogdets
+
+
+def test_q_max_solves_read_alike_on_numpy_1_and_2(bsc_pair, monkeypatch):
+    """``np.linalg.solve(a, b)`` reads a ``b`` with one dimension fewer than
+    ``a`` as a stack of vectors before numpy 2.0 and as a single matrix
+    since; ``_q_max`` must hand it only a ``b`` both read the same, on the
+    regular solve and on the one after a singular face."""
+    calls = []
+    real_solve = np.linalg.solve
+    monkeypatch.setattr(
+        np.linalg, "solve", lambda a, b: calls.append((a.ndim, b.ndim)) or real_solve(a, b))
+    rng = np.random.default_rng(7)
+    opts = zr.SearchOptions()
+    for nx in range(1, 6):
+        exponent_mod._q_max(np.stack([_random_sym(rng, nx) for _ in range(3)]), opts)
+    exponent_mod._q_max(exponent_mod._sigma_grid(zr.PairKernel(bsc_pair), [0.0, 1.0]), opts)
+    assert calls
+    assert all(b_ndim == 1 or b_ndim != a_ndim - 1 for a_ndim, b_ndim in calls)
