@@ -14,8 +14,8 @@ builds its payload.
 Exit codes: 0 on success, 2 for malformed input (bad files, unknown
 commands, and flags that are invalid whatever the documents hold), 3 for
 violated preconditions, where the documents make the request impossible,
-such as a pair whose zero-error condition fails or a ``--target`` above
-the book size.
+such as a pair whose zero-error condition fails, a ``--target`` above
+the book size, or an exact enumeration over its budget.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .decoder import (
 from .errors import PreconditionError, ValidationError
 from .exponent import (
     RelaxedKernel,
-    SearchOptions,
     gap_bound,
     zero_rate_exponent,
 )
@@ -180,7 +179,7 @@ def _cmd_balanced(args, pair):
 
 
 def _cmd_exponent(args, pair):
-    result = zero_rate_exponent(pair, SearchOptions(seed=args.seed))
+    result = zero_rate_exponent(pair)
     return {
         "value": _scale(result.value, args.bits),
         "kind": result.kind,
@@ -220,7 +219,7 @@ def _cmd_certificate(args, pair, code):
     selected, extraction = komlos_extract(code, t=args.t, target=args.target)
     balanced, _ = is_balanced(pair)
     kernel = PairKernel(pair) if balanced else RelaxedKernel(pair)
-    report = dmin_certificate(kernel, code, selected, args.t, options=SearchOptions(seed=args.seed))
+    report = dmin_certificate(kernel, code, selected, args.t)
     return {
         "balanced": balanced,
         "kernel": "raw" if balanced else "relaxed",
@@ -289,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     new("zero-error", _cmd_zero_error, "zero-error conditions and boundary pairs", pair=True)
     new("balanced", _cmd_balanced, "balanced-pair check with violation details", pair=True)
 
-    new("exponent", _cmd_exponent, "zero-rate exponent quantity", pair=True, bits=True, seed=True)
+    new("exponent", _cmd_exponent, "zero-rate exponent quantity", pair=True, bits=True)
 
     new("gap", _cmd_gap, "ceiling of the relaxation gap", pair=True, bits=True)
 
@@ -305,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_at_least("--t", 1), required=True, help="type quantization denominator")
     p.add_argument("--target", type=_at_least("--target", 2), required=True, help="desired subcode size")
 
-    p = new("certificate", _cmd_certificate, "distance chain certificate", pair=True, code=True, seed=True)
+    p = new("certificate", _cmd_certificate, "distance chain certificate", pair=True, code=True)
     p.add_argument("--t", type=_at_least("--t", 1), required=True)
     p.add_argument("--target", type=_at_least("--target", 2), required=True)
 

@@ -24,7 +24,6 @@ from .channel import ChannelMetricPair
 from .errors import PreconditionError, ValidationError
 from .exponent import (
     RelaxedKernel,
-    SearchOptions,
     _interval_search,
     _objective_rows,
     maximize_over_Q,
@@ -525,7 +524,6 @@ def dmin_certificate(
     code: Codebook,
     subcode: Sequence[int],
     t: int,
-    options: Optional[SearchOptions] = None,
 ) -> DMinCertificate:
     """Evaluate every link of the chain bounding the codebook's minimum
     distance by the optimized single-letter objective.
@@ -546,7 +544,6 @@ def dmin_certificate(
     m_hat = len(picked)
     delta = delta_closeness(m_hat, t)
     n = code.n
-    opts = options or SearchOptions()
 
     s_cap = kernel.s_cap()
     # 1e-3 steps, but never more than 4096 of them on a long interval
@@ -594,14 +591,16 @@ def dmin_certificate(
     avg_own = own_sum / (ordered_pairs * n)
     avg_anchor = anchor_sum / (ordered_pairs * n)
 
-    q_at_anchor = maximize_over_Q(kernel, s_bar_anchor, options=opts).value
+    q_at_anchor = maximize_over_Q(kernel, s_bar_anchor).value
     # The chain's comparison point is reachable from the subcode's own column
     # compositions, so feed those in as well; the search then can never land
-    # below the value the algebra guarantees.
+    # below the value the algebra guarantees.  The compositions count the
+    # pair's letters, whatever alphabet the book declares.
     sub = code.subcode(picked)
-    columns = _objective_rows(kernel.mu_matrix(s_bar_anchor), sub.column_counts() / m_hat)
+    compositions = _onehot(sub.words, kernel.pair.nx).sum(axis=0) / m_hat
+    columns = _objective_rows(kernel.mu_matrix(s_bar_anchor), compositions)
     q_at_anchor = max(q_at_anchor, float(columns.max()))
-    sup_value = max(_interval_search(kernel, s_cap, opts)[0], q_at_anchor)
+    sup_value = max(_interval_search(kernel, s_cap)[0], q_at_anchor)
     factor = m_hat / (m_hat - 1)
 
     lines = (

@@ -30,4 +30,7 @@ class InfiniteExponentError(PreconditionError):
 
 
 class BudgetExceededError(PreconditionError):
-    """An exact enumeration would exceed the configured class budget."""
+    """An exact enumeration would exceed its budget: the conditional-type
+    classes of exact two-codeword decoding (the caller's budget), or the
+    live faces that one level of the exact Q-maximization holds (a fixed
+    one, which no alphabet of sixteen letters or fewer reaches)."""

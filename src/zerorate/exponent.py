@@ -13,26 +13,26 @@ straight asymptote line yields a *relaxed* kernel whose supremum is an
 upper bound; the width between the two is controlled by a closed-form
 gap certificate.
 
-The ``Q`` maximization for a fixed tilt is an indefinite quadratic
-program over the simplex, solved exactly by enumerating the KKT point
-of every simplex face (Bomze, J. Global Optim. 1998); above twelve input
-letters multistart projected gradient ascent runs instead.  That is the
-one Q-maximizer; the exhaustive simplex grid and the closed-form best
-two-point restriction it is checked against live in the tests.
+The ``Q`` maximization for a fixed tilt is a standard quadratic program
+over the simplex, solved exactly for every alphabet size: the faces are
+enumerated level by level, each kept only while the matrix stays
+negative definite on its tangent space, and each kept face's KKT point
+is solved (Bomze, J. Global Optim. 1998; Scozzari & Tardella, Discrete
+Appl. Math. 2008).  That is the one Q-maximizer; the exhaustive simplex
+grid, the closed-form best two-point restriction and projected gradient
+ascent it is checked against live in the tests.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .channel import ChannelMetricPair, InputDistribution
-from .errors import InfiniteExponentError, PreconditionError, ValidationError
+from .errors import BudgetExceededError, InfiniteExponentError, PreconditionError, ValidationError
 from .kernel import PairKernel, _argmax_concave, _check_tilt
 from .zero_error import (
     boundary_set_B,
@@ -102,44 +102,18 @@ def gap_bound(pair: ChannelMetricPair) -> float:
 
 KernelLike = Union[PairKernel, RelaxedKernel]
 
-# Largest input alphabet whose Q-maximization enumerates all 2**nx - 1
-# simplex faces; larger alphabets use multistart projected gradient.
-_EXACT_MAX_NX = 12
-
 _S_POINTS = 512          # tilts on the lower route's geometric grid
+_S_MAX = 64.0            # top of the lower route's geometric grid
 _INTERVAL_POINTS = 65    # tilts on the grid over [0, s_cap]
-_Q_STARTS = 32           # projected-gradient starts
-_PG_ITERATIONS = 400     # projected-gradient steps per start
 _POLISH_TOL = 1e-12      # the polish stops once a round gains no more than this
-
-
-@dataclass(frozen=True)
-class SearchOptions:
-    """Knobs for the exponent searches.
-
-    ``s_max`` (finite, positive) is the top of the lower route's
-    geometric tilt grid.  ``seed`` (a nonnegative integer) seeds the
-    multistart projected gradient that the Q-maximizer runs on alphabets
-    above twelve letters.
-    """
-
-    seed: int = 0
-    s_max: float = 64.0
-
-    def __post_init__(self) -> None:
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise ValidationError(f"the seed must be an integer, got {self.seed!r}")
-        if self.seed < 0:
-            raise ValidationError(f"the seed must be nonnegative, got {self.seed}")
-        if not (math.isfinite(self.s_max) and self.s_max > 0):
-            raise ValidationError(f"s_max must be finite and positive, got {self.s_max!r}")
+_FACE_BUDGET = 1 << 14   # live faces of one matrix that one level of _q_max may hold
+_FACE_TOL = 1e-9         # relative slack of the face test, see _q_max
 
 
 @dataclass(frozen=True)
 class QResult:
     value: float
     q: tuple[float, ...]
-    method: str
 
 
 def _as_probe(Q: Union[InputDistribution, Sequence[float]], nx: int) -> np.ndarray:
@@ -182,67 +156,13 @@ def _sigma_grid(kernel: KernelLike, s_values: Sequence[float]) -> np.ndarray:
     return sig
 
 
-def _project_rows(x: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row onto the probability simplex."""
-    n = x.shape[1]
-    u = np.sort(x, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - 1.0
-    idx = np.arange(1, n + 1)
-    cond = u - css / idx > 0
-    rho = n - 1 - np.argmax(cond[:, ::-1], axis=1)
-    theta = css[np.arange(len(x)), rho] / (rho + 1.0)
-    return np.clip(x - theta[:, None], 0.0, None)
-
-
-def _quad(G: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.einsum("ki,ij,kj->k", x, G, x)
-
-
-def _pg_starts(nx: int, count: int, rng: Optional[np.random.Generator]) -> np.ndarray:
-    """Vertices, barycentre, edge midpoints, then random rows from ``rng`` up to ``count``."""
-    rows = [np.eye(nx)]
-    rows.append(np.full((1, nx), 1.0 / nx))
-    mids = []
-    for a in range(nx):
-        for b in range(a + 1, nx):
-            v = np.zeros(nx)
-            v[a] = v[b] = 0.5
-            mids.append(v)
-    if mids:
-        rows.append(np.array(mids))
-    have = sum(r.shape[0] for r in rows)
-    if have < count:
-        rows.append(rng.dirichlet(np.ones(nx), size=count - have))
-    return np.vstack(rows)
-
-
-def _pg_ascent(G: np.ndarray, starts: np.ndarray, iterations: int) -> tuple[float, np.ndarray]:
-    x = starts.copy()
-    eta = np.full(len(x), 0.5)
-    f = _quad(G, x)
-    for _ in range(iterations):
-        grad = 2.0 * x @ G
-        cand = _project_rows(x + eta[:, None] * grad)
-        fc = _quad(G, cand)
-        better = fc > f
-        x[better] = cand[better]
-        f[better] = fc[better]
-        eta = np.where(better, eta * 1.25, eta * 0.5)
-        if eta.max() < 1e-14:
-            break
-    best = int(np.argmax(f))
-    return float(f[best]), x[best]
-
-
-def _multistart_pg(G: np.ndarray, opts: SearchOptions) -> tuple[float, np.ndarray]:
-    """Projected gradient ascent from many starts, then once more from the winner."""
-    rng = np.random.default_rng(opts.seed)
-    starts = _pg_starts(len(G), _Q_STARTS, rng)
-    value, q = _pg_ascent(G, starts, _PG_ITERATIONS)
-    value2, q2 = _pg_ascent(G, q[None, :], _PG_ITERATIONS)
-    if value2 > value:
-        value, q = value2, q2
-    return value, q
+def _probe_bank(nx: int) -> np.ndarray:
+    """Vertices, barycentre and edge midpoints: the distributions the grid
+    scan scores every tilt on."""
+    a, b = np.triu_indices(nx, 1)
+    mids = np.zeros((len(a), nx))
+    mids[np.arange(len(a)), a] = mids[np.arange(len(a)), b] = 0.5
+    return np.vstack([np.eye(nx), np.full((1, nx), 1.0 / nx), mids])
 
 
 def _check_finite_sigma(G: np.ndarray) -> None:
@@ -252,69 +172,101 @@ def _check_finite_sigma(G: np.ndarray) -> None:
         )
 
 
-@lru_cache(maxsize=None)
-def _faces(nx: int) -> tuple[np.ndarray, ...]:
-    """Supports of all faces of the simplex: one ``(count, k)`` index array per size ``k``."""
-    faces = tuple(
-        np.array(list(itertools.combinations(range(nx), k)), dtype=np.intp)
-        for k in range(1, nx + 1)
-    )
-    for idx in faces:
-        idx.setflags(write=False)   # cached and shared by every call
-    return faces
+def _q_max(G: np.ndarray):
+    """Maximum of ``x^T G x`` over the simplex, for a symmetric ``G`` with a
+    finite diagonal (for a stack of them, arrays of each one's value and
+    maximizer).
 
+    A global maximizer of least support lies in the relative interior of
+    its face ``S``, where it solves ``G_SS x = t 1, sum(x) = 1``, and
+    ``G_SS`` is negative definite on the face's tangent space
+    ``{sum(x) = 0}``: along a flat or rising direction a smaller face
+    would hold as good a point (Bomze, J. Global Optim. 1998).  That
+    property passes to every subface, so the faces are enumerated level
+    by level (Scozzari & Tardella, Discrete Appl. Math. 2008): a vertex
+    is worth its diagonal entry, and size ``k`` extends only supports
+    whose every ``(k-1)``-subface survived.  Such a face survives when the
+    top eigenvalue of ``G_SS`` on the tangent space lies below
+    ``_FACE_TOL`` times the face's largest entry.  The slack keeps
+    near-singular faces, since a wrong prune loses the optimum while a
+    kept face costs one solve; a face of zeros holds nothing its vertices
+    do not.  An off-diagonal ``-inf`` forbids its pair: the two-letter
+    face is dropped before the test, so no ``-inf`` reaches a solve or a
+    value.
 
-def _q_method(nx: int) -> str:
-    """Name of the primitive :func:`_q_max` runs for an ``nx``-letter alphabet."""
-    return "exact" if nx <= _EXACT_MAX_NX else "multistart_pg"
-
-
-def _q_max(G: np.ndarray, opts: SearchOptions):
-    """Maximum of ``x^T G x`` over the simplex, for a finite symmetric ``G``
-    (for a stack of them, arrays of each one's value and maximizer).
-
-    A global maximizer is a KKT point in the relative interior of some
-    face ``S``, where it solves ``G_SS x = t 1, sum(x) = 1``.  That system
-    is solved on every face of every matrix, one batched solve per face
-    size.  Singular faces, found by ``slogdet`` once a solve refuses one,
-    are skipped, which is exact: along a null direction the objective is
-    constant, so a smaller face holds a maximizer.  Each matrix's first
-    best nonnegative solution wins, valued at its clipped, renormalized
-    point, so the value is always attained.  Above ``_EXACT_MAX_NX``
-    letters multistart projected gradient runs instead.
+    The surviving faces of a level are solved in one batch over the
+    whole stack.  Singular faces, found by ``slogdet`` once a solve
+    refuses one, are skipped, which is exact: along a null direction the
+    objective is constant, so a smaller face holds a maximizer.  Each
+    matrix's first best nonnegative solution, by size and then
+    lexicographically, wins, valued on its face's own entries at its
+    clipped, renormalized point, so the value is always attained.  Raises
+    :class:`BudgetExceededError` when one level holds more than
+    ``_FACE_BUDGET`` live faces of one matrix, or when the faces of the
+    stack outgrow their int64 bitmask keys.
     """
     if G.ndim == 2:
-        values, qs = _q_max(G[None], opts)
+        values, qs = _q_max(G[None])
         return float(values[0]), qs[0]
     _check_finite_sigma(G)
     g, nx = len(G), G.shape[-1]
-    if nx > _EXACT_MAX_NX:
-        return tuple(np.array(a) for a in zip(*(_multistart_pg(one, opts) for one in G)))
-    best_v, best_q = np.full(g, -INF), np.zeros((g, nx))
-    for idx in _faces(nx):
-        m, k = idx.shape
-        A = np.zeros((g * m, k + 1, k + 1))
-        A[:, :k, :k] = G[:, idx[:, :, None], idx[:, None, :]].reshape(g * m, k, k)
+    if g << nx >= 1 << 63:
+        raise BudgetExceededError(
+            f"the Q-maximization cannot key the faces of {g} matrices over {nx} input letters"
+        )
+    vertex = G[:, np.arange(nx), np.arange(nx)] + 0.0    # each worth its entry; a sum reads -0.0 as 0.0
+    first = vertex.argmax(axis=1)
+    best_v, best_q = vertex[np.arange(g), first], np.eye(nx)[first]
+    bit = np.left_shift(1, np.arange(nx, dtype=np.int64))
+    which, letter = np.divmod(np.arange(g * nx, dtype=np.int64), nx)
+    face, key = letter[:, None], (which << nx) + bit[letter]
+    for k in range(2, nx + 1):
+        # extend each live face by every letter above its last; a pair lives
+        # unless forbidden, a larger face when its other (k-1)-subfaces live
+        row, letter = np.nonzero(np.arange(nx) > face[:, -1:])
+        which, face = which[row], np.concatenate([face[row], letter[:, None]], axis=1)
+        key, live = key[row] + bit[letter], np.sort(key)
+        if k == 2:
+            heir = np.isfinite(G[which, face[:, 0], face[:, 1]])
+        else:
+            sub = key[:, None] - bit[face[:, :-1]]
+            heir = (live[np.minimum(np.searchsorted(live, sub), len(live) - 1)] == sub).all(axis=1)
+        which, face, key = which[heir], face[heir], key[heir]
+        count = np.bincount(which, minlength=g).max(initial=0)
+        if count > _FACE_BUDGET:
+            raise BudgetExceededError(
+                f"the Q-maximization over {nx} input letters meets {count} live faces of "
+                f"size {k}, above its budget of {_FACE_BUDGET}"
+            )
+        S = G[which[:, None, None], face[:, :, None], face[:, None, :]]
+        P = np.eye(k) - 1.0 / k    # the orthogonal projector onto the tangent space
+        ok = np.linalg.eigvalsh(P @ S @ P)[:, -1] < _FACE_TOL * np.abs(S).max(axis=(1, 2))
+        which, face, key, S = which[ok], face[ok], key[ok], S[ok]
+        if not len(face):
+            break
+
+        A = np.zeros((len(S), k + 1, k + 1))
+        A[:, :k, :k] = S
         A[:, :k, k] = -1.0
         A[:, k, :k] = 1.0
-        which, face, b = np.repeat(np.arange(g), m), np.concatenate([idx] * g), np.eye(k + 1)[None, :, k:]
+        solved, b = np.arange(len(S)), np.eye(k + 1)[None, :, k:]
         try:
             x = np.linalg.solve(A, b)[:, :k, 0]
         except np.linalg.LinAlgError:
-            nonsingular = np.linalg.slogdet(A)[0] != 0
-            which, face = which[nonsingular], face[nonsingular]
-            x = np.linalg.solve(A[nonsingular], b)[:, :k, 0]
+            solved = np.flatnonzero(np.linalg.slogdet(A)[0] != 0)
+            x = np.linalg.solve(A[solved], b)[:, :k, 0]
         keep = np.isfinite(x).all(axis=1) & (x >= -1e-12).all(axis=1)
         if not keep.any():
             continue
-        q = np.zeros((int(keep.sum()), nx))
-        np.put_along_axis(q, face[keep], np.clip(x[keep], 0.0, None), axis=1)
-        q /= q.sum(axis=1, keepdims=True)
-        ends = np.searchsorted(which[keep], np.arange(g + 1)).tolist()   # rows of each matrix
+        solved, x = solved[keep], np.clip(x[keep], 0.0, None)
+        x /= x.sum(axis=1, keepdims=True)
+        vals = np.einsum("mi,mij,mj->m", x, S[solved], x)
+        ends = np.searchsorted(which[solved], np.arange(g + 1)).tolist()   # rows of each matrix
         for i, lo, hi in zip(range(g), ends, ends[1:]):
-            vals = _quad(G[i], q[lo:hi])
-            if lo < hi and vals[j := int(np.argmax(vals))] > best_v[i]:
-                best_v[i], best_q[i] = vals[j], q[lo + j]
+            if lo < hi and vals[j := lo + int(np.argmax(vals[lo:hi]))] > best_v[i]:
+                best_v[i] = vals[j]
+                best_q[i] = 0.0
+                best_q[i, face[solved[j]]] = x[j]
     return best_v, best_q
 
 
@@ -322,18 +274,12 @@ def _floats(q) -> tuple[float, ...]:
     return tuple(float(v) for v in q)
 
 
-def maximize_over_Q(
-    kernel: KernelLike, s: float, options: Optional[SearchOptions] = None,
-) -> QResult:
-    """Maximize the objective over input distributions at a fixed tilt.
-
-    Runs the one Q-maximizer, :func:`_q_max`; the result's ``method``
-    names the primitive that ran: ``exact`` face enumeration up to
-    twelve input letters, ``multistart_pg`` above.
-    """
+def maximize_over_Q(kernel: KernelLike, s: float) -> QResult:
+    """Maximize the objective over input distributions at a fixed tilt,
+    exactly, by the one Q-maximizer :func:`_q_max`."""
     _check_tilt("maximize_over_Q", s, kernel.s_limit)
-    value, q = _q_max(_sigma_grid(kernel, [s])[0], options or SearchOptions())
-    return QResult(value, _floats(q), _q_method(kernel.pair.nx))
+    value, q = _q_max(_sigma_grid(kernel, [s])[0])
+    return QResult(value, _floats(q))
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +287,7 @@ def maximize_over_Q(
 # ---------------------------------------------------------------------------
 
 
-def _scan_s_grid(
-    kernel: KernelLike, s_values: np.ndarray, opts: SearchOptions,
-) -> tuple[float, np.ndarray, int]:
+def _scan_s_grid(kernel: KernelLike, s_values: np.ndarray) -> tuple[float, np.ndarray, int]:
     """Coarse sweep of ``max_Q F(Q, s)`` along a tilt grid.
 
     Every grid point is scored against one fixed bank of distributions
@@ -353,10 +297,10 @@ def _scan_s_grid(
     """
     Gs = _sigma_grid(kernel, s_values)
     _check_finite_sigma(Gs)
-    bank = _pg_starts(kernel.pair.nx, 0, None)
+    bank = _probe_bank(kernel.pair.nx)
     scores = np.einsum("ki,sij,kj->sk", bank, Gs, bank).max(axis=1)
     top = np.argsort(-scores, kind="stable")[:4]
-    values, qs = _q_max(Gs[top], opts)
+    values, qs = _q_max(Gs[top])
     i = int(np.argmax(values))      # the first of equal values
     return float(values[i]), qs[i], int(top[i])
 
@@ -386,7 +330,7 @@ def _polish_tilt(kernel: KernelLike, q: np.ndarray, s_cap: Optional[float]) -> O
 
 
 def _search(
-    kernel: KernelLike, grid: np.ndarray, s_cap: Optional[float], opts: SearchOptions,
+    kernel: KernelLike, grid: np.ndarray, s_cap: Optional[float],
 ) -> tuple[float, np.ndarray, float, dict]:
     """``sup_s max_Q F(Q, s)`` by grid scan, then exact alternating ascent.
 
@@ -401,10 +345,10 @@ def _search(
     _check_tilt("the tilt search", float(grid.max()), kernel.s_limit)
 
     if s_cap is not None and s_cap <= 0:
-        value, q = _q_max(_sigma_grid(kernel, [0.0])[0], opts)
+        value, q = _q_max(_sigma_grid(kernel, [0.0])[0])
         return value, q, 0.0, {"grid_points": 1, "grid_best_s": 0.0, "polish_rounds": 0}
 
-    value, q, idx = _scan_s_grid(kernel, grid, opts)
+    value, q, idx = _scan_s_grid(kernel, grid)
     s = float(grid[idx])
     rounds = 0
     for rounds in range(1, 21):
@@ -412,7 +356,7 @@ def _search(
         if s_new is None:
             break
         G = _sigma_grid(kernel, [s_new])[0]
-        v_new, q_new = _q_max(G, opts)
+        v_new, q_new = _q_max(G)
         v_s = float(q @ G @ q)
         if v_new < v_s:
             v_new, q_new = v_s, q
@@ -429,10 +373,10 @@ def _search(
     return value, q, s, trace
 
 
-def _interval_search(kernel: KernelLike, s_cap: float, opts: SearchOptions):
+def _interval_search(kernel: KernelLike, s_cap: float):
     """:func:`_search` on the ``_INTERVAL_POINTS`` grid over ``[0, s_cap]``,
     with ``s_cap`` the caller's ``kernel.s_cap()``."""
-    return _search(kernel, np.linspace(0.0, s_cap, _INTERVAL_POINTS), s_cap, opts)
+    return _search(kernel, np.linspace(0.0, s_cap, _INTERVAL_POINTS), s_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -440,43 +384,24 @@ def _interval_search(kernel: KernelLike, s_cap: float, opts: SearchOptions):
 # ---------------------------------------------------------------------------
 
 
-def _tail_candidate(kernel: PairKernel, opts: SearchOptions) -> tuple[float, Optional[np.ndarray]]:
+def _tail_candidate(kernel: PairKernel) -> tuple[float, Optional[np.ndarray]]:
     """Best limiting value of the objective as the tilt grows without bound.
 
     In the limit only boundary pairs keep a finite symmetric sum (its
-    ceiling); all other off-diagonal pairs fall to ``-inf``.  The best
-    limit is therefore a maximization over distributions supported on a
-    clique of the boundary-pair graph.
+    ceiling); all other off-diagonal pairs fall to ``-inf``.  One
+    :func:`_q_max` call on that limit matrix (half of each ceiling, zero
+    diagonal) is the best limit: its test on two-letter faces drops every
+    ``-inf`` pair, so only cliques of the boundary-pair graph are solved.
     """
     boundary = [(a, b) for (a, b) in boundary_set_B(kernel.pair) if a < b]
     if not boundary:
         return -INF, None
     nx = kernel.pair.nx
-    edges = set(boundary)
-    ceil = np.full((nx, nx), -INF)
-    np.fill_diagonal(ceil, 0.0)
+    limit = np.full((nx, nx), -INF)
+    np.fill_diagonal(limit, 0.0)
     for a, b in boundary:
-        res = kernel.sup_sigma(a, b)
-        ceil[a, b] = ceil[b, a] = res.value
-    nodes = sorted({v for e in edges for v in e})
-    best_v, best_q = -INF, None
-    for mask in range(1, 1 << len(nodes)):
-        support = [nodes[i] for i in range(len(nodes)) if mask >> i & 1]
-        if len(support) < 2:
-            continue
-        if any(
-            (min(u, v), max(u, v)) not in edges
-            for i, u in enumerate(support) for v in support[i + 1:]
-        ):
-            continue
-        sub = 0.5 * ceil[np.ix_(support, support)]
-        np.fill_diagonal(sub, 0.0)
-        v, q_sub = _q_max(sub, opts)
-        if v > best_v:
-            q = np.zeros(nx)
-            q[support] = q_sub
-            best_v, best_q = v, q
-    return best_v, best_q
+        limit[a, b] = limit[b, a] = 0.5 * kernel.sup_sigma(a, b).value
+    return _q_max(limit)
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +438,7 @@ def _distribution(q) -> InputDistribution:
     return InputDistribution(_floats(q / q.sum()))
 
 
-def expurgated_lower(
-    pair: ChannelMetricPair, options: Optional[SearchOptions] = None,
-) -> LowerResult:
+def expurgated_lower(pair: ChannelMetricPair) -> LowerResult:
     """Supremum of the raw objective over ``(Q, s)``: the zero-rate lower bound.
 
     The tilt search runs on a geometric grid with an uncapped polish,
@@ -523,14 +446,13 @@ def expurgated_lower(
     the average zero-error condition.
     """
     _check_zero_error(pair)
-    return _expurgated_lower(PairKernel(pair), options or SearchOptions())
+    return _expurgated_lower(PairKernel(pair))
 
 
-def _expurgated_lower(kernel: PairKernel, opts: SearchOptions) -> LowerResult:
+def _expurgated_lower(kernel: PairKernel) -> LowerResult:
     """:func:`expurgated_lower` on a raw kernel of a pair that meets the condition."""
-    grid = geometric_s_grid(opts.s_max, _S_POINTS)
-    value, q, s, trace = _search(kernel, grid, None, opts)
-    tail_v, tail_q = _tail_candidate(kernel, opts)
+    value, q, s, trace = _search(kernel, geometric_s_grid(_S_MAX, _S_POINTS), None)
+    tail_v, tail_q = _tail_candidate(kernel)
     trace["tail_value"] = tail_v if tail_v > -INF else None
     if tail_v > value:
         value, q, s = tail_v, tail_q, INF
@@ -563,9 +485,7 @@ class ExponentResult:
     method_trace: dict = field(compare=False)
 
 
-def zero_rate_exponent(
-    pair: ChannelMetricPair, options: Optional[SearchOptions] = None
-) -> ExponentResult:
+def zero_rate_exponent(pair: ChannelMetricPair) -> ExponentResult:
     """Compute the zero-rate exponent quantity of a channel/metric pair.
 
     Balanced pairs get the exact value (supremum of the raw objective,
@@ -575,14 +495,13 @@ def zero_rate_exponent(
     (:func:`expurgated_lower`) and the gap certificate.
     """
     _check_zero_error(pair)
-    opts = options or SearchOptions()
     kernel = PairKernel(pair)
     balanced, _ = is_balanced(pair)
 
     provider: KernelLike = kernel if balanced else RelaxedKernel(pair)
     s_hi = provider.s_cap()
-    value, q, s_star, trace = _interval_search(provider, s_hi, opts)
-    trace.update({"q_method": _q_method(pair.nx), "s_cap": float(s_hi)})
+    value, q, s_star, trace = _interval_search(provider, s_hi)
+    trace["s_cap"] = float(s_hi)
 
     if balanced:
         # The raw supremum is the exponent: the lower route would search the
@@ -591,7 +510,7 @@ def zero_rate_exponent(
     else:
         # The relaxed objective dominates the raw one pointwise, so the lower
         # search's optimum is also a certified floor for the value.
-        lower = _expurgated_lower(kernel, opts)
+        lower = _expurgated_lower(kernel)
         kind, lower_value, gap = KIND_UPPER, lower.value, gap_bound(pair)
         merged = lower.value > value
         if merged:
@@ -609,14 +528,12 @@ def zero_rate_exponent(
     )
 
 
-def optimized_objective(
-    kernel: KernelLike, options: Optional[SearchOptions] = None
-) -> tuple[float, float, tuple[float, ...]]:
+def optimized_objective(kernel: KernelLike) -> tuple[float, float, tuple[float, ...]]:
     """Supremum over the tilt interval of the best-input quadratic form.
 
     Unlike :func:`zero_rate_exponent` this works directly on whatever
     kernel it is handed (raw or relaxed) and skips the expurgated lower
     search.  Returns ``(value, s_star, Q)``.
     """
-    value, q, s_star, _ = _interval_search(kernel, kernel.s_cap(), options or SearchOptions())
+    value, q, s_star, _ = _interval_search(kernel, kernel.s_cap())
     return float(value), float(s_star), _floats(q)

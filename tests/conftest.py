@@ -105,6 +105,48 @@ def two_point_q_max(G):
     return float(G[a[i], b[i]] / 2.0), q
 
 
+def _project_rows(x):
+    """Euclidean projection of each row onto the probability simplex."""
+    n = x.shape[1]
+    u = np.sort(x, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - 1.0
+    rho = n - 1 - np.argmax((u - css / np.arange(1, n + 1) > 0)[:, ::-1], axis=1)
+    theta = css[np.arange(len(x)), rho] / (rho + 1.0)
+    return np.clip(x - theta[:, None], 0.0, None)
+
+
+def _pg_ascent(G, x, iterations=400):
+    """Projected gradient ascent from each row of ``x`` with a per-row step
+    that grows on success and halves on failure; the best row's ``(value, x)``."""
+    x = x.copy()
+    eta = np.full(len(x), 0.5)
+    f = np.einsum("ki,ij,kj->k", x, G, x)
+    for _ in range(iterations):
+        cand = _project_rows(x + eta[:, None] * (2.0 * x @ G))
+        fc = np.einsum("ki,ij,kj->k", cand, G, cand)
+        better = fc > f
+        x[better], f[better] = cand[better], fc[better]
+        eta = np.where(better, eta * 1.25, eta * 0.5)
+        if eta.max() < 1e-14:
+            break
+    best = int(np.argmax(f))
+    return float(f[best]), x[best]
+
+
+def pg_q_max(G, seed, starts=32):
+    """Oracle: multistart projected gradient ascent of ``x^T G x`` over the
+    simplex, as ``(value, q)``: from the vertices, the barycentre, the edge
+    midpoints and seeded random points up to ``starts``, then once more from
+    the winner.  A lower bound on the maximum, not the maximum."""
+    bank = zr.exponent._probe_bank(len(G))
+    if len(bank) < starts:
+        rng = np.random.default_rng(seed)
+        bank = np.vstack([bank, rng.dirichlet(np.ones(len(G)), size=starts - len(bank))])
+    value, q = _pg_ascent(G, bank)
+    again, q2 = _pg_ascent(G, q[None])
+    return (again, q2) if again > value else (value, q)
+
+
 def random_codebook(rng, n, m, nx):
     words = tuple(tuple(int(v) for v in rng.integers(0, nx, n)) for _ in range(m))
     return zr.Codebook(words, nx)

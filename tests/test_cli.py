@@ -337,16 +337,39 @@ def test_symbol_outside_the_pair_alphabet_is_malformed_input(bsc_file, tmp_path,
     capsys.readouterr()
 
 
+def test_book_alphabet_other_than_the_pairs_is_accepted(tw_file, tmp_path, rng, capsys):
+    """A book may declare fewer or more letters than the pair has, as long as
+    its words use the pair's letters only; every book command reads it."""
+    words = tuple(tuple(int(v) for v in rng.integers(0, 2, 16)) for _ in range(20))
+    for declared in (2, 4):
+        book, two = tmp_path / f"book{declared}.txt", tmp_path / f"two{declared}.txt"
+        book.write_text(zr.serialize_codebook(zr.Codebook(words, declared)))
+        two.write_text(zr.serialize_codebook(zr.Codebook(words[:2], declared)))
+        pair = ["--pair", tw_file]
+        for argv in (["dmin"] + pair + ["--code", str(book)],
+                     ["certificate"] + pair + ["--code", str(book), "--t", "3", "--target", "5"],
+                     ["exact-pe"] + pair + ["--code", str(two)],
+                     ["simulate"] + pair + ["--code", str(book), "--trials", "10"]):
+            assert cli.main(argv) == 0, (declared, argv[0])
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("seed", ["-1", "x"])
 def test_seeded_commands_reject_a_bad_seed(bsc_file, code_file, capsys, seed):
-    for argv in (["exponent", "--pair", bsc_file],
-                 ["certificate", "--pair", bsc_file, "--code", code_file, "--t", "2", "--target", "2"],
-                 ["simulate", "--pair", bsc_file, "--code", code_file, "--trials", "10"],
+    """Only the Monte Carlo commands take a seed; the exponent searches and
+    the certificate are deterministic and reject the flag as unknown."""
+    for argv in (["simulate", "--pair", bsc_file, "--code", code_file, "--trials", "10"],
                  ["empirical", "--pair", bsc_file, "--letters", "0,1", "--n", "2"]):
         with pytest.raises(SystemExit) as bad:
             cli.main(argv + ["--seed", seed])
         assert bad.value.code == 2, argv[0]
         assert "--seed" in capsys.readouterr().err
+    for argv in (["exponent", "--pair", bsc_file],
+                 ["certificate", "--pair", bsc_file, "--code", code_file, "--t", "2", "--target", "2"]):
+        with pytest.raises(SystemExit) as unknown:
+            cli.main(argv + ["--seed", "0"])
+        assert unknown.value.code == 2, argv[0]
+        assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
 
 
 def test_certificate_relaxes_unbalanced_pairs(tmp_path, tw_file, rng, capsys):

@@ -1,6 +1,9 @@
-"""Zero-rate exponent: optimizer routes, bounds, and frozen references."""
+"""Zero-rate exponent: the one Q-maximizer, the tilt searches, bounds, and
+frozen references."""
 
+import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +14,7 @@ from zerorate import exponent as exponent_mod
 
 from conftest import (
     grid_q_max,
+    pg_q_max,
     random_admissible_pair,
     random_full_support_pair,
     sigma_at,
@@ -111,15 +115,15 @@ def test_maximize_over_q_methods_agree(rng):
         nx = int(rng.integers(2, 4))
         pair = random_full_support_pair(rng, nx=nx)
         G = sigma_at(zr.PairKernel(pair), float(rng.uniform(0.1, 2.0)))
-        multi, _ = exponent_mod._multistart_pg(G, zr.SearchOptions())
+        exact, _ = exponent_mod._q_max(G)
         grid, _ = grid_q_max(G, 200)
-        assert multi == pytest.approx(grid, abs=1e-4)
-        assert multi >= grid - 1e-4
+        assert exact == pytest.approx(grid, abs=1e-4)
+        assert exact >= grid - 1e-12
         two, _ = two_point_q_max(G)
         if nx == 2:
-            assert two == pytest.approx(multi, abs=1e-6)
+            assert two == pytest.approx(exact, abs=1e-6)
         else:
-            assert two <= multi + 1e-9
+            assert two <= exact + 1e-9
 
 
 def test_maximizer_q_is_a_distribution(rng):
@@ -216,51 +220,55 @@ def test_exact_q_max_matches_grid_oracle(rng):
         s = float(rng.uniform(0.1, 2.0))
         exact = zr.maximize_over_Q(k, s)
         grid, _ = grid_q_max(sigma_at(k, s), 200)
-        assert exact.method == "exact"
         assert exact.value == pytest.approx(grid, abs=1e-4)
         assert exact.value >= grid - 1e-12
 
 
-def test_exact_q_max_dominates_multistart(rng):
-    opts = zr.SearchOptions()
-    for nx in (5, 6, 7, 8):
-        for _ in range(3):
+def test_exact_q_max_dominates_multistart():
+    """Above twelve letters, where full enumeration is out of reach, the
+    value is never below seeded multistart projected gradient's."""
+    rng = np.random.default_rng(1324)
+    for nx in range(13, 25):
+        for diagonal in (False, True):
             G = _random_sym(rng, nx)
-            value, q = exponent_mod._q_max(G, opts)
-            pg_value, _ = exponent_mod._multistart_pg(G, opts)
+            if diagonal:
+                np.fill_diagonal(G, rng.normal(size=nx))
+            value, q = exponent_mod._q_max(G)
+            pg_value, _ = pg_q_max(G, seed=nx)
             assert value >= pg_value - 1e-12
             assert q.min() >= 0.0 and q.sum() == pytest.approx(1.0, abs=1e-12)
             assert value == pytest.approx(float(q @ G @ q), abs=1e-12)
 
 
 def test_exact_q_max_skips_singular_faces():
-    opts = zr.SearchOptions()
-    value, q = exponent_mod._q_max(np.zeros((4, 4)), opts)
+    value, q = exponent_mod._q_max(np.zeros((4, 4)))
     assert value == 0.0
     assert q.min() >= 0.0 and q.sum() == pytest.approx(1.0, abs=1e-12)
     # rows 0 and 1 identical: every face holding both letters is singular
     G = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-    value, q = exponent_mod._q_max(G, opts)
+    value, q = exponent_mod._q_max(G)
     assert value == pytest.approx(0.5, abs=1e-12)
     assert q.min() >= 0.0 and q.sum() == pytest.approx(1.0, abs=1e-12)
     assert q[2] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_large_alphabet_takes_projected_gradient(rng):
-    pair = random_full_support_pair(rng, nx=13, ny=3)
-    k = zr.PairKernel(pair)
-    res = zr.maximize_over_Q(k, 0.5)
-    assert res.method == "multistart_pg"
-    assert res.value >= two_point_q_max(sigma_at(k, 0.5))[0] - 1e-12
-    small = zr.maximize_over_Q(zr.PairKernel(random_full_support_pair(rng, nx=12, ny=3)), 0.5)
-    assert small.method == "exact"
+    """Twelve and thirteen letters take the same exact route, which meets
+    projected gradient and the best two-point restriction from above, at a
+    point it attains."""
+    for nx in (12, 13):
+        k = zr.PairKernel(random_full_support_pair(rng, nx=nx, ny=3))
+        res = zr.maximize_over_Q(k, 0.5)
+        G = sigma_at(k, 0.5)
+        assert res.value >= pg_q_max(G, seed=nx)[0] - 1e-12
+        assert res.value >= two_point_q_max(G)[0] - 1e-12
+        assert res.value == pytest.approx(zr.objective(k, res.q, 0.5), abs=1e-12)
 
 
 def test_q_results_hold_plain_floats(rng):
-    for nx, method in ((3, "exact"), (13, "multistart_pg")):
+    for nx in (3, 13):
         k = zr.PairKernel(random_full_support_pair(rng, nx=nx))
         res = zr.maximize_over_Q(k, 0.7)
-        assert res.method == method
         assert type(res.value) is float
         assert all(type(v) is float for v in res.q)
 
@@ -283,26 +291,6 @@ def test_non_finite_public_inputs_rejected(bsc_pair, call, error):
         call(bsc_pair)
 
 
-@pytest.mark.parametrize("fields, message", [
-    ({"seed": -1}, "the seed must be nonnegative, got -1"),
-    ({"seed": 1.5}, "the seed must be an integer, got 1.5"),
-    ({"seed": True}, "the seed must be an integer, got True"),
-    ({"s_max": math.inf}, "s_max must be finite and positive, got inf"),
-    ({"s_max": math.nan}, "s_max must be finite and positive, got nan"),
-    ({"s_max": 0.0}, "s_max must be finite and positive, got 0.0"),
-], ids=["negative-seed", "float-seed", "bool-seed", "inf-s-max", "nan-s-max", "zero-s-max"])
-def test_search_options_check_their_fields(fields, message):
-    with pytest.raises(zr.ValidationError) as err:
-        zr.SearchOptions(**fields)
-    assert str(err.value) == message
-
-
-def test_search_options_accept_numpy_integer_seeds(rng):
-    k = zr.PairKernel(random_full_support_pair(rng, nx=13, ny=3))
-    res = zr.maximize_over_Q(k, 0.5, options=zr.SearchOptions(seed=np.int64(7)))
-    assert res == zr.maximize_over_Q(k, 0.5, options=zr.SearchOptions(seed=7))
-
-
 @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
 def test_non_finite_tilt_rejected_by_objective_and_q_max(bsc_pair, s):
     k = zr.PairKernel(bsc_pair)
@@ -313,15 +301,15 @@ def test_non_finite_tilt_rejected_by_objective_and_q_max(bsc_pair, s):
 
 
 def test_tilt_search_rejects_tilts_above_the_kernel_limit(typewriter_pair):
+    """The lower route's geometric grid is checked against the kernel's
+    limit before the search runs on it."""
     rows = ((Fraction(3, 4), Fraction(1, 4)), (Fraction(1, 4), Fraction(3, 4)))
     pair = zr.pair_from_rows(rows, rows)
-    with pytest.raises(zr.PreconditionError, match="tilt search"):
-        zr.expurgated_lower(pair, zr.SearchOptions(s_max=1e308))
-    # only an unbalanced pair runs the lower route, whose grid reaches s_max
-    with pytest.raises(zr.PreconditionError, match="tilt search"):
-        zr.zero_rate_exponent(typewriter_pair, zr.SearchOptions(s_max=1e308))
+    for p in (pair, typewriter_pair):
+        with pytest.raises(zr.PreconditionError, match="tilt search"):
+            exponent_mod._search(zr.PairKernel(p), zr.geometric_s_grid(1e308, 512), None)
     # a grid that stays below the limit still searches
-    assert zr.expurgated_lower(pair, zr.SearchOptions(s_max=1e300)).value > 0
+    assert exponent_mod._search(zr.PairKernel(pair), zr.geometric_s_grid(1e300, 512), None)[0] > 0
 
 
 def test_constant_curve_polish_stays_at_zero():
@@ -392,31 +380,34 @@ def test_unbalanced_exponent_builds_one_kernel(typewriter_pair, monkeypatch):
 
 
 def _q_max_one_at_a_time(G):
-    """The exact Q-maximizer on one matrix, ``slogdet`` on every face before
-    one solve per face size: the reference for the stacked solve."""
+    """Full enumeration on one matrix: the KKT point of every face, with
+    ``slogdet`` on every face before one solve per face size, each valued on
+    its face's own entries; the first best wins.  The reference for the
+    stacked, pruned solve."""
     nx = len(G)
     best_v, best_q = -math.inf, None
-    for idx in exponent_mod._faces(nx):
-        m, k = idx.shape
-        A = np.zeros((m, k + 1, k + 1))
-        A[:, :k, :k] = G[idx[:, :, None], idx[:, None, :]]
+    for k in range(1, nx + 1):
+        idx = np.array(list(itertools.combinations(range(nx), k)), dtype=np.intp)
+        S = G[idx[:, :, None], idx[:, None, :]]
+        A = np.zeros((len(idx), k + 1, k + 1))
+        A[:, :k, :k] = S
         A[:, :k, k] = -1.0
         A[:, k, :k] = 1.0
         nonsingular = np.linalg.slogdet(A)[0] != 0
-        A, idx = A[nonsingular], idx[nonsingular]
+        A, S, idx = A[nonsingular], S[nonsingular], idx[nonsingular]
         b = np.zeros((len(A), k + 1, 1))
         b[:, k] = 1.0
         x = np.linalg.solve(A, b)[:, :k, 0]
         keep = np.isfinite(x).all(axis=1) & (x >= -1e-12).all(axis=1)
         if not keep.any():
             continue
-        q = np.zeros((int(keep.sum()), nx))
-        np.put_along_axis(q, idx[keep], np.clip(x[keep], 0.0, None), axis=1)
-        q /= q.sum(axis=1, keepdims=True)
-        vals = np.einsum("ki,ij,kj->k", q, G, q)
+        x = np.clip(x[keep], 0.0, None)
+        x /= x.sum(axis=1, keepdims=True)
+        vals = np.einsum("mi,mij,mj->m", x, S[keep], x)
         i = int(np.argmax(vals))
         if vals[i] > best_v:
-            best_v, best_q = float(vals[i]), q[i]
+            best_v, best_q = float(vals[i]), np.zeros(nx)
+            best_q[idx[keep][i]] = x[i]
     return best_v, best_q
 
 
@@ -439,13 +430,12 @@ def test_stacked_q_max_equals_one_matrix_at_a_time(bsc_pair, typewriter_pair, mo
     planted[1], planted[:, 1] = planted[0], planted[:, 0]
     planted[1, 1] = planted[0, 0] = 0.0
     stacks.append(np.stack([_random_sym(rng, 4), planted, _random_sym(rng, 4)]))
-    opts = zr.SearchOptions()
     for stack in stacks:
-        values, qs = exponent_mod._q_max(stack, opts)
+        values, qs = exponent_mod._q_max(stack)
         assert values.shape == (len(stack),) and qs.shape == stack.shape[:2]
         for G, value, q in zip(stack, values, qs):
             ref_v, ref_q = _q_max_one_at_a_time(G)
-            one_v, one_q = exponent_mod._q_max(G, opts)
+            one_v, one_q = exponent_mod._q_max(G)
             assert float(value).hex() == ref_v.hex() == one_v.hex()
             assert q.tobytes() == ref_q.tobytes() == one_q.tobytes()
     # the reference calls slogdet on every face size; the stacked solve only
@@ -463,9 +453,85 @@ def test_q_max_solves_read_alike_on_numpy_1_and_2(bsc_pair, monkeypatch):
     monkeypatch.setattr(
         np.linalg, "solve", lambda a, b: calls.append((a.ndim, b.ndim)) or real_solve(a, b))
     rng = np.random.default_rng(7)
-    opts = zr.SearchOptions()
     for nx in range(1, 6):
-        exponent_mod._q_max(np.stack([_random_sym(rng, nx) for _ in range(3)]), opts)
-    exponent_mod._q_max(exponent_mod._sigma_grid(zr.PairKernel(bsc_pair), [0.0, 1.0]), opts)
+        exponent_mod._q_max(np.stack([_random_sym(rng, nx) for _ in range(3)]))
+    exponent_mod._q_max(exponent_mod._sigma_grid(zr.PairKernel(bsc_pair), [0.0, 1.0]))
     assert calls
     assert all(b_ndim == 1 or b_ndim != a_ndim - 1 for a_ndim, b_ndim in calls)
+
+
+def test_pruned_faces_never_lose_the_full_enumeration_winner():
+    """Level-wise pruning keeps the face full enumeration picks: on seeded
+    symmetric matrices of one to twelve letters, with zero and with random
+    diagonals, and on sigma stacks, value and maximizer equal the reference
+    by float hex and bytes."""
+    rng = np.random.default_rng(2112)
+    stacks = []
+    for nx in range(1, 13):
+        plain, diagonal = _random_sym(rng, nx), _random_sym(rng, nx)
+        np.fill_diagonal(diagonal, rng.normal(size=nx))
+        stacks += [plain[None], diagonal[None]]
+        kernel = zr.PairKernel(random_full_support_pair(rng, nx=nx, ny=2 + nx % 3))
+        stacks.append(exponent_mod._sigma_grid(kernel, [0.1, 0.7, 2.0]))
+    for stack in stacks:
+        values, qs = exponent_mod._q_max(stack)
+        for G, value, q in zip(stack, values, qs):
+            ref_v, ref_q = _q_max_one_at_a_time(G)
+            assert float(value).hex() == ref_v.hex()
+            assert q.tobytes() == ref_q.tobytes()
+
+
+def test_near_singular_face_is_kept():
+    """Letter 1 repeats letter 0 but for a pair entry of 5e-14, so their rows
+    agree to within 1e-13 and the face holding both curves by only -1e-13
+    along their difference.  The optimum splits its mass between the two
+    letters, so the face test must keep that all but flat face."""
+    rng = np.random.default_rng(2)
+    base = np.abs(_random_sym(rng, 4))
+    G = base[np.ix_([0, 0, 1, 2, 3], [0, 0, 1, 2, 3])]
+    G[0, 1] = G[1, 0] = 5e-14
+    value, q = exponent_mod._q_max(G)
+    ref_v, _ = _q_max_one_at_a_time(G)
+    assert float(value).hex() == ref_v.hex()
+    assert q[0] > 0.0 and q[1] > 0.0
+    assert value > exponent_mod._q_max(base)[0]
+
+
+def test_symmetric_alphabet_meets_the_face_budget():
+    """``c (J - I)`` passes every face test, so every face is enumerated:
+    sixteen letters fit the budget and give the uniform distribution, twenty
+    letters raise the budget error before the middle levels are built."""
+    value, q = exponent_mod._q_max(0.3 * (np.ones((16, 16)) - np.eye(16)))
+    assert value == pytest.approx(0.3 * (1 - 1 / 16), abs=1e-12)
+    assert np.abs(q - 1 / 16).max() <= 1e-12
+    start = time.perf_counter()
+    with pytest.raises(zr.BudgetExceededError, match="20 input letters"):
+        exponent_mod._q_max(0.3 * (np.ones((20, 20)) - np.eye(20)))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_tail_candidate_equals_the_best_boundary_clique(typewriter_pair):
+    """One ``_q_max`` call on the limit matrix, ``-inf`` off the boundary
+    graph, gives the value of the best clique solved on its own entries."""
+    rng = np.random.default_rng(31)
+    pairs, tried = [typewriter_pair], 0
+    while len(pairs) < 12 and tried < 400:
+        tried += 1
+        pair = random_admissible_pair(rng, nx=2 + tried % 4)
+        if zr.check_c0bar_zero(pair)[0] and zr.boundary_set_B(pair):
+            pairs.append(pair)
+    assert len(pairs) == 12
+    for pair in pairs:
+        kernel = zr.PairKernel(pair)
+        edges = {(a, b) for a, b in zr.boundary_set_B(pair) if a < b}
+        best = -math.inf
+        for size in range(2, pair.nx + 1):
+            for clique in itertools.combinations(range(pair.nx), size):
+                if all(e in edges for e in itertools.combinations(clique, 2)):
+                    sub = np.zeros((size, size))
+                    for (i, a), (j, b) in itertools.combinations(enumerate(clique), 2):
+                        sub[i, j] = sub[j, i] = 0.5 * kernel.sup_sigma(a, b).value
+                    best = max(best, exponent_mod._q_max(sub)[0])
+        value, q = exponent_mod._tail_candidate(kernel)
+        assert float(value).hex() == float(best).hex()
+        assert q.min() >= 0.0 and q.sum() == pytest.approx(1.0, abs=1e-12)

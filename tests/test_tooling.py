@@ -1,5 +1,8 @@
-"""Checks on the source itself: names the benchmark tracer wraps, search
-knobs that something reads, the one Q-maximizer, the one float evaluator
+"""Checks on the source itself: names the benchmark tracer wraps, the one
+Q-maximizer (no name of the projected-gradient fallback or of the search
+options left in the package, no method, options or seed parameter, and
+the tail candidate one ``_q_max`` call in no loop), the Monte Carlo
+commands as the only ones with a ``--seed``, the one float evaluator
 of the kernel, the zero-error oracle that production code must not call,
 the book-level distance functions that must not fall back to a per-pair
 loop, the decoders' integer keys, Monte Carlo's one tie draw per block
@@ -12,6 +15,7 @@ grid scan solves its best tilts as one stack (one ``_q_max`` call, in no
 loop), ``slogdet`` runs only once a batched solve has refused a singular
 face, and the CLI turns dataclasses into payloads without ``asdict``."""
 
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -40,28 +44,52 @@ def test_every_traced_target_resolves(monkeypatch):
         assert callable(owner), f"{module}.{qualname} is not callable"
 
 
-def test_every_search_option_is_read():
-    source = (ROOT / "src" / "zerorate" / "exponent.py").read_text()
-    for f in dataclasses.fields(zr.SearchOptions):
-        assert f"opts.{f.name}" in source, f"SearchOptions.{f.name} is never read"
+# Names of a projected-gradient fallback and of search options to seed it:
+# the one exact Q-maximizer needs neither.
+GONE = ("_multistart_pg", "_pg_ascent", "_project_rows", "_pg_starts", "_quad", "_Q_STARTS",
+        "_PG_ITERATIONS", "_EXACT_MAX_NX", "_q_method", "q_method", "_faces", "SearchOptions")
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
 def test_one_q_maximizer():
-    """``maximize_over_Q`` has no method switch, only ``_q_max`` falls back
-    to projected gradient, and the simplex grid oracle lives in the tests."""
+    """``_q_max`` is the one exact route for every alphabet: none of the
+    fallback's names is left in the package, no entry point takes a method,
+    options or a seed, ``QResult`` carries no method, the simplex grid oracle
+    lives in the tests, and ``_tail_candidate`` makes one ``_q_max`` call,
+    outside any loop."""
+    for path in sorted((ROOT / "src" / "zerorate").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names |= {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        names |= {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
+        left = sorted(name for name in GONE if name in names)
+        assert not left, f"{path.name} still names {left}"
+    assert [f.name for f in dataclasses.fields(zr.QResult)] == ["value", "q"]
     tree = ast.parse((ROOT / "src" / "zerorate" / "exponent.py").read_text())
     funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
     assert "_simplex_grid" not in funcs
-    params = [a.arg for a in ast.walk(funcs["maximize_over_Q"].args) if isinstance(a, ast.arg)]
-    assert "method" not in params, "maximize_over_Q takes a method"
-    callers = []
-    for path in sorted((ROOT / "src" / "zerorate").glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            callers += [
-                f"{path.name}:{getattr(node, 'name', node.lineno)}" for n in ast.walk(node)
-                if isinstance(n, ast.Call) and ast.unparse(n.func).rsplit(".", 1)[-1] == "_multistart_pg"
-            ]
-    assert callers == ["exponent.py:_q_max"], f"_multistart_pg is called from {callers}"
+    for name, func in funcs.items():
+        params = {a.arg for a in ast.walk(func.args) if isinstance(a, ast.arg)}
+        assert not params & {"method", "options", "opts", "seed"}, f"{name} takes {params}"
+    parents = _parents(tree)
+    calls = [n for n in ast.walk(funcs["_tail_candidate"])
+             if isinstance(n, ast.Call) and ast.unparse(n.func) == "_q_max"]
+    assert len(calls) == 1, f"_tail_candidate calls _q_max {len(calls)} times"
+    assert not any(isinstance(a, LOOPS) for a in _ancestors(calls[0], parents)), \
+        "_tail_candidate calls _q_max inside a loop"
+
+
+def test_only_monte_carlo_commands_take_a_seed():
+    """``simulate`` and ``empirical`` draw random numbers and declare
+    ``--seed``; ``exponent`` and ``certificate`` are deterministic and do not."""
+    from zerorate import cli
+
+    commands = next(a for a in cli._build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    seeded = {name for name, parser in commands.items()
+              if any("--seed" in a.option_strings for a in parser._actions)}
+    assert seeded == {"simulate", "empirical"}
 
 
 def test_kernel_exponentials_stay_in_the_evaluator():
@@ -138,12 +166,11 @@ def test_book_distances_never_loop_over_word_pairs():
 
 def _loops_above(tree):
     """Map each node to the loops (``for``, ``while``, comprehensions) around it."""
-    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     above = {}
 
     def visit(node, chain):
         above[node] = chain
-        inner = chain + (node,) if isinstance(node, loops) else chain
+        inner = chain + (node,) if isinstance(node, LOOPS) else chain
         for child in ast.iter_child_nodes(node):
             visit(child, inner)
 
@@ -274,8 +301,7 @@ def test_q_solves_run_as_stacks():
     calls = [n for n in ast.walk(scan)
              if isinstance(n, ast.Call) and ast.unparse(n.func) == "_q_max"]
     assert len(calls) == 1, f"_scan_s_grid calls _q_max {len(calls)} times"
-    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-    assert not any(isinstance(a, loops) for a in _ancestors(calls[0], parents)), \
+    assert not any(isinstance(a, LOOPS) for a in _ancestors(calls[0], parents)), \
         "_scan_s_grid calls _q_max inside a loop"
     for n in ast.walk(tree):
         if isinstance(n, ast.Call) and ast.unparse(n.func) == "np.linalg.slogdet":
