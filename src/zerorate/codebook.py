@@ -193,9 +193,14 @@ def _onehot(words: Sequence[Sequence[int]], nx: int) -> np.ndarray:
 
 def _pair_counts(words: Sequence[Sequence[int]], nx: int) -> np.ndarray:
     """Letter-pair counts of every ordered word pair of a book: ``out[i, j, a, b]``
-    counts the columns where word ``i`` shows ``a`` and word ``j`` shows ``b``."""
+    counts the columns where word ``i`` shows ``a`` and word ``j`` shows ``b``.
+
+    One float product of the one-hot rows ``(word, letter)`` over the columns
+    with its transpose: exact, since every count is at most ``n``, far below 2**53."""
     onehot = _onehot(words, nx)
-    return np.einsum("ita,jtb->ijab", onehot, onehot)
+    m, n = onehot.shape[:2]
+    rows = np.array(onehot.transpose(0, 2, 1), dtype=float).reshape(m * nx, n)
+    return (rows @ rows.T).reshape(m, nx, m, nx).transpose(0, 2, 1, 3).astype(np.int64, order="C")
 
 
 def _book_sups(kernel: PairKernel, words: Sequence[Sequence[int]]):

@@ -202,24 +202,21 @@ def _q_max(G: np.ndarray):
     lexicographically, wins, valued on its face's own entries at its
     clipped, renormalized point, so the value is always attained.  Raises
     :class:`BudgetExceededError` when one level holds more than
-    ``_FACE_BUDGET`` live faces of one matrix, or when the faces of the
-    stack outgrow their int64 bitmask keys.
+    ``_FACE_BUDGET`` live faces of one matrix.
     """
     if G.ndim == 2:
         values, qs = _q_max(G[None])
         return float(values[0]), qs[0]
     _check_finite_sigma(G)
     g, nx = len(G), G.shape[-1]
-    if g << nx >= 1 << 63:
-        raise BudgetExceededError(
-            f"the Q-maximization cannot key the faces of {g} matrices over {nx} input letters"
-        )
     vertex = G[:, np.arange(nx), np.arange(nx)] + 0.0    # each worth its entry; a sum reads -0.0 as 0.0
     first = vertex.argmax(axis=1)
     best_v, best_q = vertex[np.arange(g), first], np.eye(nx)[first]
-    bit = np.left_shift(1, np.arange(nx, dtype=np.int64))
+    # face keys: int64 bitmasks, or Python ints once the stack outgrows 63 bits
+    dtype = object if g << nx >= 1 << 63 else np.int64
+    bit = np.array([1 << a for a in range(nx)], dtype=dtype)
     which, letter = np.divmod(np.arange(g * nx, dtype=np.int64), nx)
-    face, key = letter[:, None], (which << nx) + bit[letter]
+    face, key = letter[:, None], (which.astype(dtype) << nx) + bit[letter]
     for k in range(2, nx + 1):
         # extend each live face by every letter above its last; a pair lives
         # unless forbidden, a larger face when its other (k-1)-subfaces live

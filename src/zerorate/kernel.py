@@ -490,7 +490,8 @@ class PairKernel:
         Row ``k`` of ``keys`` counts each curve of ``self._reps`` in one
         curve key, zeros for curves it lacks.  Returns ``s_star``,
         ``value`` and ``attained`` per row, bit for bit those of the
-        scalar solve: tails are read at once (:meth:`_tail_signs`), and interior
+        scalar solve: tails are read at once (:meth:`_tail_signs`), one-term interior
+        keys on one curve share one scalar solve, and the other interior
         keys with the same number of terms (unless alone) are stacked and handed
         to one :func:`_argmax_concave_rows` (its only caller), whose weighted
         sums are the scalar dot products of the same lengths.
@@ -508,7 +509,21 @@ class PairKernel:
                 s_star[r], value[r], attained[r] = closed.s_star, closed.value, closed.attained
         interior = np.array(interior, dtype=np.intp)
         terms = np.count_nonzero(keys[interior], axis=1)
+        # A one-term curve c mu_k has the slope c d, of the sign of d at every tilt, so
+        # every c takes the steps of c = 1: rows sharing a curve take one solve and c v.
+        one = interior[terms == 1]
+        curve = np.nonzero(keys[one])[1]
+        shared = np.bincount(curve) > 1
         with np.errstate(over="ignore", invalid="ignore"):   # NaN slopes end a run
+            for k in np.flatnonzero(shared).tolist():
+                group = one[curve == k]
+                res = self._sup_weighted(((self._reps[k], 1),), -1)
+                s_star[group], value[group], attained[group] = res.s_star, keys[group, k] * res.value, res.attained
+                if res.attained and res.s_star == 0:
+                    value[group] = [self._at_zero(key_of[r]).value for r in group.tolist()]
+            alone = terms > 1
+            alone[terms == 1] = ~shared[curve]
+            interior, terms = interior[alone], terms[alone]
             for k in sorted(set(terms.tolist())):
                 group = interior[terms == k]
                 if len(group) == 1:

@@ -182,6 +182,25 @@ def test_plotkin_identity_exact_on_random_books(rng):
         assert zr.plotkin_holds(code)
 
 
+def test_pair_counts_equal_the_joint_counts_route():
+    """``_pair_counts``, one float product of the book's one-hot rows, equals
+    ``joint_counts`` on every ordered word pair, with its int64 dtype and
+    ``(M, M, nx, nx)`` shape, on seeded books with M 2-40, n 1-64 and nx 1-5,
+    some declaring more letters than their words use."""
+    rng = np.random.default_rng(2203)
+    for _ in range(60):
+        m, n, used = int(rng.integers(2, 41)), int(rng.integers(1, 65)), int(rng.integers(1, 6))
+        nx = used + int(rng.integers(0, 2)) * int(rng.integers(1, 3))
+        words = rng.integers(0, used, (m, n)).tolist()
+        expected = np.zeros((m, m, nx, nx), dtype=np.int64)
+        for i, j in itertools.product(range(m), repeat=2):
+            for (a, b), c in zr.joint_counts(words[i], words[j]).items():
+                expected[i, j, a, b] = c
+        got = codebook._pair_counts(words, nx)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert (got == expected).all()
+
+
 def test_plotkin_holds_counts_letter_pairs_once(rng, monkeypatch):
     calls = []
     count = codebook._pair_counts

@@ -510,6 +510,47 @@ def test_symmetric_alphabet_meets_the_face_budget():
     assert time.perf_counter() - start < 1.0
 
 
+def _embedded(block, letters, nx):
+    """``block`` on ``letters`` of an ``nx``-letter matrix whose other pairs are
+    forbidden (``-inf``) and whose other letters are worth -1."""
+    G = np.full((nx, nx), -np.inf)
+    np.fill_diagonal(G, -1.0)
+    G[np.ix_(letters, letters)] = block
+    return G
+
+
+def test_wide_alphabets_key_faces_by_python_ints():
+    """Faces of a stack wider than 63 key bits are keyed by Python ints, so
+    only the face budget caps ``_q_max``: a 200-letter limit matrix with four
+    allowed pairs (the tail candidate's shape) and stacks of one and four at
+    62, 63 and 64 letters give the small matrix's value by float hex and its
+    maximizer by bytes, and ``c (J - I)`` still meets the budget at 17 letters."""
+    tri = np.full((5, 5), -np.inf)
+    np.fill_diagonal(tri, 0.0)
+    for a, b, v in ((0, 1, 0.3), (0, 2, 0.3), (1, 2, 0.3), (3, 4, 0.1)):
+        tri[a, b] = tri[b, a] = v
+    wide = np.full((200, 200), -np.inf)
+    np.fill_diagonal(wide, 0.0)
+    wide[:5, :5] = tri
+    value, q = exponent_mod._q_max(wide)
+    assert value == pytest.approx(0.2, abs=1e-15)
+    assert np.flatnonzero(q).tolist() == [0, 1, 2]
+    rng = np.random.default_rng(2201)
+    for nx in (62, 63, 64):
+        blocks = [_random_sym(rng, 6) for _ in range(4)]
+        letters = [np.sort(rng.choice(nx, 6, replace=False)) for _ in range(3)] + [np.arange(nx - 6, nx)]
+        stack = np.stack([_embedded(b, at, nx) for b, at in zip(blocks, letters)])
+        values, qs = exponent_mod._q_max(stack)
+        for b, at, v, q in zip(blocks, letters, values, qs):
+            ref_v, ref_q = exponent_mod._q_max(b)
+            alone_v, alone_q = exponent_mod._q_max(_embedded(b, at, nx))
+            assert float(v).hex() == float(alone_v).hex() == float(ref_v).hex()
+            assert q[at].tobytes() == alone_q[at].tobytes() == ref_q.tobytes()
+            assert not np.delete(q, at).any()
+    with pytest.raises(zr.BudgetExceededError, match="17 input letters"):
+        exponent_mod._q_max(0.3 * (np.ones((17, 17)) - np.eye(17)))
+
+
 def test_tail_candidate_equals_the_best_boundary_clique(typewriter_pair):
     """One ``_q_max`` call on the limit matrix, ``-inf`` off the boundary
     graph, gives the value of the best clique solved on its own entries."""

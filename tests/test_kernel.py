@@ -613,7 +613,8 @@ def test_bisection_length_is_fixed_by_the_bracket():
 def test_a_one_row_group_takes_the_scalar_maximizer(monkeypatch):
     """A term-count group of one key is solved by the scalar maximizer;
     its result equals the same key's run through the row loop (a group of
-    two equal keys) and ``_sup_weighted``, float for float."""
+    two equal keys; two equal one-term keys share one scalar solve) and
+    ``_sup_weighted``, float for float."""
     rng = np.random.default_rng(1801)
     row_calls = []
     real_rows = zr.kernel._argmax_concave_rows
@@ -632,7 +633,7 @@ def test_a_one_row_group_takes_the_scalar_maximizer(monkeypatch):
                     alone = k._sup_rows(row[None, :])
                     assert row_calls == []
                     twice = k._sup_rows(np.stack([row, row]))
-                    assert row_calls == [2]
+                    assert row_calls == ([] if len(key) == 1 else [2])
                     scalar = k._sup_weighted(key)
                     got = [(float(s).hex(), float(v).hex(), bool(a)) for s, v, a in zip(*alone)]
                     assert got * 2 == [(float(s).hex(), float(v).hex(), bool(a))
@@ -640,6 +641,82 @@ def test_a_one_row_group_takes_the_scalar_maximizer(monkeypatch):
                     assert got == [(scalar.s_star.hex(), scalar.value.hex(), scalar.attained)]
                     solved += 1
     assert solved > 50
+
+
+def _row_loop_sups(k, keys):
+    """``_sup_rows`` as the row loop alone: every interior key stacked with the
+    keys of its term count, however many, and handed to ``_argmax_concave_rows``."""
+    out = {}
+    interior = []
+    for r, counts in enumerate(keys.tolist()):
+        key = tuple((rep, c) for rep, c in zip(k._reps, counts) if c)
+        closed = k._closed_form(key)
+        if closed is None:
+            interior.append(r)
+        else:
+            out[r] = closed
+    interior = np.array(interior, dtype=np.intp)
+    terms = np.count_nonzero(keys[interior], axis=1)
+    for t in sorted(set(terms.tolist())):
+        group = interior[terms == t]
+        cols = np.nonzero(keys[group])[1].reshape(len(group), t)
+        LW, LR = k._LW_reps[cols], k._LR_reps[cols]
+        w = np.take_along_axis(keys[group], cols, axis=1).astype(float)[:, None, :]
+        with np.errstate(over="ignore", invalid="ignore"):
+            s, ok = _argmax_concave_rows(LW, LR, w)
+            v = (w @ _tilted(LW, LR, s[:, None, None])[0][:, :, None])[:, 0, 0]
+        for r, s_r, v_r, ok_r in zip(group.tolist(), s.tolist(), v.tolist(), ok.tolist()):
+            key = tuple((rep, c) for rep, c in zip(k._reps, keys[r].tolist()) if c)
+            if ok_r and s_r == 0:
+                v_r = k._at_zero(key).value
+            out[r] = zr.SupResult(s_r if ok_r else math.inf, v_r, ok_r)
+    return [out[r] for r in range(len(keys))]
+
+
+def test_one_term_rows_of_one_curve_share_one_solve():
+    """One-term interior rows on one curve ``c mu_k`` take one scalar solve of
+    ``mu_k`` and the value ``c v``; every row of ``_sup_rows`` equals, by float
+    hex, both the row loop on the stacked rows and ``_sup_weighted`` on its
+    key alone.  Batches mix shared one-term rows (counts up to 10**6),
+    multi-term rows, lone one-term rows and closed forms (zero rows among
+    them), on seeded raw and relaxed kernels at nx 2-5, symmetric binary pairs
+    whose two directions are one curve, and a curve that peaks at s = 0."""
+    rng = np.random.default_rng(2202)
+    peak = zr.pair_from_rows(((F(8, 10), F(1, 10), F(1, 10)), (F(1, 2), F(1, 2), F(0))),
+                             ((F(3, 10), F(6, 10), F(1, 10)), (F(6, 10), F(3, 10), F(0))))
+    pairs = [peak]
+    for e in (F(1, 4), F(1, 10), F(2, 5)):
+        rows = ((1 - e, e), (e, 1 - e))
+        pairs += [zr.pair_from_rows(rows, rows), zr.pair_from_rows(rows, rows[::-1])]
+    for nx in (2, 3, 4, 5):
+        pairs += [random_full_support_pair(rng, nx=nx) for _ in range(3)]
+    shared = at_zero = multi = closed = 0
+    for pair in pairs:
+        for k in (zr.PairKernel(pair), zr.RelaxedKernel(pair)):
+            reps = len(k._reps)
+            one = np.zeros((12, reps), dtype=np.int64)
+            one[np.arange(12), rng.integers(0, reps, 12)] = rng.choice([1, 2, 7, 10**3, 10**6], 12)
+            keys = np.vstack([one, rng.integers(0, 4, (8, reps)), np.zeros((1, reps), np.int64)])
+            keys = keys[rng.permutation(len(keys))]
+            s_star, value, attained = k._sup_rows(keys)
+            got = [(float(s).hex(), float(v).hex(), bool(a)) for s, v, a in zip(s_star, value, attained)]
+            loop = _row_loop_sups(k, keys)
+            assert got == [(r.s_star.hex(), r.value.hex(), r.attained) for r in loop]
+            curves = []     # the curve of each one-term interior row
+            for r, counts in enumerate(keys.tolist()):
+                key = tuple((rep, c) for rep, c in zip(k._reps, counts) if c)
+                scalar = k._sup_weighted(key)
+                assert got[r] == (scalar.s_star.hex(), scalar.value.hex(), scalar.attained)
+                if k._closed_form(key) is not None:
+                    closed += 1
+                elif len(key) > 1:
+                    multi += 1
+                else:
+                    curves.append((key[0][0], scalar.s_star == 0 and scalar.value > 0))
+            for rep, zero in curves:
+                if sum(rep == other for other, _ in curves) > 1:
+                    shared, at_zero = shared + 1, at_zero + zero
+    assert shared > 200 and at_zero > 5 and multi > 100 and closed > 50
 
 
 def test_tail_signs_equal_the_exact_sign():

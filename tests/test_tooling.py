@@ -5,7 +5,8 @@ the tail candidate one ``_q_max`` call in no loop), the Monte Carlo
 commands as the only ones with a ``--seed``, the one float evaluator
 of the kernel, the zero-error oracle that production code must not call,
 the book-level distance functions that must not fall back to a per-pair
-loop, the decoders' integer keys, Monte Carlo's one tie draw per block
+loop, the book's letter-pair counts as one float product (no ``einsum`` in
+``codebook.py``), the decoders' integer keys, Monte Carlo's one tie draw per block
 and its block loop that allocates no working array, the pair's
 validation and direction builder, which divide no rationals, the CLI
 commands, which load no document of their own, and the batched tilt
@@ -183,6 +184,17 @@ def _is_product(node):
     if isinstance(node, ast.BinOp):
         return isinstance(node.op, ast.MatMult)
     return isinstance(node, ast.Call) and ast.unparse(node.func) == "np.matmul"
+
+
+def test_book_letter_pairs_are_one_float_product():
+    """``codebook.py`` calls no ``einsum``, and ``_pair_counts`` counts every
+    word pair's letter pairs with exactly one matrix product."""
+    tree = ast.parse((ROOT / "src" / "zerorate" / "codebook.py").read_text())
+    einsums = [n.lineno for n in ast.walk(tree)
+               if isinstance(n, ast.Call) and ast.unparse(n.func).endswith("einsum")]
+    assert einsums == [], f"codebook.py calls einsum on lines {einsums}"
+    counts = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_pair_counts")
+    assert sum(map(_is_product, ast.walk(counts))) == 1
 
 
 def test_decoders_key_on_metric_counts():
