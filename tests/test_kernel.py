@@ -646,10 +646,9 @@ def test_a_one_row_group_takes_the_scalar_maximizer(monkeypatch):
 def _row_loop_sups(k, keys):
     """``_sup_rows`` as the row loop alone: every interior key stacked with the
     keys of its term count, however many, and handed to ``_argmax_concave_rows``."""
-    out = {}
-    interior = []
-    for r, counts in enumerate(keys.tolist()):
-        key = tuple((rep, c) for rep, c in zip(k._reps, counts) if c)
+    out, interior = {}, []
+    key_of = [tuple((rep, c) for rep, c in zip(k._reps, counts) if c) for counts in keys.tolist()]
+    for r, key in enumerate(key_of):
         closed = k._closed_form(key)
         if closed is None:
             interior.append(r)
@@ -666,9 +665,8 @@ def _row_loop_sups(k, keys):
             s, ok = _argmax_concave_rows(LW, LR, w)
             v = (w @ _tilted(LW, LR, s[:, None, None])[0][:, :, None])[:, 0, 0]
         for r, s_r, v_r, ok_r in zip(group.tolist(), s.tolist(), v.tolist(), ok.tolist()):
-            key = tuple((rep, c) for rep, c in zip(k._reps, keys[r].tolist()) if c)
             if ok_r and s_r == 0:
-                v_r = k._at_zero(key).value
+                v_r = k._at_zero(key_of[r]).value
             out[r] = zr.SupResult(s_r if ok_r else math.inf, v_r, ok_r)
     return [out[r] for r in range(len(keys))]
 
