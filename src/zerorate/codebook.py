@@ -199,7 +199,7 @@ def _pair_counts(words: Sequence[Sequence[int]], nx: int) -> np.ndarray:
     with its transpose: exact, since every count is at most ``n``, far below 2**53."""
     onehot = _onehot(words, nx)
     m, n = onehot.shape[:2]
-    rows = np.array(onehot.transpose(0, 2, 1), dtype=float).reshape(m * nx, n)
+    rows = np.ascontiguousarray(onehot.transpose(0, 2, 1), dtype=float).reshape(m * nx, n)
     return (rows @ rows.T).reshape(m, nx, m, nx).transpose(0, 2, 1, 3).astype(np.int64, order="C")
 
 

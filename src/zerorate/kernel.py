@@ -490,8 +490,8 @@ class PairKernel:
         Row ``k`` of ``keys`` counts each curve of ``self._reps`` in one
         curve key, zeros for curves it lacks.  Returns ``s_star``,
         ``value`` and ``attained`` per row, bit for bit those of the
-        scalar solve: tails are read at once (:meth:`_tail_signs`), one-term interior
-        keys on one curve share one scalar solve, and the other interior
+        scalar solve: tails are read at once (:meth:`_tail_signs`), the one-term interior
+        keys of each curve share one scalar solve of it, and the other interior
         keys with the same number of terms (unless alone) are stacked and handed
         to one :func:`_argmax_concave_rows` (its only caller), whose weighted
         sums are the scalar dot products of the same lengths.
@@ -510,20 +510,18 @@ class PairKernel:
         interior = np.array(interior, dtype=np.intp)
         terms = np.count_nonzero(keys[interior], axis=1)
         # A one-term curve c mu_k has the slope c d, of the sign of d at every tilt, so
-        # every c takes the steps of c = 1: rows sharing a curve take one solve and c v.
+        # every c takes the steps of c = 1: the rows of a curve take one solve and c v.
         one = interior[terms == 1]
         curve = np.nonzero(keys[one])[1]
-        shared = np.bincount(curve) > 1
         with np.errstate(over="ignore", invalid="ignore"):   # NaN slopes end a run
-            for k in np.flatnonzero(shared).tolist():
+            for k in np.unique(curve).tolist():
                 group = one[curve == k]
                 res = self._sup_weighted(((self._reps[k], 1),), -1)
                 s_star[group], value[group], attained[group] = res.s_star, keys[group, k] * res.value, res.attained
                 if res.attained and res.s_star == 0:
                     value[group] = [self._at_zero(key_of[r]).value for r in group.tolist()]
-            alone = terms > 1
-            alone[terms == 1] = ~shared[curve]
-            interior, terms = interior[alone], terms[alone]
+            keep = terms > 1
+            interior, terms = interior[keep], terms[keep]
             for k in sorted(set(terms.tolist())):
                 group = interior[terms == k]
                 if len(group) == 1:

@@ -672,8 +672,8 @@ def _row_loop_sups(k, keys):
 
 
 def test_one_term_rows_of_one_curve_share_one_solve():
-    """One-term interior rows on one curve ``c mu_k`` take one scalar solve of
-    ``mu_k`` and the value ``c v``; every row of ``_sup_rows`` equals, by float
+    """The one-term interior rows of each curve ``c mu_k``, one or many, take one
+    scalar solve of ``mu_k`` and the value ``c v``; every row of ``_sup_rows`` equals, by float
     hex, both the row loop on the stacked rows and ``_sup_weighted`` on its
     key alone.  Batches mix shared one-term rows (counts up to 10**6),
     multi-term rows, lone one-term rows and closed forms (zero rows among
