@@ -28,7 +28,7 @@ from .exponent import (
     _objective_rows,
     maximize_over_Q,
 )
-from .kernel import INF, PairKernel, _as_kernel, joint_counts
+from .kernel import INF, PairKernel, _as_kernel, _integer_words, joint_counts
 from .zero_error import is_balanced
 
 __all__ = [
@@ -77,9 +77,9 @@ class Codebook:
         # symbols: the first ragged word ends the range check.
         ragged = next((i for i, w in enumerate(rows) if len(w) != n), len(rows))
         try:
-            x = np.array(rows[:ragged], dtype=np.int64)
+            x = np.array(checked := _integer_words(rows[:ragged]), dtype=np.int64)
         except OverflowError:
-            x = np.array(rows[:ragged], dtype=object)
+            x = np.array(checked, dtype=object)
         bad = (x < 0) | (x >= self.alphabet_size)
         if bad.any():
             idx = int(bad.any(axis=1).argmax())
@@ -163,6 +163,7 @@ def joint_type(
     coordinates where the first word shows ``a`` and the second ``b``."""
     if len(x1) != len(x2) or not x1:
         raise ValidationError("joint type needs two nonempty words of equal length")
+    x1, x2 = _integer_words((x1, x2))
     n = len(x1)
     nx = alphabet_size if alphabet_size is not None else max(max(x1), max(x2)) + 1
     if min(min(x1), min(x2)) < 0 or max(max(x1), max(x2)) >= nx:
@@ -208,10 +209,9 @@ def _book_sups(kernel: PairKernel, words: Sequence[Sequence[int]]):
 
     Returns the index arrays ``i, j`` (row-major) and the ``s_star``,
     ``value`` and ``attained`` arrays of shape ``(2, pairs)``: row 0 is
-    word ``i`` against word ``j``, row 1 the reverse.  Each entry is bit
-    for bit ``kernel.sequence_sup`` of that ordered pair: the letter-pair
-    counts, merged onto the kernel's curves, are its memo key, and each
-    distinct key is solved once.
+    word ``i`` against word ``j``, row 1 the reverse.  The letter-pair
+    counts, merged onto the kernel's curves, are deduplicated and each
+    distinct key is solved once; ``kernel.sequence_sup`` is one such row.
     """
     m, nx = len(words), kernel.pair.nx
     counts = _pair_counts(words, nx).reshape(m, m, nx * nx)
@@ -585,7 +585,7 @@ def dmin_certificate(
     budget = 4.0 * k_const * delta
     # every pair's sequence kernels both ways, at its own tilt and the anchor's, in one batch
     ij, words = np.array(list(tilts)), np.array(code.words)
-    seq = kernel._sequence_rows(words[ij[:, [0, 1, 0, 1]].ravel()], words[ij[:, [1, 0, 1, 0]].ravel()],
+    seq, _ = kernel._sequence_rows(words[ij[:, [0, 1, 0, 1]].ravel()], words[ij[:, [1, 0, 1, 0]].ravel()],
                                 np.ravel([(s, s, s_bar_anchor, s_bar_anchor) for s in tilts.values()]))
     for f_own, b_own, f_anchor, b_anchor in seq.reshape(-1, 4).tolist():
         own_sum += f_own + b_own

@@ -29,7 +29,7 @@ import numpy as np
 
 from .channel import ChannelMetricPair, _kept, _sign_of_power_product, integer_view
 from .errors import BudgetExceededError, PreconditionError, ValidationError, ZerorateError
-from .kernel import INF, _as_kernel, joint_counts
+from .kernel import INF, _as_kernel, _integer_words, joint_counts
 
 __all__ = [
     "TIE_POLICIES",
@@ -91,7 +91,7 @@ class BoundReport:
 def _words_of(code, expect: Optional[int] = None) -> tuple[tuple[int, ...], ...]:
     words = getattr(code, "words", None)
     if words is None:
-        words = tuple(tuple(int(v) for v in w) for w in code)
+        words = tuple(map(tuple, _integer_words(code)))
     if expect is not None and len(words) != expect:
         raise PreconditionError(f"expected exactly {expect} codewords, got {len(words)}")
     if len(words) < 2:

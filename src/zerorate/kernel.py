@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -180,7 +181,7 @@ class PairKernel:
 
     def _install(self, dirs: dict[tuple[int, int], _Direction]) -> None:
         """Use ``dirs`` as the per-pair data: pad their rows for :func:`_tilted`,
-        sort them into curves, set ``s_limit`` and empty the memo.
+        sort them into curves and set ``s_limit``.
 
         An affine row is padded as one entry, ``log`` of its mass and
         ``-log A``, so it evaluates exactly to its line.  ``_curve`` maps
@@ -231,7 +232,6 @@ class PairKernel:
         span = float(np.abs(self._LR).max())
         # below s_limit, s * log r and the sums and differences of kernel values stay finite
         self.s_limit = sys.float_info.max / (4.0 * span) if span > 0 else INF
-        self._seq_cache: dict[tuple, SupResult] = {}
 
     # -- scalar evaluations -------------------------------------------------
 
@@ -292,47 +292,29 @@ class PairKernel:
 
         return at
 
-    def _curve_key(self, terms: Iterable[tuple[tuple[int, int], int]]) -> tuple:
-        """Canonical form of ``sum c mu(a, b, .)``: counts merged over
-        directions with equal curves, zero curves dropped.  Equal keys
-        are equal curves."""
-        merged: Counter = Counter()
-        for ab, c in terms:
-            if (rep := self._curve[ab]) is not None:
-                merged[rep] += c
-        return tuple(sorted(merged.items()))
-
     # -- sequence-level evaluations ------------------------------------------
 
-    def _check_sequences(self, x1: Sequence[int], x2: Sequence[int]) -> dict[tuple[int, int], int]:
-        counts = joint_counts(x1, x2)
-        nx = self.pair.nx
-        if not all(0 <= u < nx and 0 <= v < nx for u, v in counts):
+    def _words(self, x1: Sequence[int], x2: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Two equally long words of :func:`_integer_words` in the alphabet, as ``(1, n)`` int64 arrays."""
+        if len(x1) != len(x2) or not x1:
+            raise PreconditionError("codewords must be nonempty and of equal length")
+        words = _integer_words((x1, x2))
+        if min(map(min, words)) < 0 or max(map(max, words)) >= self.pair.nx:
             raise ValidationError("codeword symbol outside the input alphabet")
-        return counts
+        return tuple(np.array(words, dtype=np.int64)[:, None])
 
     def _sequence(self, x1: Sequence[int], x2: Sequence[int], s: float) -> tuple[float, float]:
-        """Value and slope at ``s`` of the sequence kernel (see :meth:`mu_sequence`);
-        both infinite when some letter pair's kernel is."""
+        """Value and slope at ``s`` of the sequence kernel: one row of :meth:`_sequence_rows`."""
         _check_tilt("mu_sequence", s, self.s_limit)
-        counts = self._check_sequences(x1, x2)
-        if any(self._dirs[ab].empty for ab in counts):
-            return INF, INF
-        with np.errstate(over="ignore"):    # an overflowing sum is rejected below
-            value, slope = self._weighted(list(counts), list(counts.values()))(s)
-        if s == 0:
-            value = sum(c * float(self._mu0[ab]) for ab, c in counts.items())
-        if not math.isfinite(value):
-            raise PreconditionError(
-                f"mu_sequence: the sum at tilt s = {s} leaves the float range; use a smaller tilt"
-            )
-        return value, slope
+        value, slope = self._sequence_rows(*self._words(x1, x2), np.array([float(s)]))
+        return float(value[0]), float(slope[0])
 
-    def _sequence_rows(self, x1: np.ndarray, x2: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """:meth:`mu_sequence` of the word pairs ``(x1[r], x2[r])`` (checked integer
-        arrays of shape ``(rows, n)``) at the tilts ``s[r]``, bit for bit: rows with
-        equally many letter pairs are evaluated together, each with its terms in
-        :func:`joint_counts` order.  The first row whose scalar call raises raises."""
+    def _sequence_rows(self, x1: np.ndarray, x2: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values and slopes of the sequence kernels of the word pairs ``(x1[r], x2[r])``
+        (checked integer arrays of shape ``(rows, n)``) at the tilts ``s[r]``: rows with
+        equally many letter pairs are evaluated together, each term in order of first
+        appearance, and a value at ``s = 0`` is the exact sum.  The first row whose
+        tilt is bad or whose sum leaves the float range raises."""
         nx, (rows, n) = self.pair.nx, x1.shape
         cell = (np.arange(rows)[:, None] * nx * nx + x1 * nx + x2).ravel()   # (row, letter pair)
         counts = np.bincount(cell, minlength=rows * nx * nx).reshape(rows, -1)
@@ -342,25 +324,25 @@ class PairKernel:
         terms = np.count_nonzero(counts, axis=1)
         tilt_ok = np.isfinite(s) & (s >= 0) & (s <= self.s_limit)
         live = tilt_ok & ~(counts.astype(bool) & self._empty.ravel()).any(axis=1)
-        value = np.full(rows, INF)
+        value, slope = np.full((2, rows), INF)
         LW, LR = self._LW.reshape(nx * nx, -1), self._LR.reshape(nx * nx, -1)
         for k in sorted(set(terms[live].tolist())):
             group = np.flatnonzero(live & (terms == k))
             cols = order[group, :k]
             w = np.take_along_axis(counts[group], cols, axis=1).astype(float)[:, None, :]
             with np.errstate(over="ignore"):    # an overflowing sum is rejected below
-                v = _tilted(LW[cols], LR[cols], s[group, None, None])[0]
-                value[group] = (w @ v[:, :, None])[:, 0, 0]
+                v, d = _tilted(LW[cols], LR[cols], s[group, None, None])
+                value[group], slope[group] = (w @ v[:, :, None])[:, 0, 0], (w @ d[:, :, None])[:, 0, 0]
         mu0 = self._mu0.ravel().tolist()
         for r in np.flatnonzero(live & (s == 0)).tolist():
             ab = order[r, :terms[r]].tolist()
             value[r] = sum(c * mu0[d] for d, c in zip(ab, counts[r, ab].tolist()))
         if (wrong := ~tilt_ok | (live & ~np.isfinite(value))).any():
-            r = int(wrong.argmax())     # the first row whose scalar call raises
+            r = int(wrong.argmax())
             _check_tilt("mu_sequence", float(s[r]), self.s_limit)
             raise PreconditionError(f"mu_sequence: the sum at tilt s = {float(s[r])} "
                                     "leaves the float range; use a smaller tilt")
-        return value
+        return value, slope
 
     def mu_sequence(self, x1: Sequence[int], x2: Sequence[int], s: float) -> float:
         """Kernel of two length-``n`` words; additive over letters, so this is
@@ -372,17 +354,10 @@ class PairKernel:
         return self._sequence(x1, x2, s)[0]
 
     def sequence_sup(self, x1: Sequence[int], x2: Sequence[int]) -> SupResult:
-        """Supremum over ``s >= 0`` of the (unnormalized) sequence kernel.
-
-        Memoized by curve: letter-pair counts merged over directions with
-        equal curves, so word pairs whose sums are equal as functions
-        share one entry and get bit-identical results.
-        """
-        key = self._curve_key(self._check_sequences(x1, x2).items())
-        hit = self._seq_cache.get(key)
-        if hit is None:
-            hit = self._seq_cache[key] = self._sup_weighted(key)
-        return hit
+        """Supremum over ``s >= 0`` of the (unnormalized) sequence kernel: its letter-pair
+        counts merged onto the curves, one :meth:`_sup_rows` row, so equal curves give equal bits."""
+        x1, x2, nx = *self._words(x1, x2), self.pair.nx
+        return self._sup_row(np.bincount((x1 * nx + x2)[0], minlength=nx * nx) @ self._merge)
 
     # -- symmetric sums and their maximizers ----------------------------------
 
@@ -399,7 +374,8 @@ class PairKernel:
             raise InfiniteExponentError(
                 f"sigma({a},{b}) is identically infinite: inputs share no usable output"
             )
-        return self._sup_weighted(self._curve_key((((a, b), 1), ((b, a), 1))))
+        nx = self.pair.nx
+        return self._sup_row(self._merge[a * nx + b] + self._merge[b * nx + a])
 
     def s_cap(self) -> float:
         """Upper end of the tilt interval that contains every pairwise maximizer.
@@ -446,18 +422,15 @@ class PairKernel:
             signs[r] = _sign_of_power_product(self._a_min, keys[r])
         return signs.tolist()
 
-    def _closed_form(self, key: tuple, sign: Optional[int] = None) -> Optional[SupResult]:
+    def _closed_form(self, key: tuple, sign: int) -> Optional[SupResult]:
         """Supremum of the curve ``key`` when its tail settles it; None when
         the maximum is interior and needs a search.
 
         The limiting slope is ``log`` of the rational product ``prod A_k ** c_k``,
-        whose comparison with one, ``sign`` (:meth:`_tail_signs`, found here
-        when not given), decides between divergence (above one), a horizontal
-        asymptote or a constant (one), and an interior maximum (below one).
+        whose comparison with one, ``sign`` (:meth:`_tail_signs`), decides between
+        divergence (above one), a horizontal asymptote or a constant (one), and an
+        interior maximum (below one).
         """
-        if sign is None:
-            counts = dict(key)
-            sign = self._tail_signs(np.array([[counts.get(rep, 0) for rep in self._reps]]))[0]
         if sign > 0:
             return SupResult(INF, INF, False)
         if sign < 0:
@@ -467,17 +440,11 @@ class PairKernel:
             return self._at_zero(key)
         return SupResult(INF, sum(c * d.intercept for d, (_, c) in zip(dirs, key)), False)
 
-    def _sup_weighted(self, key: tuple, sign: Optional[int] = None) -> SupResult:
-        """Maximize ``sum c_k mu_k(s)`` over ``s >= 0`` for the curve ``key``
-        of :meth:`_curve_key` (integer ``c_k > 0``) with tail sign ``sign``, if known.
-
-        Tails that settle the supremum are read off exactly
-        (:meth:`_closed_form`); otherwise the limiting slope is negative
-        and the slope turns at a finite tilt.  A maximum at ``s = 0``
-        takes the exact value there.
-        """
-        if (closed := self._closed_form(key, sign)) is not None:
-            return closed
+    def _sup_weighted(self, key: tuple) -> SupResult:
+        """Maximize ``sum c_k mu_k(s)`` over ``s >= 0`` for the curve ``key``,
+        ``((rep, c_k), ...)`` with integer ``c_k > 0``, whose limiting slope is
+        negative (:meth:`_closed_form` is None), so the slope turns at a finite
+        tilt.  A maximum at ``s = 0`` takes the exact value there."""
         at = self._weighted([ab for ab, _ in key], [c for _, c in key])
         s, attained = _argmax_concave(lambda s: at(s, value=False))
         if attained and s == 0:
@@ -485,16 +452,16 @@ class PairKernel:
         return SupResult(s if attained else INF, at(s)[0], attained)
 
     def _sup_rows(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`_sup_weighted` of many curves at once.
+        """Suprema over ``s >= 0`` of many curves at once.
 
         Row ``k`` of ``keys`` counts each curve of ``self._reps`` in one
         curve key, zeros for curves it lacks.  Returns ``s_star``,
-        ``value`` and ``attained`` per row, bit for bit those of the
-        scalar solve: tails are read at once (:meth:`_tail_signs`), the one-term interior
-        keys of each curve share one scalar solve of it, and the other interior
-        keys with the same number of terms (unless alone) are stacked and handed
-        to one :func:`_argmax_concave_rows` (its only caller), whose weighted
-        sums are the scalar dot products of the same lengths.
+        ``value`` and ``attained`` per row: tails are read at once
+        (:meth:`_tail_signs`, :meth:`_closed_form`), the one-term interior
+        keys of each curve share one :meth:`_sup_weighted` solve of it, and
+        the other interior keys with the same number of terms (unless alone)
+        are stacked and handed to one :func:`_argmax_concave_rows` (its only
+        caller), bit for bit :meth:`_sup_weighted` on each key.
         """
         rows = len(keys)
         s_star, value, attained = np.zeros(rows), np.zeros(rows), np.ones(rows, dtype=bool)
@@ -516,7 +483,7 @@ class PairKernel:
         with np.errstate(over="ignore", invalid="ignore"):   # NaN slopes end a run
             for k in np.unique(curve).tolist():
                 group = one[curve == k]
-                res = self._sup_weighted(((self._reps[k], 1),), -1)
+                res = self._sup_weighted(((self._reps[k], 1),))
                 s_star[group], value[group], attained[group] = res.s_star, keys[group, k] * res.value, res.attained
                 if res.attained and res.s_star == 0:
                     value[group] = [self._at_zero(key_of[r]).value for r in group.tolist()]
@@ -525,7 +492,7 @@ class PairKernel:
             for k in sorted(set(terms.tolist())):
                 group = interior[terms == k]
                 if len(group) == 1:
-                    res = self._sup_weighted(key_of[group[0]], signs[group[0]])
+                    res = self._sup_weighted(key_of[group[0]])
                     s_star[group], value[group], attained[group] = res.s_star, res.value, res.attained
                     continue
                 cols = np.nonzero(keys[group])[1].reshape(len(group), k)
@@ -537,6 +504,11 @@ class PairKernel:
                 for r in group[ok & (s == 0)]:
                     value[r] = self._at_zero(key_of[r]).value
         return s_star, value, attained
+
+    def _sup_row(self, counts: np.ndarray) -> SupResult:
+        """:meth:`_sup_rows` of one row of curve counts."""
+        s_star, value, attained = (a[0] for a in self._sup_rows(counts[None]))
+        return SupResult(float(s_star), float(value), bool(attained))
 
     # -- vectorized matrix evaluations ----------------------------------------
 
@@ -560,10 +532,12 @@ class PairKernel:
         return self._grid(s_values)[0]
 
     def sigma_matrix(self, s: float) -> np.ndarray:
+        """Matrix of ``sigma(a, b, s)``; kept while ``perfbench/spans.py`` wraps it."""
         m = self.mu_matrix(s)
         return m + m.T
 
     def sigma_prime_matrix(self, s: float) -> np.ndarray:
+        """Matrix of the slopes of ``sigma(a, b, s)``; kept while ``perfbench/spans.py`` wraps it."""
         d = self._grid([s])[1][0]
         return d + d.T
 
@@ -594,6 +568,19 @@ def _as_kernel(pair: Union[ChannelMetricPair, PairKernel]) -> PairKernel:
     if isinstance(pair, ChannelMetricPair):
         return PairKernel(pair)
     raise ValidationError("expected a channel/metric pair or a kernel built from one")
+
+
+def _integer_words(words: Iterable[Sequence[int]]) -> list[list[int]]:
+    """The words' symbols as Python ints: one that fails ``operator.index`` (ints, numpy
+    integers and bools pass) raises :class:`ValidationError` rather than being truncated."""
+    out = []
+    for i, w in enumerate(words):
+        try:
+            out.append(list(map(int, map(operator.index, w))))
+        except TypeError:
+            bad = next(v for v in w if not hasattr(type(v), "__index__"))
+            raise ValidationError(f"codeword {i} has the non-integer symbol {bad!r}") from None
+    return out
 
 
 def joint_counts(x1: Sequence[int], x2: Sequence[int]) -> dict[tuple[int, int], int]:

@@ -5,6 +5,8 @@ boundary decision in the library is taken on exact data; only the
 transcendental evaluations are floating point.
 """
 
+import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -145,6 +147,54 @@ def pg_q_max(G, seed, starts=32):
     value, q = _pg_ascent(G, bank)
     again, q2 = _pg_ascent(G, q[None])
     return (again, q2) if again > value else (value, q)
+
+
+def scalar_sequence(kernel, x1, x2, s):
+    """Oracle for ``PairKernel._sequence_rows``: value and slope at ``s`` of the
+    sequence kernel of two words, as one dot product ``w @ _tilted(LW, LR, s)``
+    of the letter-pair counts with their rows in order of first appearance;
+    at ``s = 0`` the value is the exact sum of ``count * mu0``.  Both are
+    ``inf`` when a letter pair's direction is empty; the batch's errors, with
+    their messages, for a bad tilt or a sum that leaves the float range."""
+    zr.kernel._check_tilt("mu_sequence", s, kernel.s_limit)
+    counts = zr.joint_counts(x1, x2)
+    if any(kernel.direction(*ab).empty for ab in counts):
+        return math.inf, math.inf
+    a, b = np.array(list(counts)).T
+    w = np.array(list(counts.values()), dtype=float)
+    with np.errstate(over="ignore"):
+        value, slope = zr.kernel._tilted(kernel._LW[a, b], kernel._LR[a, b], s)
+        value, slope = float(w @ value), float(w @ slope)
+    if s == 0:
+        value = sum(c * float(kernel._mu0[ab]) for ab, c in counts.items())
+    if not math.isfinite(value):
+        raise zr.PreconditionError(
+            f"mu_sequence: the sum at tilt s = {s} leaves the float range; use a smaller tilt")
+    return value, slope
+
+
+def curve_key(kernel, counts):
+    """Oracle for the curve merge ``counts @ kernel._merge``: the letter-pair
+    counts ``{(a, b): c}`` summed over directions with equal curves (zero
+    curves dropped), as the sorted ``((rep, c), ...)`` key of ``_sup_rows``."""
+    merged = Counter()
+    for ab, c in counts.items():
+        if (rep := kernel._curve[ab]) is not None:
+            merged[rep] += c
+    return tuple(sorted(merged.items()))
+
+
+def tail_sign(kernel, key):
+    """The tail sign ``_sup_rows`` reads for the curve ``key``: negative exactly
+    when its supremum is interior and needs a search."""
+    counts = dict(key)
+    return kernel._tail_signs(np.array([[counts.get(rep, 0) for rep in kernel._reps]]))[0]
+
+
+def scalar_sup(kernel, key):
+    """The curve ``key`` maximized on its own: its closed form when the tail
+    settles it, else the scalar interior solve ``_sup_weighted``."""
+    return kernel._closed_form(key, tail_sign(kernel, key)) or kernel._sup_weighted(key)
 
 
 def random_codebook(rng, n, m, nx):

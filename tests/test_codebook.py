@@ -12,7 +12,15 @@ import pytest
 import zerorate as zr
 from zerorate import cli, codebook
 
-from conftest import random_admissible_pair, random_codebook, random_full_support_pair
+from conftest import (
+    curve_key,
+    random_admissible_pair,
+    random_codebook,
+    random_full_support_pair,
+    scalar_sequence,
+    scalar_sup,
+    tail_sign,
+)
 
 F = Fraction
 
@@ -146,9 +154,9 @@ def test_d_min_counts_a_supremum_at_zero_tilt_as_exactly_zero():
     assert zr.d_min(pair, code) == (0.0, (0, 1))
 
 
-def test_sequence_sups_of_equal_curves_share_one_memo_entry(bsc_pair):
+def test_sequence_sups_of_equal_curves_are_bit_identical(bsc_pair):
     """On BSC mu(0,1) and mu(1,0) are the same curve, so letter-pair counts
-    (n00, n01, n10, n11) with n01 + n10 = 7 all give 7 mu: one memo entry
+    (n00, n01, n10, n11) with n01 + n10 = 7 all give 7 mu: one curve key
     and bit-identical results, whatever the float noise."""
     k = zr.PairKernel(bsc_pair)
 
@@ -159,7 +167,6 @@ def test_sequence_sups_of_equal_curves_share_one_memo_entry(bsc_pair):
 
     results = [k.sequence_sup(*words(*c)) for c in ((15, 3, 4, 10), (14, 2, 5, 11), (16, 7, 0, 9))]
     assert results[0] == results[1] == results[2]
-    assert len(k._seq_cache) == 1
     assert results[0].value == pytest.approx(7 * 0.1438410362258904, abs=1e-9)
 
 
@@ -436,8 +443,9 @@ def _scalar_distances(kernel, code):
 
 def test_book_batch_equals_the_scalar_pair_loop(bsc_pair, typewriter_pair, constant_metric_pair):
     """``distance_matrix`` and ``d_min`` solve every word pair in one batch;
-    entry by entry, and in the argmin pair, they equal the scalar loop.
-    The books cover every way a directional supremum ends: empty
+    entry by entry, and in the argmin pair, they equal the scalar loop,
+    and each ordered pair's ``sequence_sup`` equals its curve solved on its
+    own (``scalar_sup``).  The books cover every way a directional supremum ends: empty
     directions (inf), product of extreme ratios above one (inf), equal to
     one with an unattained ceiling or a constant, zero curves, s* = 0 and
     interior maxima."""
@@ -461,9 +469,10 @@ def test_book_batch_equals_the_scalar_pair_loop(bsc_pair, typewriter_pair, const
                 value, arg = zr.d_min(kernel, code)
                 assert (value, arg) == best and type(value) is float
                 for x1, x2 in itertools.permutations(code.words, 2):
-                    key = oracle._curve_key(zr.joint_counts(x1, x2).items())
-                    closed = oracle._closed_form(key)
+                    key = curve_key(oracle, zr.joint_counts(x1, x2))
+                    closed = oracle._closed_form(key, tail_sign(oracle, key))
                     res = oracle.sequence_sup(x1, x2)
+                    assert res == scalar_sup(oracle, key)
                     if any(oracle.direction(*ab).empty for ab, _ in key):
                         ends.add("empty direction")
                     elif closed is None:
@@ -488,9 +497,9 @@ def test_book_batch_rejects_symbols_outside_the_pair_alphabet(bsc_pair):
 
 
 def _scalar_sequences(kernel, x1, x2, s):
-    """``mu_sequence`` row by row: the values, or the first error's message."""
+    """The scalar oracle row by row: the values, or the first error's message."""
     try:
-        return [kernel.mu_sequence(tuple(a), tuple(b), float(t)).hex()
+        return [scalar_sequence(kernel, tuple(a), tuple(b), float(t))[0].hex()
                 for a, b, t in zip(x1.tolist(), x2.tolist(), s)]
     except zr.PreconditionError as exc:
         return str(exc)
@@ -498,14 +507,14 @@ def _scalar_sequences(kernel, x1, x2, s):
 
 def _batched_sequences(kernel, x1, x2, s):
     try:
-        return [v.hex() for v in kernel._sequence_rows(x1, x2, np.array(s)).tolist()]
+        return [v.hex() for v in kernel._sequence_rows(x1, x2, np.array(s))[0].tolist()]
     except zr.PreconditionError as exc:
         return str(exc)
 
 
 def test_certificate_sequence_batch_equals_mu_sequence(identity_pair, typewriter_pair):
-    """The certificate's batched sequence kernels equal scalar ``mu_sequence``
-    bit for bit: terms in first-appearance order (up to 36 of them), the
+    """The certificate's batched sequence kernels equal the scalar oracle
+    ``conftest.scalar_sequence`` bit for bit: terms in first-appearance order (up to 36 of them), the
     exact sum at s = 0, ``inf`` for a letter pair with an empty direction,
     and the scalar's first error, a tilt above ``s_limit`` or a sum that
     leaves the float range, with its message."""
@@ -528,6 +537,29 @@ def test_certificate_sequence_batch_equals_mu_sequence(identity_pair, typewriter
             ends.add(next((m for m in ("leaves the float range", "is above", "requires a finite")
                            if m in err), "no error"))
     assert ends == {"inf", "finite", "leaves the float range", "is above", "requires a finite"}
+
+
+def test_sequence_batch_slopes_equal_the_scalar_oracle(identity_pair, typewriter_pair):
+    """The slopes of ``_sequence_rows`` equal those of the scalar oracle by
+    float hex, ``inf`` with an empty direction included, and ``_sequence``
+    (behind ``mu_sequence`` and ``tilted_error_lower_bound``) returns the
+    oracle's value and slope for each word pair alone."""
+    rng = np.random.default_rng(2401)
+    kernels = [zr.PairKernel(identity_pair), zr.RelaxedKernel(typewriter_pair)]
+    kernels += [zr.PairKernel(random_admissible_pair(rng, nx=nx)) for nx in (2, 3, 4, 6)]
+    kernels += [zr.RelaxedKernel(random_full_support_pair(rng, nx=5, ny=3))]
+    signs = set()
+    for kernel in kernels:
+        for n in (1, 7, 40):
+            x1, x2 = rng.integers(0, kernel.pair.nx, (2, 24, n))
+            s = np.array([0.0] * 6 + [float(v) for v in 10.0 ** rng.uniform(-3, 3, 18)])
+            _, slopes = kernel._sequence_rows(x1, x2, s)
+            for a, b, t, got in zip(x1.tolist(), x2.tolist(), s.tolist(), slopes.tolist()):
+                value, slope = scalar_sequence(kernel, a, b, t)
+                assert got.hex() == slope.hex()
+                assert [v.hex() for v in kernel._sequence(a, b, t)] == [value.hex(), slope.hex()]
+                signs.add(math.copysign(1.0, slope) if math.isfinite(slope) else slope)
+    assert signs == {1.0, -1.0, math.inf}
 
 
 def test_certificate_averages_equal_the_scalar_loop(bsc_pair):

@@ -6,8 +6,10 @@ sequences) before being frozen into the assertions.
 """
 
 import csv
+import functools
 import itertools
 import math
+import re
 import time
 import warnings
 from fractions import Fraction
@@ -18,7 +20,7 @@ import pytest
 import zerorate as zr
 from zerorate.kernel import _argmax_concave, _argmax_concave_rows, _tilted
 
-from conftest import random_admissible_pair, random_full_support_pair
+from conftest import random_admissible_pair, random_full_support_pair, scalar_sup, tail_sign
 
 F = Fraction
 
@@ -453,13 +455,40 @@ def test_mu_sequence_overflow_below_the_limit_is_rejected(identity_pair):
     assert zr.PairKernel(identity_pair).mu_sequence((0, 0), (1, 0), 1.0) == math.inf
 
 
+WORD_ENTRY_POINTS = {
+    "sequence_sup": lambda pair, x1, x2: zr.PairKernel(pair).sequence_sup(x1, x2),
+    "mu_sequence": lambda pair, x1, x2: zr.PairKernel(pair).mu_sequence(x1, x2, 0.5),
+    "pair_distance": lambda pair, x1, x2: zr.pair_distance(pair, x1, x2),
+    "sup_error_lower_bound": lambda pair, x1, x2: zr.sup_error_lower_bound(pair, x1, x2),
+    "tilted_error_lower_bound": lambda pair, x1, x2: zr.tilted_error_lower_bound(pair, x1, x2, 2.0),
+    "Codebook": lambda pair, x1, x2: zr.Codebook((x1, x2), 2).words,
+    "exact_error_probabilities": lambda pair, x1, x2: zr.exact_error_probabilities(pair, (x1, x2)),
+    "joint_type": lambda pair, x1, x2: zr.joint_type(x1, x2, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORD_ENTRY_POINTS))
+def test_word_symbols_must_be_integers(name, bsc_pair):
+    """A symbol must pass ``operator.index``: numpy integers and bools give the
+    result of the plain ints, and a float, a ``Fraction`` or a string raises
+    ``ValidationError`` naming it, rather than a bare ``KeyError`` or a
+    silently truncated word."""
+    call = functools.partial(WORD_ENTRY_POINTS[name], bsc_pair)
+    plain = call((1, 1, 0), (0, 0, 1))
+    assert repr(call((np.int64(1), True, 0), (False, np.uint8(0), 1))) == repr(plain)
+    for bad in (0.5, np.float64(1.0), Fraction(1), "1"):
+        message = f"codeword 0 has the non-integer symbol {re.escape(repr(bad))}"
+        with pytest.raises(zr.ValidationError, match=message):
+            call((bad, 1, 0), (1, 0, 1))
+
+
 def test_a_batched_supremum_equals_its_one_key_and_scalar_solves(bsc_pair):
     """``_sup_rows`` runs the interior keys of a batch through one row-wise
     doubling and bisection; a key's result must not depend on its company.
     On the far-maximizer pair the batch mixes a key whose slope is <= 0 at
     s = 0, keys with maximizers near 2.2e7 and beyond, an unattained
     ceiling and a smaller interior key; each equals its one-key batch, the
-    scalar ``_sup_weighted`` and a direct ``_argmax_concave`` run."""
+    key solved on its own (``scalar_sup``) and a direct ``_argmax_concave`` run."""
     W = ((F(9, 10), F(1, 10)), (F(1, 10), F(9, 10)))
     q = ((F(1), F(1)), (F(1), 1 + F(1, 10**7)))
     k = zr.PairKernel(zr.pair_from_rows(W, q))
@@ -470,10 +499,10 @@ def test_a_batched_supremum_equals_its_one_key_and_scalar_solves(bsc_pair):
     for r, row in enumerate(keys):
         key = tuple((rep, int(c)) for rep, c in zip(k._reps, row) if c)
         alone = k._sup_rows(row[None, :])
-        scalar = k._sup_weighted(key)
+        scalar = scalar_sup(k, key)
         got = zr.SupResult(float(mixed[0][r]), float(mixed[1][r]), bool(mixed[2][r]))
         assert got == zr.SupResult(*(float(a[0]) for a in alone[:2]), bool(alone[2][0])) == scalar
-        if k._closed_form(key) is None:
+        if tail_sign(k, key) < 0:
             at = k._weighted([ab for ab, _ in key], [c for _, c in key])
             s, attained = _argmax_concave(lambda s: at(s)[1])
             assert (scalar.s_star, scalar.attained) == (s, attained)
@@ -614,7 +643,7 @@ def test_a_one_row_group_takes_the_scalar_maximizer(monkeypatch):
     """A term-count group of one key is solved by the scalar maximizer;
     its result equals the same key's run through the row loop (a group of
     two equal keys; two equal one-term keys share one scalar solve) and
-    ``_sup_weighted``, float for float."""
+    the key solved on its own (``scalar_sup``), float for float."""
     rng = np.random.default_rng(1801)
     row_calls = []
     real_rows = zr.kernel._argmax_concave_rows
@@ -627,14 +656,14 @@ def test_a_one_row_group_takes_the_scalar_maximizer(monkeypatch):
             for k in (zr.PairKernel(pair), zr.RelaxedKernel(pair)):
                 for row in rng.integers(0, 5, (6, len(k._reps))):
                     key = tuple((rep, int(c)) for rep, c in zip(k._reps, row) if c)
-                    if k._closed_form(key) is not None:
+                    if tail_sign(k, key) >= 0:
                         continue
                     row_calls.clear()
                     alone = k._sup_rows(row[None, :])
                     assert row_calls == []
                     twice = k._sup_rows(np.stack([row, row]))
                     assert row_calls == ([] if len(key) == 1 else [2])
-                    scalar = k._sup_weighted(key)
+                    scalar = scalar_sup(k, key)
                     got = [(float(s).hex(), float(v).hex(), bool(a)) for s, v, a in zip(*alone)]
                     assert got * 2 == [(float(s).hex(), float(v).hex(), bool(a))
                                        for s, v, a in zip(*twice)]
@@ -649,7 +678,7 @@ def _row_loop_sups(k, keys):
     out, interior = {}, []
     key_of = [tuple((rep, c) for rep, c in zip(k._reps, counts) if c) for counts in keys.tolist()]
     for r, key in enumerate(key_of):
-        closed = k._closed_form(key)
+        closed = k._closed_form(key, tail_sign(k, key))
         if closed is None:
             interior.append(r)
         else:
@@ -674,8 +703,8 @@ def _row_loop_sups(k, keys):
 def test_one_term_rows_of_one_curve_share_one_solve():
     """The one-term interior rows of each curve ``c mu_k``, one or many, take one
     scalar solve of ``mu_k`` and the value ``c v``; every row of ``_sup_rows`` equals, by float
-    hex, both the row loop on the stacked rows and ``_sup_weighted`` on its
-    key alone.  Batches mix shared one-term rows (counts up to 10**6),
+    hex, both the row loop on the stacked rows and its key solved on its own
+    (``scalar_sup``).  Batches mix shared one-term rows (counts up to 10**6),
     multi-term rows, lone one-term rows and closed forms (zero rows among
     them), on seeded raw and relaxed kernels at nx 2-5, symmetric binary pairs
     whose two directions are one curve, and a curve that peaks at s = 0."""
@@ -703,9 +732,9 @@ def test_one_term_rows_of_one_curve_share_one_solve():
             curves = []     # the curve of each one-term interior row
             for r, counts in enumerate(keys.tolist()):
                 key = tuple((rep, c) for rep, c in zip(k._reps, counts) if c)
-                scalar = k._sup_weighted(key)
+                scalar = scalar_sup(k, key)
                 assert got[r] == (scalar.s_star.hex(), scalar.value.hex(), scalar.attained)
-                if k._closed_form(key) is not None:
+                if tail_sign(k, key) >= 0:
                     closed += 1
                 elif len(key) > 1:
                     multi += 1

@@ -11,10 +11,15 @@ and its block loop that allocates no working array, the pair's
 validation and direction builder, which divide no rationals, the CLI
 commands, which load no document of their own, and the batched tilt
 maximizations: ``s_cap`` and the certificate solve no curve one at a
-time, and the row-wise maximizer runs only under ``_sup_rows``.  The
-grid scan solves its best tilts as one stack (one ``_q_max`` call, in no
-loop), ``slogdet`` runs only once a batched solve has refused a singular
-face, and the CLI turns dataclasses into payloads without ``asdict``."""
+time, the row-wise maximizer, the closed-form tails and the scalar
+interior solve run only under ``_sup_rows``, ``sequence_sup`` and
+``sup_sigma`` are one-row calls of it (``_sup_row``), and no second map
+from directions to curves (``_curve_key``), sequence memo
+(``_seq_cache``) or scalar word check (``_check_sequences``) is left in
+the package.  The grid scan solves its best tilts as one stack (one
+``_q_max`` call, in no loop), ``slogdet`` runs only once a batched solve
+has refused a singular face, and the CLI turns dataclasses into payloads
+without ``asdict``."""
 
 import argparse
 import ast
@@ -52,6 +57,14 @@ GONE = ("_multistart_pg", "_pg_ascent", "_project_rows", "_pg_starts", "_quad", 
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
+def _names(tree):
+    """Every name, attribute, function or class name and constant in ``tree``."""
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    return names | {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
+
+
 def test_one_q_maximizer():
     """``_q_max`` is the one exact route for every alphabet: none of the
     fallback's names is left in the package, no entry point takes a method,
@@ -59,12 +72,7 @@ def test_one_q_maximizer():
     lives in the tests, and ``_tail_candidate`` makes one ``_q_max`` call,
     outside any loop."""
     for path in sorted((ROOT / "src" / "zerorate").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-        names |= {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
-        names |= {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
-        left = sorted(name for name in GONE if name in names)
+        left = sorted(name for name in GONE if name in _names(ast.parse(path.read_text())))
         assert not left, f"{path.name} still names {left}"
     assert [f.name for f in dataclasses.fields(zr.QResult)] == ["value", "q"]
     tree = ast.parse((ROOT / "src" / "zerorate" / "exponent.py").read_text())
@@ -150,9 +158,8 @@ def test_pair_checks_and_direction_builder_divide_nothing():
 def test_book_distances_never_loop_over_word_pairs():
     """``d_min``, ``distance_matrix`` and ``dmin_certificate`` read one batch
     of sequence suprema, and they, ``komlos_extract`` and ``plotkin_identity``
-    read one letter-pair count array (``_pair_counts``); the scalar
-    ``pair_distance``, ``sequence_sup`` and ``joint_counts`` stay for single
-    pairs and as the batch's test oracles."""
+    read one letter-pair count array (``_pair_counts``); ``pair_distance``,
+    ``sequence_sup`` and ``joint_counts`` serve single word pairs."""
     tree = ast.parse((ROOT / "src" / "zerorate" / "codebook.py").read_text())
     funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
     for name in ("d_min", "distance_matrix", "dmin_certificate", "komlos_extract",
@@ -283,13 +290,31 @@ def _callers(name):
 def test_tilt_maximizations_run_as_batches():
     """``s_cap`` solves its symmetric sums as rows of one ``_sup_rows`` batch,
     not through ``sup_sigma``; ``dmin_certificate`` evaluates its sequence
-    kernels as one batch, not through ``mu_sequence``; and the row-wise
-    maximizer ``_argmax_concave_rows`` runs only under ``_sup_rows``."""
+    kernels as one batch, not through ``mu_sequence``; the row-wise
+    maximizer ``_argmax_concave_rows``, the closed-form tails and the scalar
+    interior solve run only under ``_sup_rows``; and ``sequence_sup`` and
+    ``sup_sigma`` are one-row batches (``_sup_row``), as ``_sequence`` is
+    one row of ``_sequence_rows``."""
     assert "kernel.py:s_cap" in _callers("_sup_rows")
     assert "kernel.py:s_cap" not in _callers("sup_sigma")
     assert "codebook.py:dmin_certificate" in _callers("_sequence_rows")
     assert "codebook.py:dmin_certificate" not in _callers("mu_sequence")
-    assert _callers("_argmax_concave_rows") == ["kernel.py:_sup_rows"]
+    for name in ("_argmax_concave_rows", "_sup_weighted", "_closed_form"):
+        assert _callers(name) == ["kernel.py:_sup_rows"], f"{name} runs outside _sup_rows"
+    assert {"kernel.py:sequence_sup", "kernel.py:sup_sigma"} <= set(_callers("_sup_row"))
+    assert "kernel.py:_sequence" in _callers("_sequence_rows")
+
+
+# A second map from directions to curves, a memo of sequence suprema and the
+# scalar word check: ``_merge`` is the one curve map and ``_words`` the one check.
+SCALAR_ROUTE_GONE = ("_curve_key", "_seq_cache", "_check_sequences")
+
+
+def test_one_route_per_word_pair_question():
+    """No name of the scalar sequence route is left in the package."""
+    for path in sorted((ROOT / "src" / "zerorate").glob("*.py")):
+        left = sorted(set(SCALAR_ROUTE_GONE) & _names(ast.parse(path.read_text())))
+        assert not left, f"{path.name} still names {left}"
 
 
 def _parents(tree):
