@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -241,6 +242,18 @@ class _Direction:
             self, outputs=tuple(y for y, _ in kept), weights=tuple(w for _, w in kept),
             ratios=(r_max,) * len(kept), affine=True, y_hat_mass=self.tail_mass,
         )
+
+
+def _letter_pair(nx: int, a: int, b: int) -> tuple[int, int]:
+    """``(a, b)`` as Python ints, the one check of a pair of input letters: each
+    must pass ``operator.index`` and lie in ``[0, nx)``, or :class:`ValidationError`."""
+    try:
+        ab = operator.index(a), operator.index(b)
+        if 0 <= ab[0] < nx and 0 <= ab[1] < nx:
+            return ab
+    except TypeError:
+        pass
+    raise ValidationError(f"({a!r}, {b!r}) is not a pair of input letters in [0, {nx})")
 
 
 def _build_direction(pair: ChannelMetricPair, a: int, b: int) -> _Direction:

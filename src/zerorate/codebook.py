@@ -28,7 +28,7 @@ from .exponent import (
     _objective_rows,
     maximize_over_Q,
 )
-from .kernel import INF, PairKernel, _as_kernel, _integer_words, joint_counts
+from .kernel import INF, PairKernel, _as_kernel, _checked_words, joint_counts
 from .zero_error import is_balanced
 
 __all__ = [
@@ -62,35 +62,12 @@ class Codebook:
     alphabet_size: int
 
     def __post_init__(self):
-        rows = [tuple(w) for w in self.words]
         size = self.alphabet_size
         if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
             raise ValidationError(f"alphabet size must be an integer, got {size!r}")
         if size < 1:
             raise ValidationError("alphabet size must be positive")
-        if len(rows) < 2:
-            raise ValidationError("a codebook needs at least two codewords")
-        n = len(rows[0])
-        if n < 1:
-            raise ValidationError("codewords must be nonempty")
-        # Words are checked in order, each for its length and then its
-        # symbols: the first ragged word ends the range check.
-        ragged = next((i for i, w in enumerate(rows) if len(w) != n), len(rows))
-        try:
-            x = np.array(checked := _integer_words(rows[:ragged]), dtype=np.int64)
-        except OverflowError:
-            x = np.array(checked, dtype=object)
-        bad = (x < 0) | (x >= self.alphabet_size)
-        if bad.any():
-            idx = int(bad.any(axis=1).argmax())
-            raise ValidationError(
-                f"codeword {idx} contains symbol {x[idx, bad[idx].argmax()]} "
-                f"outside [0, {self.alphabet_size})"
-            )
-        if ragged < len(rows):
-            raise ValidationError(
-                f"codeword {ragged} has length {len(rows[ragged])}, expected {n}"
-            )
+        x = _checked_words(self.words, int(size))
         object.__setattr__(self, "words", tuple(map(tuple, x.tolist())))
         object.__setattr__(self, "alphabet_size", int(size))
 
@@ -112,7 +89,7 @@ class Codebook:
 
     def column_counts(self) -> np.ndarray:
         """Per-column composition: ``out[c, a]`` counts letter ``a`` in column ``c``."""
-        return _onehot(self.words, self.alphabet_size).sum(axis=0)
+        return _onehot(self, self.alphabet_size).sum(axis=0)
 
 
 def parse_codebook(text: str) -> Codebook:
@@ -159,15 +136,12 @@ def serialize_codebook(code: Codebook) -> str:
 def joint_type(
     x1: Sequence[int], x2: Sequence[int], alphabet_size: Optional[int] = None
 ) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact joint type of two words: ``P[a][b]`` is the fraction of
-    coordinates where the first word shows ``a`` and the second ``b``."""
-    if len(x1) != len(x2) or not x1:
-        raise ValidationError("joint type needs two nonempty words of equal length")
-    x1, x2 = _integer_words((x1, x2))
+    """Exact joint type of two words, checked against ``alphabet_size`` when given:
+    ``P[a][b]`` is the fraction of coordinates where the first word shows ``a``
+    and the second ``b``."""
+    x1, x2 = _checked_words((x1, x2), alphabet_size).tolist()
     n = len(x1)
     nx = alphabet_size if alphabet_size is not None else max(max(x1), max(x2)) + 1
-    if min(min(x1), min(x2)) < 0 or max(max(x1), max(x2)) >= nx:
-        raise ValidationError(f"joint type needs symbols in 0..{nx - 1}")
     counts = joint_counts(x1, x2)
     return tuple(tuple(Fraction(counts.get((a, b), 0), n) for b in range(nx)) for a in range(nx))
 
@@ -184,15 +158,14 @@ def pair_distance(pair: KernelSource, x1: Sequence[int], x2: Sequence[int]) -> f
     return float(best) / len(x1) if best != INF else INF
 
 
-def _onehot(words: Sequence[Sequence[int]], nx: int) -> np.ndarray:
-    """``out[w, c, a]`` is 1 where word ``w`` shows letter ``a`` in column ``c``."""
-    x = np.asarray(words)
-    if x.min() < 0 or x.max() >= nx:
-        raise ValidationError("codeword symbol outside the input alphabet")
+def _onehot(words: Union[Codebook, Sequence[Sequence[int]]], nx: int) -> np.ndarray:
+    """``out[w, c, a]`` is 1 where word ``w`` (of :func:`_checked_words` in ``[0, nx)``)
+    shows letter ``a`` in column ``c``."""
+    x = _checked_words(words, nx)
     return (x[:, :, None] == np.arange(nx)).astype(np.int64)
 
 
-def _pair_counts(words: Sequence[Sequence[int]], nx: int) -> np.ndarray:
+def _pair_counts(words: Union[Codebook, Sequence[Sequence[int]]], nx: int) -> np.ndarray:
     """Letter-pair counts of every ordered word pair of a book: ``out[i, j, a, b]``
     counts the columns where word ``i`` shows ``a`` and word ``j`` shows ``b``.
 
@@ -204,7 +177,7 @@ def _pair_counts(words: Sequence[Sequence[int]], nx: int) -> np.ndarray:
     return (rows @ rows.T).reshape(m, nx, m, nx).transpose(0, 2, 1, 3).astype(np.int64, order="C")
 
 
-def _book_sups(kernel: PairKernel, words: Sequence[Sequence[int]]):
+def _book_sups(kernel: PairKernel, code: Codebook):
     """Both directional sequence suprema of every word pair ``i < j``, in one batch.
 
     Returns the index arrays ``i, j`` (row-major) and the ``s_star``,
@@ -213,8 +186,8 @@ def _book_sups(kernel: PairKernel, words: Sequence[Sequence[int]]):
     counts, merged onto the kernel's curves, are deduplicated and each
     distinct key is solved once; ``kernel.sequence_sup`` is one such row.
     """
-    m, nx = len(words), kernel.pair.nx
-    counts = _pair_counts(words, nx).reshape(m, m, nx * nx)
+    m, nx = code.size, kernel.pair.nx
+    counts = _pair_counts(code, nx).reshape(m, m, nx * nx)
     i, j = np.triu_indices(m, 1)
     rows = np.concatenate([counts[i, j], counts[j, i]]) @ kernel._merge
     # Deduplicated by a dict, not np.unique: its first call imports numpy.ma (1.3 MB).
@@ -240,7 +213,7 @@ def _argmin(i: np.ndarray, j: np.ndarray, dist: np.ndarray) -> tuple[float, tupl
 
 
 def distance_matrix(pair: KernelSource, code: Codebook) -> np.ndarray:
-    i, j, _, value, _ = _book_sups(_as_kernel(pair), code.words)
+    i, j, _, value, _ = _book_sups(_as_kernel(pair), code)
     out = np.zeros((code.size, code.size))
     out[i, j] = out[j, i] = _distances(value, code.n)
     return out
@@ -248,7 +221,7 @@ def distance_matrix(pair: KernelSource, code: Codebook) -> np.ndarray:
 
 def d_min(pair: KernelSource, code: Codebook) -> tuple[float, tuple[int, int]]:
     """Smallest pairwise distance and the first index pair attaining it."""
-    i, j, _, value, _ = _book_sups(_as_kernel(pair), code.words)
+    i, j, _, value, _ = _book_sups(_as_kernel(pair), code)
     return _argmin(i, j, _distances(value, code.n))
 
 
@@ -257,7 +230,7 @@ def _plotkin_sides(code: Codebook) -> tuple[np.ndarray, np.ndarray]:
     ``lhs[a, b]`` sums the letter-pair counts ``(a, b)`` over all ordered
     word pairs, ``rhs[a, b]`` sums ``M_c(a) M_c(b)`` over the columns ``c``
     (as Python integers)."""
-    lhs = _pair_counts(code.words, code.alphabet_size).sum(axis=(0, 1))
+    lhs = _pair_counts(code, code.alphabet_size).sum(axis=(0, 1))
     cols = code.column_counts().astype(object)
     return lhs, cols.T @ cols
 
@@ -409,7 +382,7 @@ def komlos_extract(
         raise PreconditionError("need 2 <= target <= number of codewords")
     n, nx = code.n, code.alphabet_size
 
-    counts = _pair_counts(code.words, nx)
+    counts = _pair_counts(code, nx)
     i, j = np.triu_indices(m, 1)
     # From t = n on, floor(t * c / n) rises strictly with c, so t = n gives the same
     # classes in the same order, and the product stays within int64.
@@ -557,7 +530,7 @@ def dmin_certificate(
     k_const = float(np.abs(kernel.mu_grid(grid)).sum(axis=(1, 2)).max())
 
     # One batch over the whole book: its minimum, and the subcode pairs' suprema.
-    ii, jj, s_star, value, attained = _book_sups(kernel, code.words)
+    ii, jj, s_star, value, attained = _book_sups(kernel, code)
     dist = _distances(value, n)
     dmin_code, dmin_pair = _argmin(ii, jj, dist)
     dists = {}
@@ -602,7 +575,7 @@ def dmin_certificate(
     # below the value the algebra guarantees.  The compositions count the
     # pair's letters, whatever alphabet the book declares.
     sub = code.subcode(picked)
-    compositions = _onehot(sub.words, kernel.pair.nx).sum(axis=0) / m_hat
+    compositions = _onehot(sub, kernel.pair.nx).sum(axis=0) / m_hat
     columns = _objective_rows(kernel.mu_matrix(s_bar_anchor), compositions)
     q_at_anchor = max(q_at_anchor, float(columns.max()))
     sup_value = max(_interval_search(kernel, s_cap)[0], q_at_anchor)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .channel import ChannelMetricPair, _kept, _sign_of_power_product, integer_view
 from .errors import BudgetExceededError, PreconditionError, ValidationError, ZerorateError
-from .kernel import INF, _as_kernel, _integer_words, joint_counts
+from .kernel import INF, _as_kernel, _checked_words, joint_counts
 
 __all__ = [
     "TIE_POLICIES",
@@ -86,26 +86,6 @@ class BoundReport:
     mu_prime: Optional[float]
     delta_n: float
     trivial: bool = False
-
-
-def _words_of(code, expect: Optional[int] = None) -> tuple[tuple[int, ...], ...]:
-    words = getattr(code, "words", None)
-    if words is None:
-        words = tuple(map(tuple, _integer_words(code)))
-    if expect is not None and len(words) != expect:
-        raise PreconditionError(f"expected exactly {expect} codewords, got {len(words)}")
-    if len(words) < 2:
-        raise PreconditionError("need at least two codewords")
-    lengths = [len(w) for w in words]
-    if min(lengths) < 1 or min(lengths) != max(lengths):
-        raise ValidationError("codewords must be nonempty and of equal length")
-    return words
-
-
-def _check_symbols(words, nx: int) -> None:
-    if min(map(min, words)) < 0 or max(map(max, words)) >= nx:
-        bad = next(v for w in words for v in w if not 0 <= v < nx)
-        raise ValidationError(f"symbol {bad} outside the input alphabet")
 
 
 def _multinomial(counts: Sequence[int]) -> int:
@@ -269,11 +249,13 @@ def exact_error_probabilities(
     """
     if tie_policy not in TIE_POLICIES:
         raise ValidationError(f"unknown tie policy {tie_policy!r}")
-    words = _words_of(code, expect=2)
-    _check_symbols(words, pair.nx)
+    nx, ny = pair.nx, pair.ny
+    words = _checked_words(code, nx)
+    if len(words) != 2:
+        raise PreconditionError(f"expected exactly 2 codewords, got {len(words)}")
     x1, x2 = words
-    cells = sorted(joint_counts(x1, x2).items())
-    ny = pair.ny
+    by_pair = np.bincount(x1 * nx + x2, minlength=nx * nx).tolist()
+    cells = [(divmod(ab, nx), c) for ab, c in enumerate(by_pair) if c]     # letter pairs in (a, b) order
     total_classes = 1
     for _, cnt in cells:
         total_classes *= math.comb(cnt + ny - 1, ny - 1)
@@ -395,9 +377,7 @@ def monte_carlo_error(
         raise ValidationError(f"the seed must be nonnegative, got {seed}")
     if tie_policy not in TIE_POLICIES:
         raise ValidationError(f"unknown tie policy {tie_policy!r}")
-    words = _words_of(code)
-    _check_symbols(words, pair.nx)
-    wd = np.array(words, dtype=np.int64)
+    wd = _checked_words(code, pair.nx)
     m_count, n = wd.shape
     ny = pair.ny
 
@@ -635,6 +615,7 @@ def type_class_probability(
     distribution that is integral at the cell size).  The exact value is
     always at least the bound; a support violation makes both collapse
     (exact 0, divergence in the exponent)."""
+    x1, x2 = _checked_words((x1, x2), pair.nx).tolist()
     cells = joint_counts(x1, x2)
     n = len(x1)
     ny = pair.ny

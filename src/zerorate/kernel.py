@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .channel import ChannelMetricPair, _Direction, _sign_of_power_product
+from .channel import ChannelMetricPair, _Direction, _letter_pair, _sign_of_power_product
 from .errors import InfiniteExponentError, PreconditionError, ValidationError
 
 INF = math.inf
@@ -236,36 +236,39 @@ class PairKernel:
     # -- scalar evaluations -------------------------------------------------
 
     def direction(self, a: int, b: int) -> _Direction:
-        return self._dirs[(a, b)]
+        """Exact data of ``(a, b)``; like every letter read here, through :func:`_letter_pair`."""
+        return self._dirs[_letter_pair(self.pair.nx, a, b)]
 
     def empty_support(self, a: int, b: int) -> bool:
-        return self._dirs[(a, b)].empty
+        return self.direction(a, b).empty
 
     def mu(self, a: int, b: int, s: float) -> float:
         """Kernel value at tilt ``s``.  At ``s = 0`` it is the exact
         ``-log`` of the channel mass on the metric-overlap outputs."""
         _check_tilt("mu", s, self.s_limit)
-        if s == 0 or self._dirs[(a, b)].empty:
-            return float(self._mu0[a, b])
-        return float(_tilted(self._LW[a, b], self._LR[a, b], s)[0])
+        ab = _letter_pair(self.pair.nx, a, b)
+        if s == 0 or self._dirs[ab].empty:
+            return float(self._mu0[ab])
+        return float(_tilted(self._LW[ab], self._LR[ab], s)[0])
 
     def mu_prime(self, a: int, b: int, s: float) -> float:
         _check_tilt("mu_prime", s, self.s_limit)
-        if self._dirs[(a, b)].empty:
+        ab = _letter_pair(self.pair.nx, a, b)
+        if self._dirs[ab].empty:
             return INF
-        return float(_tilted(self._LW[a, b], self._LR[a, b], s, value=False))
+        return float(_tilted(self._LW[ab], self._LR[ab], s, value=False))
 
     def mu_prime_limit(self, a: int, b: int) -> float:
         """Limiting slope ``log A(a, b)``; ``inf`` when the kernel is identically infinite."""
-        return self._dirs[(a, b)].slope_limit
+        return self.direction(a, b).slope_limit
 
     def extreme_ratio(self, a: int, b: int) -> Union[Fraction, float]:
         """Exact ``A(a, b)``, the smallest ``q(a,y)/q(b,y)`` over outputs reachable from ``a``."""
-        return self._dirs[(a, b)].a_min
+        return self.direction(a, b).a_min
 
     def classify_limit(self, a: int, b: int) -> tuple[str, float]:
         """Trichotomy of ``mu(a, b, s)`` as ``s`` grows, with the limit value."""
-        d = self._dirs[(a, b)]
+        d = self.direction(a, b)
         if d.empty or d.a_min > 1:
             return (PLUS_INFINITY, INF)
         if d.a_min == 1:
@@ -295,13 +298,8 @@ class PairKernel:
     # -- sequence-level evaluations ------------------------------------------
 
     def _words(self, x1: Sequence[int], x2: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Two equally long words of :func:`_integer_words` in the alphabet, as ``(1, n)`` int64 arrays."""
-        if len(x1) != len(x2) or not x1:
-            raise PreconditionError("codewords must be nonempty and of equal length")
-        words = _integer_words((x1, x2))
-        if min(map(min, words)) < 0 or max(map(max, words)) >= self.pair.nx:
-            raise ValidationError("codeword symbol outside the input alphabet")
-        return tuple(np.array(words, dtype=np.int64)[:, None])
+        """The pair ``x1, x2`` through :func:`_checked_words` in the alphabet, as ``(1, n)`` int64 arrays."""
+        return tuple(_checked_words((x1, x2), self.pair.nx)[:, None])
 
     def _sequence(self, x1: Sequence[int], x2: Sequence[int], s: float) -> tuple[float, float]:
         """Value and slope at ``s`` of the sequence kernel: one row of :meth:`_sequence_rows`."""
@@ -368,6 +366,7 @@ class PairKernel:
         is not constant approaches its ceiling only in the limit, which
         is reported as ``attained=False`` with ``s_star = inf``.
         """
+        a, b = _letter_pair(self.pair.nx, a, b)
         if a == b:
             return SupResult(0.0, 0.0, True)
         if self._dirs[(a, b)].empty or self._dirs[(b, a)].empty:
@@ -549,7 +548,7 @@ class PairKernel:
         Computed from the exact direction data on its own, so it serves as
         an independent check on the slopes of :func:`_tilted`.
         """
-        d = self._dirs[(a, b)]
+        d = self.direction(a, b)
         if d.empty:
             raise PreconditionError(f"tilted distribution undefined: mu({a},{b}) is infinite")
         x = np.array([math.log(w) + s * math.log(r) for w, r in zip(d.weights, d.ratios)])
@@ -570,24 +569,55 @@ def _as_kernel(pair: Union[ChannelMetricPair, PairKernel]) -> PairKernel:
     raise ValidationError("expected a channel/metric pair or a kernel built from one")
 
 
-def _integer_words(words: Iterable[Sequence[int]]) -> list[list[int]]:
-    """The words' symbols as Python ints: one that fails ``operator.index`` (ints, numpy
-    integers and bools pass) raises :class:`ValidationError` rather than being truncated."""
+def _checked_words(words, nx: Optional[int] = None) -> np.ndarray:
+    """The one word check: ``words`` (a ``Codebook``, a 2-D array or a sequence
+    of words) as an int64 array of shape ``(words, n)``.
+
+    There must be two words or more, of one nonempty length.  Words are read
+    in order, each for its length and then its symbols one by one: a symbol
+    must pass ``operator.index`` (ints, numpy integers and bools do) and lie
+    in ``[0, nx)``, or below 2**63 when ``nx`` is None.  The first fault
+    raises :class:`ValidationError` naming it.  A ``Codebook`` was checked
+    against its own alphabet when built, so only an alphabet larger than
+    ``nx`` costs one array comparison.
+    """
+    end = 1 << 63 if nx is None else min(nx, 1 << 63)      # symbols are int64 values
+    size = getattr(words, "alphabet_size", None)
+    if size is not None:
+        x = np.array(words.words, dtype=np.int64)
+        if size <= end or not (x >= end).any():
+            return x
+        words = words.words         # the loop below names the first symbol outside
+    rows = list(words)
+    if len(rows) < 2:
+        raise ValidationError("a codebook needs at least two codewords")
+    n = len(rows[0])
+    if n < 1:
+        raise ValidationError("codewords must be nonempty")
     out = []
-    for i, w in enumerate(words):
+    for i, w in enumerate(rows):
+        if len(w) != n:
+            raise ValidationError(f"codeword {i} has length {len(w)}, expected {n}")
         try:
-            out.append(list(map(int, map(operator.index, w))))
+            v = list(map(operator.index, w))
+            ok = 0 <= min(v) and max(v) < end
         except TypeError:
-            bad = next(v for v in w if not hasattr(type(v), "__index__"))
-            raise ValidationError(f"codeword {i} has the non-integer symbol {bad!r}") from None
-    return out
+            ok = False
+        if not ok:
+            for sym in w:       # the word's first fault, in order
+                try:
+                    k = operator.index(sym)
+                except TypeError:
+                    raise ValidationError(f"codeword {i} has the non-integer symbol {sym!r}") from None
+                if not 0 <= k < end:
+                    raise ValidationError(f"codeword {i} contains symbol {k} outside [0, {end})")
+        out.append(v)
+    return np.array(out, dtype=np.int64)
 
 
 def joint_counts(x1: Sequence[int], x2: Sequence[int]) -> dict[tuple[int, int], int]:
-    """Letter-pair counts of two equal-length words."""
-    if len(x1) != len(x2) or not x1:
-        raise PreconditionError("codewords must be nonempty and of equal length")
-    return dict(Counter(zip(x1, x2)))
+    """Letter-pair counts of two words (:func:`_checked_words`), in order of first appearance."""
+    return dict(Counter(zip(*_checked_words((x1, x2)).tolist())))
 
 
 def write_mu_curve(kernel: PairKernel, path: str, s_values: Iterable[float]) -> int:

@@ -31,7 +31,7 @@ from itertools import permutations
 from fractions import Fraction
 from typing import Optional, Union
 
-from .channel import ChannelMetricPair, integer_view
+from .channel import ChannelMetricPair, _letter_pair, integer_view
 from .errors import PreconditionError
 
 INF = math.inf
@@ -137,6 +137,7 @@ def boundary_set_B(pair: ChannelMetricPair) -> tuple[tuple[int, int], ...]:
 
 def boundary_ratio(pair: ChannelMetricPair, a: int, b: int) -> Fraction:
     """The common extremal ratio of a boundary pair (exact)."""
+    a, b = _letter_pair(pair.nx, a, b)
     if _order(pair, a, b) != 0:
         raise PreconditionError(f"({a},{b}) is not a boundary pair")
     return _sides(pair, a, b)[1]

@@ -97,7 +97,7 @@ def test_joint_type_is_exact():
     assert sum(sum(row) for row in jt) == 1
     counts = zr.joint_counts(x1, x2)
     assert counts == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
-    # joint_type builds on joint_counts but keeps its own error type
+    # joint_type reads its words through the one word check, as joint_counts does
     for bad in ((x1, x2[:3]), ((), ()), (x1, (0, 1, 0, 2), 2), (x1, (0, 1, 0, -1), 2)):
         with pytest.raises(zr.ValidationError):
             zr.joint_type(*bad)

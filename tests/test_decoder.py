@@ -247,15 +247,15 @@ def test_empirical_exponent_rejects_no_trials_on_either_route(bsc_pair):
 def test_decoders_name_the_first_symbol_outside_the_pair_alphabet(bsc_pair):
     cases = [
         (lambda: zr.monte_carlo_error(bsc_pair, ((0, 1), (1, 2), (3, 0)), trials=10),
-         "symbol 2 outside the input alphabet"),
+         "codeword 1 contains symbol 2 outside [0, 2)"),
         (lambda: zr.monte_carlo_error(bsc_pair, zr.Codebook(((0, 2), (1, 0)), 3), trials=10),
-         "symbol 2 outside the input alphabet"),
+         "codeword 0 contains symbol 2 outside [0, 2)"),
         (lambda: zr.exact_error_probabilities(bsc_pair, ((0, -1), (1, 0))),
-         "symbol -1 outside the input alphabet"),
+         "codeword 0 contains symbol -1 outside [0, 2)"),
         (lambda: zr.monte_carlo_error(bsc_pair, ((0, 1), (0, 2**63)), trials=10),
-         "symbol 9223372036854775808 outside the input alphabet"),
+         "codeword 1 contains symbol 9223372036854775808 outside [0, 2)"),
         (lambda: zr.exact_error_probabilities(bsc_pair, ((0, 1), (1,))),
-         "codewords must be nonempty and of equal length"),
+         "codeword 1 has length 1, expected 2"),
     ]
     for call, message in cases:
         with pytest.raises(zr.ValidationError) as err:

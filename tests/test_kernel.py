@@ -464,7 +464,15 @@ WORD_ENTRY_POINTS = {
     "Codebook": lambda pair, x1, x2: zr.Codebook((x1, x2), 2).words,
     "exact_error_probabilities": lambda pair, x1, x2: zr.exact_error_probabilities(pair, (x1, x2)),
     "joint_type": lambda pair, x1, x2: zr.joint_type(x1, x2, 2),
+    "joint_counts": lambda pair, x1, x2: zr.joint_counts(x1, x2),
+    "monte_carlo_error": lambda pair, x1, x2: zr.monte_carlo_error(pair, (x1, x2), trials=50, seed=3),
+    # the conditional type of (1, 1, 0) against (0, 0, 1): one output 0 and one 1 in cell (1, 0)
+    "type_class_probability": lambda pair, x1, x2: zr.type_class_probability(
+        pair, x1, x2, {(1, 0): (1, 1), (0, 1): (0, 1)}),
+    "conditional_types": lambda pair, x1, x2: list(zr.conditional_types(x1, x2, 2)),
 }
+# Entry points without an alphabet: any nonnegative int64 symbol is a word symbol.
+NO_ALPHABET = ("joint_counts", "conditional_types")
 
 
 @pytest.mark.parametrize("name", sorted(WORD_ENTRY_POINTS))
@@ -476,10 +484,86 @@ def test_word_symbols_must_be_integers(name, bsc_pair):
     call = functools.partial(WORD_ENTRY_POINTS[name], bsc_pair)
     plain = call((1, 1, 0), (0, 0, 1))
     assert repr(call((np.int64(1), True, 0), (False, np.uint8(0), 1))) == repr(plain)
+    assert repr(call(np.array([1, 1, 0]), np.array([0, 0, 1], dtype=np.uint8))) == repr(plain)
     for bad in (0.5, np.float64(1.0), Fraction(1), "1"):
         message = f"codeword 0 has the non-integer symbol {re.escape(repr(bad))}"
         with pytest.raises(zr.ValidationError, match=message):
             call((bad, 1, 0), (1, 0, 1))
+
+
+@pytest.mark.parametrize("name", sorted(WORD_ENTRY_POINTS))
+def test_every_word_entry_point_reads_words_through_one_check(name, bsc_pair):
+    """Unequal and empty words, symbols outside the alphabet and the faults of
+    the first word before those of the second: every entry point raises the
+    same ``ValidationError``, word by word and symbol by symbol in order."""
+    call = functools.partial(WORD_ENTRY_POINTS[name], bsc_pair)
+    end = "9223372036854775808" if name in NO_ALPHABET else "2"
+    cases = [
+        (((1, 1), (0, 0, 1)), "codeword 1 has length 3, expected 2"),
+        (((), ()), "codewords must be nonempty"),
+        (((1, -1, 0), (0, 0, 1)), f"codeword 0 contains symbol -1 outside [0, {end})"),
+        (((1, 0, 2**64), (0.5, 0, 1)), f"codeword 0 contains symbol {2**64} outside [0, {end})"),
+        (((1, -1, 0.5), (0, 0)), f"codeword 0 contains symbol -1 outside [0, {end})"),
+        (((1, 0.5, -1), (0, 0)), "codeword 0 has the non-integer symbol 0.5"),
+        (((1, 1, 0), (0, 0, -2)), f"codeword 1 contains symbol -2 outside [0, {end})"),
+    ]
+    if name not in NO_ALPHABET:
+        cases.append((((1, 1, 0), (0, 2, 1)), "codeword 1 contains symbol 2 outside [0, 2)"))
+    for words, message in cases:
+        with pytest.raises(zr.ValidationError) as err:
+            call(*words)
+        assert str(err.value) == message
+
+
+def test_book_entry_points_take_a_2d_array(bsc_pair):
+    """A 2-D array is a word list: it gives the result of its rows as tuples."""
+    words = ((1, 1, 0, 1), (0, 0, 1, 1), (1, 0, 0, 0))
+    for call in (lambda w: zr.Codebook(w, 2), lambda w: zr.monte_carlo_error(bsc_pair, w, 40, seed=2),
+                 lambda w: zr.exact_error_probabilities(bsc_pair, w[:2])):
+        assert repr(call(np.array(words))) == repr(call(words))
+
+
+def test_type_class_probability_checks_its_words_against_the_pair(bsc_pair):
+    """A symbol outside the pair's alphabet raised a bare ``IndexError`` (2) or,
+    for -1, silently read the last channel row."""
+    for bad in (-1, 2):
+        V = {(bad, 0): (1, 0), (0, 0): (0, 1)}
+        with pytest.raises(zr.ValidationError, match=rf"codeword 0 contains symbol {bad} outside \[0, 2\)"):
+            zr.type_class_probability(bsc_pair, (bad, 0), (0, 0), V)
+    exact, bound = zr.type_class_probability(bsc_pair, (1, 0), (0, 0), {(1, 0): (1, 0), (0, 0): (0, 1)})
+    assert exact == F(1, 16) and 0 < bound <= exact
+
+
+LETTER_ACCESSORS = {
+    "direction": lambda k, a, b: k.direction(a, b),
+    "empty_support": lambda k, a, b: k.empty_support(a, b),
+    "mu": lambda k, a, b: k.mu(a, b, 0.5),
+    "mu_at_zero": lambda k, a, b: k.mu(a, b, 0.0),
+    "mu_prime": lambda k, a, b: k.mu_prime(a, b, 0.5),
+    "mu_prime_limit": lambda k, a, b: k.mu_prime_limit(a, b),
+    "extreme_ratio": lambda k, a, b: k.extreme_ratio(a, b),
+    "classify_limit": lambda k, a, b: k.classify_limit(a, b),
+    "sigma": lambda k, a, b: k.sigma(a, b, 0.5),
+    "sup_sigma": lambda k, a, b: k.sup_sigma(a, b),
+    "tilted_distribution": lambda k, a, b: k.tilted_distribution(a, b, 0.5).tolist(),
+    "boundary_ratio": lambda k, a, b: zr.boundary_ratio(k.pair, a, b),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LETTER_ACCESSORS))
+def test_letters_outside_the_alphabet_raise_validation_error(name, typewriter_pair):
+    """Letters go through one checked lookup: a letter outside ``[0, nx)`` or one
+    that fails ``operator.index`` raises ``ValidationError`` (not a bare ``KeyError``
+    or ``IndexError``, and ``sup_sigma(5, 5)`` no longer reads as a diagonal),
+    while numpy integers and bools give the result of the plain ints."""
+    k = zr.PairKernel(typewriter_pair)
+    call = functools.partial(LETTER_ACCESSORS[name], k)
+    assert (0, 1) in zr.boundary_set_B(typewriter_pair)     # boundary_ratio has a value here
+    assert repr(call(np.int64(0), True)) == repr(call(0, 1))
+    for a, b in ((3, 0), (0, 7), (-1, 0), (5, 5), (1.0, 0.0), (0, "1")):
+        with pytest.raises(zr.ValidationError) as err:
+            call(a, b)
+        assert str(err.value) == f"({a!r}, {b!r}) is not a pair of input letters in [0, 3)"
 
 
 def test_a_batched_supremum_equals_its_one_key_and_scalar_solves(bsc_pair):

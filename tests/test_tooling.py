@@ -16,10 +16,11 @@ interior solve run only under ``_sup_rows``, ``sequence_sup`` and
 ``sup_sigma`` are one-row calls of it (``_sup_row``), and no second map
 from directions to curves (``_curve_key``), sequence memo
 (``_seq_cache``) or scalar word check (``_check_sequences``) is left in
-the package.  The grid scan solves its best tilts as one stack (one
-``_q_max`` call, in no loop), ``slogdet`` runs only once a batched solve
-has refused a singular face, and the CLI turns dataclasses into payloads
-without ``asdict``."""
+the package, and ``_checked_words`` is the one word check (no
+``_integer_words`` or ``_check_symbols``).  The grid scan solves its best
+tilts as one stack (one ``_q_max`` call, in no loop), ``slogdet`` runs
+only once a batched solve has refused a singular face, and the CLI turns
+dataclasses into payloads without ``asdict``."""
 
 import argparse
 import ast
@@ -306,7 +307,8 @@ def test_tilt_maximizations_run_as_batches():
 
 
 # A second map from directions to curves, a memo of sequence suprema and the
-# scalar word check: ``_merge`` is the one curve map and ``_words`` the one check.
+# scalar route's own word check: ``_merge`` is the one curve map, and ``_words``
+# reads the pair's words through ``_checked_words`` (test_one_word_check).
 SCALAR_ROUTE_GONE = ("_curve_key", "_seq_cache", "_check_sequences")
 
 
@@ -315,6 +317,23 @@ def test_one_route_per_word_pair_question():
     for path in sorted((ROOT / "src" / "zerorate").glob("*.py")):
         left = sorted(set(SCALAR_ROUTE_GONE) & _names(ast.parse(path.read_text())))
         assert not left, f"{path.name} still names {left}"
+
+
+# The word checks that ``_checked_words`` replaced.
+WORD_CHECKS_GONE = ("_integer_words", "_check_symbols")
+
+
+def test_one_word_check():
+    """``_checked_words`` is the one word check: the kernel's word pairs, ``joint_counts``,
+    ``joint_type``, ``Codebook`` and both decoders call it, and no name of the checks
+    it replaced is left in the package."""
+    for path in sorted((ROOT / "src" / "zerorate").glob("*.py")):
+        left = sorted(set(WORD_CHECKS_GONE) & _names(ast.parse(path.read_text())))
+        assert not left, f"{path.name} still names {left}"
+    readers = {"kernel.py:_words", "kernel.py:joint_counts", "codebook.py:joint_type",
+               "codebook.py:__post_init__", "decoder.py:exact_error_probabilities",
+               "decoder.py:monte_carlo_error"}
+    assert readers <= set(_callers("_checked_words"))
 
 
 def _parents(tree):
