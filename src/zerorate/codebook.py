@@ -20,8 +20,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .channel import ChannelMetricPair
-from .errors import PreconditionError, ValidationError
+from .channel import ChannelMetricPair, _letter_pair
+from .errors import BudgetExceededError, PreconditionError, ValidationError
 from .exponent import (
     RelaxedKernel,
     _interval_search,
@@ -114,14 +114,14 @@ def parse_codebook(text: str) -> Codebook:
         raise ValidationError(f"expected {m} codeword lines, found {len(rows) - 1}")
     words = []
     for idx, line in enumerate(rows[1:]):
-        parts = line.split()
-        if len(parts) != n:
-            raise ValidationError(f"codeword {idx} has {len(parts)} symbols, expected {n}")
         try:
-            words.append(list(map(int, parts)))
+            words.append(list(map(int, line.split())))
         except ValueError as exc:
             raise ValidationError(f"codeword {idx} contains a non-integer symbol") from exc
-    return Codebook(tuple(words), nx)
+    code = Codebook(tuple(words), nx)
+    if code.n != n:
+        raise ValidationError(f"the header says n = {n}, but the codewords have length {code.n}")
+    return code
 
 
 def serialize_codebook(code: Codebook) -> str:
@@ -132,16 +132,22 @@ def serialize_codebook(code: Codebook) -> str:
 
 # -- joint types and the counting identity -------------------------------------
 
+# Entries a joint type may hold: 1024 letters, about 0.6 s of Fractions.
+_JOINT_TYPE_CELLS = 2**20
+
 
 def joint_type(
     x1: Sequence[int], x2: Sequence[int], alphabet_size: Optional[int] = None
 ) -> tuple[tuple[Fraction, ...], ...]:
     """Exact joint type of two words, checked against ``alphabet_size`` when given:
     ``P[a][b]`` is the fraction of coordinates where the first word shows ``a``
-    and the second ``b``."""
+    and the second ``b``, for letters below ``alphabet_size`` or the largest symbol's
+    successor.  Past ``_JOINT_TYPE_CELLS`` entries it raises :class:`BudgetExceededError`."""
     x1, x2 = _checked_words((x1, x2), alphabet_size).tolist()
     n = len(x1)
     nx = alphabet_size if alphabet_size is not None else max(max(x1), max(x2)) + 1
+    if nx * nx > _JOINT_TYPE_CELLS:
+        raise BudgetExceededError(f"a joint type over {nx} letters has more than {_JOINT_TYPE_CELLS} entries")
     counts = joint_counts(x1, x2)
     return tuple(tuple(Fraction(counts.get((a, b), 0), n) for b in range(nx)) for a in range(nx))
 
@@ -239,9 +245,7 @@ def plotkin_identity(code: Codebook, a: int, b: int) -> tuple[Fraction, Fraction
     """Both sides of the pair-counting identity for distinct letters:
     summing the joint type entry ``(a, b)`` over all ordered codeword
     pairs equals the column-composition product sum divided by ``n``."""
-    nx = code.alphabet_size
-    if not (0 <= a < nx and 0 <= b < nx):
-        raise ValidationError("letter index out of range")
+    a, b = _letter_pair(code.alphabet_size, a, b)
     if a == b:
         raise PreconditionError(
             "the counting identity is stated for distinct letters; "
@@ -296,69 +300,77 @@ class SubcodeCertificate:
     target_met: bool
 
 
-def _max_clique_exact(adj: dict[int, int], vertices: int, stop_at: int) -> int:
-    """Maximum clique of a small graph given as vertex bitmasks.
-
-    Classic recursive expansion with a pivot; returns the clique as a
-    bitmask.  Stops early once a clique of ``stop_at`` vertices shows up.
-    """
-    best_mask = 0
-
-    def bits(mask: int):
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-
-    def expand(r_mask: int, r_size: int, p_mask: int, x_mask: int):
-        nonlocal best_mask
-        if best_mask.bit_count() >= stop_at:
-            return
-        if not p_mask and not x_mask:
-            if r_size > best_mask.bit_count():
-                best_mask = r_mask
-            return
-        if r_size + p_mask.bit_count() <= best_mask.bit_count():
-            return
-        pivot, pivot_deg = -1, -1
-        for u in bits(p_mask | x_mask):
-            deg = (p_mask & adj[u]).bit_count()
-            if deg > pivot_deg:
-                pivot, pivot_deg = u, deg
-        for v in list(bits(p_mask & ~adj[pivot])):
-            vbit = 1 << v
-            expand(r_mask | vbit, r_size + 1, p_mask & adj[v], x_mask & adj[v])
-            p_mask &= ~vbit
-            x_mask |= vbit
-
-    expand(0, 0, vertices, 0)
-    return best_mask
+# Branches the exact clique search may take in one color class.
+_CLIQUE_BUDGET = 2**14
 
 
 def _greedy_clique(adj: dict[int, int], verts: Sequence[int]) -> int:
     """Deterministic greedy clique: grow from each vertex, always adding
     the common neighbour with the most remaining connections."""
-    best_mask, best_size = 0, 0
+    best_mask = 0
     for start in verts:
-        mask = 1 << start
-        cand = adj[start]
-        size = 1
+        mask, cand = 1 << start, adj[start]
         while cand:
             pick, pick_deg = -1, -1
             m = cand
             while m:
-                low = m & -m
-                u = low.bit_length() - 1
-                m ^= low
+                u = (m & -m).bit_length() - 1
+                m &= ~(1 << u)
                 deg = (cand & adj[u]).bit_count()
                 if deg > pick_deg:
                     pick, pick_deg = u, deg
             mask |= 1 << pick
             cand &= adj[pick]
-            size += 1
-        if size > best_size:
-            best_mask, best_size = mask, size
+        if mask.bit_count() > best_mask.bit_count():
+            best_mask = mask
     return best_mask
+
+
+def _coloring(adj: dict[int, int], cand: int) -> list[tuple[int, int]]:
+    """Greedy sequential coloring of the vertex bitmask ``cand``: ``(v, color)``
+    pairs in color order, colors counted from 1."""
+    out, color = [], 0
+    while cand:
+        color, free = color + 1, cand
+        while free:
+            v = (free & -free).bit_length() - 1
+            out.append((v, color))
+            cand &= ~(1 << v)
+            free &= ~(adj[v] | 1 << v)
+    return out
+
+
+def _clique(adj: dict[int, int], verts: Sequence[int], target: int, floor: int) -> int:
+    """A clique of at least ``target`` vertices, else a maximum one, as a bitmask; if no
+    clique beats ``floor``, any of ``floor`` or fewer (0 when the class's coloring shows it).
+
+    The greedy dive's clique is kept if it reaches ``target``.  Else the larger of it and
+    ``floor`` is the incumbent of Tomita & Seki's branch and bound (MCQ), which stops at
+    ``target``: a branch ends once a candidate's greedy color cannot lift the clique past
+    the incumbent.  Past ``_CLIQUE_BUDGET`` branches it raises :class:`BudgetExceededError`."""
+    everything = sum(1 << v for v in verts)
+    if _coloring(adj, everything)[-1][1] <= floor:
+        return 0        # the colors bound every clique
+    best = _greedy_clique(adj, verts)
+    size, nodes = max(floor, best.bit_count()), 0
+
+    def expand(clique: int, cand: int):
+        nonlocal best, size, nodes
+        nodes += 1
+        if nodes > _CLIQUE_BUDGET:
+            raise BudgetExceededError(f"the clique search of a color class passed {_CLIQUE_BUDGET} branches")
+        for v, color in reversed(_coloring(adj, cand)):
+            if size >= target or clique.bit_count() + color <= size:
+                return
+            grown = clique | 1 << v
+            if grown.bit_count() > size:
+                best, size = grown, grown.bit_count()
+            expand(grown, cand & adj[v])
+            cand &= ~(1 << v)
+
+    if size < target:
+        expand(0, everything)
+    return best
 
 
 def komlos_extract(
@@ -369,11 +381,11 @@ def komlos_extract(
 
     Pairs ``i < j`` are colored by the tuple ``floor(t * P_ij)``; a
     monochromatic clique is then a subcode with entrywise type spread
-    below ``1/t``.  The clique search is exact for books of at most 16
-    words and greedy beyond that, and the certificate always reports
-    achieved quantities rather than promised ones.  If no clique of
-    ``target`` words is found the best one is returned with
-    ``target_met`` cleared.
+    below ``1/t``.  Every color class, at every book size, gets one exact
+    search (:func:`_clique`: a greedy dive, then branch and bound), so a
+    cleared ``target_met`` certifies that no class holds ``target`` words;
+    the largest clique is returned then.  The certificate always reports
+    achieved quantities rather than promised ones.
     """
     if t < 1:
         raise PreconditionError("quantization t must be a positive integer")
@@ -391,10 +403,8 @@ def komlos_extract(
     for edge, key in zip(zip(i.tolist(), j.tolist()), keys.tolist()):
         colors.setdefault(tuple(key), []).append(edge)
 
-    first_edge = (0, 1)
-    best_mask = (1 << first_edge[0]) | (1 << first_edge[1])
-    ordered = sorted(colors.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-    for _, edges in ordered:
+    best_mask = 0b11        # the words 0 and 1 are a clique of their own color
+    for _, edges in sorted(colors.items(), key=lambda kv: (-len(kv[1]), kv[0])):
         if best_mask.bit_count() >= target:
             break
         if len(edges) + 1 <= best_mask.bit_count():
@@ -404,21 +414,10 @@ def komlos_extract(
         for i, j in edges:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-        if m <= 16:
-            vert_mask = 0
-            for v in verts:
-                vert_mask |= 1 << v
-            mask = _max_clique_exact(adj, vert_mask, target)
-        else:
-            mask = _greedy_clique(adj, verts)
-        if mask.bit_count() > best_mask.bit_count():
-            best_mask = mask
+        best_mask = max(best_mask, _clique(adj, verts, target, best_mask.bit_count()), key=int.bit_count)
 
-    selected = [v for v in range(m) if best_mask >> v & 1]
-    if len(selected) > target:
-        selected = selected[:target]
+    selected = [v for v in range(m) if best_mask >> v & 1][:target]
     m_hat = len(selected)
-    target_met = m_hat >= target
 
     si, sj = np.triu_indices(m_hat, 1)
     sel = np.array(selected)
@@ -434,7 +433,7 @@ def komlos_extract(
         observed_spread=spread,
         observed_asymmetry=asym,
         asymmetry_bound=komlos_asymmetry_bound(m_hat, spread),
-        target_met=target_met,
+        target_met=m_hat >= target,
     )
     return tuple(selected), cert
 

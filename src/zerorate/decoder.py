@@ -27,7 +27,7 @@ from typing import Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .channel import ChannelMetricPair, _kept, _sign_of_power_product, integer_view
+from .channel import ChannelMetricPair, _kept, _letter_pair, _sign_of_power_product, integer_view
 from .errors import BudgetExceededError, PreconditionError, ValidationError, ZerorateError
 from .kernel import INF, _as_kernel, _checked_words, joint_counts
 
@@ -712,10 +712,9 @@ def empirical_exponent(
     ``budget``, Monte Carlo with the given trial count beyond it.  These points
     approach the single-letter kernel supremum of the better direction
     as ``n`` grows."""
+    a, b = _letter_pair(pair.nx, a, b)
     if a == b:
         raise PreconditionError("the two letters must be distinct")
-    if not (0 <= a < pair.nx and 0 <= b < pair.nx):
-        raise ValidationError("letter index outside the input alphabet")
     if seed < 0:
         raise ValidationError(f"the seed must be nonnegative, got {seed}")
     if trials < 1:

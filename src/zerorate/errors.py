@@ -31,6 +31,7 @@ class InfiniteExponentError(PreconditionError):
 
 class BudgetExceededError(PreconditionError):
     """An exact enumeration would exceed its budget: the conditional-type
-    classes of exact two-codeword decoding (the caller's budget), or the
-    live faces that one level of the exact Q-maximization holds (a fixed
-    one, which no alphabet of sixteen letters or fewer reaches)."""
+    classes of exact two-codeword decoding (the caller's budget), or a fixed
+    one: the live faces of one level of the exact Q-maximization (no alphabet
+    of sixteen letters or fewer reaches it), the branches of the clique search
+    in one Komlos color class, or the entries of one exact joint type."""

@@ -4,6 +4,7 @@ extraction, and the minimum-distance certificate chain."""
 import itertools
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -52,9 +53,11 @@ def test_codebook_validation():
     (lambda: zr.parse_codebook("2 3 2\n0 1\n1 x\n0 y\n"), "codeword 1 contains a non-integer symbol"),
     (lambda: zr.parse_codebook("2 3 2\n0 1\n1 x\n0\n"), "codeword 1 contains a non-integer symbol"),
     (lambda: zr.parse_codebook("2 2 2\n0 1\n1 2\n"), "codeword 1 contains symbol 2 outside [0, 2)"),
+    (lambda: zr.parse_codebook("2 2 2\n0 1\n1\n"), "codeword 1 has length 1, expected 2"),
+    (lambda: zr.parse_codebook("3 2 2\n0 1\n1 0\n"), "the header says n = 3, but the codewords have length 2"),
 ], ids=["ragged", "at-alphabet-size", "negative", "range-before-ragged", "past-int64", "empty-word",
         "one-word", "alphabet", "alphabet-float", "alphabet-bool", "parse-token",
-        "parse-token-before-ragged", "parse-range"])
+        "parse-token-before-ragged", "parse-range", "parse-ragged", "parse-header-n"])
 def test_codebook_validation_messages(build, message):
     """Exact messages, naming the first offending word and symbol."""
     with pytest.raises(zr.ValidationError) as err:
@@ -101,6 +104,21 @@ def test_joint_type_is_exact():
     for bad in ((x1, x2[:3]), ((), ()), (x1, (0, 1, 0, 2), 2), (x1, (0, 1, 0, -1), 2)):
         with pytest.raises(zr.ValidationError):
             zr.joint_type(*bad)
+
+
+def test_joint_type_refuses_a_huge_table_before_building_it(monkeypatch):
+    """Its table has (largest symbol + 1)**2 or alphabet_size**2 entries: both
+    of these would build 10**12 ``Fraction``s."""
+    for call in (lambda: zr.joint_type((0, 10**6), (0, 0)),
+                 lambda: zr.joint_type((0, 1), (1, 0), alphabet_size=10**6)):
+        start = time.perf_counter()
+        with pytest.raises(zr.BudgetExceededError, match="joint type over 100000[01] letters"):
+            call()
+        assert time.perf_counter() - start < 0.1
+    monkeypatch.setattr(codebook, "_JOINT_TYPE_CELLS", 16)
+    assert len(zr.joint_type((0, 3), (0, 0))) == 4          # exactly the budget still builds
+    with pytest.raises(zr.BudgetExceededError):
+        zr.joint_type((0, 1), (0, 0), alphabet_size=5)
 
 
 def test_pair_distance_matches_sequence_sup(bsc_pair):
@@ -252,8 +270,7 @@ def test_komlos_extract_shared_type_code_keeps_everything():
 
 def test_komlos_extract_certificate_invariants(rng):
     """The certificate's spread and asymmetry are exactly those of the
-    selected pairs' joint types, on binary and ternary books (greedy
-    clique search above 16 words, exact below)."""
+    selected pairs' joint types, on binary and ternary books."""
     for nx, m in ((2, 24), (3, 24), (3, 12)):
         for trial in range(6):
             code = random_codebook(rng, n=16, m=m, nx=nx)
@@ -285,6 +302,94 @@ def test_komlos_extract_colors_exactly_past_int64():
         selected, cert = zr.komlos_extract(code, t=t, target=6)
         assert selected == (3, 4, 5) and not cert.target_met
         assert cert.observed_spread == cert.observed_asymmetry == 0
+
+
+def _colors(code, t):
+    """The color ``floor(t * P_ij)`` of every word pair ``i < j``, from exact joint types."""
+    return {(i, j): tuple(math.floor(t * p) for row in zr.joint_type(code.words[i], code.words[j],
+                                                                    code.alphabet_size) for p in row)
+            for i, j in itertools.combinations(range(code.size), 2)}
+
+
+def test_komlos_extract_matches_a_brute_force_oracle():
+    """On seeded books of at most 12 words, every ``t`` and every ``target``:
+    ``target_met`` holds exactly when some ``target`` words share one color
+    over all their pairs (``itertools.combinations``), ``m_hat`` is the largest
+    such set capped at ``target``, and the selection is one."""
+    rng = np.random.default_rng(2604)
+    for _ in range(40):
+        m, n, nx = int(rng.integers(3, 13)), int(rng.integers(2, 9)), int(rng.integers(2, 4))
+        code = zr.Codebook(rng.integers(0, nx, (m, n)), nx)
+        t = int(rng.integers(1, 5))
+        colors = _colors(code, t)
+
+        def one_color(words):
+            return len({colors[p] for p in itertools.combinations(words, 2)}) == 1
+
+        largest = max(k for k in range(2, m + 1)
+                      if any(map(one_color, itertools.combinations(range(m), k))))
+        for target in range(2, m + 1):
+            selected, cert = zr.komlos_extract(code, t=t, target=target)
+            assert cert.target_met == (largest >= target)
+            assert cert.m_hat == len(selected) == min(largest, target)
+            assert one_color(selected)
+
+
+def _planted_decoys():
+    """Words 0-3 are a clique; each of them also joins its own complete
+    bipartite K_{3,3}, whose words have three neighbours among its
+    neighbours against the clique words' two, so the greedy dive from every
+    word picks a decoy and stops at three."""
+    edges = set(itertools.combinations(range(4), 2))
+    for a in range(4):
+        left, right = range(4 + 6 * a, 7 + 6 * a), range(7 + 6 * a, 10 + 6 * a)
+        edges |= {(a, v) for v in [*left, *right]} | set(itertools.product(left, right))
+    adj = {v: 0 for v in range(28)}
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def test_clique_search_finds_the_clique_the_greedy_dive_misses():
+    adj = _planted_decoys()
+    assert codebook._greedy_clique(adj, range(28)).bit_count() == 3
+    assert codebook._clique(adj, range(28), 4, 0) == 0b1111
+    assert codebook._clique(adj, range(28), 4, 3) == 0b1111
+    assert codebook._clique(adj, range(28), 5, 4) == 0        # the colors bound it
+
+
+def test_clique_search_bounds_a_multipartite_class_by_its_colors():
+    """The complete 7-partite class of 63 words: its clique number is 7, and
+    a target of 8 is refused by the coloring at the first branch."""
+    adj = {v: sum(1 << u for u in range(63) if u % 7 != v % 7) for v in range(63)}
+    start = time.perf_counter()
+    mask = codebook._clique(adj, range(63), 8, 2)
+    assert time.perf_counter() - start < 0.05
+    assert sorted(v % 7 for v in range(63) if mask >> v & 1) == list(range(7))
+
+
+def test_clique_search_budget(monkeypatch, tmp_path, capsys):
+    """A dense class searched to its optimum passes the default budget in well
+    under a second; with the budget patched to 0, any branch and bound raises,
+    in ``komlos_extract`` and as exit 3 of ``zerorate komlos``."""
+    rng = np.random.default_rng(7)
+    dense = np.triu(rng.random((128, 128)) < 0.9, 1)
+    adj = {v: sum(1 << int(u) for u in np.flatnonzero((dense | dense.T)[v])) for v in range(128)}
+    start = time.perf_counter()
+    with pytest.raises(zr.BudgetExceededError, match="passed 16384 branches"):
+        codebook._clique(adj, range(128), 128, 2)
+    assert time.perf_counter() - start < 1.0
+    # the greedy dive finds three equal words; the search for six starts a branch
+    code = zr.Codebook(((0, 0, 0, 0),) * 3 + ((1, 1, 1, 1),) * 3, 2)
+    monkeypatch.setattr(codebook, "_CLIQUE_BUDGET", 0)
+    with pytest.raises(zr.BudgetExceededError):
+        zr.komlos_extract(code, t=4, target=6)
+    assert zr.komlos_extract(code, t=4, target=3)[1].target_met      # the dive's pick needs no branch
+    path = tmp_path / "code.txt"
+    path.write_text(zr.serialize_codebook(code))
+    assert cli.main(["komlos", "--code", str(path), "--t", "4", "--target", "6"]) == 3
+    assert "passed 0 branches" in capsys.readouterr().err
 
 
 def test_komlos_same_color_means_close_types(rng):

@@ -547,6 +547,8 @@ LETTER_ACCESSORS = {
     "sup_sigma": lambda k, a, b: k.sup_sigma(a, b),
     "tilted_distribution": lambda k, a, b: k.tilted_distribution(a, b, 0.5).tolist(),
     "boundary_ratio": lambda k, a, b: zr.boundary_ratio(k.pair, a, b),
+    "plotkin_identity": lambda k, a, b: zr.plotkin_identity(zr.Codebook(((0, 1, 2), (2, 2, 0)), 3), a, b),
+    "empirical_exponent": lambda k, a, b: zr.empirical_exponent(k.pair, a, b, (2,)),
 }
 
 
@@ -554,13 +556,14 @@ LETTER_ACCESSORS = {
 def test_letters_outside_the_alphabet_raise_validation_error(name, typewriter_pair):
     """Letters go through one checked lookup: a letter outside ``[0, nx)`` or one
     that fails ``operator.index`` raises ``ValidationError`` (not a bare ``KeyError``
-    or ``IndexError``, and ``sup_sigma(5, 5)`` no longer reads as a diagonal),
-    while numpy integers and bools give the result of the plain ints."""
+    or ``IndexError``, and ``sup_sigma(5, 5)`` no longer reads as a diagonal; nor
+    does ``empirical_exponent`` blame a codeword for a float letter), while numpy
+    integers and bools give the result of the plain ints."""
     k = zr.PairKernel(typewriter_pair)
     call = functools.partial(LETTER_ACCESSORS[name], k)
     assert (0, 1) in zr.boundary_set_B(typewriter_pair)     # boundary_ratio has a value here
     assert repr(call(np.int64(0), True)) == repr(call(0, 1))
-    for a, b in ((3, 0), (0, 7), (-1, 0), (5, 5), (1.0, 0.0), (0, "1")):
+    for a, b in ((3, 0), (0, 7), (-1, 0), (5, 5), (1.0, 0.0), (1.5, 0), (0.5, 1), (0, "1")):
         with pytest.raises(zr.ValidationError) as err:
             call(a, b)
         assert str(err.value) == f"({a!r}, {b!r}) is not a pair of input letters in [0, 3)"

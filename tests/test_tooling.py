@@ -17,7 +17,10 @@ interior solve run only under ``_sup_rows``, ``sequence_sup`` and
 from directions to curves (``_curve_key``), sequence memo
 (``_seq_cache``) or scalar word check (``_check_sequences``) is left in
 the package, and ``_checked_words`` is the one word check (no
-``_integer_words`` or ``_check_symbols``).  The grid scan solves its best
+``_integer_words`` or ``_check_symbols``), and ``_letter_pair`` the one
+letter check of the book and decoder entry points.  ``komlos_extract``
+makes one clique search, with no book-size switch and no
+``_max_clique_exact`` left in the package.  The grid scan solves its best
 tilts as one stack (one ``_q_max`` call, in no loop), ``slogdet`` runs
 only once a batched solve has refused a singular face, and the CLI turns
 dataclasses into payloads without ``asdict``."""
@@ -334,6 +337,48 @@ def test_one_word_check():
                "codebook.py:__post_init__", "decoder.py:exact_error_probabilities",
                "decoder.py:monte_carlo_error"}
     assert readers <= set(_callers("_checked_words"))
+
+
+def test_letter_entry_points_read_letters_through_one_check():
+    """Every public function of ``codebook.py`` and ``decoder.py`` that takes letters
+    ``a`` and ``b`` reads them through ``_letter_pair``; its only other comparison
+    of a letter is ``a == b``."""
+    seen = []
+    for name in ("codebook.py", "decoder.py"):
+        tree = ast.parse((ROOT / "src" / "zerorate" / name).read_text())
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_") \
+                    or not {"a", "b"} <= {arg.arg for arg in fn.args.args}:
+                continue
+            seen.append(fn.name)
+            called = {ast.unparse(n.func) for n in ast.walk(fn) if isinstance(n, ast.Call)}
+            assert "_letter_pair" in called, f"{name}:{fn.name} does not call _letter_pair"
+            compares = [ast.unparse(n) for n in ast.walk(fn) if isinstance(n, ast.Compare)
+                        and {"a", "b"} & {m.id for m in ast.walk(n) if isinstance(m, ast.Name)}]
+            assert set(compares) <= {"a == b"}, f"{name}:{fn.name} checks letters by {compares}"
+    assert {"plotkin_identity", "empirical_exponent"} <= set(seen)
+
+
+def test_one_komlos_clique_search():
+    """``komlos_extract`` searches each color class with one call, ``_clique``, and
+    compares the book size with no constant; ``_max_clique_exact`` is gone."""
+    for path in sorted((ROOT / "src" / "zerorate").glob("*.py")):
+        assert "_max_clique_exact" not in _names(ast.parse(path.read_text())), path.name
+    tree = ast.parse((ROOT / "src" / "zerorate" / "codebook.py").read_text())
+    fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "komlos_extract")
+    searches = [ast.unparse(n.func) for n in ast.walk(fn)
+                if isinstance(n, ast.Call) and "clique" in ast.unparse(n.func)]
+    assert searches == ["_clique"], f"komlos_extract searches cliques by {searches}"
+    sizes = {"code.size", "len(code.words)"} | {
+        ast.unparse(t) for n in ast.walk(fn) if isinstance(n, ast.Assign)
+        and ast.unparse(n.value) in ("code.size", "len(code.words)") for t in n.targets}
+    for n in ast.walk(fn):
+        if isinstance(n, ast.Compare):
+            sides = [n.left, *n.comparators]
+            for x, y in zip(sides, sides[1:]):
+                pair = {ast.unparse(x), ast.unparse(y)}
+                assert not (pair & sizes and isinstance(x if ast.unparse(y) in sizes else y, ast.Constant)), \
+                    f"komlos_extract compares the book size with a constant: {ast.unparse(n)}"
 
 
 def _parents(tree):
