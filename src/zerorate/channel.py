@@ -34,15 +34,17 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
-from .errors import ValidationError
+from .errors import PreconditionError, ValidationError
 
 Rational = Fraction
 EntryLike = Union[int, float, str, Fraction]
+
+_SUM_TOL = 1e-12       # how far a float distribution's sum may stray from one
 
 # A plain ASCII "[+-]digits[/digits]" entry; anything else goes to Fraction(str).
 _PLAIN_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
@@ -256,6 +258,21 @@ def _letter_pair(nx: int, a: int, b: int) -> tuple[int, int]:
     raise ValidationError(f"({a!r}, {b!r}) is not a pair of input letters in [0, {nx})")
 
 
+def _checked_int(name: str, value, low: int, error: type = PreconditionError) -> int:
+    """``value`` as a Python int, the one check of an integer argument (a count,
+    size, index, blocklength or seed): it must pass ``operator.index`` and not be
+    a bool, or :class:`ValidationError`; below ``low`` it raises ``error``."""
+    try:
+        if not isinstance(value, bool):
+            number = operator.index(value)
+            if number >= low:
+                return number
+            raise error(f"{name} must be at least {low}, got {number}")
+    except TypeError:
+        pass
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 def _build_direction(pair: ChannelMetricPair, a: int, b: int) -> _Direction:
     W, q = integer_view(pair)
     wa, qa, qb = W.nums[a], q.nums[a], q.nums[b]
@@ -338,7 +355,6 @@ class InputDistribution:
     """A probability assignment on the input alphabet."""
 
     probs: tuple[float, ...]
-    tol: float = field(default=1e-12, compare=False)
 
     def __post_init__(self) -> None:
         if not self.probs:
@@ -353,7 +369,7 @@ class InputDistribution:
         if exact:
             if total != 1:
                 raise ValidationError(f"distribution sums to {total}, expected 1")
-        elif abs(total - 1.0) > self.tol:
+        elif abs(total - 1.0) > _SUM_TOL:
             raise ValidationError(f"distribution sums to {total!r}, outside tolerance")
 
     def as_floats(self) -> tuple[float, ...]:

@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .channel import ChannelMetricPair, _letter_pair
+from .channel import ChannelMetricPair, _checked_int, _letter_pair
 from .errors import BudgetExceededError, PreconditionError, ValidationError
 from .exponent import (
     RelaxedKernel,
@@ -62,14 +62,9 @@ class Codebook:
     alphabet_size: int
 
     def __post_init__(self):
-        size = self.alphabet_size
-        if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
-            raise ValidationError(f"alphabet size must be an integer, got {size!r}")
-        if size < 1:
-            raise ValidationError("alphabet size must be positive")
-        x = _checked_words(self.words, int(size))
-        object.__setattr__(self, "words", tuple(map(tuple, x.tolist())))
-        object.__setattr__(self, "alphabet_size", int(size))
+        size = _checked_int("alphabet size", self.alphabet_size, 1, ValidationError)
+        object.__setattr__(self, "words", tuple(map(tuple, _checked_words(self.words, size).tolist())))
+        object.__setattr__(self, "alphabet_size", size)
 
     @property
     def n(self) -> int:
@@ -80,16 +75,22 @@ class Codebook:
         return len(self.words)
 
     def subcode(self, indices: Sequence[int]) -> "Codebook":
-        picked = sorted(set(int(i) for i in indices))
-        if len(picked) < 2:
-            raise ValidationError("a subcode needs at least two distinct indices")
-        if picked[0] < 0 or picked[-1] >= self.size:
-            raise ValidationError("subcode index out of range")
-        return Codebook(tuple(self.words[i] for i in picked), self.alphabet_size)
+        return Codebook(tuple(self.words[i] for i in _subcode_indices(self, indices)), self.alphabet_size)
 
     def column_counts(self) -> np.ndarray:
         """Per-column composition: ``out[c, a]`` counts letter ``a`` in column ``c``."""
         return _onehot(self, self.alphabet_size).sum(axis=0)
+
+
+def _subcode_indices(code: Codebook, indices: Sequence[int]) -> list[int]:
+    """The distinct ``indices`` of words of ``code``, sorted: each through
+    :func:`_checked_int` and below ``code.size``, two or more, or :class:`ValidationError`."""
+    picked = sorted({_checked_int("subcode index", i, 0, ValidationError) for i in indices})
+    if len(picked) < 2:
+        raise ValidationError("a subcode needs at least two distinct indices")
+    if picked[-1] >= code.size:
+        raise ValidationError(f"subcode index {picked[-1]} is not below the book size {code.size}")
+    return picked
 
 
 def parse_codebook(text: str) -> Codebook:
@@ -143,9 +144,10 @@ def joint_type(
     ``P[a][b]`` is the fraction of coordinates where the first word shows ``a``
     and the second ``b``, for letters below ``alphabet_size`` or the largest symbol's
     successor.  Past ``_JOINT_TYPE_CELLS`` entries it raises :class:`BudgetExceededError`."""
-    x1, x2 = _checked_words((x1, x2), alphabet_size).tolist()
+    nx = None if alphabet_size is None else _checked_int("alphabet size", alphabet_size, 1, ValidationError)
+    x1, x2 = _checked_words((x1, x2), nx).tolist()
     n = len(x1)
-    nx = alphabet_size if alphabet_size is not None else max(max(x1), max(x2)) + 1
+    nx = nx or max(max(x1), max(x2)) + 1
     if nx * nx > _JOINT_TYPE_CELLS:
         raise BudgetExceededError(f"a joint type over {nx} letters has more than {_JOINT_TYPE_CELLS} entries")
     counts = joint_counts(x1, x2)
@@ -270,16 +272,14 @@ def plotkin_holds(code: Codebook) -> bool:
 def delta_closeness(m_hat: int, t: int) -> float:
     """Closeness budget used by the distance chain for a subcode of
     ``m_hat`` words whose pair types were quantized to a 1/t grid."""
-    if m_hat < 2 or t < 1:
-        raise PreconditionError("need m_hat >= 2 and t >= 1")
+    m_hat, t = _checked_int("m_hat", m_hat, 2), _checked_int("t", t, 1)
     return 6.0 / math.sqrt(m_hat) + 2.0 * math.sqrt(2.0 / t) + 3.0 / t
 
 
 def komlos_asymmetry_bound(m_hat: int, spread: Union[float, Fraction]) -> float:
     """Cap on |P(a,b) - P(b,a)| over a subcode whose pair types all sit
     within ``spread`` of a common matrix, entry by entry."""
-    if m_hat < 2:
-        raise PreconditionError("need m_hat >= 2")
+    m_hat = _checked_int("m_hat", m_hat, 2)
     d = float(spread)
     if not (math.isfinite(d) and d >= 0):
         raise PreconditionError("spread must be finite and nonnegative")
@@ -387,11 +387,9 @@ def komlos_extract(
     the largest clique is returned then.  The certificate always reports
     achieved quantities rather than promised ones.
     """
-    if t < 1:
-        raise PreconditionError("quantization t must be a positive integer")
-    m = code.size
-    if not 2 <= target <= m:
-        raise PreconditionError("need 2 <= target <= number of codewords")
+    t, target, m = _checked_int("t", t, 1), _checked_int("target", target, 2), code.size
+    if target > m:
+        raise PreconditionError(f"target must be at most the number of codewords {m}, got {target}")
     n, nx = code.n, code.alphabet_size
 
     counts = _pair_counts(code, nx)
@@ -513,12 +511,8 @@ def dmin_certificate(
     averages into a quadratic form without its diagonal.
     """
     kernel = _certificate_kernel(pair)
-    picked = sorted(set(int(i) for i in subcode))
-    if len(picked) < 2:
-        raise PreconditionError("the chain needs a subcode of at least two words")
-    if picked[0] < 0 or picked[-1] >= code.size:
-        raise PreconditionError("subcode index out of range")
-    m_hat = len(picked)
+    picked = _subcode_indices(code, subcode)
+    m_hat, t = len(picked), _checked_int("t", t, 1)
     delta = delta_closeness(m_hat, t)
     n = code.n
 

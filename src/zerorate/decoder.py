@@ -27,7 +27,7 @@ from typing import Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .channel import ChannelMetricPair, _kept, _letter_pair, _sign_of_power_product, integer_view
+from .channel import ChannelMetricPair, _checked_int, _kept, _letter_pair, _sign_of_power_product, integer_view
 from .errors import BudgetExceededError, PreconditionError, ValidationError, ZerorateError
 from .kernel import INF, _as_kernel, _checked_words, joint_counts
 
@@ -109,8 +109,7 @@ def type_counting_slack(pair: ChannelMetricPair, n: int) -> float:
     """Polynomial slack of the type-counting argument at blocklength ``n``:
     ``|X|^2 |Y| (1 + 2 log(n+1) + log(1/W_min))`` in nats, where ``W_min``
     is the smallest positive channel entry."""
-    if n < 1:
-        raise PreconditionError("blocklength must be positive")
+    n = _checked_int("n", n, 1)
     w_min = min(v for row in pair.W for v in row if v > 0)
     return pair.nx**2 * pair.ny * (1.0 + 2.0 * math.log(n + 1.0) - math.log(float(w_min)))
 
@@ -371,10 +370,7 @@ def monte_carlo_error(
     working arrays in place, so memory does not grow with ``trials`` and
     no block allocates a working array of its own.
     """
-    if trials < 1:
-        raise PreconditionError("trials must be positive")
-    if seed < 0:
-        raise ValidationError(f"the seed must be nonnegative, got {seed}")
+    trials, seed = _checked_int("trials", trials, 1), _checked_int("seed", seed, 0, ValidationError)
     if tie_policy not in TIE_POLICIES:
         raise ValidationError(f"unknown tie policy {tie_policy!r}")
     wd = _checked_words(code, pair.nx)
@@ -659,8 +655,7 @@ def conditional_types(
 def quantize_to_type(dist: Sequence, n: int) -> tuple[Fraction, ...]:
     """Round a distribution to a type with denominator ``n`` by largest
     remainder: entries move by at most ``1/n`` and zeros stay zero."""
-    if n < 1:
-        raise PreconditionError("denominator must be positive")
+    n = _checked_int("n", n, 1)
     try:
         vals = [Fraction(v) for v in dist]
     except (ValueError, OverflowError) as exc:   # nan, inf
@@ -715,14 +710,9 @@ def empirical_exponent(
     a, b = _letter_pair(pair.nx, a, b)
     if a == b:
         raise PreconditionError("the two letters must be distinct")
-    if seed < 0:
-        raise ValidationError(f"the seed must be nonnegative, got {seed}")
-    if trials < 1:
-        raise PreconditionError("trials must be positive")
+    seed, trials = _checked_int("seed", seed, 0, ValidationError), _checked_int("trials", trials, 1)
     out = []
-    for idx, n in enumerate(n_list):
-        if n < 1:
-            raise PreconditionError("blocklengths must be positive")
+    for idx, n in enumerate(_checked_int("blocklength", n, 1) for n in n_list):
         x1, x2 = (a,) * n, (b,) * n
         try:
             p_e = exact_error_probabilities(pair, (x1, x2), budget=budget).average

@@ -31,7 +31,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .channel import ChannelMetricPair, InputDistribution
+from .channel import ChannelMetricPair, InputDistribution, _checked_int
 from .errors import BudgetExceededError, InfiniteExponentError, PreconditionError, ValidationError
 from .kernel import PairKernel, _argmax_concave, _check_tilt
 from .zero_error import (
@@ -416,8 +416,9 @@ class LowerResult:
 
 def geometric_s_grid(s_max: float, points: int) -> np.ndarray:
     """``{0}`` followed by a geometric sweep up to ``s_max``."""
-    if points < 2 or not (math.isfinite(s_max) and s_max > 0):
-        raise PreconditionError("need at least two grid points and a finite positive s_max")
+    points = _checked_int("points", points, 2)
+    if not (math.isfinite(s_max) and s_max > 0):
+        raise PreconditionError(f"s_max must be finite and positive, got {s_max}")
     lo = min(1.0 / 1024.0, s_max / 2.0)
     return np.concatenate([[0.0], np.geomspace(lo, s_max, points - 1)])
 

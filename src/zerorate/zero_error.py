@@ -31,7 +31,7 @@ from itertools import permutations
 from fractions import Fraction
 from typing import Optional, Union
 
-from .channel import ChannelMetricPair, _letter_pair, integer_view
+from .channel import ChannelMetricPair, _letter_pair, _sign_of_power_product, integer_view
 from .errors import PreconditionError
 
 INF = math.inf
@@ -89,16 +89,14 @@ def _sides(pair: ChannelMetricPair, a: int, b: int) -> tuple[ExactRatio, Fractio
 
 def _order(pair: ChannelMetricPair, a: int, b: int) -> int:
     """Sign of ``min_side - max_side`` for ``(a, b)``.  With both directions
-    nonempty the sides compare as ``A(a, b) A(b, a)`` against one, by one
-    comparison of integer products; an empty direction makes ``min_side``
+    nonempty the sides compare as ``A(a, b) A(b, a)`` against one, by
+    :func:`_sign_of_power_product`; an empty direction makes ``min_side``
     infinite or ``max_side`` zero, so the sign is then positive."""
     dirs = pair.directions
     fwd, back = dirs[(a, b)], dirs[(b, a)]
     if fwd.empty or back.empty:
         return 1
-    lo, rev = fwd.a_min, back.a_min
-    left, right = lo.numerator * rev.numerator, lo.denominator * rev.denominator
-    return (left > right) - (left < right)
+    return _sign_of_power_product((fwd.a_min, back.a_min), (1, 1))
 
 
 def check_c0bar_zero(pair: ChannelMetricPair) -> tuple[bool, Optional[RatioWitness]]:

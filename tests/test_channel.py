@@ -9,6 +9,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -156,6 +157,11 @@ def test_input_distribution_validates():
         zr.InputDistribution((0.5, 0.6))
     with pytest.raises(zr.ValidationError):
         zr.InputDistribution((-0.1, 1.1))
+    # the sum tolerance is a constant of the module, not an option
+    assert [f.name for f in dataclasses.fields(zr.InputDistribution)] == ["probs"]
+    assert zr.InputDistribution((0.5, 0.5 + 1e-13)).probs == (0.5, 0.5 + 1e-13)
+    with pytest.raises(zr.ValidationError, match="outside tolerance"):
+        zr.InputDistribution((0.5, 0.5 + 1e-11))
 
 
 def test_dimensions_exposed(typewriter_pair):
@@ -326,3 +332,112 @@ def test_integer_view_reads_each_row_over_its_common_denominator():
     assert w_rows == channel.IntegerRows(nums=((2, 3, 7), (0, 1, 0)), dens=(12, 1))
     assert q_rows == channel.IntegerRows(nums=((12, 2, 3), (10, 5, 0)), dens=(6, 14))
     assert channel.integer_view(pair) is channel.integer_view(pair)
+
+
+# -- the one integer check -----------------------------------------------------
+
+_BSC = zr.pair_from_rows(((F(3, 4), F(1, 4)), (F(1, 4), F(3, 4))), ((F(3, 4), F(1, 4)), (F(1, 4), F(3, 4))))
+_BOOK = zr.Codebook(((0, 0, 1, 1), (0, 1, 0, 1), (1, 1, 1, 0), (1, 0, 0, 0)), 2)
+
+# (argument name, call of the value, a valid value, a value below range, its error class)
+INTEGER_ARGUMENTS = {
+    "Codebook-alphabet_size": ("alphabet size", lambda v: zr.Codebook(((0, 1), (1, 0)), v), 3, 0,
+                               zr.ValidationError),
+    "Codebook.subcode": ("subcode index", lambda v: _BOOK.subcode([0, v]), 2, -1, zr.ValidationError),
+    "komlos_extract-t": ("t", lambda v: zr.komlos_extract(_BOOK, v, 2), 2, 0, zr.PreconditionError),
+    "komlos_extract-target": ("target", lambda v: zr.komlos_extract(_BOOK, 2, v), 3, 1, zr.PreconditionError),
+    "delta_closeness-m_hat": ("m_hat", lambda v: zr.delta_closeness(v, 2), 3, 1, zr.PreconditionError),
+    "delta_closeness-t": ("t", lambda v: zr.delta_closeness(3, v), 2, 0, zr.PreconditionError),
+    "komlos_asymmetry_bound": ("m_hat", lambda v: zr.komlos_asymmetry_bound(v, 0.25), 3, 1,
+                               zr.PreconditionError),
+    "joint_type": ("alphabet size", lambda v: zr.joint_type((0, 1, 1), (1, 1, 0), alphabet_size=v), 3, 0,
+                   zr.ValidationError),
+    "type_counting_slack": ("n", lambda v: zr.type_counting_slack(_BSC, v), 4, 0, zr.PreconditionError),
+    "quantize_to_type": ("n", lambda v: zr.quantize_to_type([0.5, 0.5], v), 3, 0, zr.PreconditionError),
+    "monte_carlo_error-trials": ("trials", lambda v: zr.monte_carlo_error(_BSC, _BOOK, trials=v), 50, 0,
+                                 zr.PreconditionError),
+    "monte_carlo_error-seed": ("seed", lambda v: zr.monte_carlo_error(_BSC, _BOOK, trials=50, seed=v), 3, -1,
+                               zr.ValidationError),
+    "empirical_exponent-trials": ("trials", lambda v: zr.empirical_exponent(_BSC, 0, 1, (3,), trials=v, budget=2),
+                                  50, 0, zr.PreconditionError),
+    "empirical_exponent-seed": ("seed", lambda v: zr.empirical_exponent(_BSC, 0, 1, (3,), 50, seed=v, budget=2),
+                                3, -1, zr.ValidationError),
+    "empirical_exponent-n": ("blocklength", lambda v: zr.empirical_exponent(_BSC, 0, 1, (2, v)), 3, 0,
+                             zr.PreconditionError),
+    "geometric_s_grid": ("points", lambda v: zr.geometric_s_grid(4.0, v), 5, 1, zr.PreconditionError),
+    "dmin_certificate-subcode": ("subcode index", lambda v: zr.dmin_certificate(_BSC, _BOOK, [0, v, 2], 2), 1, -1,
+                                 zr.ValidationError),
+    "dmin_certificate-t": ("t", lambda v: zr.dmin_certificate(_BSC, _BOOK, [0, 1, 2], v), 2, 0,
+                           zr.PreconditionError),
+}
+
+
+def _plain(value):
+    """A result as nested builtins, so ``repr`` compares values bit for bit and types too."""
+    if dataclasses.is_dataclass(value):
+        return [type(value).__name__] + [_plain(getattr(value, f.name)) for f in dataclasses.fields(value)]
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+@pytest.mark.parametrize("case", sorted(INTEGER_ARGUMENTS))
+@pytest.mark.parametrize("bad", [2.5, True, "3", np.float64(2.0)], ids=["float", "bool", "str", "np-float"])
+def test_integer_arguments_reject_non_integers(case, bad):
+    name, call, _, _, _ = INTEGER_ARGUMENTS[case]
+    with pytest.raises(zr.ValidationError) as err:
+        call(bad)
+    assert str(err.value) == f"{name} must be an integer, got {bad!r}"
+
+
+@pytest.mark.parametrize("case", sorted(INTEGER_ARGUMENTS))
+def test_integer_arguments_below_range_keep_their_error_class(case):
+    name, call, _, low, error = INTEGER_ARGUMENTS[case]
+    with pytest.raises(error) as err:
+        call(low)
+    assert type(err.value) is error
+    assert str(err.value) == f"{name} must be at least {low + 1}, got {low}"
+    with pytest.raises(error):
+        call(np.int64(low))
+
+
+@pytest.mark.parametrize("case", sorted(INTEGER_ARGUMENTS))
+def test_integer_arguments_read_numpy_integers_as_ints(case):
+    _, call, good, _, _ = INTEGER_ARGUMENTS[case]
+    want = _plain(call(good))
+    assert repr(_plain(call(np.int64(good)))) == repr(want)
+    assert repr(_plain(call(np.int32(good)))) == repr(want)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: zr.komlos_extract(_BOOK, 2.5, 2), "t"),
+    (lambda: zr.komlos_extract(_BOOK, 2, 2.5), "target"),
+    (lambda: zr.delta_closeness(3, 2.5), "t"),
+    (lambda: zr.type_counting_slack(_BSC, 2.5), "n"),
+    (lambda: zr.dmin_certificate(_BSC, _BOOK, [0, 1.7, 2], 2), "subcode index"),
+    (lambda: _BOOK.subcode([0, 1.5]), "subcode index"),
+    (lambda: zr.empirical_exponent(_BSC, 0, 1, (2,), trials=10.5), "trials"),
+    (lambda: zr.joint_type((0, 1), (1, 1), alphabet_size=2.5), "alphabet size"),
+    (lambda: zr.empirical_exponent(_BSC, 0, 1, (2.5,)), "blocklength"),
+    (lambda: zr.monte_carlo_error(_BSC, _BOOK, trials=5.0), "trials"),
+    (lambda: zr.monte_carlo_error(_BSC, _BOOK, trials=5, seed=1.5), "seed"),
+    (lambda: zr.quantize_to_type([0.5, 0.5], 2.5), "n"),
+    (lambda: zr.geometric_s_grid(4.0, 4.5), "points"),
+], ids=["komlos-t", "komlos-target", "delta-t", "slack-n", "certificate-subcode", "subcode",
+        "empirical-trials", "joint-type", "empirical-n", "simulate-trials", "simulate-seed",
+        "quantize-n", "grid-points"])
+def test_integer_arguments_once_silent_or_bare_type_errors(call, name):
+    """Calls that once ran on a truncated or fractional value, or died in a bare
+    ``TypeError``, now raise :class:`ValidationError` naming the argument."""
+    with pytest.raises(zr.ValidationError, match=f"^{name} must be an integer, got "):
+        call()
+
+
+def test_integer_upper_bounds_stay():
+    with pytest.raises(zr.PreconditionError, match="target must be at most the number of codewords 4, got 5"):
+        zr.komlos_extract(_BOOK, 2, 5)
+    for call in (lambda: _BOOK.subcode([0, 4]), lambda: zr.dmin_certificate(_BSC, _BOOK, [0, 4], 2)):
+        with pytest.raises(zr.ValidationError, match="subcode index 4 is not below the book size 4"):
+            call()
+    with pytest.raises(zr.ValidationError, match="a subcode needs at least two distinct indices"):
+        zr.dmin_certificate(_BSC, _BOOK, [1, np.int64(1)], 2)

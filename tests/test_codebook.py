@@ -47,7 +47,7 @@ def test_codebook_validation():
      "outside [0, 2)"),
     (lambda: zr.Codebook(((), ()), 2), "codewords must be nonempty"),
     (lambda: zr.Codebook(((0, 1),), 2), "a codebook needs at least two codewords"),
-    (lambda: zr.Codebook(((0,), (0,)), 0), "alphabet size must be positive"),
+    (lambda: zr.Codebook(((0,), (0,)), 0), "alphabet size must be at least 1, got 0"),
     (lambda: zr.Codebook(((0, 1), (1, 0)), 2.5), "alphabet size must be an integer, got 2.5"),
     (lambda: zr.Codebook(((0,), (0,)), True), "alphabet size must be an integer, got True"),
     (lambda: zr.parse_codebook("2 3 2\n0 1\n1 x\n0 y\n"), "codeword 1 contains a non-integer symbol"),

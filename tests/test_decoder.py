@@ -240,7 +240,7 @@ def test_monte_carlo_rejects_a_negative_seed(bsc_pair):
 def test_empirical_exponent_rejects_no_trials_on_either_route(bsc_pair):
     # n = 4 fits the default budget, so the exact route would never read trials
     for budget in (1_000_000, 3):
-        with pytest.raises(zr.PreconditionError, match="trials must be positive"):
+        with pytest.raises(zr.PreconditionError, match="trials must be at least 1, got 0"):
             zr.empirical_exponent(bsc_pair, 0, 1, (4,), trials=0, budget=budget)
 
 

@@ -339,6 +339,35 @@ def test_one_word_check():
     assert readers <= set(_callers("_checked_words"))
 
 
+def test_one_integer_check():
+    """``_checked_int`` is the one check of an integer argument: every entry point
+    that takes a count, size, index, blocklength or seed calls it, both subcode
+    readers take their indices from ``_subcode_indices``, and no function of
+    ``codebook.py`` converts the elements of an argument with ``int(``, the way
+    subcode indices were once truncated."""
+    routed = {"codebook.py:__post_init__", "codebook.py:_subcode_indices", "codebook.py:joint_type",
+              "codebook.py:delta_closeness", "codebook.py:komlos_asymmetry_bound",
+              "codebook.py:komlos_extract", "codebook.py:dmin_certificate",
+              "decoder.py:type_counting_slack", "decoder.py:quantize_to_type",
+              "decoder.py:monte_carlo_error", "decoder.py:empirical_exponent",
+              "exponent.py:geometric_s_grid"}
+    missing = routed - set(_callers("_checked_int"))
+    assert not missing, f"{sorted(missing)} do not call _checked_int"
+    assert {"codebook.py:subcode", "codebook.py:dmin_certificate"} <= set(_callers("_subcode_indices"))
+    truncations = []
+    for fn in ast.walk(ast.parse((ROOT / "src" / "zerorate" / "codebook.py").read_text())):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        params = {arg.arg for arg in fn.args.args}
+        elements = {t.id for c in ast.walk(fn) if isinstance(c, (ast.comprehension, ast.For))
+                    and isinstance(c.iter, ast.Name) and c.iter.id in params
+                    for t in ast.walk(c.target) if isinstance(t, ast.Name)}
+        truncations += [f"{fn.name}: {ast.unparse(n)}" for n in ast.walk(fn) if isinstance(n, ast.Call)
+                        and ast.unparse(n.func) == "int" and n.args
+                        and isinstance(n.args[0], ast.Name) and n.args[0].id in elements]
+    assert not truncations, f"codebook.py truncates argument elements: {truncations}"
+
+
 def test_letter_entry_points_read_letters_through_one_check():
     """Every public function of ``codebook.py`` and ``decoder.py`` that takes letters
     ``a`` and ``b`` reads them through ``_letter_pair``; its only other comparison
