@@ -228,12 +228,12 @@ class _Direction:
     @property
     def slope_limit(self) -> float:
         """Limiting slope of mu(a, b, .), i.e. log of the extreme ratio."""
-        return math.inf if self.empty else math.log(self.a_min)
+        return math.inf if self.empty else _log(self.a_min)
 
     @property
     def intercept(self) -> float:
         """Height of the large-``s`` asymptote line at ``s = 0``."""
-        return math.inf if self.empty else -math.log(self.tail_mass)
+        return math.inf if self.empty else -_log(self.tail_mass)
 
     def tail(self) -> _Direction:
         """This direction restricted to the outputs attaining its extreme
@@ -244,6 +244,20 @@ class _Direction:
             self, outputs=tuple(y for y, _ in kept), weights=tuple(w for _, w in kept),
             ratios=(r_max,) * len(kept), affine=True, y_hat_mass=self.tail_mass,
         )
+
+
+def _log(x: Union[Fraction, int]) -> float:
+    """``log x`` of a positive rational: ``math.log(float(x))`` when ``float(x)``
+    is a normal float, so those bits are the plain ones; else, where the float
+    would underflow or overflow, ``log`` of the numerator minus ``log`` of the
+    denominator, which ``math.log`` takes as integers of any size."""
+    try:
+        f = float(x)
+        if f >= sys.float_info.min:
+            return math.log(f)
+    except OverflowError:
+        pass
+    return math.log(x.numerator) - math.log(x.denominator)
 
 
 def _letter_pair(nx: int, a: int, b: int) -> tuple[int, int]:

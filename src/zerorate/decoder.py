@@ -27,7 +27,7 @@ from typing import Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .channel import ChannelMetricPair, _checked_int, _kept, _letter_pair, _sign_of_power_product, integer_view
+from .channel import ChannelMetricPair, _checked_int, _kept, _letter_pair, _log, _sign_of_power_product, integer_view
 from .errors import BudgetExceededError, PreconditionError, ValidationError, ZerorateError
 from .kernel import INF, _as_kernel, _checked_words, joint_counts
 
@@ -111,7 +111,7 @@ def type_counting_slack(pair: ChannelMetricPair, n: int) -> float:
     is the smallest positive channel entry."""
     n = _checked_int("n", n, 1)
     w_min = min(v for row in pair.W for v in row if v > 0)
-    return pair.nx**2 * pair.ny * (1.0 + 2.0 * math.log(n + 1.0) - math.log(float(w_min)))
+    return pair.nx**2 * pair.ny * (1.0 + 2.0 * math.log(n + 1.0) - _log(w_min))
 
 
 # -- value counts: the comparison key of both decoders ---------------------------
@@ -629,7 +629,7 @@ def type_class_probability(
                     kl = INF
                     break
                 exact *= pair.W[a][y] ** k
-                kl += (k / n) * math.log((Fraction(k, cnt)) / pair.W[a][y])
+                kl += (k / n) * _log(Fraction(k, cnt) / pair.W[a][y])
         if kl == INF:
             break
     if kl == INF:

@@ -31,9 +31,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .channel import ChannelMetricPair, InputDistribution, _checked_int
+from .channel import ChannelMetricPair, InputDistribution, _checked_int, _log
 from .errors import BudgetExceededError, InfiniteExponentError, PreconditionError, ValidationError
-from .kernel import PairKernel, _argmax_concave, _check_tilt
+from .kernel import PairKernel, _argmax_concave_rows, _check_tilt
 from .zero_error import (
     boundary_set_B,
     check_c0bar_zero,
@@ -89,8 +89,7 @@ def gap_bound(pair: ChannelMetricPair) -> float:
     for a, b in boundary_set_B(pair):
         if a < b:
             d, e = dirs[(a, b)], dirs[(b, a)]
-            term = 0.5 * (math.log(d.y_hat_mass / d.tail_mass)
-                          + math.log(e.y_hat_mass / e.tail_mass))
+            term = 0.5 * (_log(d.y_hat_mass / d.tail_mass) + _log(e.y_hat_mass / e.tail_mass))
             best = max(best, term)
     return best
 
@@ -321,9 +320,10 @@ def _polish_tilt(kernel: KernelLike, q: np.ndarray, s_cap: Optional[float]) -> O
             return 0.0
         if s_cap is None:
             return None
-    at = kernel._weighted(pairs, [q[a] * q[b] for a, b in pairs])
-    s, attained = _argmax_concave(lambda s: at(s, value=False), kernel.s_limit if s_cap is None else s_cap)
-    return s if attained else None
+    a, b = np.array(pairs).T
+    s, attained = _argmax_concave_rows(kernel._LW[a, b][None], kernel._LR[a, b][None], (q[a] * q[b])[None, None],
+                                       kernel.s_limit if s_cap is None else s_cap)
+    return float(s[0]) if attained[0] else None
 
 
 def _search(
@@ -385,19 +385,19 @@ def _tail_candidate(kernel: PairKernel) -> tuple[float, Optional[np.ndarray]]:
     """Best limiting value of the objective as the tilt grows without bound.
 
     In the limit only boundary pairs keep a finite symmetric sum (its
-    ceiling); all other off-diagonal pairs fall to ``-inf``.  One
-    :func:`_q_max` call on that limit matrix (half of each ceiling, zero
-    diagonal) is the best limit: its test on two-letter faces drops every
-    ``-inf`` pair, so only cliques of the boundary-pair graph are solved.
+    ceiling, one :meth:`PairKernel._sup_rows` batch over the boundary pairs);
+    all other off-diagonal pairs fall to ``-inf``.  One :func:`_q_max` call
+    on that limit matrix (half of each ceiling, zero diagonal) is the best
+    limit: its test on two-letter faces drops every ``-inf`` pair, so only
+    cliques of the boundary-pair graph are solved.
     """
     boundary = [(a, b) for (a, b) in boundary_set_B(kernel.pair) if a < b]
     if not boundary:
         return -INF, None
-    nx = kernel.pair.nx
+    nx, (a, b) = kernel.pair.nx, np.array(boundary).T
     limit = np.full((nx, nx), -INF)
     np.fill_diagonal(limit, 0.0)
-    for a, b in boundary:
-        limit[a, b] = limit[b, a] = 0.5 * kernel.sup_sigma(a, b).value
+    limit[a, b] = limit[b, a] = 0.5 * kernel._sup_rows(kernel._sigma_keys(a, b))[1]
     return _q_max(limit)
 
 

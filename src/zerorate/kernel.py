@@ -31,11 +31,11 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .channel import ChannelMetricPair, _Direction, _letter_pair, _sign_of_power_product
+from .channel import ChannelMetricPair, _Direction, _letter_pair, _log, _sign_of_power_product
 from .errors import InfiniteExponentError, PreconditionError, ValidationError
 
 INF = math.inf
@@ -77,37 +77,10 @@ def _tilted(LW: np.ndarray, LR: np.ndarray, s, value: bool = True):
     return (0.0 - (m[..., 0] + np.log(z)), slope) if value else slope
 
 
-def _argmax_concave(fp: Callable[[float], float], cap: float = INF) -> tuple[float, bool]:
-    """Smallest maximizer on ``[0, cap]`` of a concave curve with slope ``fp``.
-
-    Doubles the tilt until the slope stops being positive, then bisects
-    to ``_BISECT_TOL`` or to adjacent floats.  A slope still positive at
-    ``cap`` puts the maximizer at ``cap``.  With ``cap`` infinite the
-    caller must know that the slope turns at a finite tilt; should the
-    float range run out first (the slope turns NaN or the tilt cannot
-    double), the result is ``(last tilt reached, False)``.
-    """
-    if fp(0.0) <= 0:
-        return 0.0, True
-    lo, hi = 0.0, min(1.0, cap)
-    while (slope := fp(hi)) > 0 or math.isnan(slope):
-        if math.isnan(slope) or hi > sys.float_info.max / 2.0:
-            return lo, False
-        if hi >= cap:
-            return cap, True
-        lo, hi = hi, min(2.0 * hi, cap)
-    while hi - lo > _BISECT_TOL and lo < (mid := 0.5 * (lo + hi)) < hi:  # or at adjacent floats
-        if fp(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), True
-
-
 @lru_cache(maxsize=None)
 def _bisect_steps(lo: float, hi: float) -> int:
-    """Steps of :func:`_argmax_concave`'s bisection on a doubling bracket, ``[0, 1]`` or ``[2**j,
-    2**(j+1)]``: its midpoints are exact up to adjacent floats, so any halves kept take as many."""
+    """Steps of the bisection on an uncapped doubling bracket, ``[0, 1]`` or ``[2**j, 2**(j+1)]``:
+    its midpoints are exact up to adjacent floats, so any halves kept take as many."""
     steps = 0
     while hi - lo > _BISECT_TOL and lo < (mid := 0.5 * (lo + hi)) < hi:
         lo, steps = mid, steps + 1
@@ -119,14 +92,47 @@ def _row_slopes(LW: np.ndarray, LR: np.ndarray, w: np.ndarray, s: np.ndarray) ->
     return (w @ _tilted(LW, LR, s[:, None, None], value=False)[:, :, None])[:, 0, 0]
 
 
-def _argmax_concave_rows(LW: np.ndarray, LR: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_argmax_concave` with ``cap = inf`` on the curves ``w[r, 0] @ mu``
-    over the padded direction rows ``LW[r]``, ``LR[r]`` (shapes ``(rows, k, ny)``
-    and ``(rows, 1, k)``).  Every row takes the steps of its scalar run (the
-    exit at ``s = 0``, the doubling, the float-range exit, the bisection), so
-    tilts and flags are the scalar ones bit for bit.  The doubling runs over a
-    working set compressed only when some row finishes; each bisection step,
-    over the rows with steps left (:func:`_bisect_steps`), sorted first."""
+def _argmax_concave_rows(
+    LW: np.ndarray, LR: np.ndarray, w: np.ndarray, cap: float = INF,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one tilt maximizer: smallest maximizers on ``[0, cap]`` of the concave
+    curves ``w[r, 0] @ mu`` over the padded direction rows ``LW[r]``, ``LR[r]``
+    (shapes ``(rows, k, ny)`` and ``(rows, 1, k)``), as ``(s, attained)`` arrays.
+
+    A curve doubles the tilt until its slope stops being positive, then bisects
+    to ``_BISECT_TOL`` or to adjacent floats.  A slope still positive at ``cap``
+    puts the maximizer at ``cap``.  With ``cap`` infinite the caller must know
+    that the slope turns at a finite tilt; should the float range run out first
+    (the slope turns NaN or the tilt cannot double), the result is the last
+    tilt reached, unattained.  Every bisection step reads slopes only.
+
+    One curve takes these steps on floats: through the row loop it costs about
+    twice as much.  Only one curve may take a finite ``cap``, since a capped
+    bracket's bisection length depends on the path.  A batch takes every row's
+    own steps, bit for bit: the doubling runs over a working set compressed only
+    when some row finishes; each bisection step, over the rows with steps left
+    (:func:`_bisect_steps`), sorted first.
+    """
+    if len(w) == 1:
+        c, LW, LR = w[0, 0], LW[0], LR[0]
+
+        def slope_at(s: float) -> float:
+            return float(c @ _tilted(LW, LR, s, value=False))
+
+        if slope_at(0.0) <= 0:
+            return np.zeros(1), np.ones(1, dtype=bool)
+        lo, hi = 0.0, min(1.0, cap)
+        while (slope := slope_at(hi)) > 0 or math.isnan(slope):
+            if math.isnan(slope) or hi > sys.float_info.max / 2.0:
+                return np.array([lo]), np.zeros(1, dtype=bool)
+            if hi >= cap:
+                return np.array([cap]), np.ones(1, dtype=bool)
+            lo, hi = hi, min(2.0 * hi, cap)
+        while hi - lo > _BISECT_TOL and lo < (mid := 0.5 * (lo + hi)) < hi:  # or at adjacent floats
+            lo, hi = (mid, hi) if slope_at(mid) > 0 else (lo, mid)
+        return np.array([0.5 * (lo + hi)]), np.ones(1, dtype=bool)
+    if cap != INF:
+        raise ValueError("only a single curve takes a finite cap")
     s_out, lo_at, hi_at = np.zeros((3, len(w)))     # lo_at, hi_at: brackets as doubling ends
     attained = np.ones(len(w), dtype=bool)
     run = np.flatnonzero(~(_row_slopes(LW, LR, w, np.zeros(len(w))) <= 0))
@@ -201,12 +207,12 @@ class PairKernel:
             if d.empty:
                 LW[k][0] = 0.0     # keeps the evaluator finite; read as inf
             elif d.affine:
-                LW[k][0], LR[k][0] = math.log(d.tail_mass), -d.slope_limit
+                LW[k][0], LR[k][0] = _log(d.tail_mass), -d.slope_limit
             else:
                 for y, w, r in zip(d.outputs, d.weights, d.ratios):
-                    LW[k][y], LR[k][y] = math.log(w), math.log(r)
+                    LW[k][y], LR[k][y] = _log(w), _log(r)
             if not d.empty:
-                mu0[k] = 0.0 - math.log(d.y_hat_mass)
+                mu0[k] = 0.0 - _log(d.y_hat_mass)
             # one ratio on all outputs, the largest 1: every ratio is 1
             zero = d.affine and d.a_min == 1 and d.y_hat_mass == 1
             key = tuple(sorted(w.as_integer_ratio() + r.as_integer_ratio()
@@ -277,23 +283,6 @@ class PairKernel:
 
     def sigma(self, a: int, b: int, s: float) -> float:
         return self.mu(a, b, s) + self.mu(b, a, s)
-
-    # -- weighted sums of directions ------------------------------------------
-
-    def _weighted(
-        self, pairs: Sequence[tuple[int, int]], c: Sequence[float],
-    ) -> Callable[..., Union[tuple[float, float], float]]:
-        """``s -> (sum_k c_k mu(pairs_k, s), its slope)`` (the slope if not ``value``) for
-        nonempty directions; the rows are gathered once, then evaluated together."""
-        a, b = np.array(pairs).T
-        LW, LR = self._LW[a, b], self._LR[a, b]
-        w = np.asarray(c, dtype=float)
-
-        def at(s: float, value: bool = True) -> Union[tuple[float, float], float]:
-            t = _tilted(LW, LR, s, value)
-            return (float(w @ t[0]), float(w @ t[1])) if value else float(w @ t)
-
-        return at
 
     # -- sequence-level evaluations ------------------------------------------
 
@@ -373,8 +362,13 @@ class PairKernel:
             raise InfiniteExponentError(
                 f"sigma({a},{b}) is identically infinite: inputs share no usable output"
             )
+        return self._sup_row(self._sigma_keys(a, b))
+
+    def _sigma_keys(self, a, b) -> np.ndarray:
+        """Curve counts of the symmetric sums ``mu(a, b, .) + mu(b, a, .)``, one row per
+        letter pair when ``a`` and ``b`` are index arrays: the rows :meth:`_sup_rows` takes."""
         nx = self.pair.nx
-        return self._sup_row(self._merge[a * nx + b] + self._merge[b * nx + a])
+        return self._merge[a * nx + b] + self._merge[b * nx + a]
 
     def s_cap(self) -> float:
         """Upper end of the tilt interval that contains every pairwise maximizer.
@@ -389,7 +383,7 @@ class PairKernel:
         """
         nx, cap = self.pair.nx, 0.0
         a, b = np.nonzero(np.arange(nx)[:, None] < np.arange(nx))   # a < b, row-major
-        sups = self._sup_rows(self._merge[a * nx + b] + self._merge[b * nx + a])
+        sups = self._sup_rows(self._sigma_keys(a, b))
         for a, b, s_star, value, ok in zip(a.tolist(), b.tolist(), *(x.tolist() for x in sups)):
             if self._dirs[(a, b)].empty or self._dirs[(b, a)].empty:
                 raise InfiniteExponentError(
@@ -439,28 +433,19 @@ class PairKernel:
             return self._at_zero(key)
         return SupResult(INF, sum(c * d.intercept for d, (_, c) in zip(dirs, key)), False)
 
-    def _sup_weighted(self, key: tuple) -> SupResult:
-        """Maximize ``sum c_k mu_k(s)`` over ``s >= 0`` for the curve ``key``,
-        ``((rep, c_k), ...)`` with integer ``c_k > 0``, whose limiting slope is
-        negative (:meth:`_closed_form` is None), so the slope turns at a finite
-        tilt.  A maximum at ``s = 0`` takes the exact value there."""
-        at = self._weighted([ab for ab, _ in key], [c for _, c in key])
-        s, attained = _argmax_concave(lambda s: at(s, value=False))
-        if attained and s == 0:
-            return self._at_zero(key)
-        return SupResult(s if attained else INF, at(s)[0], attained)
-
     def _sup_rows(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Suprema over ``s >= 0`` of many curves at once.
 
         Row ``k`` of ``keys`` counts each curve of ``self._reps`` in one
         curve key, zeros for curves it lacks.  Returns ``s_star``,
         ``value`` and ``attained`` per row: tails are read at once
-        (:meth:`_tail_signs`, :meth:`_closed_form`), the one-term interior
-        keys of each curve share one :meth:`_sup_weighted` solve of it, and
-        the other interior keys with the same number of terms (unless alone)
-        are stacked and handed to one :func:`_argmax_concave_rows` (its only
-        caller), bit for bit :meth:`_sup_weighted` on each key.
+        (:meth:`_tail_signs`, :meth:`_closed_form`), and the interior keys
+        with the same number of terms, a lone key too, are the rows of one
+        :func:`_argmax_concave_rows` call.  A one-term key ``c mu_k`` has the
+        slope ``c d``, of the sign of ``d`` at every tilt, so every ``c``
+        takes the steps of ``c = 1``: the distinct one-term curves are the
+        rows of their call, and each key takes ``c`` times its curve's value.
+        A maximum at ``s = 0`` takes each key's exact value there.
         """
         rows = len(keys)
         s_star, value, attained = np.zeros(rows), np.zeros(rows), np.ones(rows, dtype=bool)
@@ -475,32 +460,22 @@ class PairKernel:
                 s_star[r], value[r], attained[r] = closed.s_star, closed.value, closed.attained
         interior = np.array(interior, dtype=np.intp)
         terms = np.count_nonzero(keys[interior], axis=1)
-        # A one-term curve c mu_k has the slope c d, of the sign of d at every tilt, so
-        # every c takes the steps of c = 1: the rows of a curve take one solve and c v.
-        one = interior[terms == 1]
-        curve = np.nonzero(keys[one])[1]
         with np.errstate(over="ignore", invalid="ignore"):   # NaN slopes end a run
-            for k in np.unique(curve).tolist():
-                group = one[curve == k]
-                res = self._sup_weighted(((self._reps[k], 1),))
-                s_star[group], value[group], attained[group] = res.s_star, keys[group, k] * res.value, res.attained
-                if res.attained and res.s_star == 0:
-                    value[group] = [self._at_zero(key_of[r]).value for r in group.tolist()]
-            keep = terms > 1
-            interior, terms = interior[keep], terms[keep]
             for k in sorted(set(terms.tolist())):
                 group = interior[terms == k]
-                if len(group) == 1:
-                    res = self._sup_weighted(key_of[group[0]])
-                    s_star[group], value[group], attained[group] = res.s_star, res.value, res.attained
-                    continue
                 cols = np.nonzero(keys[group])[1].reshape(len(group), k)
-                LW, LR = self._LW_reps[cols], self._LR_reps[cols]
-                w = np.take_along_axis(keys[group], cols, axis=1).astype(float)[:, None, :]
+                c = np.take_along_axis(keys[group], cols, axis=1)
+                if k == 1:      # one row per distinct curve, with c = 1
+                    curve = {}
+                    of = [curve.setdefault(col, len(curve)) for col in cols[:, 0].tolist()]
+                    cols, scale, c = np.array(list(curve))[:, None], c[:, 0], np.ones((len(curve), 1))
+                LW, LR, w = self._LW_reps[cols], self._LR_reps[cols], c.astype(float)[:, None, :]
                 s, ok = _argmax_concave_rows(LW, LR, w)
-                value[group] = (w @ _tilted(LW, LR, s[:, None, None])[0][:, :, None])[:, 0, 0]
-                s_star[group], attained[group] = np.where(ok, s, INF), ok
-                for r in group[ok & (s == 0)]:
+                v = (w @ _tilted(LW, LR, s[:, None, None])[0][:, :, None])[:, 0, 0]
+                if k == 1:
+                    s, ok, v = s[of], ok[of], scale * v[of]
+                s_star[group], value[group], attained[group] = np.where(ok, s, INF), v, ok
+                for r in group[ok & (s == 0)].tolist():
                     value[r] = self._at_zero(key_of[r]).value
         return s_star, value, attained
 
@@ -551,7 +526,7 @@ class PairKernel:
         d = self.direction(a, b)
         if d.empty:
             raise PreconditionError(f"tilted distribution undefined: mu({a},{b}) is infinite")
-        x = np.array([math.log(w) + s * math.log(r) for w, r in zip(d.weights, d.ratios)])
+        x = np.array([_log(w) + s * _log(r) for w, r in zip(d.weights, d.ratios)])
         x = x - x.max()
         p = np.exp(x)
         p /= p.sum()

@@ -6,6 +6,7 @@ transcendental evaluations are floating point.
 """
 
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -191,10 +192,56 @@ def tail_sign(kernel, key):
     return kernel._tail_signs(np.array([[counts.get(rep, 0) for rep in kernel._reps]]))[0]
 
 
+def argmax_concave(fp, cap=math.inf):
+    """Oracle for ``kernel._argmax_concave_rows``: the scalar loop on a slope
+    function ``fp``, the smallest maximizer on ``[0, cap]`` of a concave curve
+    as ``(s, attained)``.  Doubles the tilt until the slope stops being
+    positive, then bisects to ``_BISECT_TOL`` or to adjacent floats; a slope
+    still positive at ``cap`` puts the maximizer at ``cap``, and a float range
+    that runs out first (NaN slope, or a tilt that cannot double) gives the
+    last tilt reached, unattained."""
+    if fp(0.0) <= 0:
+        return 0.0, True
+    lo, hi = 0.0, min(1.0, cap)
+    while (slope := fp(hi)) > 0 or math.isnan(slope):
+        if math.isnan(slope) or hi > sys.float_info.max / 2.0:
+            return lo, False
+        if hi >= cap:
+            return cap, True
+        lo, hi = hi, min(2.0 * hi, cap)
+    while hi - lo > zr.kernel._BISECT_TOL and lo < (mid := 0.5 * (lo + hi)) < hi:
+        if fp(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), True
+
+
+def weighted_curve(kernel, key):
+    """``s -> (value, slope)`` of the curve ``key``, ``((rep, c_k), ...)``: one dot
+    product of the counts with ``_tilted`` over the reps' gathered rows."""
+    a, b = np.array([ab for ab, _ in key]).T
+    LW, LR, w = kernel._LW[a, b], kernel._LR[a, b], np.array([c for _, c in key], dtype=float)
+
+    def at(s):
+        value, slope = zr.kernel._tilted(LW, LR, s)
+        return float(w @ value), float(w @ slope)
+
+    return at
+
+
 def scalar_sup(kernel, key):
     """The curve ``key`` maximized on its own: its closed form when the tail
-    settles it, else the scalar interior solve ``_sup_weighted``."""
-    return kernel._closed_form(key, tail_sign(kernel, key)) or kernel._sup_weighted(key)
+    settles it, else the scalar loop ``argmax_concave`` on its slope, with the
+    exact value at ``s = 0``."""
+    closed = kernel._closed_form(key, tail_sign(kernel, key))
+    if closed is not None:
+        return closed
+    at = weighted_curve(kernel, key)
+    s, attained = argmax_concave(lambda s: at(s)[1])
+    if attained and s == 0:
+        return kernel._at_zero(key)
+    return zr.SupResult(s if attained else math.inf, at(s)[0], attained)
 
 
 def random_codebook(rng, n, m, nx):

@@ -441,3 +441,18 @@ def test_integer_upper_bounds_stay():
             call()
     with pytest.raises(zr.ValidationError, match="a subcode needs at least two distinct indices"):
         zr.dmin_certificate(_BSC, _BOOK, [1, np.int64(1)], 2)
+
+
+def test_log_of_a_rational_keeps_the_float_bits_and_survives_extremes():
+    """``channel._log`` is ``math.log`` bit for bit wherever the rational is a
+    normal float, and reads a rational that a float cannot hold (below the
+    normal range, subnormal, or above the float range) from its integers."""
+    rng = np.random.default_rng(2803)
+    for _ in range(500):
+        x = F(int(rng.integers(1, 10**9)), int(rng.integers(1, 10**9)))
+        assert channel._log(x).hex() == math.log(x).hex()
+    assert channel._log(7).hex() == math.log(7).hex()
+    for exponent in (-400, -310, 400):
+        x = F(10) ** exponent
+        assert channel._log(x) == pytest.approx(exponent * math.log(10), rel=1e-15)
+    assert channel._log(F(3, 10**400)) == pytest.approx(math.log(3) - 400 * math.log(10), rel=1e-15)

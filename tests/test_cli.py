@@ -5,6 +5,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -429,3 +433,26 @@ def test_payloads_equal_the_asdict_route(bsc_file, tw_file, code_file, big_code_
     monkeypatch.setattr(cli, "_plain", asdict_route)
     assert [json.dumps(cli.run(argv)["payload"]) for argv in runs] == fields_route
     capsys.readouterr()
+
+
+def test_no_command_imports_numpy_ma(bsc_file, tw_file, code_file, big_code_file, tmp_path):
+    """``numpy.ma`` costs milliseconds and memory on first import, and no route
+    needs it: after exponent (balanced and unbalanced), dmin, komlos,
+    certificate, exact-pe, simulate and empirical on the fixtures, a fresh
+    process has not imported it."""
+    big = ["--code", big_code_file, "--t", "3", "--target", "4"]
+    commands = [["exponent", "--pair", bsc_file], ["exponent", "--pair", tw_file],
+                ["dmin", "--code", big_code_file, "--pair", bsc_file], ["komlos", *big],
+                ["certificate", *big, "--pair", bsc_file],
+                ["exact-pe", "--code", code_file, "--pair", bsc_file],
+                ["simulate", "--code", code_file, "--pair", bsc_file, "--trials", "50"],
+                ["empirical", "--pair", bsc_file, "--letters", "0,1", "--n", "2"]]
+    script = ("import sys\nfrom zerorate import cli\n"
+              f"for argv in {commands!r}:\n"
+              f"    cli.run(argv + ['--out', {str(tmp_path / 'out.json')!r}])\n"
+              "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"

@@ -2,6 +2,7 @@
 frozen references."""
 
 import itertools
+import json
 import math
 import time
 from fractions import Fraction
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import zerorate as zr
+from zerorate import cli
 from zerorate import exponent as exponent_mod
 
 from conftest import (
@@ -576,3 +578,64 @@ def test_tail_candidate_equals_the_best_boundary_clique(typewriter_pair):
         value, q = exponent_mod._tail_candidate(kernel)
         assert float(value).hex() == float(best).hex()
         assert q.min() >= 0.0 and q.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_tail_candidate_limit_matrix_equals_the_sup_sigma_loop(typewriter_pair, monkeypatch):
+    """The limit matrix ``_tail_candidate`` hands to ``_q_max``, built from one
+    ``_sup_rows`` batch over the boundary pairs, equals the matrix of the
+    pair-by-pair ``sup_sigma`` loop entry for entry, by float hex."""
+    rng = np.random.default_rng(2801)
+    pairs, tried = [typewriter_pair], 0
+    while len(pairs) < 16 and tried < 600:
+        tried += 1
+        pair = random_admissible_pair(rng, nx=2 + tried % 5)
+        if zr.check_c0bar_zero(pair)[0] and zr.boundary_set_B(pair):
+            pairs.append(pair)
+    assert len(pairs) == 16
+    seen = []
+    real_q_max = exponent_mod._q_max
+    monkeypatch.setattr(exponent_mod, "_q_max", lambda G: seen.append(G.copy()) or real_q_max(G))
+    edges = 0
+    for pair in pairs:
+        kernel, nx = zr.PairKernel(pair), pair.nx
+        loop = np.full((nx, nx), -math.inf)
+        np.fill_diagonal(loop, 0.0)
+        for a, b in zr.boundary_set_B(pair):
+            if a < b:
+                loop[a, b] = loop[b, a] = 0.5 * kernel.sup_sigma(a, b).value
+                edges += 1
+        seen.clear()
+        exponent_mod._tail_candidate(kernel)
+        assert seen[0].shape == (nx, nx)      # the call; a stacked call of its own may follow
+        assert [float(v).hex() for v in seen[0].ravel()] == [float(v).hex() for v in loop.ravel()]
+    assert edges > len(pairs)
+
+
+def test_an_extreme_rational_entry_gives_finite_values(tmp_path):
+    """A channel entry of 10**-400, which a float reads as 0, is a valid pair:
+    the kernel, its tilted law, both exponent routes, the gap, the counting
+    slack, the supremum bound and the type-class bound (whose divergence
+    overflows a float) take their logarithms from the integers, and the
+    CLI's ``exponent`` and ``mu-curve`` exit 0."""
+    e = Fraction(1, 10**400)
+    W = ((1 - e, e), (F(1, 4), F(3, 4)))
+    q = ((F(3, 4), F(1, 4)), (F(1, 4), F(3, 4)))
+    pair = zr.pair_from_rows(W, q)
+    kernel = zr.PairKernel(pair)
+    d = kernel.direction(0, 1)
+    assert d.slope_limit == math.log(1 / 3) and d.intercept == pytest.approx(400 * math.log(10))
+    values = [kernel.mu(0, 1, 0.5), kernel.sup_sigma(0, 1).value,
+              zr.zero_rate_exponent(pair).value, zr.expurgated_lower(pair).value,
+              zr.gap_bound(pair), zr.type_counting_slack(pair, 4),
+              zr.sup_error_lower_bound(pair, (0, 0), (1, 1)).delta_n]
+    assert all(math.isfinite(v) for v in values), values
+    assert values[2] == pytest.approx(math.log(2) / 2, abs=1e-9)
+    assert kernel.tilted_distribution(0, 1, 0.5).sum() == pytest.approx(1.0)
+    assert zr.type_class_probability(pair, (0,), (1,), {(0, 1): (0, 1)}) == (e, 0.0)
+    doc = tmp_path / "extreme.json"
+    doc.write_text(json.dumps({"input_alphabet": ["0", "1"], "output_alphabet": ["0", "1"],
+                               "W": [[str(v) for v in row] for row in W],
+                               "q": [[str(v) for v in row] for row in q]}))
+    for argv in (["exponent", "--pair", str(doc)],
+                 ["mu-curve", "--pair", str(doc), "--csv", str(tmp_path / "mu.csv")]):
+        assert cli.main(argv) == 0, argv

@@ -18,9 +18,16 @@ import numpy as np
 import pytest
 
 import zerorate as zr
-from zerorate.kernel import _argmax_concave, _argmax_concave_rows, _tilted
+from zerorate.kernel import _argmax_concave_rows, _tilted
 
-from conftest import random_admissible_pair, random_full_support_pair, scalar_sup, tail_sign
+from conftest import (
+    argmax_concave,
+    random_admissible_pair,
+    random_full_support_pair,
+    scalar_sup,
+    tail_sign,
+    weighted_curve,
+)
 
 F = Fraction
 
@@ -575,7 +582,7 @@ def test_a_batched_supremum_equals_its_one_key_and_scalar_solves(bsc_pair):
     On the far-maximizer pair the batch mixes a key whose slope is <= 0 at
     s = 0, keys with maximizers near 2.2e7 and beyond, an unattained
     ceiling and a smaller interior key; each equals its one-key batch, the
-    key solved on its own (``scalar_sup``) and a direct ``_argmax_concave`` run."""
+    key solved on its own (``scalar_sup``) and a direct run of the scalar loop."""
     W = ((F(9, 10), F(1, 10)), (F(1, 10), F(9, 10)))
     q = ((F(1), F(1)), (F(1), 1 + F(1, 10**7)))
     k = zr.PairKernel(zr.pair_from_rows(W, q))
@@ -590,8 +597,8 @@ def test_a_batched_supremum_equals_its_one_key_and_scalar_solves(bsc_pair):
         got = zr.SupResult(float(mixed[0][r]), float(mixed[1][r]), bool(mixed[2][r]))
         assert got == zr.SupResult(*(float(a[0]) for a in alone[:2]), bool(alone[2][0])) == scalar
         if tail_sign(k, key) < 0:
-            at = k._weighted([ab for ab, _ in key], [c for _, c in key])
-            s, attained = _argmax_concave(lambda s: at(s)[1])
+            at = weighted_curve(k, key)
+            s, attained = argmax_concave(lambda s: at(s)[1])
             assert (scalar.s_star, scalar.attained) == (s, attained)
             far += s > 1e7
     assert mixed[0][0] == 0.0 and not mixed[2][2] and far >= 2
@@ -608,13 +615,13 @@ def test_a_batched_supremum_equals_its_one_key_and_scalar_solves(bsc_pair):
             bsc.sequence_sup(x1, x2)
 
 
-def _scalar_argmax_rows(LW, LR, w):
-    """The scalar ``_argmax_concave`` on each row's own curve ``w[r, 0] @ mu``."""
+def _scalar_argmax_rows(LW, LR, w, cap=math.inf):
+    """The scalar loop ``argmax_concave`` on each row's own curve ``w[r, 0] @ mu``."""
     out = []
     for r in range(len(w)):
         def slope(s, r=r):
             return float(w[r, 0] @ _tilted(LW[r], LR[r], s)[1])
-        out.append(_argmax_concave(slope))
+        out.append(argmax_concave(slope, cap))
     return out
 
 
@@ -646,6 +653,70 @@ def test_row_maximizer_takes_each_scalar_run():
         [(a.hex(), b) for a, b in expected]
     assert (s[attained] == 0).any() and (s[attained] > 2.0 ** 20).any()
     assert not attained[:30].any() and attained[30:].any()
+
+
+def _turning_curves(rng, rows):
+    """Seeded single curves ``(LW, LR, w)`` whose slopes turn at a finite tilt:
+    every direction has an output with a positive and one with a negative
+    log ratio; a third of them are scaled so that the turn lies near 2**37 to
+    2**43, where a bisection ends at adjacent floats rather than at ``_BISECT_TOL``."""
+    k, ny = 3, 4
+    LW = np.log(rng.integers(1, 10, (rows, k, ny)) / 10.0)
+    LR = rng.normal(size=(rows, k, ny))
+    LR[:, :, 0], LR[:, :, 1] = np.abs(LR[:, :, 0]) + 0.1, -np.abs(LR[:, :, 1]) - 0.1
+    LR[: rows // 3] *= 1e-12
+    LR[: rows // 3, :, 0] *= 1e-2
+    return LW, LR, rng.integers(1, 6, (rows, 1, k)).astype(float)
+
+
+def _adjacent_turn(j):
+    """A curve whose evaluated slope is positive at ``2**j`` and not at the next
+    float: a cap there leaves the doubling the bracket of two adjacent floats."""
+    lo, hi = 2.0 ** j, float(np.nextafter(2.0 ** j, math.inf))
+    LR = np.array([[[1.0, -1.0]]]) / lo     # the slope turns where p e**(s/lo) = (1 - p) e**(-s/lo)
+    p0 = 1.0 / (1.0 + math.e ** 2)
+    for p in p0 + np.spacing(p0) * np.arange(-4000, 4001):
+        LW = np.log(np.array([[[p, 1.0 - p]]]))
+        if _tilted(LW[0], LR[0], lo, value=False)[0] > 0 >= _tilted(LW[0], LR[0], hi, value=False)[0]:
+            return LW, LR, np.ones((1, 1, 1)), hi
+    raise AssertionError(f"no curve turns between 2**{j} and the next float")
+
+
+def test_a_capped_curve_takes_the_scalar_steps():
+    """A finite cap is the one path whose bisection length depends on the path,
+    so only a single curve takes it; its tilt and flag equal the scalar loop's
+    (``argmax_concave``) by float hex with caps inside the last doubling bracket,
+    below one, below the maximizer (the slope is still positive at the cap),
+    one float past the maximizer, one float past a doubling point, and on a
+    bracket of two adjacent floats where the slope turns.  A batch given a
+    finite cap is refused."""
+    rng = np.random.default_rng(2802)
+    LW, LR, w = _turning_curves(rng, 90)
+    cases, kinds = [], {"at cap": 0, "below cap": 0, "far": 0}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(len(w)):
+            curve = (LW[r:r + 1], LR[r:r + 1], w[r:r + 1])
+            [(s_star, ok)] = _scalar_argmax_rows(*curve)
+            assert ok
+            if s_star == 0:
+                continue
+            j = math.floor(math.log2(s_star))
+            top = 2.0 ** (j + 1) if s_star >= 1 else 1.0
+            caps = [rng.uniform(s_star, top), rng.uniform(0.0, 1.0), s_star * rng.uniform(0.05, 0.95),
+                    float(np.nextafter(s_star, math.inf))]
+            if s_star > 2:
+                caps.append(float(np.nextafter(2.0 ** j, math.inf)))
+            cases += [(*curve, float(cap)) for cap in caps]
+        cases += [_adjacent_turn(j) for j in (0, 3, 20, 40)]
+        for LW_r, LR_r, w_r, cap in cases:
+            s, attained = _argmax_concave_rows(LW_r, LR_r, w_r, cap)
+            [expected] = _scalar_argmax_rows(LW_r, LR_r, w_r, cap)
+            assert (float(s[0]).hex(), bool(attained[0])) == (expected[0].hex(), expected[1]), cap
+            kinds["at cap" if s[0] == cap else "below cap"] += 1
+            kinds["far"] += bool(s[0] > 2.0 ** 30)
+    assert min(kinds.values()) > 20, kinds
+    with pytest.raises(ValueError, match="single curve"):
+        _argmax_concave_rows(LW[:2], LR[:2], w[:2], 4.0)
 
 
 def _s_cap_pair_loop(kernel):
@@ -699,7 +770,7 @@ def test_batched_s_cap_equals_the_pair_loop(typewriter_pair, identity_pair):
 
 
 def _scalar_bisection_steps(lo, hi, keep_right):
-    """Bisection steps ``_argmax_concave`` takes inside ``[lo, hi]`` on a
+    """Bisection steps the scalar loop takes inside ``[lo, hi]`` on a
     slope that turns at ``hi`` and, inside, always keeps one half."""
     inside = []
 
@@ -709,7 +780,7 @@ def _scalar_bisection_steps(lo, hi, keep_right):
             return 1.0 if keep_right else -1.0
         return 1.0 if s <= lo else -1.0
 
-    _argmax_concave(slope)
+    argmax_concave(slope)
     return len(inside)
 
 
@@ -727,10 +798,11 @@ def test_bisection_length_is_fixed_by_the_bracket():
 
 
 def test_a_one_row_group_takes_the_scalar_maximizer(monkeypatch):
-    """A term-count group of one key is solved by the scalar maximizer;
-    its result equals the same key's run through the row loop (a group of
-    two equal keys; two equal one-term keys share one scalar solve) and
-    the key solved on its own (``scalar_sup``), float for float."""
+    """A term-count group of one key is one single-row call of the maximizer,
+    which takes the scalar steps; its result equals the same key's run through
+    the row loop (a group of two equal keys; two equal one-term keys share one
+    curve, a single row again) and the key solved on its own (``scalar_sup``),
+    float for float."""
     rng = np.random.default_rng(1801)
     row_calls = []
     real_rows = zr.kernel._argmax_concave_rows
@@ -747,9 +819,9 @@ def test_a_one_row_group_takes_the_scalar_maximizer(monkeypatch):
                         continue
                     row_calls.clear()
                     alone = k._sup_rows(row[None, :])
-                    assert row_calls == []
+                    assert row_calls == [1]
                     twice = k._sup_rows(np.stack([row, row]))
-                    assert row_calls == ([] if len(key) == 1 else [2])
+                    assert row_calls == [1, 1 if len(key) == 1 else 2]
                     scalar = scalar_sup(k, key)
                     got = [(float(s).hex(), float(v).hex(), bool(a)) for s, v, a in zip(*alone)]
                     assert got * 2 == [(float(s).hex(), float(v).hex(), bool(a))

@@ -292,21 +292,34 @@ def _callers(name):
 
 
 def test_tilt_maximizations_run_as_batches():
-    """``s_cap`` solves its symmetric sums as rows of one ``_sup_rows`` batch,
-    not through ``sup_sigma``; ``dmin_certificate`` evaluates its sequence
-    kernels as one batch, not through ``mu_sequence``; the row-wise
-    maximizer ``_argmax_concave_rows``, the closed-form tails and the scalar
-    interior solve run only under ``_sup_rows``; and ``sequence_sup`` and
-    ``sup_sigma`` are one-row batches (``_sup_row``), as ``_sequence`` is
+    """``s_cap`` and ``_tail_candidate`` solve their symmetric sums as rows of
+    one ``_sup_rows`` batch, not through ``sup_sigma``; ``dmin_certificate``
+    evaluates its sequence kernels as one batch, not through ``mu_sequence``;
+    the closed-form tails run only under ``_sup_rows``; and ``sequence_sup``
+    and ``sup_sigma`` are one-row batches (``_sup_row``), as ``_sequence`` is
     one row of ``_sequence_rows``."""
-    assert "kernel.py:s_cap" in _callers("_sup_rows")
-    assert "kernel.py:s_cap" not in _callers("sup_sigma")
+    for caller in ("kernel.py:s_cap", "exponent.py:_tail_candidate"):
+        assert caller in _callers("_sup_rows")
+        assert caller not in _callers("sup_sigma")
     assert "codebook.py:dmin_certificate" in _callers("_sequence_rows")
     assert "codebook.py:dmin_certificate" not in _callers("mu_sequence")
-    for name in ("_argmax_concave_rows", "_sup_weighted", "_closed_form"):
-        assert _callers(name) == ["kernel.py:_sup_rows"], f"{name} runs outside _sup_rows"
+    assert _callers("_closed_form") == ["kernel.py:_sup_rows"], "_closed_form runs outside _sup_rows"
     assert {"kernel.py:sequence_sup", "kernel.py:sup_sigma"} <= set(_callers("_sup_row"))
     assert "kernel.py:_sequence" in _callers("_sequence_rows")
+
+
+# The scalar maximizer and its closures, which ``_argmax_concave_rows`` replaced.
+SCALAR_MAXIMIZER_GONE = ("_argmax_concave", "_weighted", "_sup_weighted")
+
+
+def test_one_tilt_maximizer():
+    """``_argmax_concave_rows`` is the one tilt maximizer: no name of the scalar
+    maximizer or its closures is left in the package, and the maximizer is
+    called from exactly ``_sup_rows`` (every supremum) and ``_polish_tilt``."""
+    for path in sorted((ROOT / "src" / "zerorate").glob("*.py")):
+        left = sorted(set(SCALAR_MAXIMIZER_GONE) & _names(ast.parse(path.read_text())))
+        assert not left, f"{path.name} still names {left}"
+    assert _callers("_argmax_concave_rows") == ["exponent.py:_polish_tilt", "kernel.py:_sup_rows"]
 
 
 # A second map from directions to curves, a memo of sequence suprema and the
