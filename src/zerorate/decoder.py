@@ -3,18 +3,19 @@ fixed-metric rule, the tilted finite-blocklength lower bounds, and the
 method-of-types utilities used to sanity-check them.
 
 The decoder picks the codeword maximizing the product metric, breaking
-ties by policy.  Both modes compare metric products through value
-counts (:func:`_metric_counts`): how often each distinct metric value
-occurs in a product.  Exact mode keys the output compositions of each
-letter-pair cell by the two words' count difference, carries integer
-masses over each word's fixed denominator, convolves the cells without
-visiting every conditional type, and classifies each final key once by
-one exact comparison of integer products.  Monte Carlo mode samples,
-scores each block of trials against every codeword with one matrix
-product in log space, and re-checks anything within float distance of
-the top exactly from the same counts, so tie events are decided by
-arithmetic rather than rounding; the winners, tie events and tie draws
-of a block are array steps.
+ties by policy.  Both modes read the metric through one table kept on
+the pair (:func:`_metric_table`) and compare metric products through
+value counts: how often each distinct metric value occurs in a product.
+Exact mode keys the output compositions of each letter-pair cell by the
+two words' count difference, carries integer masses over each word's
+fixed denominator, convolves the cells without visiting every
+conditional type, and classifies each final key once by one exact
+comparison of integer products.  Monte Carlo mode samples, scores each
+block of trials against every codeword with one matrix product of the
+table's logs, finite for an entry of any size, and re-checks anything
+within float distance of the top exactly from the same counts, so tie
+events are decided by arithmetic rather than rounding; the winners, tie
+events and tie draws of a block are array steps.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -114,45 +115,43 @@ def type_counting_slack(pair: ChannelMetricPair, n: int) -> float:
     return pair.nx**2 * pair.ny * (1.0 + 2.0 * math.log(n + 1.0) - _log(w_min))
 
 
-# -- value counts: the comparison key of both decoders ---------------------------
+# -- the metric table: the comparison key of both decoders ----------------------
 
 
-def _metric_values(pair: ChannelMetricPair) -> tuple[Fraction, ...]:
-    """The distinct positive metric entries, ascending: the value axis of
-    :func:`_metric_counts`.  Kept on the pair object."""
+class _MetricTable(NamedTuple):
+    """The metric as both decoders read it.
 
-    def build(pair):
-        _, q = integer_view(pair)
-        return tuple(sorted({v for row, nums in zip(pair.q, q.nums)
-                             for v, n in zip(row, nums) if n > 0}))
-
-    return _kept(pair, "_metric_values", build)
-
-
-def _metric_counts(pair: ChannelMetricPair) -> np.ndarray:
-    """Metric entries as one-hot vectors over the distinct positive values.
-
-    Returns ``vec`` of shape ``(nx, ny, K)``: ``vec[x, y]`` marks the
-    index of ``q(x,y)`` among the ``K`` distinct positive entries (zero
-    entries get a zero row).  Summed along a word, it counts how often
-    each value occurs in the word's metric product, so equal sums mean
-    equal products; unequal sums can still give equal products, as in
-    ``(2/3)^2 = 4/9``.  The array is read-only and kept on the pair
-    object.
+    ``values`` holds the distinct positive entries, ascending.
+    ``index[x, y]`` is the position of ``q(x,y)`` in ``values`` (0 at a
+    zero entry), so a word's metric product is ``prod_k values[k] ** c_k``
+    with ``c_k`` the number of its entries at position ``k``: equal counts
+    mean equal products, while unequal counts can still give equal
+    products, as in ``(2/3)^2 = 4/9``.  ``zero`` marks the zero entries,
+    and ``logs[x, y]`` is ``channel._log(q(x,y))`` (0.0 at a zero entry),
+    finite however small or large the entry.
     """
 
-    def build(pair):
-        _, q = integer_view(pair)
-        index = {v: k for k, v in enumerate(_metric_values(pair))}
-        vec = np.zeros((pair.nx, pair.ny, len(index)), dtype=np.int64)
-        for x, (row, nums) in enumerate(zip(pair.q, q.nums)):
-            for y, (v, n) in enumerate(zip(row, nums)):
-                if n > 0:
-                    vec[x, y, index[v]] = 1
-        vec.setflags(write=False)
-        return vec
+    values: tuple[Fraction, ...]
+    index: np.ndarray
+    zero: np.ndarray
+    logs: np.ndarray
 
-    return _kept(pair, "_metric_counts", build)
+
+def _metric_table(pair: ChannelMetricPair) -> _MetricTable:
+    """The :class:`_MetricTable` of ``pair``; its arrays are read-only and
+    it is kept on the pair object."""
+
+    def build(pair):
+        values = tuple(sorted({v for row in pair.q for v in row if v > 0}))
+        position = {v: k for k, v in enumerate(values)}
+        index = np.array([[position.get(v, 0) for v in row] for row in pair.q], dtype=np.int64)
+        zero = np.array([[v == 0 for v in row] for row in pair.q], dtype=bool)
+        logs = np.array([[_log(v) if v > 0 else 0.0 for v in row] for row in pair.q], dtype=np.float64)
+        for a in (index, zero, logs):
+            a.setflags(write=False)
+        return _MetricTable(values, index, zero, logs)
+
+    return _kept(pair, "_metric_table", build)
 
 
 # -- exact two-codeword decoding ---------------------------------------------
@@ -235,10 +234,10 @@ def exact_error_probabilities(
     product along the word of each channel row's common denominator.  The
     output compositions of each letter-pair cell are keyed by which
     metric product is zero and by the difference of the two words' value
-    counts (:func:`_metric_counts`), packed into one integer in balanced
-    base ``2n + 1``; the cells are convolved key by key.  Equal counts
-    mean equal metric ratios, so no key joins outputs the decoder treats
-    differently.  Each final key is classified once as a win, a loss or a
+    counts (over the value indices of :func:`_metric_table`), packed into
+    one integer in balanced base ``2n + 1``; the cells are convolved key
+    by key.  Equal counts mean equal metric ratios, so no key joins
+    outputs the decoder treats differently.  Each final key is classified once as a win, a loss or a
     tie by an exact comparison of two integer products, and a
     ``Fraction`` is built only for each reported quantity.  Tie weight is
     assigned per policy: ``equiprobable`` charges half, ``as_error`` all,
@@ -266,13 +265,12 @@ def exact_error_probabilities(
 
     w_rows, _ = integer_view(pair)
     nums, dens = w_rows.nums, w_rows.dens
-    values = _metric_values(pair)
-    counts = _metric_counts(pair)
-    zero = (~counts.any(axis=2)).tolist()
+    values, index, zero, _ = _metric_table(pair)
+    zero = zero.tolist()
     # Each value count of a word pair's difference lies in [-n, n], so base
     # 2n + 1 packs the difference vector into one integer that adds exactly.
     base = 2 * len(x1) + 1
-    codes = [[sum(int(c) * base**k for k, c in enumerate(row)) for row in rows] for rows in counts]
+    codes = [[base**k for k in row] for row in index.tolist()]
 
     total = {(False, False, 0): [1, 1]}
     den1 = den2 = 1
@@ -343,23 +341,23 @@ def monte_carlo_error(
     of the per-word channel thresholds (the cumulative channel entries
     of each word's letters), writes them as a one-hot matrix over
     (position, output) with one flat index, and scores every codeword
-    with one product against the per-word log-metric matrix.  A zero
+    with one product against the per-word matrix of the metric table's
+    logs (:func:`_metric_table`), finite however small the entry.  A zero
     metric entry has no finite log, so it enters that product as 0 and
     a second product counts each word's zero entries; a word with any is
     scored ``-inf``.  Any codeword within a small float margin of the
     leader is re-scored exactly, so winners and ties are decided by
     exact arithmetic.  The re-check counts how often each distinct
-    metric value occurs in every candidate's product (see
-    :func:`_metric_counts`), with one ``bincount`` over the value indices
-    of all candidates' entries at their trials' outputs, read from a
-    per-word index table built once per call.  When all candidates of a
-    trial share one count vector they are exactly the tied leaders, and
-    only a trial whose vectors differ compares ``prod v^c`` across its
-    candidates, as integer products (:func:`_leaders`).  Errors and tie
-    events of a block follow from the winner mask by array steps, and
-    the ``equiprobable`` picks of a block are one ``tie_rng`` draw with
-    one bound per tied trial, in trial order, which takes the same
-    stream as one draw per trial.
+    metric value occurs in every candidate's product, with one
+    ``bincount`` over the table's value indices of all candidates'
+    entries at their trials' outputs, gathered per word once per call.
+    When all candidates of a trial share one count vector they are
+    exactly the tied leaders, and only a trial whose vectors differ
+    compares ``prod v^c`` across its candidates, as integer products
+    (:func:`_leaders`).  Errors and tie events of a block follow from
+    the winner mask by array steps, and the ``equiprobable`` picks of a
+    block are one ``tie_rng`` draw with one bound per tied trial, in
+    trial order, which takes the same stream as one draw per trial.
 
     The stream splits into fixed chunks with spawned seeds, making the
     result reproducible and the merge order-independent.  Each chunk
@@ -378,8 +376,8 @@ def monte_carlo_error(
     ny = pair.ny
 
     cum = np.cumsum(np.array([[float(v) for v in row] for row in pair.W]), axis=1)
-    zero = np.array([[v == 0 for v in row] for row in pair.q])
-    lq = np.log(np.array([[float(v) if v > 0 else 1.0 for v in row] for row in pair.q]))
+    values, value_of, zero, lq = _metric_table(pair)
+    n_values = len(values)
     # thresholds[k, m, t] is the k-th cumulative channel entry of word m's
     # letter at position t; cum is nondecreasing along y, so counting the
     # thresholds a uniform draw reaches gives its output, and leaving out
@@ -389,13 +387,10 @@ def monte_carlo_error(
     # zero metric entries score 0 in ``lmat`` and are counted by ``zmat``.
     lmat = lq[wd].reshape(m_count, n * ny).T
     zmat = zero[wd].reshape(m_count, n * ny).T.astype(float) if zero.any() else None
-    counts = _metric_counts(pair)
-    values = _metric_values(pair)
-    n_values = counts.shape[2]
     # value_index[m * n * ny + t * ny + y] indexes word m's metric entry at
     # position t and output y among the distinct values; near candidates
     # have no zero entry, so the index 0 a zero entry gets is never read.
-    value_index = counts.argmax(axis=2)[wd].reshape(-1)
+    value_index = value_of[wd].reshape(-1)
 
     sizes = [_CHUNK] * (trials // _CHUNK)
     if trials % _CHUNK:
@@ -716,12 +711,10 @@ def empirical_exponent(
         x1, x2 = (a,) * n, (b,) * n
         try:
             p_e = exact_error_probabilities(pair, (x1, x2), budget=budget).average
+            mode = "exact"
         except BudgetExceededError:
             p_e = monte_carlo_error(pair, (x1, x2), trials=trials, seed=seed + idx).average
             mode = "monte_carlo"
-            expo = INF if p_e == 0 else -math.log(p_e) / n
-        else:
-            mode = "exact"
-            expo = INF if p_e == 0 else -(math.log(p_e.numerator) - math.log(p_e.denominator)) / n
+        expo = INF if p_e == 0 else -_log(p_e) / n
         out.append(EmpiricalPoint(n=n, error_probability=float(p_e), exponent=expo, mode=mode))
     return out

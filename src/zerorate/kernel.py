@@ -231,7 +231,7 @@ class PairKernel:
                 self._merge[a * nx + b, column[rep]] = 1
         self._a_min = [dirs[rep].a_min for rep in self._reps]
         self._tail_logs = np.array([(0.0, 0.0, 1.0) if dirs[rep].empty else (
-            math.log(a.numerator) - math.log(a.denominator), math.log(a.numerator * a.denominator), 0.0)
+            _log(a), math.log(a.numerator * a.denominator), 0.0)
             for rep, a in zip(self._reps, self._a_min)]).reshape(-1, 3)
         self._mu0 = np.array(mu0).reshape(nx, nx)
         self._empty = self._mu0 == INF
@@ -407,8 +407,9 @@ class PairKernel:
 
     def _tail_signs(self, keys: np.ndarray) -> list[int]:
         """Sign of ``prod_k A_k ** c_k - 1`` per row of curve counts ``keys`` (1 with an empty
-        curve, which diverges too), from ``_tail_logs``: ``sum c_k (log num_k - log den_k)`` rounds
-        far below ``1e-9 sum c_k log(num_k den_k)``, and rows within that of 0 are decided exactly."""
+        curve, which diverges too), from ``_tail_logs``: ``sum c_k log A_k`` (each log by
+        ``channel._log``) rounds far below ``1e-9 sum c_k log(num_k den_k)``, and rows within
+        that of 0 are decided exactly."""
         est, size, empty = (keys @ self._tail_logs).T
         signs = np.where(empty > 0, 1, np.sign(est)).astype(np.int64)
         for r in np.flatnonzero((empty == 0) & (np.abs(est) <= 1e-9 * size)).tolist():

@@ -244,6 +244,17 @@ def scalar_sup(kernel, key):
     return zr.SupResult(s if attained else math.inf, at(s)[0], attained)
 
 
+def metric_onehot(pair):
+    """One-hot view of ``decoder._metric_table``: an ``(nx, ny, K)`` int64 array
+    whose ``[x, y]`` row marks the position of ``q(x,y)`` among the ``K``
+    distinct positive entries (a zero row at a zero entry).  Summed along a
+    word, it counts how often each value occurs in the word's metric product."""
+    table = zr.decoder._metric_table(pair)
+    onehot = np.eye(len(table.values), dtype=np.int64)[table.index]
+    onehot[table.zero] = 0
+    return onehot
+
+
 def random_codebook(rng, n, m, nx):
     words = tuple(tuple(int(v) for v in rng.integers(0, nx, n)) for _ in range(m))
     return zr.Codebook(words, nx)

@@ -8,6 +8,8 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -356,6 +358,25 @@ def test_book_alphabet_other_than_the_pairs_is_accepted(tw_file, tmp_path, rng, 
                      ["simulate"] + pair + ["--code", str(book), "--trials", "10"]):
             assert cli.main(argv) == 0, (declared, argv[0])
     capsys.readouterr()
+
+
+def test_decoders_run_on_a_metric_entry_below_the_float_range(code_file, tmp_path, capsys):
+    """Row 0 of W and q is (1 - 10^-400, 10^-400): the entry 10^-400 rounds to
+    0.0 as a float, and both decoders still score it."""
+    big = 10**400
+    rows = [[f"{big - 1}/{big}", f"1/{big}"], ["1/4", "3/4"]]
+    pair = tmp_path / "underflow.json"
+    pair.write_text(json.dumps({**BSC_DOC, "W": rows, "q": rows, "name": "underflow"}))
+    code = ["--pair", str(pair), "--code", code_file]
+    exact, simulate = ["exact-pe"] + code, ["simulate"] + code + ["--trials", "2000"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for argv in (exact, simulate):
+            assert cli.main(argv) == 0, argv[0]
+        average = float(Fraction(cli.run(exact)["payload"]["average"]))
+        lo, hi = cli.run(simulate)["payload"]["confidence_interval"]
+    capsys.readouterr()
+    assert lo <= average <= hi
 
 
 @pytest.mark.parametrize("seed", ["-1", "x"])

@@ -5,6 +5,7 @@ import itertools
 import math
 import pickle
 import tracemalloc
+import warnings
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -14,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 import zerorate as zr
 from zerorate import decoder
-from zerorate.decoder import _metric_counts
+from zerorate.decoder import _metric_table
 
-from conftest import random_codebook, random_full_support_pair
+from conftest import metric_onehot, random_codebook, random_full_support_pair
 
 F = Fraction
 
@@ -137,7 +138,7 @@ def test_equal_metric_counts_mean_equal_products():
     W = ((F(1, 3), F(1, 3), F(1, 3), F(0)), (F(1, 4),) * 4)
     q = ((F(2, 3), F(4, 9), F(6), F(0)), (F(1, 6), F(3, 4), F(1), F(2, 3)))
     pair = zr.pair_from_rows(W, q)
-    vec = _metric_counts(pair)
+    vec = metric_onehot(pair)
     assert vec.shape == (2, 4, 6)
     assert not vec[0, 3].any()
     assert (vec[0, 0] == vec[1, 3]).all()
@@ -156,27 +157,70 @@ def test_equal_metric_counts_mean_equal_products():
 
 
 def test_metric_tables_are_kept_on_the_pair():
-    """Both decoders read the value counts and the channel's integer rows
-    that the pair object keeps; the counts are read-only."""
+    """Both decoders read the metric table and the channel's integer rows
+    that the pair object keeps; the table's arrays are read-only."""
     W = ((F(1, 3), F(1, 3), F(1, 3), F(0)), (F(1, 4),) * 4)
     q = ((F(2, 3), F(4, 9), F(6), F(0)), (F(1, 6), F(3, 4), F(1), F(2, 3)))
     pair = zr.pair_from_rows(W, q)
-    vec, values = _metric_counts(pair), decoder._metric_values(pair)
-    assert not vec.flags.writeable
-    with pytest.raises(ValueError):
-        vec[0, 0, 0] = 2
-    assert values == (F(1, 6), F(4, 9), F(2, 3), F(3, 4), F(1), F(6))
+    table = _metric_table(pair)
+    for array in (table.index, table.zero, table.logs):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 2
+    assert table.values == (F(1, 6), F(4, 9), F(2, 3), F(3, 4), F(1), F(6))
     w_rows, _ = zr.channel.integer_view(pair)
     assert w_rows.dens == (3, 4) and w_rows.nums == ((1, 1, 1, 0), (1, 1, 1, 1))
     code = zr.Codebook(((0, 1, 0), (1, 0, 1)), 2)
     zr.exact_error_probabilities(pair, code)
     zr.monte_carlo_error(pair, code, trials=10, seed=1)
-    assert _metric_counts(pair) is vec and decoder._metric_values(pair) is values
+    assert _metric_table(pair) is table
     assert zr.channel.integer_view(pair)[0] is w_rows
-    # a pickled pair carries its fields only and builds its own read-only tables
+    # a pickled pair carries its fields only and builds its own read-only table
     twin = pickle.loads(pickle.dumps(pair))
-    assert twin == pair and "_metric_counts" not in vars(twin)
-    assert not _metric_counts(twin).flags.writeable
+    assert twin == pair and "_metric_table" not in vars(twin)
+    assert not _metric_table(twin).index.flags.writeable
+
+
+@given(pairs_with_zeros())
+@settings(max_examples=60, deadline=None)
+def test_metric_table_matches_the_metric_entries(pair):
+    table = _metric_table(pair)
+    q = np.array(pair.q, dtype=object)
+    assert (table.zero == (q == 0)).all()
+    assert list(table.values) == sorted(set(q[q > 0]))
+    for (x, y), v in np.ndenumerate(q):
+        if v > 0:
+            assert table.values[table.index[x, y]] == v
+            assert table.logs[x, y] == zr.channel._log(v)
+        else:
+            assert table.index[x, y] == 0 and table.logs[x, y] == 0.0
+
+
+def _underflow_pair():
+    """A matched pair whose row 0 holds the metric entry 10**-400, far below the
+    smallest float, next to a BSC(1/4) row."""
+    tiny = F(1, 10**400)
+    rows = ((1 - tiny, tiny), (F(1, 4), F(3, 4)))
+    return zr.pair_from_rows(rows, rows)
+
+
+UNDERFLOW_BOOK = ((0, 0, 1), (1, 1, 0))
+
+
+def test_monte_carlo_scores_a_metric_entry_below_the_float_range():
+    pair = _underflow_pair()
+    assert np.isfinite(_metric_table(pair).logs).all()
+    exact = zr.exact_error_probabilities(pair, UNDERFLOW_BOOK)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        mc = zr.monte_carlo_error(pair, UNDERFLOW_BOOK, trials=20000, seed=0)
+    lo, hi = mc.confidence_interval
+    assert lo <= exact.average <= hi
+    # each message is sent on at least 9000 of the 20000 trials, and a smaller
+    # count only widens its 95% Wilson interval
+    for p, e in zip(mc.per_message, exact.per_message):
+        lo, hi = decoder._wilson(round(p * 9000), 9000)
+        assert lo <= e <= hi
 
 
 def test_monte_carlo_ties_dependent_products_through_the_fallback():
@@ -210,6 +254,10 @@ def test_all_zero_metric_ties_every_output():
     exact = zr.exact_error_probabilities(pair, ((0, 1), (1, 0)))
     assert exact.per_message == (F(1, 2), F(1, 2))
     assert exact.tie_mass == 1
+    table = _metric_table(pair)
+    assert table.values == () and table.zero.all()
+    assert table.index.shape == table.logs.shape == (2, 2)
+    assert not table.index.any() and not table.logs.any()
 
 
 def test_exact_budget_overflow_raises(bsc_pair):

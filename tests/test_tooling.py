@@ -209,20 +209,29 @@ def test_book_letter_pairs_are_one_float_product():
 
 
 def test_decoders_key_on_metric_counts():
-    """Both decoders key outputs on ``_metric_counts`` value counts: no
-    function they reach in ``decoder.py`` builds a ``Fraction`` in a loop,
-    so a rational ratio or product can no longer serve as a key.
-    ``monte_carlo_error`` draws its tie picks once per scored block, at
-    the loop depth of the block's scoring product, never per trial."""
-    tree = ast.parse((ROOT / "src" / "zerorate" / "decoder.py").read_text())
+    """Both decoders key outputs on the value indices of the one metric
+    table, ``_metric_table``: ``decoder.py`` holds no other metric view
+    (no ``_metric_counts``, ``_metric_values`` or ``np.log``), and
+    ``monte_carlo_error`` reads no ``pair.q``.  No function the decoders
+    reach in ``decoder.py`` builds a ``Fraction`` in a loop, so a rational
+    ratio or product can no longer serve as a key.  ``monte_carlo_error``
+    draws its tie picks once per scored block, at the loop depth of the
+    block's scoring product, never per trial."""
+    source = (ROOT / "src" / "zerorate" / "decoder.py").read_text()
+    tree = ast.parse(source)
     funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
     above = _loops_above(tree)
+    for banned in ("_metric_counts", "_metric_values", "np.log"):
+        assert banned not in source, f"decoder.py still uses {banned}"
 
     def called(fn):
         return {ast.unparse(n.func) for n in ast.walk(fn) if isinstance(n, ast.Call)}
 
+    q_reads = [n.lineno for n in ast.walk(funcs["monte_carlo_error"])
+               if isinstance(n, ast.Attribute) and ast.unparse(n) == "pair.q"]
+    assert q_reads == [], f"monte_carlo_error reads pair.q on lines {q_reads}"
     for name in ("exact_error_probabilities", "monte_carlo_error"):
-        assert "_metric_counts" in called(funcs[name]), f"{name} does not key on _metric_counts"
+        assert "_metric_table" in called(funcs[name]), f"{name} does not key on _metric_table"
         reached, todo = set(), [name]
         while todo:
             fn = todo.pop()
