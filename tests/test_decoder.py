@@ -17,7 +17,7 @@ import zerorate as zr
 from zerorate import decoder
 from zerorate.decoder import _metric_table
 
-from conftest import metric_onehot, random_codebook, random_full_support_pair
+from conftest import metric_onehot, random_admissible_pair, random_codebook, random_full_support_pair
 
 F = Fraction
 
@@ -375,6 +375,15 @@ MONTE_CARLO_PINS.update({
     ("generic", "equiprobable", 3072): (791, 0, '067e03d326a240cf'),
 })
 
+# Recorded before Monte Carlo scored blocks from their step indicators.
+# "quinary" is a seeded admissible pair with five outputs (four threshold
+# comparisons per position), one of them never sent, and five zero metric
+# entries, three of them in output columns the channel reaches.
+MONTE_CARLO_PINS.update({
+    ("quinary", "equiprobable", 1025): (443, 33, 'a74b794bc4875373'),
+    ("quinary", "genie_correct", 8193): (3457, 275, '794307604132ceae'),
+})
+
 
 def _monte_carlo_book(name, request):
     if name == "typewriter":
@@ -392,6 +401,9 @@ def _monte_carlo_book(name, request):
             W[x][x] = F(3, 5)
         q = [[F(7, 10), F(1, 5), F(1, 10)], [F(2, 7), F(4, 7), F(1, 7)], [F(1, 6), F(1, 3), F(1, 2)]]
         return zr.pair_from_rows(W, q), random_codebook(np.random.default_rng(13), 16, 8, 3)
+    if name == "quinary":
+        pair = random_admissible_pair(np.random.default_rng(1), nx=3, ny=5)
+        return pair, random_codebook(np.random.default_rng(101), 6, 8, 3)
     if name == "leaders":
         W = [[F(1, 2), F(1, 2)], [F(1, 3), F(2, 3)]]
         q = [[F(4, 9), F(1)], [F(2, 3), F(2, 3)]]
