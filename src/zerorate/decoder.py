@@ -10,12 +10,14 @@ Exact mode keys the output compositions of each letter-pair cell by the
 two words' count difference, carries integer masses over each word's
 fixed denominator, convolves the cells without visiting every
 conditional type, and classifies each final key once by one exact
-comparison of integer products.  Monte Carlo mode samples, scores each
-block of trials against every codeword with one matrix product of the
-table's logs, finite for an entry of any size, and re-checks anything
-within float distance of the top exactly from the same counts, so tie
-events are decided by arithmetic rather than rounding; the winners, tie
-events and tie draws of a block are array steps.
+comparison of integer products.  Monte Carlo mode samples a block of
+trials as step indicators (the channel thresholds each draw reaches),
+scores it against every codeword with one matrix product of the steps
+and the table's log increments, finite for an entry of any size, and
+re-checks anything within float distance of the top exactly from the
+value counts at the outputs the steps sum to, so tie events are decided
+by arithmetic rather than rounding; the winners, tie events and tie
+draws of a block are array steps.
 """
 
 from __future__ import annotations
@@ -336,37 +338,39 @@ def monte_carlo_error(
     """Sampled decoding error of a codebook of any size.
 
     Messages are drawn uniformly, outputs from the channel, and the
-    decoder compares log metrics in floats.  A block of trials samples
-    its outputs by comparing its uniform draws with its messages' rows
-    of the per-word channel thresholds (the cumulative channel entries
-    of each word's letters), writes them as a one-hot matrix over
-    (position, output) with one flat index, and scores every codeword
-    with one product against the per-word matrix of the metric table's
-    logs (:func:`_metric_table`), finite however small the entry.  A zero
-    metric entry has no finite log, so it enters that product as 0 and
-    a second product counts each word's zero entries; a word with any is
-    scored ``-inf``.  Any codeword within a small float margin of the
-    leader is re-scored exactly, so winners and ties are decided by
-    exact arithmetic.  The re-check counts how often each distinct
-    metric value occurs in every candidate's product, with one
-    ``bincount`` over the table's value indices of all candidates'
-    entries at their trials' outputs, gathered per word once per call.
-    When all candidates of a trial share one count vector they are
-    exactly the tied leaders, and only a trial whose vectors differ
-    compares ``prod v^c`` across its candidates, as integer products
-    (:func:`_leaders`).  Errors and tie events of a block follow from
-    the winner mask by array steps, and the ``equiprobable`` picks of a
-    block are one ``tie_rng`` draw with one bound per tied trial, in
+    decoder compares log metrics in floats.  A block of trials compares
+    its uniform draws with its messages' rows of the per-word channel
+    thresholds (the cumulative channel entries of each word's letters);
+    each comparison is a step indicator, and a position's steps sum to
+    its output.  Every codeword is scored with one product of the steps
+    against the per-word increments of the metric table's logs
+    (:func:`_metric_table`) from one output to the next, added to the
+    word's log metric at output 0, finite however small the entry.  A
+    zero metric entry has no finite log, so it enters that product as 0
+    and a second product counts each word's zero entries the same way; a
+    word with any is scored ``-inf``.  Any codeword within a small float
+    margin of the leader is re-scored exactly, so winners and ties are
+    decided by exact arithmetic.  The re-check counts how often each
+    distinct metric value occurs in every candidate's product, with one
+    ``bincount`` over the table's value indices of the candidates'
+    letters at their trials' outputs.  When all candidates of a trial
+    share one count vector they are exactly the tied leaders, as are all
+    words of a trial whose best score is ``-inf`` (every product zero,
+    as the exact decoder's two zeros tie); only a trial whose vectors
+    differ compares ``prod v^c`` across its candidates, as integer
+    products (:func:`_leaders`).  Errors and tie events of a block follow
+    from the winner mask by array steps, and the ``equiprobable`` picks
+    of a block are one ``tie_rng`` draw with one bound per tied trial, in
     trial order, which takes the same stream as one draw per trial.
 
     The stream splits into fixed chunks with spawned seeds, making the
     result reproducible and the merge order-independent.  Each chunk
     draws its messages first and then its outputs block by block, which
     is the same random stream as one draw.  The thresholds, the scoring
-    matrices, the value-index table and the working arrays of one block
-    are built once per call; each block fills the leading rows of the
-    working arrays in place, so memory does not grow with ``trials`` and
-    no block allocates a working array of its own.
+    matrices and the working arrays of one block are built once per call;
+    each block fills the leading rows of the working arrays in place, so
+    memory does not grow with ``trials`` and no block allocates a working
+    array of its own.
     """
     trials, seed = _checked_int("trials", trials, 1), _checked_int("seed", seed, 0, ValidationError)
     if tie_policy not in TIE_POLICIES:
@@ -377,38 +381,33 @@ def monte_carlo_error(
 
     cum = np.cumsum(np.array([[float(v) for v in row] for row in pair.W]), axis=1)
     values, value_of, zero, lq = _metric_table(pair)
-    n_values = len(values)
+    width = max(len(values), 1)     # an all-zero metric has no values
     # thresholds[k, m, t] is the k-th cumulative channel entry of word m's
-    # letter at position t; cum is nondecreasing along y, so counting the
-    # thresholds a uniform draw reaches gives its output, and leaving out
-    # the last column clips y at ny - 1.
+    # letter at position t.  Step k at t is the indicator that the uniform
+    # draw reaches it; cum is nondecreasing along y, so a position's steps
+    # sum to its output, and leaving out the last column clips y at ny - 1.
     thresholds = np.ascontiguousarray(cum[:, :-1].T[:, wd])
-    # Row t*ny + y of the scoring matrices belongs to output y at position t;
-    # zero metric entries score 0 in ``lmat`` and are counted by ``zmat``.
-    lmat = lq[wd].reshape(m_count, n * ny).T
-    zmat = zero[wd].reshape(m_count, n * ny).T.astype(float) if zero.any() else None
-    # value_index[m * n * ny + t * ny + y] indexes word m's metric entry at
-    # position t and output y among the distinct values; near candidates
-    # have no zero entry, so the index 0 a zero entry gets is never read.
-    value_index = value_of[wd].reshape(-1)
 
-    sizes = [_CHUNK] * (trials // _CHUNK)
-    if trials % _CHUNK:
-        sizes.append(trials % _CHUNK)
+    def scoring(table):
+        """Each word's sum of ``table`` at output 0, and the matrix whose row
+        k*n + t holds ``table[x, k+1] - table[x, k]`` for its letter x at t."""
+        increments = np.diff(table, axis=1)[wd].transpose(2, 1, 0)
+        return table[wd, 0].sum(axis=1), increments.reshape(-1, m_count)
+
+    # Zero entries score 0 in the logs and are counted from float flags (the
+    # diff of a bool array is an XOR).
+    base_log, step_logs = scoring(lq)
+    base_zero, step_zero = scoring(zero.astype(float)) if zero.any() else (None, None)
+
+    sizes = [min(_CHUNK, trials - lo) for lo in range(0, trials, _CHUNK)]
     children = np.random.SeedSequence(seed).spawn(len(sizes))
 
     # Working arrays of the largest block; each block fills their leading rows.
     rows = min(_BLOCK, sizes[0])
-    reach_buf = np.empty((rows, n), dtype=bool)
-    index_buf = np.empty((rows, n), dtype=np.int64)
-    # Output y at position t of row r sits at r*n*ny + t*ny + y of the flat
-    # one-hot.  Until a block's outputs are known it holds the block's uniform
-    # draws and thresholds, so it has room for two floats per position.
-    row_start = np.arange(rows)[:, None] * (n * ny)
-    letter_start = np.arange(n) * ny
-    flat_onehot = np.zeros(rows * n * max(ny, 2))
+    u_buf, cut_buf = np.empty((2, rows, n))
+    step_buf = np.empty((rows, ny - 1, n))
     score_buf = np.empty((rows, m_count))
-    zero_buf = np.empty((rows, m_count)) if zmat is not None else None
+    zero_buf = np.empty((rows, m_count)) if step_zero is not None else None
 
     errors = np.zeros(m_count, dtype=np.int64)
     sent = np.zeros(m_count, dtype=np.int64)
@@ -423,19 +422,18 @@ def monte_carlo_error(
         for lo in range(0, size, _BLOCK):
             msgs = chunk_msgs[lo:lo + _BLOCK]
             b = len(msgs)
-            u = rng.random(out=flat_onehot[:b * n].reshape(b, n))
-            cut = flat_onehot[b * n:2 * b * n].reshape(b, n)
-            index = np.add(row_start[:b], letter_start, out=index_buf[:b])
+            u = rng.random(out=u_buf[:b])
+            steps = step_buf[:b]
             for k in range(ny - 1):
-                np.take(thresholds[k], msgs, axis=0, out=cut, mode="clip")
-                index += np.greater_equal(u, cut, out=reach_buf[:b])
+                np.take(thresholds[k], msgs, axis=0, out=cut_buf[:b], mode="clip")
+                np.greater_equal(u, cut_buf[:b], out=steps[:, k])
 
-            onehot = flat_onehot[:b * n * ny].reshape(b, n * ny)
-            onehot.fill(0.0)
-            flat_onehot[index] = 1.0
-            scores = np.matmul(onehot, lmat, out=score_buf[:b])
-            if zmat is not None:
-                scores[np.matmul(onehot, zmat, out=zero_buf[:b]) > 0] = -INF
+            flat = steps.reshape(b, (ny - 1) * n)
+            scores = np.matmul(flat, step_logs, out=score_buf[:b])
+            scores += base_log
+            if step_zero is not None:
+                zeros = np.matmul(flat, step_zero, out=zero_buf[:b])
+                scores[zeros + base_zero > 0] = -INF
             top = scores.argmax(axis=1)
             best = scores[np.arange(b), top]
             margin = _NEAR_TIE * np.maximum(1.0, np.abs(best))
@@ -447,23 +445,23 @@ def monte_carlo_error(
             err_mask = top != msgs
 
             # Exact re-check of the near candidates of every hard trial, grouped
-            # by trial.  The sent word's metric is positive, so every near
-            # candidate's is too.
+            # by trial.  A finite best score makes every near candidate's
+            # metric positive; a best of -inf (every product zero, which no
+            # admissible pair allows for the sent word) ties every word.
             hard = np.nonzero(~easy)[0]
             truth = msgs[hard]
             group, cand = np.nonzero(near[hard])
-            # index[r] holds r*n*ny + t*ny + y_t; shifted by (c - r)*n*ny it reads
-            # candidate c's value index at each of trial r's outputs, and one
-            # bincount tallies them per candidate.
-            trial = hard[group]
-            keys = value_index[index[trial] + ((cand - trial) * (n * ny))[:, None]]
-            keys += np.arange(len(cand))[:, None] * n_values
-            acc = np.bincount(keys.ravel(), minlength=len(cand) * n_values).reshape(-1, n_values)
-            # A trial is settled when all its candidates share one vector: they
-            # are then exactly its tied leaders.  Only the others compare
-            # products, from the same vectors.
+            # One bincount tallies each candidate's value indices at its
+            # trial's outputs, the sums of the trial's steps.
+            outputs = steps[hard].sum(axis=1).astype(np.intp)
+            keys = value_of[wd[cand], outputs[group]]
+            keys += np.arange(len(cand))[:, None] * width
+            acc = np.bincount(keys.ravel(), minlength=len(cand) * width).reshape(-1, width)
+            # A trial is settled when all its candidates share one vector, or
+            # when its best is -inf: they are then exactly its tied leaders.
+            # Only the others compare products, from the same vectors.
             bounds = np.searchsorted(group, np.arange(len(hard) + 1))
-            differs = (acc != acc[bounds[group]]).any(axis=1)
+            differs = (acc != acc[bounds[group]]).any(axis=1) & (best[hard] > -INF)[group]
             unsettled = np.bincount(group[differs], minlength=len(hard)) > 0
             win = ~unsettled[group]         # the unsettled trials' rows are set below
             for j in np.nonzero(unsettled)[0]:

@@ -255,6 +255,18 @@ def metric_onehot(pair):
     return onehot
 
 
+def simplex_book(k):
+    """The binary simplex (Sylvester-Hadamard) book of dimension ``k``: for
+    every nonzero ``v`` in GF(2)^k the word ``t -> v.t mod 2`` over all ``t``
+    in GF(2)^k, so ``n = 2^k`` and ``M = 2^k - 1``.  Two distinct nonzero
+    functionals take every value pair equally often, so every word pair
+    has joint type ``Q x Q`` with ``Q`` uniform."""
+    words = tuple(
+        tuple(bin(v & t).count("1") % 2 for t in range(2**k)) for v in range(1, 2**k)
+    )
+    return zr.Codebook(words, 2)
+
+
 def random_codebook(rng, n, m, nx):
     words = tuple(tuple(int(v) for v in rng.integers(0, nx, n)) for _ in range(m))
     return zr.Codebook(words, nx)

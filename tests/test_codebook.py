@@ -20,6 +20,7 @@ from conftest import (
     random_full_support_pair,
     scalar_sequence,
     scalar_sup,
+    simplex_book,
     tail_sign,
 )
 
@@ -158,6 +159,24 @@ def test_d_min_two_letter_fixture(bsc_pair):
     assert mat[0, 1] == pytest.approx(value, abs=1e-12)
     assert np.all(np.diag(mat) == 0.0)
     assert mat[0, 2] >= mat[0, 1] - 1e-12
+
+
+@pytest.mark.parametrize("crossover", [F(1, 10), F(1, 4), F(1, 3)])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_simplex_books_attain_the_exponent(crossover, k):
+    """Every word pair of a binary simplex book has joint type Q x Q with Q
+    uniform, the pair the matched BSC's zero-rate exponent is attained at,
+    so the book's minimum distance is the exponent itself."""
+    rows = ((1 - crossover, crossover), (crossover, 1 - crossover))
+    pair = zr.pair_from_rows(rows, rows)
+    book = simplex_book(k)
+    assert (book.n, book.size) == (2**k, 2**k - 1)
+    words = np.array(book.words)
+    letter_pairs = 2 * words[:, None, :] + words[None, :, :]
+    counts = (letter_pairs[..., None] == np.arange(4)).sum(axis=2)
+    assert (counts[~np.eye(book.size, dtype=bool)] == 2 ** (k - 2)).all()
+    value, _ = zr.d_min(pair, book)
+    assert value == zr.zero_rate_exponent(pair).value
 
 
 def test_d_min_counts_a_supremum_at_zero_tilt_as_exactly_zero():

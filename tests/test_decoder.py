@@ -246,18 +246,42 @@ def test_monte_carlo_near_tie_with_unequal_vectors_falls_back_to_exact():
     assert out.tie_mass == 0
 
 
+def _within_four_standard_errors(sampled, exact, trials):
+    p = float(exact)
+    return abs(sampled - p) <= 4 * math.sqrt(p * (1 - p) / trials)
+
+
 def test_all_zero_metric_ties_every_output():
-    # Admissible pairs never zero the sent word's metric, so this pins the
-    # exact decoder's tie rule on a pair the validator would reject.
+    # Admissible pairs never zero the sent word's metric, so this pins both
+    # decoders' tie rule on a pair the validator would reject.
     rows = ((F(3, 4), F(1, 4)), (F(1, 4), F(3, 4)))
     pair = SimpleNamespace(nx=2, ny=2, W=rows, q=((F(0), F(0)), (F(0), F(0))))
-    exact = zr.exact_error_probabilities(pair, ((0, 1), (1, 0)))
+    code = ((0, 1), (1, 0))
+    exact = zr.exact_error_probabilities(pair, code)
     assert exact.per_message == (F(1, 2), F(1, 2))
     assert exact.tie_mass == 1
     table = _metric_table(pair)
     assert table.values == () and table.zero.all()
     assert table.index.shape == table.logs.shape == (2, 2)
     assert not table.index.any() and not table.logs.any()
+    mc = zr.monte_carlo_error(pair, code, trials=4000, seed=0)
+    assert mc.tie_mass == 1.0
+    assert _within_four_standard_errors(mc.average, exact.average, 4000)
+
+
+def test_a_metric_zero_at_both_words_ties_that_output():
+    # Word (0, 1) scores 1/2 when y1 = 0 and 0 otherwise, word (1, 0) scores
+    # 1/2 when y2 = 0: outputs (0, 0) tie at 1/2 and (1, 1) tie at zero, each
+    # with probability 3/16 under either word.
+    rows = ((F(3, 4), F(1, 4)), (F(1, 4), F(3, 4)))
+    pair = SimpleNamespace(nx=2, ny=2, W=rows, q=((F(1), F(0)), (F(1, 2), F(1, 2))))
+    code = ((0, 1), (1, 0))
+    exact = zr.exact_error_probabilities(pair, code)
+    assert exact.per_message == (F(1, 4), F(1, 4))
+    assert exact.tie_mass == F(3, 8)
+    mc = zr.monte_carlo_error(pair, code, trials=20000, seed=0)
+    assert _within_four_standard_errors(mc.average, exact.average, 20000)
+    assert _within_four_standard_errors(mc.tie_mass, exact.tie_mass, 20000)
 
 
 def test_exact_budget_overflow_raises(bsc_pair):

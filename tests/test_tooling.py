@@ -212,7 +212,10 @@ def test_decoders_key_on_metric_counts():
     """Both decoders key outputs on the value indices of the one metric
     table, ``_metric_table``: ``decoder.py`` holds no other metric view
     (no ``_metric_counts``, ``_metric_values`` or ``np.log``), and
-    ``monte_carlo_error`` reads no ``pair.q``.  No function the decoders
+    ``monte_carlo_error`` reads no ``pair.q``.  Monte Carlo scores a block
+    from its step indicators, so no one-hot over (position, output) and no
+    flat output index remain (no ``flat_onehot``, ``row_start``,
+    ``letter_start``, ``value_index``, ``lmat`` or ``zmat``).  No function the decoders
     reach in ``decoder.py`` builds a ``Fraction`` in a loop, so a rational
     ratio or product can no longer serve as a key.  ``monte_carlo_error``
     draws its tie picks once per scored block, at the loop depth of the
@@ -221,7 +224,8 @@ def test_decoders_key_on_metric_counts():
     tree = ast.parse(source)
     funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
     above = _loops_above(tree)
-    for banned in ("_metric_counts", "_metric_values", "np.log"):
+    for banned in ("_metric_counts", "_metric_values", "np.log", "flat_onehot", "row_start",
+                   "letter_start", "value_index", "lmat", "zmat"):
         assert banned not in source, f"decoder.py still uses {banned}"
 
     def called(fn):
