@@ -9,7 +9,9 @@ is given; exact rationals are serialized as fraction strings.
 Each subcommand's parser entry declares the documents it reads and the
 checks on its flags; the parser applies the checks, ``run`` reads and
 hashes the documents once each and hands them to the command, which only
-builds its payload.
+builds its payload.  The process keeps the last pair document and the
+last codebook document it parsed, keyed by their text, so commands run
+one after another on one document parse it once.
 
 Exit codes: 0 on success, 2 for malformed input (bad files, unknown
 commands, and flags that are invalid whatever the documents hold), 3 for
@@ -53,7 +55,7 @@ from .exponent import (
     gap_bound,
     zero_rate_exponent,
 )
-from .kernel import PairKernel, write_mu_curve
+from .kernel import _as_kernel, write_mu_curve
 from .zero_error import is_balanced, zero_error_report
 
 _LN2 = math.log(2.0)
@@ -134,6 +136,19 @@ def _at_least(flag: str, low: int):
     return _bounded(int, flag, lambda value: value >= low, f"at least {low}")
 
 
+# One kept document per kind, so the commands on one pair share the tables
+# it keeps.  Each looks ``parse_pair`` / ``parse_codebook`` up when called,
+# so a wrapper set on this module's name sees every parse.
+@functools.lru_cache(maxsize=1)
+def _pair_document(text: str):
+    return parse_pair(text)
+
+
+@functools.lru_cache(maxsize=1)
+def _codebook_document(text: str):
+    return parse_codebook(text)
+
+
 def _load(args) -> tuple[list, dict[str, str]]:
     """Read, hash and parse the documents the subcommand declares, pair first."""
     documents, digests = [], {}
@@ -143,7 +158,7 @@ def _load(args) -> tuple[list, dict[str, str]]:
             raw = fh.read()
         text = raw.decode("utf-8")
         digests[path] = hashlib.sha256(raw).hexdigest()
-        documents.append(parse_pair(text) if flag == "pair" else parse_codebook(text))
+        documents.append(_pair_document(text) if flag == "pair" else _codebook_document(text))
     return documents, digests
 
 
@@ -197,12 +212,12 @@ def _cmd_gap(args, pair):
 
 def _cmd_mu_curve(args, pair):
     s_values = np.linspace(0.0, args.s_max, args.points)
-    rows = write_mu_curve(PairKernel(pair), args.csv, s_values)
+    rows = write_mu_curve(_as_kernel(pair), args.csv, s_values)
     return {"csv": args.csv, "rows": rows, "units": "nats"}
 
 
 def _cmd_dmin(args, pair, code):
-    value, arg = d_min(PairKernel(pair), code)
+    value, arg = d_min(pair, code)
     return {
         "value": _scale(value, args.bits),
         "pair": list(arg),
@@ -218,8 +233,7 @@ def _cmd_komlos(args, code):
 def _cmd_certificate(args, pair, code):
     selected, extraction = komlos_extract(code, t=args.t, target=args.target)
     balanced, _ = is_balanced(pair)
-    kernel = PairKernel(pair) if balanced else RelaxedKernel(pair)
-    report = dmin_certificate(kernel, code, selected, args.t)
+    report = dmin_certificate(pair if balanced else RelaxedKernel(pair), code, selected, args.t)
     return {
         "balanced": balanced,
         "kernel": "raw" if balanced else "relaxed",

@@ -33,7 +33,7 @@ import numpy as np
 
 from .channel import ChannelMetricPair, InputDistribution, _checked_int, _log
 from .errors import BudgetExceededError, InfiniteExponentError, PreconditionError, ValidationError
-from .kernel import PairKernel, _argmax_concave_rows, _check_tilt
+from .kernel import PairKernel, _argmax_concave_rows, _as_kernel, _check_tilt
 from .zero_error import (
     boundary_set_B,
     check_c0bar_zero,
@@ -444,7 +444,7 @@ def expurgated_lower(pair: ChannelMetricPair) -> LowerResult:
     the average zero-error condition.
     """
     _check_zero_error(pair)
-    return _expurgated_lower(PairKernel(pair))
+    return _expurgated_lower(_as_kernel(pair))
 
 
 def _expurgated_lower(kernel: PairKernel) -> LowerResult:
@@ -493,7 +493,7 @@ def zero_rate_exponent(pair: ChannelMetricPair) -> ExponentResult:
     (:func:`expurgated_lower`) and the gap certificate.
     """
     _check_zero_error(pair)
-    kernel = PairKernel(pair)
+    kernel = _as_kernel(pair)
     balanced, _ = is_balanced(pair)
 
     provider: KernelLike = kernel if balanced else RelaxedKernel(pair)

@@ -35,7 +35,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .channel import ChannelMetricPair, _Direction, _letter_pair, _log, _sign_of_power_product
+from .channel import ChannelMetricPair, _Direction, _kept, _letter_pair, _log, _sign_of_power_product
 from .errors import InfiniteExponentError, PreconditionError, ValidationError
 
 INF = math.inf
@@ -537,11 +537,12 @@ class PairKernel:
 
 
 def _as_kernel(pair: Union[ChannelMetricPair, PairKernel]) -> PairKernel:
-    """The kernel itself, or a fresh kernel built from a pair."""
+    """The kernel itself, or the raw kernel of a pair, built on first use and
+    kept on the pair (``PairKernel(pair)`` builds a fresh one)."""
     if isinstance(pair, PairKernel):
         return pair
     if isinstance(pair, ChannelMetricPair):
-        return PairKernel(pair)
+        return _kept(pair, "_kernel", PairKernel)
     raise ValidationError("expected a channel/metric pair or a kernel built from one")
 
 

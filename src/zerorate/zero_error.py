@@ -18,44 +18,21 @@ the average condition, each boundary pair sees one constant metric ratio
 across all relevant outputs.  All comparisons are exact.
 
 Every check reads the exact direction table that the pair builds once
-and shares with the kernels (``pair.directions``).  :func:`extremal_ratios`
-computes the two sides from the matrices instead; no check calls it, so
-it stays an independent oracle for tests.
+and shares with the kernels (``pair.directions``), through the order sign
+of each ordered input pair, which the pair also keeps (:func:`_orders`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import permutations
 from fractions import Fraction
 from typing import Optional, Union
 
-from .channel import ChannelMetricPair, _letter_pair, _sign_of_power_product, integer_view
+from .channel import ChannelMetricPair, _kept, _letter_pair, _sign_of_power_product, integer_view
 from .errors import PreconditionError
 
-INF = math.inf
 ExactRatio = Union[Fraction, float]
-
-
-def extremal_ratios(pair: ChannelMetricPair, a: int, b: int) -> tuple[ExactRatio, Fraction]:
-    """Exact ``(min_side, max_side)`` for the ordered input pair ``(a, b)``,
-    computed from the matrices alone: the oracle the checks are tested
-    against (they read the direction table instead)."""
-    ny = pair.ny
-    min_side: ExactRatio = INF
-    for y in range(ny):
-        if pair.W[a][y] > 0:
-            r: ExactRatio = pair.q[a][y] / pair.q[b][y] if pair.q[b][y] > 0 else INF
-            if r < min_side:
-                min_side = r
-    max_side = Fraction(-1)
-    for y in range(ny):
-        if pair.W[b][y] > 0:
-            r2 = pair.q[a][y] / pair.q[b][y]
-            if r2 > max_side:
-                max_side = r2
-    return min_side, max_side
 
 
 @dataclass(frozen=True)
@@ -99,11 +76,18 @@ def _order(pair: ChannelMetricPair, a: int, b: int) -> int:
     return _sign_of_power_product((fwd.a_min, back.a_min), (1, 1))
 
 
+def _orders(pair: ChannelMetricPair) -> dict[tuple[int, int], int]:
+    """:func:`_order` of every ordered input pair, ``(a, a)`` included (0),
+    built on first use and kept on the pair."""
+    return _kept(pair, "_orders", lambda p: {ab: _order(p, *ab) for ab in p.directions})
+
+
 def check_c0bar_zero(pair: ChannelMetricPair) -> tuple[bool, Optional[RatioWitness]]:
     """Average-sense zero-error capacity is zero iff no ordered pair violates
     ``min_side <= max_side``; on failure the first violating pair is returned."""
+    orders = _orders(pair)
     for a, b in permutations(range(pair.nx), 2):
-        if _order(pair, a, b) > 0:
+        if orders[(a, b)] > 0:
             return False, RatioWitness("ordering_violation", (a, b), *_sides(pair, a, b))
     return True, None
 
@@ -130,13 +114,14 @@ def boundary_set_B(pair: ChannelMetricPair) -> tuple[tuple[int, int], ...]:
     reciprocals of those for ``(a, b)``.  Diagonal pairs always satisfy
     the equality trivially (ratio one) and are omitted.
     """
-    return tuple(ab for ab in permutations(range(pair.nx), 2) if _order(pair, *ab) == 0)
+    orders = _orders(pair)
+    return tuple(ab for ab in permutations(range(pair.nx), 2) if orders[ab] == 0)
 
 
 def boundary_ratio(pair: ChannelMetricPair, a: int, b: int) -> Fraction:
     """The common extremal ratio of a boundary pair (exact)."""
     a, b = _letter_pair(pair.nx, a, b)
-    if _order(pair, a, b) != 0:
+    if _orders(pair)[(a, b)] != 0:
         raise PreconditionError(f"({a},{b}) is not a boundary pair")
     return _sides(pair, a, b)[1]
 

@@ -244,6 +244,27 @@ def scalar_sup(kernel, key):
     return zr.SupResult(s if attained else math.inf, at(s)[0], attained)
 
 
+def extremal_ratios(pair, a, b):
+    """Exact ``(min_side, max_side)`` of the ordered input pair ``(a, b)``,
+    computed from the matrices alone: the smallest ``q(a,y)/q(b,y)`` over
+    outputs ``a`` can produce (``inf`` where ``q(b,y)`` is zero) and the
+    largest over outputs ``b`` can produce.  The zero-error checks read the
+    direction table instead, so this is their oracle."""
+    min_side = math.inf
+    for y in range(pair.ny):
+        if pair.W[a][y] > 0:
+            r = pair.q[a][y] / pair.q[b][y] if pair.q[b][y] > 0 else math.inf
+            if r < min_side:
+                min_side = r
+    max_side = Fraction(-1)
+    for y in range(pair.ny):
+        if pair.W[b][y] > 0:
+            r2 = pair.q[a][y] / pair.q[b][y]
+            if r2 > max_side:
+                max_side = r2
+    return min_side, max_side
+
+
 def metric_onehot(pair):
     """One-hot view of ``decoder._metric_table``: an ``(nx, ny, K)`` int64 array
     whose ``[x, y]`` row marks the position of ``q(x,y)`` among the ``K``

@@ -151,6 +151,23 @@ def test_direction_table_is_built_once_per_pair(monkeypatch, typewriter_pair, bs
     assert pickle.loads(pickle.dumps(typewriter_pair)) == typewriter_pair
 
 
+def test_pair_keeps_its_order_signs_and_raw_kernel(typewriter_pair):
+    """``_orders`` and ``_as_kernel`` are built once and kept on the pair, while
+    ``PairKernel(pair)`` builds a fresh kernel; neither table is pickled."""
+    from zerorate.kernel import _as_kernel
+    from zerorate.zero_error import _orders
+
+    kernel = _as_kernel(typewriter_pair)
+    assert _as_kernel(typewriter_pair) is kernel
+    assert zr.PairKernel(typewriter_pair) is not kernel
+    assert _orders(typewriter_pair) is _orders(typewriter_pair)
+    assert {"_orders", "_kernel"} <= set(vars(typewriter_pair))
+    twin = pickle.loads(pickle.dumps(typewriter_pair))
+    assert twin == typewriter_pair
+    assert not {"_orders", "_kernel"} & set(vars(twin))
+    assert _as_kernel(twin) is not kernel
+
+
 def test_input_distribution_validates():
     zr.InputDistribution((0.5, 0.5))
     with pytest.raises(zr.ValidationError):

@@ -477,3 +477,112 @@ def test_no_command_imports_numpy_ma(bsc_file, tw_file, code_file, big_code_file
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "False"
+
+
+# -- the last pair and codebook documents, kept per process -------------------------
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Empty both document caches and count ``cli.parse_pair`` and
+    ``cli.parse_codebook`` calls, by kind, until the test ends."""
+    calls = {"pair": 0, "code": 0}
+    for kind, name in (("pair", "parse_pair"), ("code", "parse_codebook")):
+        def counting(text, _kind=kind, _parse=getattr(cli, name)):
+            calls[_kind] += 1
+            return _parse(text)
+        monkeypatch.setattr(cli, name, counting)
+    cli._pair_document.cache_clear()
+    cli._codebook_document.cache_clear()
+    yield calls
+    cli._pair_document.cache_clear()
+    cli._codebook_document.cache_clear()
+
+
+def exponent_job(pair_file, csv_path):
+    """The commands an exponent-corpus job runs on one pair document."""
+    pair = ["--pair", pair_file]
+    return [["validate", *pair], ["zero-error", *pair], ["balanced", *pair],
+            ["exponent", *pair], ["gap", *pair],
+            ["mu-curve", *pair, "--csv", csv_path, "--points", "9", "--s-max", "4"]]
+
+
+def book_job(pair_file, code_file):
+    book = ["--code", code_file, "--t", "3", "--target", "4"]
+    return [["komlos", *book], ["certificate", "--pair", pair_file, *book],
+            ["dmin", "--pair", pair_file, "--code", code_file]]
+
+
+def test_a_job_parses_its_pair_document_once(bsc_file, tmp_path, parses, capsys):
+    for argv in exponent_job(bsc_file, str(tmp_path / "mu.csv")):
+        cli.run(argv)
+    capsys.readouterr()
+    assert parses == {"pair": 1, "code": 0}
+
+
+def test_a_rewritten_document_is_parsed_again(bsc_file, parses, capsys):
+    """The key is the text read on each call, not the path."""
+    before = cli.run(["validate", "--pair", bsc_file])
+    Path(bsc_file).write_text(json.dumps(TW_DOC))
+    after = cli.run(["validate", "--pair", bsc_file])
+    capsys.readouterr()
+    assert parses["pair"] == 2
+    assert before["payload"] != after["payload"]
+    assert after["payload"]["input_alphabet"] == ["0", "1", "2"]
+    assert before["input_digest"] != after["input_digest"]
+
+
+def test_an_invalid_document_fails_on_every_call(bsc_file, tmp_path, parses, capsys):
+    """A document that fails validation is not kept, and does not evict the
+    last good one of its kind."""
+    bad_pair = tmp_path / "bad.json"
+    bad_pair.write_text(json.dumps({**BSC_DOC, "W": [["1/2", "1/4"], ["1/4", "3/4"]]}))
+    bad_code = tmp_path / "bad.txt"
+    bad_code.write_text("0 1\n0 1 1\n")
+    cli.run(["validate", "--pair", bsc_file])
+    for _ in range(2):
+        with pytest.raises(zr.ValidationError):
+            cli.run(["validate", "--pair", str(bad_pair)])
+        with pytest.raises(zr.ValidationError):
+            cli.run(["komlos", "--code", str(bad_code), "--t", "2", "--target", "2"])
+    cli.run(["validate", "--pair", bsc_file])
+    capsys.readouterr()
+    assert parses == {"pair": 3, "code": 2}
+
+
+def test_pair_and_codebook_documents_are_kept_side_by_side(bsc_file, big_code_file, parses,
+                                                           capsys):
+    for argv in book_job(bsc_file, big_code_file):
+        cli.run(argv)
+    capsys.readouterr()
+    assert parses == {"pair": 1, "code": 1}
+    for cache in (cli._pair_document, cli._codebook_document):
+        assert cache.cache_info().maxsize == 1
+
+
+def test_kept_documents_give_the_fresh_payloads(bsc_file, tw_file, big_code_file, tmp_path,
+                                                rng, parses, capsys):
+    """Every command of an exponent job and of a book job, on a balanced and
+    an unbalanced pair, returns the same payload (and mu-curve CSV), bit for
+    bit, on the kept document as right after the caches are emptied."""
+    words = tuple(tuple(int(v) for v in rng.integers(0, 3, 12)) for _ in range(10))
+    ternary = tmp_path / "ternary.txt"
+    ternary.write_text(zr.serialize_codebook(zr.Codebook(words, 3)))
+    csv_path = tmp_path / "mu.csv"
+    runs = []
+    for pair_file, code_file in ((bsc_file, big_code_file), (tw_file, str(ternary))):
+        runs += exponent_job(pair_file, str(csv_path)) + book_job(pair_file, code_file)
+
+    def outputs(argv):
+        payload = json.dumps(cli.run(argv)["payload"])
+        return payload, csv_path.read_text() if argv[0] == "mu-curve" else None
+
+    kept = [outputs(argv) for argv in runs]
+    fresh = []
+    for argv in runs:
+        cli._pair_document.cache_clear()
+        cli._codebook_document.cache_clear()
+        fresh.append(outputs(argv))
+    capsys.readouterr()
+    assert kept == fresh
+    assert parses["pair"] == 2 + sum(1 for argv in runs if argv[0] != "komlos")

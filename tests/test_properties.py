@@ -8,6 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 import zerorate as zr
 
+from conftest import extremal_ratios
+from test_decoder import pairs_with_zeros
+
 F = Fraction
 
 
@@ -162,7 +165,7 @@ def test_tie_ordering_property(pair, n, word_bits):
 @given(near_useless_pairs())
 @settings(max_examples=40, deadline=None)
 def test_near_useless_channels_decide_like_the_oracle(pair):
-    sides = {(a, b): zr.extremal_ratios(pair, a, b)
+    sides = {(a, b): extremal_ratios(pair, a, b)
              for a in range(pair.nx) for b in range(pair.nx) if a != b}
     c0bar = all(lo <= hi for lo, hi in sides.values())
     boundary = tuple(ab for ab, (lo, hi) in sides.items() if lo == hi)
@@ -191,3 +194,44 @@ def test_huge_tilts_give_finite_kernel_values(pair, s):
             if not k.empty_support(a, b):
                 assert math.isfinite(k.mu(a, b, s))
                 assert math.isfinite(k.mu_prime(a, b, s))
+
+
+@given(st.one_of(full_support_pairs(), near_useless_pairs(), pairs_with_zeros()))
+@settings(max_examples=150, deadline=None)
+def test_kept_order_signs_decide_like_the_oracle(pair):
+    """``check_c0bar_zero``, ``boundary_set_B``, ``is_balanced`` and
+    ``boundary_ratio`` read the order signs the pair keeps; on pairs with
+    and without zeros they agree with the extremal ratios of the matrices."""
+    sides = {(a, b): extremal_ratios(pair, a, b)
+             for a in range(pair.nx) for b in range(pair.nx) if a != b}
+    violations = [ab for ab, (lo, hi) in sides.items() if lo > hi]
+    boundary = tuple(ab for ab, (lo, hi) in sides.items() if lo == hi)
+    ok, witness = zr.check_c0bar_zero(pair)
+    assert ok == (not violations)
+    if violations:
+        assert witness.pair == violations[0]
+        assert (witness.min_ratio, witness.max_ratio) == sides[violations[0]]
+    assert zr.boundary_set_B(pair) == boundary
+    for a in range(pair.nx):
+        assert zr.boundary_ratio(pair, a, a) == 1
+    for ab, (lo, hi) in sides.items():
+        if ab in boundary:
+            assert zr.boundary_ratio(pair, *ab) == hi
+        else:
+            with pytest.raises(zr.PreconditionError):
+                zr.boundary_ratio(pair, *ab)
+
+    def ratios(a, b):
+        return {pair.q[a][y] / pair.q[b][y] for y in range(pair.ny)
+                if pair.q[a][y] > 0 and pair.q[b][y] > 0
+                and (pair.W[a][y] > 0 or pair.W[b][y] > 0)}
+
+    uneven = [ab for ab in boundary if len(ratios(*ab)) > 1]
+    balanced, violation = zr.is_balanced(pair)
+    assert balanced == (not violations and not uneven)
+    if violations or not uneven:
+        assert violation is None
+    else:
+        assert violation.pair == uneven[0]
+        assert set(violation.ratios) <= ratios(*uneven[0])
+        assert violation.ratios[0] != violation.ratios[1]

@@ -3,13 +3,16 @@ Q-maximizer (no name of the projected-gradient fallback or of the search
 options left in the package, no method, options or seed parameter, and
 the tail candidate one ``_q_max`` call in no loop), the Monte Carlo
 commands as the only ones with a ``--seed``, the one float evaluator
-of the kernel, the zero-error oracle that production code must not call,
+of the kernel, the zero-error oracle, whose name appears nowhere in the package,
 the book-level distance functions that must not fall back to a per-pair
 loop, the book's letter-pair counts as one float product (no ``einsum`` in
 ``codebook.py``), the decoders' integer keys, Monte Carlo's one tie draw per block
 and its block loop that allocates no working array, the pair's
 validation and direction builder, which divide no rationals, the CLI
-commands, which load no document of their own, and the batched tilt
+commands, which load no document of their own, ``cli._load``, which
+parses through the kept last document of each kind, the kept kernel and
+order signs (no ``PairKernel(`` in ``cli.py`` or ``exponent.py``, no
+``_order(`` outside ``_orders``), and the batched tilt
 maximizations: ``s_cap`` and the certificate solve no curve one at a
 time, the row-wise maximizer, the closed-form tails and the scalar
 interior solve run only under ``_sup_rows``, ``sequence_sup`` and
@@ -129,17 +132,33 @@ def test_kernel_exponentials_stay_in_the_evaluator():
 
 
 def test_package_never_reads_the_extremal_ratios_oracle():
-    """``zero_error.extremal_ratios`` recomputes the two sides of a pair from
-    the matrices; tests compare the table-based checks against it, which
-    only means something while no package code uses it."""
-    for path in sorted((ROOT / "src" / "zerorate").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        uses = [
-            n.lineno for n in ast.walk(tree)
-            if (isinstance(n, ast.Name) and n.id == "extremal_ratios")
-            or (isinstance(n, ast.Attribute) and n.attr == "extremal_ratios")
-        ]
-        assert uses == [], f"{path.name} reads extremal_ratios on lines {uses}"
+    """The extremal-ratio oracle recomputes the two sides of a pair from the
+    matrices; tests compare the table-based checks against it, which only
+    means something while the package has no such code.  It lives in
+    ``tests/conftest.py``, and its name appears in no file under ``src/``."""
+    for path in sorted((ROOT / "src").rglob("*")):
+        if path.is_file() and "__pycache__" not in path.parts:
+            assert "extremal_ratios" not in path.read_text(), f"{path.name} names extremal_ratios"
+
+
+def test_pair_tables_are_kept_not_rebuilt():
+    """The commands and the exponent routes take a pair's raw kernel from
+    ``_as_kernel``, which keeps it on the pair, so ``cli.py`` and
+    ``exponent.py`` build no ``PairKernel(`` of their own; and the
+    zero-error checks read the order signs the pair keeps, so only the
+    ``_orders`` builder calls ``_order(``."""
+    for name in ("cli.py", "exponent.py"):
+        tree = ast.parse((ROOT / "src" / "zerorate" / name).read_text())
+        builds = [n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.Call) and ast.unparse(n.func).rsplit(".", 1)[-1] == "PairKernel"]
+        assert builds == [], f"{name} builds a PairKernel on lines {builds}"
+    tree = ast.parse((ROOT / "src" / "zerorate" / "zero_error.py").read_text())
+    builder = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_orders")
+    inside = set(ast.walk(builder))
+    orders = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call)
+              and ast.unparse(n.func) == "_order" and n not in inside]
+    assert orders == [], f"zero_error.py calls _order outside _orders on lines {orders}"
+    assert any(isinstance(n, ast.Call) and ast.unparse(n.func) == "_order" for n in inside)
 
 
 def test_pair_checks_and_direction_builder_divide_nothing():
@@ -289,6 +308,17 @@ def test_cli_commands_only_build_payloads():
     for fn in commands:
         called = {ast.unparse(n.func).rsplit(".", 1)[-1] for n in ast.walk(fn) if isinstance(n, ast.Call)}
         assert not called & loaders, f"{fn.name} calls {sorted(called & loaders)}"
+
+
+def test_cli_load_reads_documents_through_the_caches():
+    """``cli._load`` parses no document itself: it reads each through the
+    kept last document of its kind, ``_pair_document`` or
+    ``_codebook_document``."""
+    tree = ast.parse((ROOT / "src" / "zerorate" / "cli.py").read_text())
+    load = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_load")
+    called = {ast.unparse(n.func) for n in ast.walk(load) if isinstance(n, ast.Call)}
+    assert not called & {"parse_pair", "parse_codebook"}, f"_load calls {sorted(called)}"
+    assert {"_pair_document", "_codebook_document"} <= called
 
 
 def _callers(name):

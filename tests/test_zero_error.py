@@ -7,7 +7,7 @@ import pytest
 
 import zerorate as zr
 
-from conftest import random_admissible_pair, random_full_support_pair
+from conftest import extremal_ratios, random_admissible_pair, random_full_support_pair
 
 F = Fraction
 
@@ -65,7 +65,7 @@ def test_extremal_ratios_match_kernel_route(rng):
             for b in range(pair.nx):
                 if a == b:
                     continue
-                min_side, max_side = zr.extremal_ratios(pair, a, b)
+                min_side, max_side = extremal_ratios(pair, a, b)
                 assert min_side == k.extreme_ratio(a, b)
                 assert isinstance(max_side, Fraction)
 
@@ -83,12 +83,12 @@ def test_witness_actually_violates(rng):
             for a in a_all:
                 for b in b_all:
                     if a != b:
-                        mn, mx = zr.extremal_ratios(pair, a, b)
+                        mn, mx = extremal_ratios(pair, a, b)
                         assert mn <= mx
         else:
             seen_failures += 1
             a, b = witness.pair
-            mn, mx = zr.extremal_ratios(pair, a, b)
+            mn, mx = extremal_ratios(pair, a, b)
             assert mn > mx
             assert witness.min_ratio == mn
             assert witness.max_ratio == mx
@@ -111,7 +111,7 @@ def test_boundary_set_members_have_tight_ratios(rng, typewriter_pair):
             for b in range(pair.nx):
                 if a == b:
                     continue
-                mn, mx = zr.extremal_ratios(pair, a, b)
+                mn, mx = extremal_ratios(pair, a, b)
                 if (a, b) in boundary:
                     assert mn == mx
                 elif mn <= mx:
