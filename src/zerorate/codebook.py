@@ -14,6 +14,7 @@ objective.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -280,9 +281,10 @@ def komlos_asymmetry_bound(m_hat: int, spread: Union[float, Fraction]) -> float:
     """Cap on |P(a,b) - P(b,a)| over a subcode whose pair types all sit
     within ``spread`` of a common matrix, entry by entry."""
     m_hat = _checked_int("m_hat", m_hat, 2)
-    d = float(spread)
-    if not (math.isfinite(d) and d >= 0):
+    # compared exactly, so a rational too large for a float fails rather than overflows
+    if not 0 <= spread <= sys.float_info.max:
         raise PreconditionError("spread must be finite and nonnegative")
+    d = float(spread)
     return 6.0 / math.sqrt(m_hat) + 4.0 * math.sqrt(d) + 4.0 * d
 
 

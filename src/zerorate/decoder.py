@@ -1,6 +1,6 @@
 """Decoder evaluation lab: exact and sampled error probabilities of the
 fixed-metric rule, the tilted finite-blocklength lower bounds, and the
-method-of-types utilities used to sanity-check them.
+empirical convergence of the repeated-letter pair's error exponent.
 
 The decoder picks the codeword maximizing the product metric, breaking
 ties by policy.  Both modes read the metric through one table kept on
@@ -22,17 +22,16 @@ draws of a block are array steps.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .channel import ChannelMetricPair, _checked_int, _kept, _letter_pair, _log, _sign_of_power_product, integer_view
-from .errors import BudgetExceededError, PreconditionError, ValidationError, ZerorateError
-from .kernel import INF, _as_kernel, _checked_words, joint_counts
+from .errors import BudgetExceededError, PreconditionError, ValidationError
+from .kernel import INF, _as_kernel, _check_tilt, _checked_words
 
 __all__ = [
     "TIE_POLICIES",
@@ -43,9 +42,6 @@ __all__ = [
     "tilted_error_lower_bound",
     "sup_error_lower_bound",
     "type_counting_slack",
-    "type_class_probability",
-    "conditional_types",
-    "quantize_to_type",
     "EmpiricalPoint",
     "empirical_exponent",
 ]
@@ -515,6 +511,7 @@ def tilted_error_lower_bound(pair, x1: Sequence[int], x2: Sequence[int], s: floa
     errors.
     """
     kernel = _as_kernel(pair)
+    s = _check_tilt("tilted_error_lower_bound", s, kernel.s_limit)
     mu, mu_prime = kernel._sequence(x1, x2, s)
     if mu == INF:
         raise PreconditionError(
@@ -528,7 +525,7 @@ def tilted_error_lower_bound(pair, x1: Sequence[int], x2: Sequence[int], s: floa
     delta = type_counting_slack(kernel.pair, n)
     return BoundReport(
         value=math.exp(-mu + s * mu_prime - delta),
-        s=float(s),
+        s=s,
         mu=mu,
         mu_prime=mu_prime,
         delta_n=delta,
@@ -554,123 +551,6 @@ def sup_error_lower_bound(pair, x1: Sequence[int], x2: Sequence[int]) -> BoundRe
         mu_prime=None,
         delta_n=delta,
     )
-
-
-# -- method-of-types utilities ---------------------------------------------------
-
-
-def _cell_counts_of(V, cells: dict[tuple[int, int], int], ny: int):
-    """Normalize a conditional-type argument to integer output counts per
-    letter-pair cell, validating integrality against the cell sizes."""
-    out = {}
-    for cell, cnt in cells.items():
-        if cell not in V:
-            raise ValidationError(f"conditional type is missing cell {cell}")
-        row = list(V[cell])
-        if len(row) != ny:
-            raise ValidationError(f"cell {cell} must list one value per output")
-        vals = [Fraction(v) for v in row]
-        total = sum(vals)
-        if total == cnt and all(v.denominator == 1 and v >= 0 for v in vals):
-            out[cell] = tuple(int(v) for v in vals)
-        elif total == 1:
-            scaled = [v * cnt for v in vals]
-            if any(v.denominator != 1 or v < 0 for v in scaled):
-                raise ValidationError(
-                    f"cell {cell} is not integral at blocklength cell size {cnt}"
-                )
-            out[cell] = tuple(int(v) for v in scaled)
-        else:
-            raise ValidationError(
-                f"cell {cell} must hold counts summing to {cnt} or a distribution"
-            )
-    extra = set(V) - set(cells)
-    if any(sum(V[c]) not in (0, Fraction(0)) for c in extra):
-        raise ValidationError("conditional type places mass on an absent letter pair")
-    return out
-
-
-def type_class_probability(
-    pair: ChannelMetricPair,
-    x1: Sequence[int],
-    x2: Sequence[int],
-    V: Mapping[tuple[int, int], Sequence],
-) -> tuple[Fraction, float]:
-    """Exact probability that the channel output's conditional type given
-    ``(x1, x2)`` equals ``V`` when ``x1`` is sent, next to the standard
-    counting lower bound ``(n+1)^(-|X|^2 |Y|) exp(-n D)``.
-
-    ``V`` maps each letter-pair cell to per-output counts (or a
-    distribution that is integral at the cell size).  The exact value is
-    always at least the bound; a support violation makes both collapse
-    (exact 0, divergence in the exponent)."""
-    x1, x2 = _checked_words((x1, x2), pair.nx).tolist()
-    cells = joint_counts(x1, x2)
-    n = len(x1)
-    ny = pair.ny
-    counts = _cell_counts_of(V, cells, ny)
-
-    exact = Fraction(1)
-    kl = 0.0
-    for (a, b), cnt in sorted(cells.items()):
-        comp = counts[(a, b)]
-        exact *= _multinomial(comp)
-        for y, k in enumerate(comp):
-            if k:
-                if pair.W[a][y] == 0:
-                    exact = Fraction(0)
-                    kl = INF
-                    break
-                exact *= pair.W[a][y] ** k
-                kl += (k / n) * _log(Fraction(k, cnt) / pair.W[a][y])
-        if kl == INF:
-            break
-    if kl == INF:
-        bound = 0.0
-    else:
-        bound = (n + 1.0) ** (-(pair.nx**2) * ny) * math.exp(-n * kl)
-    if bound > 0 and exact < Fraction(bound) * Fraction(999_999_999, 1_000_000_000):
-        raise ZerorateError("type-class probability fell below its counting bound")
-    return exact, bound
-
-
-def conditional_types(
-    x1: Sequence[int], x2: Sequence[int], ny: int
-) -> Iterator[dict[tuple[int, int], tuple[int, ...]]]:
-    """All conditional types of an output sequence given the word pair,
-    as per-cell output counts.  Exhaustive, so only for small cases."""
-    cells = sorted(joint_counts(x1, x2).items())
-    comp_lists = [list(_compositions(cnt, ny)) for _, cnt in cells]
-    for combo in itertools.product(*comp_lists):
-        yield {cell: comp for (cell, _), comp in zip(cells, combo)}
-
-
-def quantize_to_type(dist: Sequence, n: int) -> tuple[Fraction, ...]:
-    """Round a distribution to a type with denominator ``n`` by largest
-    remainder: entries move by at most ``1/n`` and zeros stay zero."""
-    n = _checked_int("n", n, 1)
-    try:
-        vals = [Fraction(v) for v in dist]
-    except (ValueError, OverflowError) as exc:   # nan, inf
-        raise ValidationError(f"distribution entries must be finite numbers: {exc}") from exc
-    if any(v < 0 for v in vals):
-        raise ValidationError("distribution entries must be nonnegative")
-    total = sum(vals)
-    if total <= 0:
-        raise ValidationError("distribution must have positive mass")
-    if abs(total - 1) > Fraction(1, 10**9):
-        raise ValidationError("distribution must sum to one")
-    vals = [v / total for v in vals]
-    scaled = [n * v for v in vals]
-    base = [int(v) for v in scaled]
-    leftover = n - sum(base)
-    remainders = sorted(
-        ((scaled[i] - base[i], i) for i in range(len(vals)) if vals[i] > 0),
-        key=lambda pair_: (-pair_[0], pair_[1]),
-    )
-    for _, i in remainders[:leftover]:
-        base[i] += 1
-    return tuple(Fraction(b, n) for b in base)
 
 
 # -- empirical convergence harness ------------------------------------------------

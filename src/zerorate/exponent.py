@@ -26,6 +26,7 @@ ascent it is checked against live in the tests.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -35,6 +36,7 @@ from .channel import ChannelMetricPair, InputDistribution, _checked_int, _log
 from .errors import BudgetExceededError, InfiniteExponentError, PreconditionError, ValidationError
 from .kernel import PairKernel, _argmax_concave_rows, _as_kernel, _check_tilt
 from .zero_error import (
+    _orders,
     boundary_set_B,
     check_c0bar_zero,
     is_balanced,
@@ -116,7 +118,10 @@ class QResult:
 
 
 def _as_probe(Q: Union[InputDistribution, Sequence[float]], nx: int) -> np.ndarray:
-    probs = Q.as_floats() if isinstance(Q, InputDistribution) else tuple(float(p) for p in Q)
+    try:
+        probs = Q.as_floats() if isinstance(Q, InputDistribution) else tuple(float(p) for p in Q)
+    except OverflowError:   # a rational too large for a float
+        raise ValidationError("distribution entries must be finite") from None
     if len(probs) != nx:
         raise ValidationError(f"distribution has {len(probs)} entries, expected {nx}")
     arr = np.asarray(probs, dtype=float)
@@ -130,7 +135,7 @@ def _as_probe(Q: Union[InputDistribution, Sequence[float]], nx: int) -> np.ndarr
 def objective(kernel: KernelLike, Q: Union[InputDistribution, Sequence[float]], s: float) -> float:
     """Evaluate ``sum Q(a) Q(b) mu(a, b, s)``; infinite only when the
     zero-error precondition fails for some positively weighted pair."""
-    _check_tilt("objective", s, kernel.s_limit)
+    s = _check_tilt("objective", s, kernel.s_limit)
     q = _as_probe(Q, kernel.pair.nx)
     return float(_objective_rows(kernel.mu_matrix(s), q[None])[0])
 
@@ -273,7 +278,7 @@ def _floats(q) -> tuple[float, ...]:
 def maximize_over_Q(kernel: KernelLike, s: float) -> QResult:
     """Maximize the objective over input distributions at a fixed tilt,
     exactly, by the one Q-maximizer :func:`_q_max`."""
-    _check_tilt("maximize_over_Q", s, kernel.s_limit)
+    s = _check_tilt("maximize_over_Q", s, kernel.s_limit)
     value, q = _q_max(_sigma_grid(kernel, [s])[0])
     return QResult(value, _floats(q))
 
@@ -308,14 +313,17 @@ def _polish_tilt(kernel: KernelLike, q: np.ndarray, s_cap: Optional[float]) -> O
     ``F(q, .)`` sums the directions ``(a, b)``, ``a != b``, on the support
     of ``q``, each weighted by ``q_a q_b``.  Its tail is classified
     exactly: under the zero-error condition every ``A(a,b) A(b,a) <= 1``,
-    so one product below one turns the slope at a finite tilt.  With all
+    so one product below one turns the slope at a finite tilt.  That
+    comparison is the pair's kept order sign (``zero_error._orders``),
+    which holds for the relaxed kernel too, since a boundary direction's
+    tail keeps its ``A``.  With all
     products one the curve is constant when every direction is affine
     (smallest maximizer 0) and otherwise only rises toward its limit,
     which the tail candidate scores.
     """
-    support = np.flatnonzero(q > 0)
+    support, orders = np.flatnonzero(q > 0).tolist(), _orders(kernel.pair)
     pairs = [(a, b) for a in support for b in support if a != b]
-    if not any(kernel.extreme_ratio(a, b) * kernel.extreme_ratio(b, a) < 1 for a, b in pairs):
+    if not any(orders[ab] < 0 for ab in pairs):
         if all(kernel.direction(a, b).affine for a, b in pairs):
             return 0.0
         if s_cap is None:
@@ -417,8 +425,10 @@ class LowerResult:
 def geometric_s_grid(s_max: float, points: int) -> np.ndarray:
     """``{0}`` followed by a geometric sweep up to ``s_max``."""
     points = _checked_int("points", points, 2)
-    if not (math.isfinite(s_max) and s_max > 0):
+    # compared exactly, so a rational too large for a float fails rather than overflows
+    if not 0 < s_max <= sys.float_info.max:
         raise PreconditionError(f"s_max must be finite and positive, got {s_max}")
+    s_max = float(s_max)
     lo = min(1.0 / 1024.0, s_max / 2.0)
     return np.concatenate([[0.0], np.geomspace(lo, s_max, points - 1)])
 

@@ -30,7 +30,6 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -40,23 +39,24 @@ from .errors import InfiniteExponentError, PreconditionError, ValidationError
 
 INF = math.inf
 
-PLUS_INFINITY = "plus_infinity"
-FINITE_LIMIT = "finite_limit"
-MINUS_INFINITY = "minus_infinity"
-
 _BISECT_TOL = 1e-9
 
 
-def _check_tilt(name: str, s: float, limit: float) -> None:
-    """Reject tilts that are negative or not finite (NaN would pass ``s < 0``),
-    and tilts above ``limit``, a kernel's :attr:`PairKernel.s_limit`."""
-    if not (math.isfinite(s) and s >= 0):
+def _check_tilt(name: str, s, limit: float) -> float:
+    """``s`` as the float every caller evaluates at.  Rejects tilts that are
+    negative or not finite (NaN fails ``s >= 0``), and tilts above ``limit``,
+    a kernel's :attr:`PairKernel.s_limit`, or above the float range: ``s`` is
+    compared exactly, so a rational too large for a float fails rather than
+    overflows."""
+    if not (s >= 0 and s != INF):
         raise PreconditionError(f"{name} requires a finite s >= 0, got {s}")
+    limit = min(limit, sys.float_info.max)
     if s > limit:
         raise PreconditionError(
             f"{name}: tilt s = {s} is above {limit:.6g}, the largest tilt this kernel "
             "evaluates without float overflow"
         )
+    return float(s)
 
 
 def _tilted(LW: np.ndarray, LR: np.ndarray, s, value: bool = True):
@@ -245,41 +245,21 @@ class PairKernel:
         """Exact data of ``(a, b)``; like every letter read here, through :func:`_letter_pair`."""
         return self._dirs[_letter_pair(self.pair.nx, a, b)]
 
-    def empty_support(self, a: int, b: int) -> bool:
-        return self.direction(a, b).empty
-
     def mu(self, a: int, b: int, s: float) -> float:
         """Kernel value at tilt ``s``.  At ``s = 0`` it is the exact
         ``-log`` of the channel mass on the metric-overlap outputs."""
-        _check_tilt("mu", s, self.s_limit)
+        s = _check_tilt("mu", s, self.s_limit)
         ab = _letter_pair(self.pair.nx, a, b)
         if s == 0 or self._dirs[ab].empty:
             return float(self._mu0[ab])
         return float(_tilted(self._LW[ab], self._LR[ab], s)[0])
 
     def mu_prime(self, a: int, b: int, s: float) -> float:
-        _check_tilt("mu_prime", s, self.s_limit)
+        s = _check_tilt("mu_prime", s, self.s_limit)
         ab = _letter_pair(self.pair.nx, a, b)
         if self._dirs[ab].empty:
             return INF
         return float(_tilted(self._LW[ab], self._LR[ab], s, value=False))
-
-    def mu_prime_limit(self, a: int, b: int) -> float:
-        """Limiting slope ``log A(a, b)``; ``inf`` when the kernel is identically infinite."""
-        return self.direction(a, b).slope_limit
-
-    def extreme_ratio(self, a: int, b: int) -> Union[Fraction, float]:
-        """Exact ``A(a, b)``, the smallest ``q(a,y)/q(b,y)`` over outputs reachable from ``a``."""
-        return self.direction(a, b).a_min
-
-    def classify_limit(self, a: int, b: int) -> tuple[str, float]:
-        """Trichotomy of ``mu(a, b, s)`` as ``s`` grows, with the limit value."""
-        d = self.direction(a, b)
-        if d.empty or d.a_min > 1:
-            return (PLUS_INFINITY, INF)
-        if d.a_min == 1:
-            return (FINITE_LIMIT, d.intercept)
-        return (MINUS_INFINITY, -INF)
 
     def sigma(self, a: int, b: int, s: float) -> float:
         return self.mu(a, b, s) + self.mu(b, a, s)
@@ -292,8 +272,8 @@ class PairKernel:
 
     def _sequence(self, x1: Sequence[int], x2: Sequence[int], s: float) -> tuple[float, float]:
         """Value and slope at ``s`` of the sequence kernel: one row of :meth:`_sequence_rows`."""
-        _check_tilt("mu_sequence", s, self.s_limit)
-        value, slope = self._sequence_rows(*self._words(x1, x2), np.array([float(s)]))
+        s = _check_tilt("mu_sequence", s, self.s_limit)
+        value, slope = self._sequence_rows(*self._words(x1, x2), np.array([s]))
         return float(value[0]), float(slope[0])
 
     def _sequence_rows(self, x1: np.ndarray, x2: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -516,25 +496,6 @@ class PairKernel:
         d = self._grid([s])[1][0]
         return d + d.T
 
-    # -- tilted conditional distributions --------------------------------------
-
-    def tilted_distribution(self, a: int, b: int, s: float) -> np.ndarray:
-        """Output law proportional to ``W(y|a) * ratio**s`` on the overlap outputs.
-
-        Computed from the exact direction data on its own, so it serves as
-        an independent check on the slopes of :func:`_tilted`.
-        """
-        d = self.direction(a, b)
-        if d.empty:
-            raise PreconditionError(f"tilted distribution undefined: mu({a},{b}) is infinite")
-        x = np.array([_log(w) + s * _log(r) for w, r in zip(d.weights, d.ratios)])
-        x = x - x.max()
-        p = np.exp(x)
-        p /= p.sum()
-        out = np.zeros(self.pair.ny)
-        out[list(d.outputs)] = p
-        return out
-
 
 def _as_kernel(pair: Union[ChannelMetricPair, PairKernel]) -> PairKernel:
     """The kernel itself, or the raw kernel of a pair, built on first use and
@@ -607,9 +568,7 @@ def write_mu_curve(kernel: PairKernel, path: str, s_values: Iterable[float]) -> 
     labels = kernel.pair.input_alphabet
     nx = kernel.pair.nx
     pairs = [(a, b) for a in range(nx) for b in range(nx) if a != b]
-    s_list = [float(s) for s in s_values]
-    for s in s_list:
-        _check_tilt("write_mu_curve", s, kernel.s_limit)
+    s_list = [_check_tilt("write_mu_curve", s, kernel.s_limit) for s in s_values]
     mu, slope = kernel._grid(s_list)
     rows = 0
     with open(path, "w", newline="") as fh:

@@ -5,6 +5,7 @@ boundary decision in the library is taken on exact data; only the
 transcendental evaluations are floating point.
 """
 
+import itertools
 import math
 import sys
 from collections import Counter
@@ -276,6 +277,164 @@ def metric_onehot(pair):
     return onehot
 
 
+PLUS_INFINITY = "plus_infinity"
+FINITE_LIMIT = "finite_limit"
+MINUS_INFINITY = "minus_infinity"
+
+
+def classify_limit(kernel, a, b):
+    """Trichotomy of ``mu(a, b, s)`` as ``s`` grows, with the limit value, read
+    from the fields of ``kernel.direction(a, b)``: ``+inf`` when the direction
+    is empty or ``A(a, b) > 1``, its intercept when ``A(a, b) = 1``, else ``-inf``."""
+    d = kernel.direction(a, b)
+    if d.empty or d.a_min > 1:
+        return PLUS_INFINITY, math.inf
+    if d.a_min == 1:
+        return FINITE_LIMIT, d.intercept
+    return MINUS_INFINITY, -math.inf
+
+
+def tilted_distribution(kernel, a, b, s):
+    """Oracle for the slopes of ``kernel._tilted``: the output law proportional
+    to ``W(y|a) * ratio**s`` on the overlap outputs, a softmax over the exact
+    data of ``kernel.direction(a, b)``."""
+    d = kernel.direction(a, b)
+    if d.empty:
+        raise zr.PreconditionError(f"tilted distribution undefined: mu({a},{b}) is infinite")
+    log = zr.channel._log
+    x = np.array([log(w) + s * log(r) for w, r in zip(d.weights, d.ratios)])
+    p = np.exp(x - x.max())
+    out = np.zeros(kernel.pair.ny)
+    out[list(d.outputs)] = p / p.sum()
+    return out
+
+
+# Method-of-types oracles.  They bring their own compositions and multinomials,
+# so that the class enumeration stays independent of the exact decoder it checks.
+
+
+def compositions(total, bins):
+    """Every tuple of ``bins`` nonnegative counts summing to ``total``, by stars
+    and bars: each choice of ``bins - 1`` bar positions among ``total + bins - 1``."""
+    slots = total + bins - 1
+    for bars in itertools.combinations(range(slots), bins - 1):
+        edges = (-1, *bars, slots)
+        yield tuple(hi - lo - 1 for lo, hi in zip(edges, edges[1:]))
+
+
+def multinomial(counts):
+    return math.factorial(sum(counts)) // math.prod(math.factorial(k) for k in counts)
+
+
+def _cell_counts_of(V, cells, ny):
+    """A conditional-type argument as integer output counts per letter-pair
+    cell, validating integrality against the cell sizes."""
+    out = {}
+    for cell, cnt in cells.items():
+        if cell not in V:
+            raise zr.ValidationError(f"conditional type is missing cell {cell}")
+        row = list(V[cell])
+        if len(row) != ny:
+            raise zr.ValidationError(f"cell {cell} must list one value per output")
+        vals = [Fraction(v) for v in row]
+        total = sum(vals)
+        if total == cnt and all(v.denominator == 1 and v >= 0 for v in vals):
+            out[cell] = tuple(int(v) for v in vals)
+        elif total == 1:
+            scaled = [v * cnt for v in vals]
+            if any(v.denominator != 1 or v < 0 for v in scaled):
+                raise zr.ValidationError(f"cell {cell} is not integral at blocklength cell size {cnt}")
+            out[cell] = tuple(int(v) for v in scaled)
+        else:
+            raise zr.ValidationError(f"cell {cell} must hold counts summing to {cnt} or a distribution")
+    if any(sum(V[c]) != 0 for c in set(V) - set(cells)):
+        raise zr.ValidationError("conditional type places mass on an absent letter pair")
+    return out
+
+
+def type_class_probability(pair, x1, x2, V):
+    """Exact probability that the channel output's conditional type given
+    ``(x1, x2)`` equals ``V`` when ``x1`` is sent, next to the counting lower
+    bound ``(n+1)^(-|X|^2 |Y|) exp(-n D)``.
+
+    ``V`` maps each letter-pair cell to per-output counts (or a distribution
+    that is integral at the cell size).  The exact value must be at least the
+    bound; a support violation makes both collapse (exact 0, bound 0)."""
+    x1, x2 = zr.kernel._checked_words((x1, x2), pair.nx).tolist()
+    cells = zr.joint_counts(x1, x2)
+    n, ny = len(x1), pair.ny
+    counts = _cell_counts_of(V, cells, ny)
+    exact, kl = Fraction(1), 0.0
+    for (a, b), cnt in sorted(cells.items()):
+        comp = counts[(a, b)]
+        exact *= multinomial(comp)
+        for y, k in enumerate(comp):
+            if k == 0:
+                continue
+            if pair.W[a][y] == 0:
+                return Fraction(0), 0.0
+            exact *= pair.W[a][y] ** k
+            kl += (k / n) * zr.channel._log(Fraction(k, cnt) / pair.W[a][y])
+    bound = (n + 1.0) ** (-(pair.nx**2) * ny) * math.exp(-n * kl)
+    if bound > 0 and exact < Fraction(bound) * Fraction(999_999_999, 1_000_000_000):
+        raise zr.ZerorateError("type-class probability fell below its counting bound")
+    return exact, bound
+
+
+def conditional_types(x1, x2, ny):
+    """All conditional types of an output sequence given the word pair, as
+    per-cell output counts.  Exhaustive, so only for small cases."""
+    cells = sorted(zr.joint_counts(x1, x2).items())
+    for combo in itertools.product(*(list(compositions(cnt, ny)) for _, cnt in cells)):
+        yield {cell: comp for (cell, _), comp in zip(cells, combo)}
+
+
+def quantize_to_type(dist, n):
+    """Round a distribution to a type with denominator ``n`` by largest
+    remainder: entries move by at most ``1/n`` and zeros stay zero."""
+    n = zr.channel._checked_int("n", n, 1)
+    try:
+        vals = [Fraction(v) for v in dist]
+    except (ValueError, OverflowError) as exc:   # nan, inf
+        raise zr.ValidationError(f"distribution entries must be finite numbers: {exc}") from exc
+    if any(v < 0 for v in vals):
+        raise zr.ValidationError("distribution entries must be nonnegative")
+    total = sum(vals)
+    if total <= 0:
+        raise zr.ValidationError("distribution must have positive mass")
+    if abs(total - 1) > Fraction(1, 10**9):
+        raise zr.ValidationError("distribution must sum to one")
+    scaled = [n * v / total for v in vals]
+    base = [int(v) for v in scaled]
+    remainders = sorted((-(v - k), i) for i, (v, k) in enumerate(zip(scaled, base)) if v > 0)
+    for _, i in remainders[:n - sum(base)]:
+        base[i] += 1
+    return tuple(Fraction(k, n) for k in base)
+
+
+def exact_by_classes(pair, x1, x2, policy):
+    """Oracle for ``exact_error_probabilities`` on the words ``x1, x2``, as
+    ``(per_message, tie_mass)``: every conditional type, weighed by its
+    ``type_class_probability`` under word 1 and, on the swapped cells, under
+    word 2, and charged by an exact comparison of the two metric products (a
+    zero product loses, two zeros tie)."""
+    err, tie = [Fraction(0)] * 2, [Fraction(0)] * 2
+    for V in conditional_types(x1, x2, pair.ny):
+        p = (type_class_probability(pair, x1, x2, V)[0],
+             type_class_probability(pair, x2, x1, {(b, a): c for (a, b), c in V.items()})[0])
+        s = [math.prod((pair.q[ab[i]][y] ** k for ab, comp in V.items() for y, k in enumerate(comp)),
+                       start=Fraction(1)) for i in (0, 1)]
+        if s[0] > s[1]:
+            err[1] += p[1]
+        elif s[0] < s[1]:
+            err[0] += p[0]
+        else:
+            tie[0] += p[0]
+            tie[1] += p[1]
+    share = {"equiprobable": Fraction(1, 2), "as_error": Fraction(1), "genie_correct": Fraction(0)}[policy]
+    return tuple(e + share * t for e, t in zip(err, tie)), (tie[0] + tie[1]) / 2
+
+
 def simplex_book(k):
     """The binary simplex (Sylvester-Hadamard) book of dimension ``k``: for
     every nonzero ``v`` in GF(2)^k the word ``t -> v.t mod 2`` over all ``t``
@@ -286,6 +445,23 @@ def simplex_book(k):
         tuple(bin(v & t).count("1") % 2 for t in range(2**k)) for v in range(1, 2**k)
     )
     return zr.Codebook(words, 2)
+
+
+def projective_book(p, quotas):
+    """The p-ary simplex book over GF(p)^2 for a prime ``p``: the letter map
+    phi: GF(p) -> letters takes letter ``a`` on ``quotas[a]`` consecutive
+    residues (the quotas sum to ``p``), and each projective point ``v`` of
+    GF(p)^2, ``(1, m)`` for every ``m`` and ``(0, 1)``, gives the word
+    ``t -> phi(v.t)`` over all ``t`` in GF(p)^2, so ``n = p^2`` and
+    ``M = p + 1``.  Two distinct points are independent functionals, which take
+    every value pair once: every word pair's letter-pair counts are
+    ``quotas[a] * quotas[b]``, the joint type ``Q x Q`` with ``Q = quotas / p``."""
+    phi = [a for a, k in enumerate(quotas) for _ in range(k)]
+    assert len(phi) == p, "the quotas must sum to p"
+    points = [(1, m) for m in range(p)] + [(0, 1)]
+    words = tuple(tuple(phi[(v1 * t1 + v2 * t2) % p] for t1 in range(p) for t2 in range(p))
+                  for v1, v2 in points)
+    return zr.Codebook(words, len(quotas))
 
 
 def random_codebook(rng, n, m, nx):

@@ -135,7 +135,7 @@ def test_criterion_4_kernel_calculus_suite():
                 (a, b)
                 for a in range(pair.nx)
                 for b in range(pair.nx)
-                if a != b and not k.empty_support(a, b)
+                if a != b and not k.direction(a, b).empty
             ]
             for a, b in directions:
                 s1, s2 = sorted(rng.uniform(0.0, 5.0, size=2))
@@ -146,16 +146,16 @@ def test_criterion_4_kernel_calculus_suite():
                 s = float(rng.uniform(0.1, 2.5))
                 fd = (k.mu(a, b, s + h) - k.mu(a, b, s - h)) / (2 * h)
                 assert abs(k.mu_prime(a, b, s) - fd) <= 1e-6, "derivative vs fd"
-                tilted = k.tilted_distribution(a, b, s)
+                tilted = conftest.tilted_distribution(k, a, b, s)
                 kl = sum(
                     float(p) * math.log(float(p) / float(pair.W[a][y]))
                     for y, p in enumerate(tilted)
                     if p > 0
                 )
                 assert abs(k.mu(a, b, s) - s * k.mu_prime(a, b, s) - kl) <= 1e-9, "tilt identity"
-                kind, _ = k.classify_limit(a, b)
-                limit_slope = k.mu_prime_limit(a, b)
-                ratio = k.extreme_ratio(a, b)
+                kind, _ = conftest.classify_limit(k, a, b)
+                limit_slope = k.direction(a, b).slope_limit
+                ratio = k.direction(a, b).a_min
                 if kind == "minus_infinity":
                     assert ratio < 1 and limit_slope < 0, "limit sign"
                 elif kind == "plus_infinity":

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import zerorate as zr
 from zerorate import channel
 
-from conftest import random_admissible_pair, random_full_support_pair
+from conftest import quantize_to_type, random_admissible_pair, random_full_support_pair
 from test_zero_error_pins import seeded_pairs
 
 F = Fraction
@@ -370,7 +370,7 @@ INTEGER_ARGUMENTS = {
     "joint_type": ("alphabet size", lambda v: zr.joint_type((0, 1, 1), (1, 1, 0), alphabet_size=v), 3, 0,
                    zr.ValidationError),
     "type_counting_slack": ("n", lambda v: zr.type_counting_slack(_BSC, v), 4, 0, zr.PreconditionError),
-    "quantize_to_type": ("n", lambda v: zr.quantize_to_type([0.5, 0.5], v), 3, 0, zr.PreconditionError),
+    "quantize_to_type": ("n", lambda v: quantize_to_type([0.5, 0.5], v), 3, 0, zr.PreconditionError),
     "monte_carlo_error-trials": ("trials", lambda v: zr.monte_carlo_error(_BSC, _BOOK, trials=v), 50, 0,
                                  zr.PreconditionError),
     "monte_carlo_error-seed": ("seed", lambda v: zr.monte_carlo_error(_BSC, _BOOK, trials=50, seed=v), 3, -1,
@@ -438,7 +438,7 @@ def test_integer_arguments_read_numpy_integers_as_ints(case):
     (lambda: zr.empirical_exponent(_BSC, 0, 1, (2.5,)), "blocklength"),
     (lambda: zr.monte_carlo_error(_BSC, _BOOK, trials=5.0), "trials"),
     (lambda: zr.monte_carlo_error(_BSC, _BOOK, trials=5, seed=1.5), "seed"),
-    (lambda: zr.quantize_to_type([0.5, 0.5], 2.5), "n"),
+    (lambda: quantize_to_type([0.5, 0.5], 2.5), "n"),
     (lambda: zr.geometric_s_grid(4.0, 4.5), "points"),
 ], ids=["komlos-t", "komlos-target", "delta-t", "slack-n", "certificate-subcode", "subcode",
         "empirical-trials", "joint-type", "empirical-n", "simulate-trials", "simulate-seed",

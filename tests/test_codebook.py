@@ -15,6 +15,8 @@ from zerorate import cli, codebook
 
 from conftest import (
     curve_key,
+    projective_book,
+    quantize_to_type,
     random_admissible_pair,
     random_codebook,
     random_full_support_pair,
@@ -177,6 +179,32 @@ def test_simplex_books_attain_the_exponent(crossover, k):
     assert (counts[~np.eye(book.size, dtype=bool)] == 2 ** (k - 2)).all()
     value, _ = zr.d_min(pair, book)
     assert value == zr.zero_rate_exponent(pair).value
+
+
+@pytest.mark.parametrize("seed", [0, 1, 26])
+def test_projective_books_approach_the_exponent(seed):
+    """On a balanced full-support ternary pair, the p-ary projective book whose
+    quotas round ``p Q*`` (``quantize_to_type``) gives every word pair the joint
+    type ``Q x Q``, so its minimum distance is ``F(Q, .)``'s supremum: at most
+    the exponent, and closer to it at p = 13 than at p = 5.  The optimal input
+    of seeds 0 and 1 uses two letters; seed 26 is the first of 50 whose optimal
+    input uses all three."""
+    pair = random_full_support_pair(np.random.default_rng(seed), nx=3, ny=3)
+    result = zr.zero_rate_exponent(pair)
+    assert result.kind == "exact_equality"
+    assert (sum(v > 0 for v in result.q_star.probs) == 3) == (seed == 26)
+    gaps = {}
+    for p in (5, 7, 11, 13):
+        quotas = [int(v * p) for v in quantize_to_type(result.q_star.probs, p)]
+        book = projective_book(p, quotas)
+        assert (book.n, book.size) == (p * p, p + 1)
+        words = np.array(book.words)
+        letter_pairs = 3 * words[:, None, :] + words[None, :, :]
+        counts = (letter_pairs[..., None] == np.arange(9)).sum(axis=2)
+        assert (counts[~np.eye(book.size, dtype=bool)] == np.outer(quotas, quotas).ravel()).all()
+        gaps[p] = result.value - zr.d_min(pair, book)[0]
+        assert gaps[p] >= -1e-12
+    assert gaps[13] < gaps[5]
 
 
 def test_d_min_counts_a_supremum_at_zero_tilt_as_exactly_zero():

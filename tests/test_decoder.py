@@ -17,7 +17,16 @@ import zerorate as zr
 from zerorate import decoder
 from zerorate.decoder import _metric_table
 
-from conftest import metric_onehot, random_admissible_pair, random_codebook, random_full_support_pair
+from conftest import (
+    conditional_types,
+    exact_by_classes,
+    metric_onehot,
+    quantize_to_type,
+    random_admissible_pair,
+    random_codebook,
+    random_full_support_pair,
+    type_class_probability,
+)
 
 F = Fraction
 
@@ -132,6 +141,51 @@ def test_exact_matches_brute_force_over_outputs(pair, n, data):
         assert out.per_message == per_message
         assert out.tie_mass == tie_mass
         assert out.average == (per_message[0] + per_message[1]) / 2
+
+
+# Zero and the powers of 3/2 among METRIC_VALUES: every positive product is a
+# power of 3/2, so unequal value counts tie often.
+POWERS_OF_THREE_HALVES = tuple(v for v in METRIC_VALUES if v in (0, 1, F(2, 3), F(3, 2), F(4, 9), F(9, 4)))
+
+
+def seeded_pair_with_zeros(rng, values):
+    """A pair with nx, ny in {2, 3}, channel weights 0..2 per entry, and metric
+    entries drawn from ``values``: zero at half the outputs a row's channel
+    entry misses, a positive value elsewhere."""
+    nx, ny = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+    W, q = [], []
+    for _ in range(nx):
+        w = rng.integers(0, 3, ny)
+        if w.sum() == 0:
+            w[rng.integers(ny)] = 1
+        W.append(tuple(F(int(v), int(w.sum())) for v in w))
+        q.append(tuple(F(0) if w[y] == 0 and rng.random() < 0.5 else values[int(rng.integers(1, len(values)))]
+                       for y in range(ny)))
+    return zr.pair_from_rows(W, q)
+
+
+def test_exact_decoder_matches_the_class_enumeration():
+    """Beyond the brute force's n <= 5: on eight seeded books at n = 6..9, each
+    with a tie policy, the exact decoder's per-message errors and tie mass equal
+    the sum over every conditional type (``exact_by_classes``), which weighs
+    each class with its own multinomials and compares the metric products
+    directly.  The pairs have zero metric entries, and every other one is
+    built from the powers of 3/2, where unequal value counts tie."""
+    classes, tied = 0, 0
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        pair = seeded_pair_with_zeros(rng, POWERS_OF_THREE_HALVES if seed % 2 else METRIC_VALUES)
+        assert any(v == 0 for row in pair.q for v in row)
+        n = 6 + seed % 4
+        x1, x2 = (tuple(rng.integers(0, pair.nx, n).tolist()) for _ in range(2))
+        policy = zr.decoder.TIE_POLICIES[seed % 3]
+        out = zr.exact_error_probabilities(pair, (x1, x2), tie_policy=policy)
+        per_message, tie_mass = exact_by_classes(pair, x1, x2, policy)
+        assert out.per_message == per_message
+        assert out.tie_mass == tie_mass
+        classes += sum(1 for _ in conditional_types(x1, x2, pair.ny))
+        tied += tie_mass > 0
+    assert classes > 5000 and tied >= 4
 
 
 def test_equal_metric_counts_mean_equal_products():
@@ -529,8 +583,8 @@ def test_conditional_types_partition_probability(bsc_pair):
     x1, x2 = (0, 0, 1), (1, 1, 0)
     total = F(0)
     count = 0
-    for V in zr.conditional_types(x1, x2, 2):
-        p, bound = zr.type_class_probability(bsc_pair, x1, x2, V)
+    for V in conditional_types(x1, x2, 2):
+        p, bound = type_class_probability(bsc_pair, x1, x2, V)
         assert p >= 0
         assert float(p) >= bound * (1 - 1e-9)
         total += p
@@ -543,33 +597,33 @@ def test_conditional_types_partition_probability(bsc_pair):
 def test_type_class_probability_exact_value(bsc_pair):
     x1, x2 = (0, 0, 1), (1, 1, 0)
     V = {(0, 1): (F(1, 2), F(1, 2)), (1, 0): (F(1), F(0))}
-    p, bound = zr.type_class_probability(bsc_pair, x1, x2, V)
+    p, bound = type_class_probability(bsc_pair, x1, x2, V)
     assert p == F(3, 32)
     assert 0 < bound <= float(p)
     counts = {(0, 1): (1, 1), (1, 0): (1, 0)}
-    p2, _ = zr.type_class_probability(bsc_pair, x1, x2, counts)
+    p2, _ = type_class_probability(bsc_pair, x1, x2, counts)
     assert p2 == p
 
 
 def test_type_class_probability_rejects_bad_mass(bsc_pair):
     x1, x2 = (0, 0, 1), (1, 1, 0)
     with pytest.raises(zr.ValidationError):
-        zr.type_class_probability(bsc_pair, x1, x2, {(0, 0): (1, 0), (0, 1): (1, 1), (1, 0): (1, 0)})
+        type_class_probability(bsc_pair, x1, x2, {(0, 0): (1, 0), (0, 1): (1, 1), (1, 0): (1, 0)})
     with pytest.raises(zr.ValidationError):
-        zr.type_class_probability(bsc_pair, x1, x2, {(0, 1): (F(1, 3), F(2, 3)), (1, 0): (F(1), F(0))})
+        type_class_probability(bsc_pair, x1, x2, {(0, 1): (F(1, 3), F(2, 3)), (1, 0): (F(1), F(0))})
 
 
 def test_quantize_to_type_properties():
     n = 10
-    q = zr.quantize_to_type((0.3, 0.7), n)
+    q = quantize_to_type((0.3, 0.7), n)
     assert q == (F(3, 10), F(7, 10))
-    q = zr.quantize_to_type((F(1, 3), F(1, 3), F(1, 3)), 4)
+    q = quantize_to_type((F(1, 3), F(1, 3), F(1, 3)), 4)
     assert q == (F(1, 2), F(1, 4), F(1, 4))
-    q = zr.quantize_to_type((0.0, 0.25, 0.75), 4)
+    q = quantize_to_type((0.0, 0.25, 0.75), 4)
     assert q == (F(0), F(1, 4), F(3, 4))
     for dist in [(0.11, 0.29, 0.6), (0.5, 0.5), (0.2, 0.0, 0.8)]:
         for n in (3, 7, 16):
-            q = zr.quantize_to_type(dist, n)
+            q = quantize_to_type(dist, n)
             assert sum(q) == 1
             assert all(v.denominator <= n for v in q)
             total = sum(dist)

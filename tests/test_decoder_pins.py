@@ -30,14 +30,11 @@ import numpy as np
 import zerorate as zr
 
 from conftest import random_full_support_pair
-from test_decoder import METRIC_VALUES
+from test_decoder import POWERS_OF_THREE_HALVES as POWERS
 
 PINS = Path(__file__).resolve().parent / "data" / "decoder_pins.json"
 
 F = Fraction
-# Zero and the powers of 3/2 among the dependent metric values: every
-# positive product is a power of 3/2, so unequal value counts tie often.
-POWERS = tuple(v for v in METRIC_VALUES if v in (0, F(1), F(2, 3), F(3, 2), F(4, 9), F(9, 4)))
 
 
 def _bsc():

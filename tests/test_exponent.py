@@ -17,10 +17,13 @@ from zerorate import exponent as exponent_mod
 from conftest import (
     grid_q_max,
     pg_q_max,
+    quantize_to_type,
     random_admissible_pair,
     random_full_support_pair,
     sigma_at,
+    tilted_distribution,
     two_point_q_max,
+    type_class_probability,
 )
 
 F = Fraction
@@ -283,12 +286,18 @@ def test_q_results_hold_plain_floats(rng):
     (lambda pair: zr.komlos_asymmetry_bound(4, math.inf), zr.PreconditionError),
     (lambda pair: zr.geometric_s_grid(math.nan, 4), zr.PreconditionError),
     (lambda pair: zr.geometric_s_grid(math.inf, 4), zr.PreconditionError),
-    (lambda pair: zr.quantize_to_type([math.nan, 1.0], 4), zr.ValidationError),
-    (lambda pair: zr.quantize_to_type([math.inf, 1.0], 4), zr.ValidationError),
+    (lambda pair: quantize_to_type([math.nan, 1.0], 4), zr.ValidationError),
+    (lambda pair: quantize_to_type([math.inf, 1.0], 4), zr.ValidationError),
+    (lambda pair: zr.objective(zr.PairKernel(pair), (Fraction(10**400), 0.5), 0.5), zr.ValidationError),
+    (lambda pair: zr.komlos_asymmetry_bound(4, Fraction(10**400)), zr.PreconditionError),
+    (lambda pair: zr.geometric_s_grid(Fraction(10**400), 4), zr.PreconditionError),
 ], ids=["distribution", "distribution-huge-fraction", "objective-q", "komlos-nan", "komlos-inf", "s-grid-nan", "s-grid-inf",
-        "quantize-nan", "quantize-inf"])
+        "quantize-nan", "quantize-inf", "objective-q-huge-fraction", "komlos-huge-fraction",
+        "s-grid-huge-fraction"])
 def test_non_finite_public_inputs_rejected(bsc_pair, call, error):
-    """A non-finite entry or value is an error, never a silent ``nan``."""
+    """A non-finite entry or value is an error, never a silent ``nan``; a
+    rational too large for a float raises that error too, not a bare
+    ``OverflowError``."""
     with pytest.raises(error):
         call(bsc_pair)
 
@@ -300,6 +309,32 @@ def test_non_finite_tilt_rejected_by_objective_and_q_max(bsc_pair, s):
         zr.objective(k, (0.5, 0.5), s)
     with pytest.raises(zr.PreconditionError):
         zr.maximize_over_Q(k, s)
+
+
+TILT_ENTRY_POINTS = {
+    "mu": lambda pair, s, path: zr.PairKernel(pair).mu(0, 1, s),
+    "mu_prime": lambda pair, s, path: zr.PairKernel(pair).mu_prime(0, 1, s),
+    "mu_sequence": lambda pair, s, path: zr.PairKernel(pair).mu_sequence((0, 1), (1, 1), s),
+    "objective": lambda pair, s, path: zr.objective(zr.PairKernel(pair), (0.5, 0.5), s),
+    "maximize_over_Q": lambda pair, s, path: zr.maximize_over_Q(zr.PairKernel(pair), s),
+    "tilted_error_lower_bound": lambda pair, s, path: zr.tilted_error_lower_bound(pair, (0, 0), (1, 1), s),
+    "write_mu_curve": lambda pair, s, path: zr.write_mu_curve(zr.PairKernel(pair), str(path), [0.5, s]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TILT_ENTRY_POINTS))
+def test_a_tilt_too_large_for_a_float_is_above_the_kernel_limit(name, bsc_pair, tmp_path):
+    """A rational tilt beyond the float range is compared exactly against
+    ``s_limit`` and raises its ``PreconditionError``, not a bare ``OverflowError``
+    from converting it.  A rational tilt in range gives the bits of its float:
+    ``mu`` and ``mu_prime`` at ``Fraction(1, 2)`` once died in numpy's ``exp``
+    on an object array."""
+    call = TILT_ENTRY_POINTS[name]
+    with pytest.raises(zr.PreconditionError, match=f"^{name}: tilt s = 1000.* is above "):
+        call(bsc_pair, Fraction(10**400), tmp_path / "mu.csv")
+    with pytest.raises(zr.PreconditionError, match=f"^{name} requires a finite s >= 0, got -1000"):
+        call(bsc_pair, -Fraction(10**400), tmp_path / "mu.csv")
+    assert repr(call(bsc_pair, Fraction(1, 2), tmp_path / "half.csv")) == repr(call(bsc_pair, 0.5, tmp_path / "f.csv"))
 
 
 def test_tilt_search_rejects_tilts_above_the_kernel_limit(typewriter_pair):
@@ -630,8 +665,8 @@ def test_an_extreme_rational_entry_gives_finite_values(tmp_path):
               zr.sup_error_lower_bound(pair, (0, 0), (1, 1)).delta_n]
     assert all(math.isfinite(v) for v in values), values
     assert values[2] == pytest.approx(math.log(2) / 2, abs=1e-9)
-    assert kernel.tilted_distribution(0, 1, 0.5).sum() == pytest.approx(1.0)
-    assert zr.type_class_probability(pair, (0,), (1,), {(0, 1): (0, 1)}) == (e, 0.0)
+    assert tilted_distribution(kernel, 0, 1, 0.5).sum() == pytest.approx(1.0)
+    assert type_class_probability(pair, (0,), (1,), {(0, 1): (0, 1)}) == (e, 0.0)
     doc = tmp_path / "extreme.json"
     doc.write_text(json.dumps({"input_alphabet": ["0", "1"], "output_alphabet": ["0", "1"],
                                "W": [[str(v) for v in row] for row in W],

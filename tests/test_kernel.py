@@ -22,10 +22,14 @@ from zerorate.kernel import _argmax_concave_rows, _tilted
 
 from conftest import (
     argmax_concave,
+    classify_limit,
+    conditional_types,
     random_admissible_pair,
     random_full_support_pair,
     scalar_sup,
     tail_sign,
+    tilted_distribution,
+    type_class_probability,
     weighted_curve,
 )
 
@@ -46,7 +50,7 @@ def finite_directions(pair, kernel):
     out = []
     for a in range(pair.nx):
         for b in range(pair.nx):
-            if a != b and not kernel.empty_support(a, b):
+            if a != b and not kernel.direction(a, b).empty:
                 out.append((a, b))
     return out
 
@@ -145,7 +149,7 @@ def test_tilt_identity_links_value_slope_and_divergence(rng):
         k = zr.PairKernel(pair)
         for a, b in finite_directions(pair, k):
             for s in (0.3, 1.1):
-                tilted = k.tilted_distribution(a, b, s)
+                tilted = tilted_distribution(k, a, b, s)
                 assert tilted.sum() == pytest.approx(1.0, abs=1e-12)
                 kl = sum(
                     float(p) * math.log(float(p) / float(pair.W[a][y]))
@@ -158,19 +162,19 @@ def test_tilt_identity_links_value_slope_and_divergence(rng):
 
 def test_limit_classification_follows_extreme_ratio(rng, typewriter_pair):
     k = zr.PairKernel(typewriter_pair)
-    assert k.extreme_ratio(0, 1) == F(1, 9)
-    assert k.classify_limit(0, 1) == ("minus_infinity", -math.inf)
-    assert k.extreme_ratio(1, 0) == F(9)
-    assert k.classify_limit(1, 0)[0] == "plus_infinity"
+    assert k.direction(0, 1).a_min == F(1, 9)
+    assert classify_limit(k, 0, 1) == ("minus_infinity", -math.inf)
+    assert k.direction(1, 0).a_min == F(9)
+    assert classify_limit(k, 1, 0)[0] == "plus_infinity"
     # direction (1, 0): one channel output falls outside the metric overlap
     assert k.mu(1, 0, 0.0) == pytest.approx(-math.log(9 / 10), abs=1e-12)
     for _ in range(10):
         pair = random_admissible_pair(rng)
         kk = zr.PairKernel(pair)
         for a, b in finite_directions(pair, kk):
-            ratio = kk.extreme_ratio(a, b)
-            kind, _ = kk.classify_limit(a, b)
-            limit_slope = kk.mu_prime_limit(a, b)
+            ratio = kk.direction(a, b).a_min
+            kind, _ = classify_limit(kk, a, b)
+            limit_slope = kk.direction(a, b).slope_limit
             if ratio < 1:
                 assert kind == "minus_infinity"
                 assert limit_slope < 0
@@ -190,8 +194,8 @@ def test_constant_ratio_direction_is_flat():
     flat = (F(1), F(2))
     pair = zr.pair_from_rows((row0, row1), (flat, flat))
     k = zr.PairKernel(pair)
-    assert k.extreme_ratio(0, 1) == 1
-    kind, limit = k.classify_limit(0, 1)
+    assert k.direction(0, 1).a_min == 1
+    kind, limit = classify_limit(k, 0, 1)
     assert kind == "finite_limit"
     assert limit == pytest.approx(0.0, abs=1e-15)
     for s in (0.0, 1.0, 33.0):
@@ -200,8 +204,8 @@ def test_constant_ratio_direction_is_flat():
 
 def test_disjoint_supports_make_the_direction_empty(identity_pair):
     k = zr.PairKernel(identity_pair)
-    assert k.empty_support(0, 1)
-    assert k.extreme_ratio(0, 1) == math.inf
+    assert k.direction(0, 1).empty
+    assert k.direction(0, 1).a_min == math.inf
     assert k.mu(0, 1, 0.5) == math.inf
     with pytest.raises(zr.InfiniteExponentError):
         k.sup_sigma(0, 1)
@@ -342,7 +346,7 @@ def check_against_brute_force(kernel, pair, s, oracle):
     slope = np.full((nx, nx), math.inf)
     for a in range(nx):
         for b in range(nx):
-            if not kernel.empty_support(a, b):
+            if not kernel.direction(a, b).empty:
                 expect[a, b] = oracle(a, b, s)
                 slope[a, b] = central_difference(lambda t: oracle(a, b, t), s)
     for a in range(nx):
@@ -474,9 +478,9 @@ WORD_ENTRY_POINTS = {
     "joint_counts": lambda pair, x1, x2: zr.joint_counts(x1, x2),
     "monte_carlo_error": lambda pair, x1, x2: zr.monte_carlo_error(pair, (x1, x2), trials=50, seed=3),
     # the conditional type of (1, 1, 0) against (0, 0, 1): one output 0 and one 1 in cell (1, 0)
-    "type_class_probability": lambda pair, x1, x2: zr.type_class_probability(
+    "type_class_probability": lambda pair, x1, x2: type_class_probability(
         pair, x1, x2, {(1, 0): (1, 1), (0, 1): (0, 1)}),
-    "conditional_types": lambda pair, x1, x2: list(zr.conditional_types(x1, x2, 2)),
+    "conditional_types": lambda pair, x1, x2: list(conditional_types(x1, x2, 2)),
 }
 # Entry points without an alphabet: any nonnegative int64 symbol is a word symbol.
 NO_ALPHABET = ("joint_counts", "conditional_types")
@@ -536,23 +540,23 @@ def test_type_class_probability_checks_its_words_against_the_pair(bsc_pair):
     for bad in (-1, 2):
         V = {(bad, 0): (1, 0), (0, 0): (0, 1)}
         with pytest.raises(zr.ValidationError, match=rf"codeword 0 contains symbol {bad} outside \[0, 2\)"):
-            zr.type_class_probability(bsc_pair, (bad, 0), (0, 0), V)
-    exact, bound = zr.type_class_probability(bsc_pair, (1, 0), (0, 0), {(1, 0): (1, 0), (0, 0): (0, 1)})
+            type_class_probability(bsc_pair, (bad, 0), (0, 0), V)
+    exact, bound = type_class_probability(bsc_pair, (1, 0), (0, 0), {(1, 0): (1, 0), (0, 0): (0, 1)})
     assert exact == F(1, 16) and 0 < bound <= exact
 
 
 LETTER_ACCESSORS = {
     "direction": lambda k, a, b: k.direction(a, b),
-    "empty_support": lambda k, a, b: k.empty_support(a, b),
+    "empty_support": lambda k, a, b: k.direction(a, b).empty,
     "mu": lambda k, a, b: k.mu(a, b, 0.5),
     "mu_at_zero": lambda k, a, b: k.mu(a, b, 0.0),
     "mu_prime": lambda k, a, b: k.mu_prime(a, b, 0.5),
-    "mu_prime_limit": lambda k, a, b: k.mu_prime_limit(a, b),
-    "extreme_ratio": lambda k, a, b: k.extreme_ratio(a, b),
-    "classify_limit": lambda k, a, b: k.classify_limit(a, b),
+    "mu_prime_limit": lambda k, a, b: k.direction(a, b).slope_limit,
+    "extreme_ratio": lambda k, a, b: k.direction(a, b).a_min,
+    "classify_limit": lambda k, a, b: classify_limit(k, a, b),
     "sigma": lambda k, a, b: k.sigma(a, b, 0.5),
     "sup_sigma": lambda k, a, b: k.sup_sigma(a, b),
-    "tilted_distribution": lambda k, a, b: k.tilted_distribution(a, b, 0.5).tolist(),
+    "tilted_distribution": lambda k, a, b: tilted_distribution(k, a, b, 0.5).tolist(),
     "boundary_ratio": lambda k, a, b: zr.boundary_ratio(k.pair, a, b),
     "plotkin_identity": lambda k, a, b: zr.plotkin_identity(zr.Codebook(((0, 1, 2), (2, 2, 0)), 3), a, b),
     "empirical_exponent": lambda k, a, b: zr.empirical_exponent(k.pair, a, b, (2,)),
@@ -934,7 +938,7 @@ def test_exact_tail_ties_take_the_exact_route(monkeypatch):
     q = ((F(4), F(4), F(4)), (F(9), F(9), F(9)), (F(6), F(6), F(6)))   # A(0,1) = 4/9, A(2,0) = 3/2
     k = zr.PairKernel(zr.pair_from_rows(W, q))
     col = {rep: i for i, rep in enumerate(k._reps)}
-    assert k.extreme_ratio(0, 1) == F(4, 9) and k.extreme_ratio(2, 0) == F(3, 2)
+    assert k.direction(0, 1).a_min == F(4, 9) and k.direction(2, 0).a_min == F(3, 2)
     ties = np.zeros((4, len(k._reps)), dtype=np.int64)
     ties[0, [col[k._curve[(0, 1)]], col[k._curve[(2, 0)]]]] = (1, 2)
     ties[1, [col[k._curve[(0, 1)]], col[k._curve[(2, 0)]]]] = (3, 6)

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import zerorate as zr
 
-from conftest import extremal_ratios
+from conftest import extremal_ratios, quantize_to_type
 from test_decoder import pairs_with_zeros
 
 F = Fraction
@@ -122,7 +122,7 @@ def test_counting_identity_property(code):
 def test_quantize_to_type_property(weights, n):
     total = sum(weights)
     dist = [F(w, total) for w in weights]
-    q = zr.quantize_to_type(dist, n)
+    q = quantize_to_type(dist, n)
     assert sum(q) == 1
     for p, v in zip(dist, q):
         assert abs(p - v) <= F(1, n)
@@ -191,7 +191,7 @@ def test_huge_tilts_give_finite_kernel_values(pair, s):
     assume(s <= k.s_limit)
     for a in range(pair.nx):
         for b in range(pair.nx):
-            if not k.empty_support(a, b):
+            if not k.direction(a, b).empty:
                 assert math.isfinite(k.mu(a, b, s))
                 assert math.isfinite(k.mu_prime(a, b, s))
 

@@ -109,9 +109,10 @@ def test_only_monte_carlo_commands_take_a_seed():
 
 
 def test_kernel_exponentials_stay_in_the_evaluator():
-    """Every float kernel value and slope comes from ``kernel._tilted``; the
-    only other exponential is ``tilted_distribution``, the softmax over the
-    exact direction data that the tilt-identity test uses as an oracle."""
+    """Every float kernel value and slope comes from ``kernel._tilted``, the
+    only function of ``kernel.py`` with an exponential; the softmax over the
+    exact direction data that the tilt-identity test uses as an oracle lives
+    in ``tests/conftest.py``."""
     tree = ast.parse((ROOT / "src" / "zerorate" / "kernel.py").read_text())
 
     def exp_calls(node):
@@ -121,24 +122,34 @@ def test_kernel_exponentials_stay_in_the_evaluator():
             and ast.unparse(n.func) in ("np.exp", "math.exp", "np.logaddexp", "np.expm1")
         ]
 
-    allowed = [
-        n for n in ast.walk(tree)
-        if isinstance(n, ast.FunctionDef) and n.name in ("_tilted", "tilted_distribution")
-    ]
-    assert len(allowed) == 2
-    inside = sum(len(exp_calls(fn)) for fn in allowed)
-    assert inside >= 2
+    allowed = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_tilted"]
+    assert len(allowed) == 1
+    inside = len(exp_calls(allowed[0]))
+    assert inside >= 1
     assert len(exp_calls(tree)) == inside, "kernel.py evaluates an exponential outside _tilted"
+
+
+# Oracles that live in ``tests/conftest.py`` and the aliases of ``PairKernel.direction``
+# that were deleted: the tests compare the package against the oracles, which only
+# means something while the package has no such code.
+ORACLES_OUT_OF_THE_PACKAGE = (
+    "extremal_ratios", "empty_support", "mu_prime_limit", "extreme_ratio", "classify_limit",
+    "PLUS_INFINITY", "FINITE_LIMIT", "MINUS_INFINITY", "tilted_distribution",
+    "type_class_probability", "_cell_counts_of", "conditional_types", "quantize_to_type",
+)
 
 
 def test_package_never_reads_the_extremal_ratios_oracle():
     """The extremal-ratio oracle recomputes the two sides of a pair from the
-    matrices; tests compare the table-based checks against it, which only
-    means something while the package has no such code.  It lives in
-    ``tests/conftest.py``, and its name appears in no file under ``src/``."""
+    matrices, and the other oracles of ``ORACLES_OUT_OF_THE_PACKAGE`` the limit
+    class, the tilted law and the method-of-types quantities; none of their
+    names, nor a deleted alias of ``PairKernel.direction``, appears in a file
+    under ``src/``."""
     for path in sorted((ROOT / "src").rglob("*")):
         if path.is_file() and "__pycache__" not in path.parts:
-            assert "extremal_ratios" not in path.read_text(), f"{path.name} names extremal_ratios"
+            text = path.read_text()
+            named = [name for name in ORACLES_OUT_OF_THE_PACKAGE if name in text]
+            assert not named, f"{path.name} names {named}"
 
 
 def test_pair_tables_are_kept_not_rebuilt():
@@ -404,7 +415,7 @@ def test_one_integer_check():
     routed = {"codebook.py:__post_init__", "codebook.py:_subcode_indices", "codebook.py:joint_type",
               "codebook.py:delta_closeness", "codebook.py:komlos_asymmetry_bound",
               "codebook.py:komlos_extract", "codebook.py:dmin_certificate",
-              "decoder.py:type_counting_slack", "decoder.py:quantize_to_type",
+              "decoder.py:type_counting_slack",
               "decoder.py:monte_carlo_error", "decoder.py:empirical_exponent",
               "exponent.py:geometric_s_grid"}
     missing = routed - set(_callers("_checked_int"))

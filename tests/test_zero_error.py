@@ -66,7 +66,7 @@ def test_extremal_ratios_match_kernel_route(rng):
                 if a == b:
                     continue
                 min_side, max_side = extremal_ratios(pair, a, b)
-                assert min_side == k.extreme_ratio(a, b)
+                assert min_side == k.direction(a, b).a_min
                 assert isinstance(max_side, Fraction)
 
 
