@@ -48,6 +48,12 @@ _SUM_TOL = 1e-12       # how far a float distribution's sum may stray from one
 
 # A plain ASCII "[+-]digits[/digits]" entry; anything else goes to Fraction(str).
 _PLAIN_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+# A decimal literal with an exponent as Fraction(str) reads it, the exponent in
+# group 1: the parser turns it into 10**exponent.
+_DECIMAL_EXPONENT = re.compile(r"[+-]?(?=\d|\.\d)(?:\d*|\d+(?:_\d+)*)(?:\.(?:\d*|\d+(?:_\d+)*))?"
+                               r"[eE]([+-]?\d+(?:_\d+)*)")
+# Python's default cap on the digits of an integer string; 3.11+ reports the live one.
+_INT_DIGITS = 4300
 
 
 def _to_fraction(value: EntryLike, where: str) -> Fraction:
@@ -58,13 +64,19 @@ def _to_fraction(value: EntryLike, where: str) -> Fraction:
     so that a JSON ``0.1`` means one tenth, not the nearest binary float.
     A plain ASCII ``[+-]digits[/digits]`` string is read as two integers;
     every other string takes the ``Fraction(str)`` parser, with the same
-    value and the same errors.
+    value and the same errors, once its decimal exponent is checked: one
+    beyond the integer-string digit budget (4300 by default) would have
+    it build a power of ten for seconds or hours, so it is refused.
     """
     try:
         if isinstance(value, str):
             text = value.strip()
             plain = _PLAIN_RATIONAL.fullmatch(text)
             if plain is None:
+                exponent = _DECIMAL_EXPONENT.fullmatch(text)
+                budget = getattr(sys, "get_int_max_str_digits", lambda: _INT_DIGITS)() or _INT_DIGITS
+                if exponent and abs(int(exponent[1])) > budget:
+                    raise ValidationError(f"{where}: the entry {value!r} has a decimal exponent beyond {budget}")
                 return Fraction(text)
             num, den = plain.groups()
             return Fraction(int(num), int(den) if den else 1)
@@ -115,7 +127,8 @@ def _kept(pair, name: str, build):
     """``build(pair)``, built on first use and kept in the pair object's
     attribute dict, as :func:`functools.cached_property` keeps its value,
     so equality, hashing and pickling ignore it.  Any object with the
-    pair's rows (``nx``, ``ny``, ``W``, ``q``) keeps its own."""
+    pair's rows (``nx``, ``ny``, ``W``, ``q``) keeps its own, and a
+    ``Codebook`` keeps its book tables the same way."""
     cache = vars(pair)
     if name not in cache:
         cache[name] = build(pair)
@@ -396,12 +409,14 @@ def parse_pair(document: Union[str, bytes, Mapping]) -> ChannelMetricPair:
     The document is a JSON object (or an already-decoded mapping) with
     fields ``input_alphabet``, ``output_alphabet``, ``W``, ``q`` and an
     optional ``name``.  Matrix entries may be integers, decimal numbers
-    or ``"num/den"`` strings; all are converted to exact rationals.
+    or ``"num/den"`` strings; all are converted to exact rationals.  Every
+    failure to read the JSON raises :class:`ValidationError`: bad syntax or
+    bytes, an integer past the digit budget, or nesting past the recursion limit.
     """
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"document is not valid JSON: {exc}") from exc
     if not isinstance(document, Mapping):
         raise ValidationError("document must be a JSON object")

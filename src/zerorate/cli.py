@@ -11,7 +11,9 @@ checks on its flags; the parser applies the checks, ``run`` reads and
 hashes the documents once each and hands them to the command, which only
 builds its payload.  The process keeps the last pair document and the
 last codebook document it parsed, keyed by their text, so commands run
-one after another on one document parse it once.
+one after another on one document parse it once and share the tables it
+keeps: ``certificate`` reuses the extraction ``komlos`` made on the book,
+and ``dmin`` the batch the certificate solved for the pair's raw kernel.
 
 Exit codes: 0 on success, 2 for malformed input (bad files, unknown
 commands, and flags that are invalid whatever the documents hold), 3 for
@@ -136,8 +138,8 @@ def _at_least(flag: str, low: int):
     return _bounded(int, flag, lambda value: value >= low, f"at least {low}")
 
 
-# One kept document per kind, so the commands on one pair share the tables
-# it keeps.  Each looks ``parse_pair`` / ``parse_codebook`` up when called,
+# One kept document per kind, so the commands on one pair or book share the
+# tables it keeps.  Each looks ``parse_pair`` / ``parse_codebook`` up when called,
 # so a wrapper set on this module's name sees every parse.
 @functools.lru_cache(maxsize=1)
 def _pair_document(text: str):
@@ -156,7 +158,10 @@ def _load(args) -> tuple[list, dict[str, str]]:
         path = getattr(args, flag)
         with open(path, "rb") as fh:
             raw = fh.read()
-        text = raw.decode("utf-8")
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
         digests[path] = hashlib.sha256(raw).hexdigest()
         documents.append(_pair_document(text) if flag == "pair" else _codebook_document(text))
     return documents, digests

@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .channel import ChannelMetricPair, _checked_int, _letter_pair
+from .channel import ChannelMetricPair, _checked_int, _kept, _letter_pair
 from .errors import BudgetExceededError, PreconditionError, ValidationError
 from .exponent import (
     RelaxedKernel,
@@ -57,7 +57,14 @@ KernelSource = Union[ChannelMetricPair, PairKernel]
 
 @dataclass(frozen=True)
 class Codebook:
-    """A list of equal-length words over an integer input alphabet."""
+    """A list of equal-length words over an integer input alphabet.
+
+    A book keeps, in its attribute dict, the tables its functions build on
+    first use: its letter-pair counts (:func:`_pair_counts`), each checked
+    extraction of :func:`komlos_extract`, and the suprema batch
+    (:func:`_book_sups`) of the last kernel it was asked with.  Every kept
+    array is read-only; equality, hashing and pickling ignore the tables.
+    """
 
     words: tuple[tuple[int, ...], ...]
     alphabet_size: int
@@ -81,6 +88,11 @@ class Codebook:
     def column_counts(self) -> np.ndarray:
         """Per-column composition: ``out[c, a]`` counts letter ``a`` in column ``c``."""
         return _onehot(self, self.alphabet_size).sum(axis=0)
+
+    def __getstate__(self) -> dict:
+        """Pickle the fields alone: the pickle carries none of the tables
+        kept on the book, and the unpickled book builds its own on first use."""
+        return {"words": self.words, "alphabet_size": self.alphabet_size}
 
 
 def _subcode_indices(code: Codebook, indices: Sequence[int]) -> list[int]:
@@ -174,16 +186,44 @@ def _onehot(words: Union[Codebook, Sequence[Sequence[int]]], nx: int) -> np.ndar
     return (x[:, :, None] == np.arange(nx)).astype(np.int64)
 
 
-def _pair_counts(words: Union[Codebook, Sequence[Sequence[int]]], nx: int) -> np.ndarray:
+def _pair_counts(words: Union[Codebook, Sequence[Sequence[int]]], nx: Optional[int] = None) -> np.ndarray:
     """Letter-pair counts of every ordered word pair of a book: ``out[i, j, a, b]``
     counts the columns where word ``i`` shows ``a`` and word ``j`` shows ``b``.
 
-    One float product of the one-hot rows ``(word, letter)`` over the columns
-    with its transpose: exact, since every count is at most ``n``, far below 2**53."""
-    onehot = _onehot(words, nx)
-    m, n = onehot.shape[:2]
-    rows = np.ascontiguousarray(onehot.transpose(0, 2, 1), dtype=float).reshape(m * nx, n)
-    return (rows @ rows.T).reshape(m, nx, m, nx).transpose(0, 2, 1, 3).astype(np.int64, order="C")
+    The letters run up to ``nx`` when it is given, and every symbol must lie
+    below it; else up to the largest symbol the words use, whatever alphabet the
+    book declares.  Words that are not a :class:`Codebook` are read as a book
+    over ``nx`` letters.  The counts over the used letters are one float product
+    of the one-hot rows ``(word, letter)`` over the columns with its transpose:
+    exact, since every count is at most ``n``, far below 2**53.  The book keeps
+    them, read-only; letters it never uses get exact zero rows and columns."""
+
+    def count(code: Codebook) -> np.ndarray:
+        x = _checked_words(code)
+        m, n = x.shape
+        used = int(x.max()) + 1
+        rows = (x[:, None, :] == np.arange(used)[:, None]).astype(float).reshape(m * used, n)
+        out = (rows @ rows.T).reshape(m, used, m, used).transpose(0, 2, 1, 3).astype(np.int64, order="C")
+        out.setflags(write=False)
+        return out
+
+    code = words if isinstance(words, Codebook) else Codebook(words, nx)
+    counts = _kept(code, "_pair_counts", count)
+    used = counts.shape[-1]
+    if nx is None or nx == used:
+        return counts
+    if nx < used:
+        _checked_words(code, nx)        # raises, naming the first symbol at or above nx
+    return np.pad(counts, ((0, 0), (0, 0), (0, nx - used), (0, nx - used)))
+
+
+def _kept_for(book: Codebook, name: str, key, build):
+    """``build(book)``, kept on the book in one slot for the last ``key`` it was
+    asked with, compared by identity: another key builds and replaces it."""
+    slot = vars(book).get(name)
+    if slot is None or slot[0] is not key:
+        slot = vars(book)[name] = (key, build(book))
+    return slot[1]
 
 
 def _book_sups(kernel: PairKernel, code: Codebook):
@@ -194,16 +234,26 @@ def _book_sups(kernel: PairKernel, code: Codebook):
     word ``i`` against word ``j``, row 1 the reverse.  The letter-pair
     counts, merged onto the kernel's curves, are deduplicated and each
     distinct key is solved once; ``kernel.sequence_sup`` is one such row.
+    The book keeps the batch, read-only, for the last kernel it was asked
+    with, compared by identity: the raw kernel a pair keeps finds it, a
+    fresh ``RelaxedKernel`` solves its own, and another kernel replaces it.
     """
-    m, nx = code.size, kernel.pair.nx
-    counts = _pair_counts(code, nx).reshape(m, m, nx * nx)
-    i, j = np.triu_indices(m, 1)
-    rows = np.concatenate([counts[i, j], counts[j, i]]) @ kernel._merge
-    # Deduplicated by a dict, not np.unique: its first call imports numpy.ma (1.3 MB).
-    index: dict[tuple, int] = {}
-    inverse = np.array([index.setdefault(tuple(r), len(index)) for r in rows.tolist()])
-    keys = np.array(list(index), dtype=np.int64).reshape(len(index), rows.shape[1])
-    return (i, j) + tuple(a[inverse.reshape(2, len(i))] for a in kernel._sup_rows(keys))
+
+    def solve(code: Codebook) -> tuple:
+        m, nx = code.size, kernel.pair.nx
+        counts = _pair_counts(code, nx).reshape(m, m, nx * nx)
+        i, j = np.triu_indices(m, 1)
+        rows = np.concatenate([counts[i, j], counts[j, i]]) @ kernel._merge
+        # Deduplicated by a dict, not np.unique: its first call imports numpy.ma (1.3 MB).
+        index: dict[tuple, int] = {}
+        inverse = np.array([index.setdefault(tuple(r), len(index)) for r in rows.tolist()])
+        keys = np.array(list(index), dtype=np.int64).reshape(len(index), rows.shape[1])
+        batch = (i, j) + tuple(a[inverse.reshape(2, len(i))] for a in kernel._sup_rows(keys))
+        for a in batch:
+            a.setflags(write=False)
+        return batch
+
+    return _kept_for(code, "_book_sups", kernel, solve)
 
 
 def _distances(value: np.ndarray, n: int) -> np.ndarray:
@@ -222,6 +272,7 @@ def _argmin(i: np.ndarray, j: np.ndarray, dist: np.ndarray) -> tuple[float, tupl
 
 
 def distance_matrix(pair: KernelSource, code: Codebook) -> np.ndarray:
+    """Pairwise distances of the book (zero diagonal), from its kept batch."""
     i, j, _, value, _ = _book_sups(_as_kernel(pair), code)
     out = np.zeros((code.size, code.size))
     out[i, j] = out[j, i] = _distances(value, code.n)
@@ -229,19 +280,23 @@ def distance_matrix(pair: KernelSource, code: Codebook) -> np.ndarray:
 
 
 def d_min(pair: KernelSource, code: Codebook) -> tuple[float, tuple[int, int]]:
-    """Smallest pairwise distance and the first index pair attaining it."""
+    """Smallest pairwise distance and the first index pair attaining it.
+
+    Read off the book's suprema batch, which the book keeps for the kernel:
+    after a certificate on the pair's raw kernel, this solves nothing."""
     i, j, _, value, _ = _book_sups(_as_kernel(pair), code)
     return _argmin(i, j, _distances(value, code.n))
 
 
 def _plotkin_sides(code: Codebook) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the counting identity for every letter pair, times ``n``:
-    ``lhs[a, b]`` sums the letter-pair counts ``(a, b)`` over all ordered
-    word pairs, ``rhs[a, b]`` sums ``M_c(a) M_c(b)`` over the columns ``c``
-    (as Python integers)."""
-    lhs = _pair_counts(code, code.alphabet_size).sum(axis=(0, 1))
-    cols = code.column_counts().astype(object)
-    return lhs, cols.T @ cols
+    """Both sides of the counting identity for every pair of the letters the
+    book uses, times ``n``: ``lhs[a, b]`` sums the letter-pair counts ``(a, b)``
+    over all ordered word pairs, ``rhs[a, b]`` sums ``M_c(a) M_c(b)`` over the
+    columns ``c`` (as Python integers).  Letters the words never use count
+    nothing on either side."""
+    counts = _pair_counts(code)
+    cols = _onehot(code, counts.shape[-1]).sum(axis=0).astype(object)
+    return counts.sum(axis=(0, 1)), cols.T @ cols
 
 
 def plotkin_identity(code: Codebook, a: int, b: int) -> tuple[Fraction, Fraction]:
@@ -254,16 +309,17 @@ def plotkin_identity(code: Codebook, a: int, b: int) -> tuple[Fraction, Fraction
             "the counting identity is stated for distinct letters; "
             "the diagonal picks up a -M_c(a) correction"
         )
-    # a word against itself counts only equal letters, so i == j adds nothing here
-    lhs, rhs = _plotkin_sides(code)
-    return Fraction(int(lhs[a, b]), code.n), Fraction(int(rhs[a, b]), code.n)
+    # a word against itself counts only equal letters, so i == j adds nothing here,
+    # and a letter no word uses counts nothing on either side
+    lhs, rhs = (dict(np.ndenumerate(side)).get((a, b), 0) for side in _plotkin_sides(code))
+    return Fraction(int(lhs), code.n), Fraction(int(rhs), code.n)
 
 
 def plotkin_holds(code: Codebook) -> bool:
     """Exact check of the counting identity over every distinct letter
     pair, from one count of the book's letter pairs and its columns."""
     lhs, rhs = _plotkin_sides(code)
-    off = ~np.eye(code.alphabet_size, dtype=bool)
+    off = ~np.eye(len(lhs), dtype=bool)
     return all(int(left) == right for left, right in zip(lhs[off], rhs[off]))
 
 
@@ -387,14 +443,21 @@ def komlos_extract(
     search (:func:`_clique`: a greedy dive, then branch and bound), so a
     cleared ``target_met`` certifies that no class holds ``target`` words;
     the largest clique is returned then.  The certificate always reports
-    achieved quantities rather than promised ones.
+    achieved quantities rather than promised ones.  Types are read over the
+    letters the words use: the others add only zero entries, which change
+    neither the classes, their order nor any spread.
+
+    The book keeps the result of each checked ``(t, target)``, so a second
+    call searches nothing; a call that raises keeps nothing.
     """
     t, target, m = _checked_int("t", t, 1), _checked_int("target", target, 2), code.size
     if target > m:
         raise PreconditionError(f"target must be at most the number of codewords {m}, got {target}")
-    n, nx = code.n, code.alphabet_size
-
-    counts = _pair_counts(code, nx)
+    extractions = _kept(code, "_extractions", lambda _: {})
+    if (t, target) in extractions:
+        return extractions[t, target]
+    counts = _pair_counts(code)
+    n, nx = code.n, counts.shape[-1]
     i, j = np.triu_indices(m, 1)
     # From t = n on, floor(t * c / n) rises strictly with c, so t = n gives the same
     # classes in the same order, and the product stays within int64.
@@ -435,7 +498,8 @@ def komlos_extract(
         asymmetry_bound=komlos_asymmetry_bound(m_hat, spread),
         target_met=m_hat >= target,
     )
-    return tuple(selected), cert
+    extractions[t, target] = tuple(selected), cert
+    return extractions[t, target]
 
 
 # -- the minimum-distance upper bound chain --------------------------------------

@@ -3,7 +3,9 @@
 import dataclasses
 import json
 import math
+import os
 import pickle
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -236,7 +238,40 @@ def test_validation_messages():
 # zero and missing denominators, decimals and exponents.
 ENTRY_TEXTS = ("1/2", " 3/4\t", "+7/08", "-5", "-0", "0/9", "1_0/3", "\u0661/\u0662",
                "1/0", "/3", "3/", "3/-4", "", "   ", "1.5", ".5", "5.", "1e3", "-2E-2",
-               "1/2/3", "+-1", "1 /2", "12345678901234567890/98765432109876543210", "nan")
+               "1/2/3", "+-1", "1 /2", "12345678901234567890/98765432109876543210", "nan",
+               "1e4300", "-2E-4300", "1e4301", ".5e-4301", "1_0e4_301", "1e+0_4301")
+# The largest decimal exponent an entry may carry: Python's integer-string digit budget.
+EXPONENT_BUDGET = getattr(sys, "get_int_max_str_digits", lambda: 4300)() or 4300
+
+
+def test_a_huge_decimal_exponent_is_refused_at_once():
+    """A pair entry ``"1e999999999"`` is refused, naming it, before ``Fraction(str)``
+    builds ten to that power (more than two minutes): a fresh interpreter, given
+    30 s, reports it.  ``"1e-400"`` still parses."""
+    doc = zr.serialize_pair(zr.pair_from_rows([[1, 0], [0, 1]], [[1, 0], [0, 1]]))
+    doc["q"][0][1] = "1e999999999"
+    script = ("import sys\nimport zerorate as zr\n"
+              "try:\n"
+              f"    zr.parse_pair({json.dumps(doc)!r})\n"
+              "except zr.ValidationError as exc:\n"
+              "    print(exc)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == (f"q[0][1]: the entry '1e999999999' has a decimal exponent "
+                                   f"beyond {EXPONENT_BUDGET}")
+    assert channel._to_fraction("1e-400", "W[0][0]") == F(1, 10**400)
+
+
+@pytest.mark.parametrize("document", [
+    '{"W": ' + "9" * 5000 + "}",            # an integer past the digit budget (ValueError)
+    "[" * 100_000 + "]" * 100_000,          # nesting past the recursion limit (RecursionError)
+    b"{\xff}",                              # bytes that are not UTF-8 (UnicodeDecodeError)
+], ids=["long-integer", "deep-nesting", "not-utf8"])
+def test_every_json_failure_is_a_validation_error(document):
+    with pytest.raises(zr.ValidationError, match="^document is not valid JSON: "):
+        zr.parse_pair(document)
 
 
 @settings(max_examples=400, deadline=None)
@@ -246,10 +281,21 @@ ENTRY_TEXTS = ("1/2", " 3/4\t", "+7/08", "-5", "-0", "0/9", "1_0/3", "\u0661/\u0
     st.text(alphabet="0123456789+-/_.eE \t\u0661\u0662", max_size=12),
 ))
 def test_entry_strings_parse_as_the_fraction_parser_does(text):
+    """Every string reads as ``Fraction(str)`` reads it, or is refused with its
+    message, except a decimal literal whose exponent passes the digit budget,
+    which is refused before ``Fraction(str)`` builds that power of ten."""
     try:
         expected = F(text.strip())
     except (ValueError, ZeroDivisionError):
         expected = None
+    if expected is not None and "e" in text.lower():
+        # Fraction accepted it, so what follows the last e is the exponent
+        if abs(int(text.strip().lower().rsplit("e", 1)[1])) > EXPONENT_BUDGET:
+            with pytest.raises(zr.ValidationError) as err:
+                channel._to_fraction(text, "W[0][0]")
+            assert str(err.value) == (f"W[0][0]: the entry {text!r} has a decimal exponent "
+                                      f"beyond {EXPONENT_BUDGET}")
+            return
     if expected is None:
         with pytest.raises(zr.ValidationError) as err:
             channel._to_fraction(text, "W[0][0]")

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import zerorate as zr
-from zerorate import cli
+from zerorate import cli, codebook
 
 
 BSC_DOC = {
@@ -332,6 +332,21 @@ def test_exit_codes(bsc_file, tmp_path, capsys):
     assert cli.main(["exponent", "--pair", str(ident)]) == 3
     capsys.readouterr()
 
+    # a file that is not UTF-8 is malformed input, named by its path
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe{bad")
+    for argv in (["validate", "--pair", str(not_utf8)],
+                 ["komlos", "--code", str(not_utf8), "--t", "2", "--target", "2"]):
+        assert cli.main(argv) == 2, argv[0]
+        assert capsys.readouterr().err.startswith(f"error: {not_utf8} is not UTF-8 text")
+
+    # a header declaring more letters than memory holds: the book's tables
+    # count the letters its words use
+    wide = tmp_path / "wide_header.txt"
+    wide.write_text("2 2 99999999999999999999\n0 1\n1 0\n")
+    assert cli.main(["komlos", "--code", str(wide), "--t", "2", "--target", "2"]) == 0
+    capsys.readouterr()
+
 
 def test_symbol_outside_the_pair_alphabet_is_malformed_input(bsc_file, tmp_path, capsys):
     book = tmp_path / "wide.txt"
@@ -586,3 +601,76 @@ def test_kept_documents_give_the_fresh_payloads(bsc_file, tw_file, big_code_file
     capsys.readouterr()
     assert kept == fresh
     assert parses["pair"] == 2 + sum(1 for argv in runs if argv[0] != "komlos")
+
+
+# -- the tables a book keeps, per book -----------------------------------------------
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Count the tables books build (letter-pair counts, extraction tables, suprema
+    batches) by name, and the clique searches of ``komlos_extract``, until the test ends."""
+    calls = {"_pair_counts": 0, "_extractions": 0, "_book_sups": 0, "_clique": 0}
+    for keeper in ("_kept", "_kept_for"):
+        def counting(*args, _keep=getattr(codebook, keeper)):
+            *head, build = args
+
+            def build_counted(book):
+                calls[head[1]] += 1
+                return build(book)
+            return _keep(*head, build_counted)
+        monkeypatch.setattr(codebook, keeper, counting)
+    clique = codebook._clique
+
+    def searching(*args):
+        calls["_clique"] += 1
+        return clique(*args)
+    monkeypatch.setattr(codebook, "_clique", searching)
+    cli._codebook_document.cache_clear()
+    yield calls
+    cli._codebook_document.cache_clear()
+
+
+def _book_of_24(tmp_path, rng, nx):
+    words = tuple(tuple(int(v) for v in rng.integers(0, nx, 16)) for _ in range(24))
+    path = tmp_path / f"book{nx}.txt"
+    path.write_text(zr.serialize_codebook(zr.Codebook(words, nx)))
+    return str(path)
+
+
+def test_a_book_job_builds_each_book_table_once(bsc_file, tmp_path, rng, builds, capsys):
+    """``komlos``, ``certificate`` and ``dmin`` on a balanced pair and a 24-word book
+    count its letter pairs once, search its cliques in one extraction, and solve
+    its suprema batch once; the subcode the certificate checks counts its own.
+    Each payload equals the one of a fresh book, parsed again."""
+    code_file = _book_of_24(tmp_path, rng, 2)
+    kept = []
+    for k, argv in enumerate(book_job(bsc_file, code_file)):
+        kept.append(cli.run(argv)["payload"])
+        if k == 0:
+            searches = builds["_clique"]
+            assert searches > 0
+    assert builds == {"_pair_counts": 2, "_extractions": 1, "_book_sups": 1, "_clique": searches}
+    fresh = []
+    for argv in book_job(bsc_file, code_file):
+        cli._codebook_document.cache_clear()
+        fresh.append(cli.run(argv)["payload"])
+    capsys.readouterr()
+    assert json.dumps(kept) == json.dumps(fresh)
+
+
+def test_an_unbalanced_pair_solves_the_relaxed_and_the_raw_batch(tw_file, tmp_path, rng, builds,
+                                                                capsys):
+    """On an unbalanced pair the certificate solves the book against a fresh
+    ``RelaxedKernel`` and ``dmin`` against the raw kernel: two batches, each
+    giving the payload of a fresh book."""
+    code_file = _book_of_24(tmp_path, rng, 3)
+    kept = [cli.run(argv)["payload"] for argv in book_job(tw_file, code_file)]
+    assert builds["_book_sups"] == 2
+    assert kept[1]["kernel"] == "relaxed"
+    fresh = []
+    for argv in book_job(tw_file, code_file):
+        cli._codebook_document.cache_clear()
+        fresh.append(cli.run(argv)["payload"])
+    capsys.readouterr()
+    assert json.dumps(kept) == json.dumps(fresh)

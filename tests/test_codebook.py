@@ -4,6 +4,7 @@ extraction, and the minimum-distance certificate chain."""
 import itertools
 import json
 import math
+import pickle
 import time
 from fractions import Fraction
 
@@ -739,3 +740,96 @@ def test_certificate_averages_equal_the_scalar_loop(bsc_pair):
         ordered = cert.m_hat * (cert.m_hat - 1) * code.n
         assert (cert.average_at_own_tilt, cert.average_at_anchor_tilt) == (own / ordered, anchor / ordered)
     assert zero_tilts > 0
+
+
+# -- the tables a book keeps -----------------------------------------------------------
+
+
+def _batch(kernel, code):
+    return [a.tobytes() for a in codebook._book_sups(kernel, code)]
+
+
+def test_book_tables_are_read_only(bsc_pair, rng):
+    code = random_codebook(rng, n=9, m=7, nx=2)
+    zr.komlos_extract(code, 3, 3)
+    zr.d_min(bsc_pair, code)
+    kept = [codebook._pair_counts(code), *codebook._book_sups(codebook._as_kernel(bsc_pair), code)]
+    for array in kept:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array.reshape(-1)[0] = 7
+    assert set(vars(code)) == {"words", "alphabet_size", "_pair_counts", "_extractions", "_book_sups"}
+
+
+def test_book_batch_is_kept_for_the_last_kernel_asked(typewriter_pair, rng, monkeypatch):
+    """The book keeps one batch, for the last kernel it was asked with, compared by
+    identity: asked A, then B, then A, it solves three times, and each answer is
+    a fresh book's; asked A again, it solves nothing."""
+    code = random_codebook(rng, n=10, m=8, nx=3)
+    a, b = codebook._as_kernel(typewriter_pair), zr.RelaxedKernel(typewriter_pair)
+    solves = []
+    rows = zr.PairKernel._sup_rows
+    monkeypatch.setattr(zr.PairKernel, "_sup_rows", lambda self, keys: solves.append(self) or rows(self, keys))
+    for kernel in (a, b, a):
+        got = _batch(kernel, code)
+        fresh = _batch(kernel, zr.Codebook(code.words, code.alphabet_size))
+        assert got == fresh
+    assert solves == [a, a, b, b, a, a]
+    _batch(a, code)
+    zr.d_min(typewriter_pair, code)
+    assert len(solves) == 6
+
+
+def test_a_failed_extraction_keeps_nothing(rng):
+    code = random_codebook(rng, n=6, m=4, nx=2)
+    for _ in range(2):
+        with pytest.raises(zr.PreconditionError, match="target must be at most"):
+            zr.komlos_extract(code, 2, 5)
+    assert set(vars(code)) == {"words", "alphabet_size"}
+
+
+def test_book_extractions_are_kept_per_t_and_target(rng, monkeypatch):
+    code = random_codebook(rng, n=12, m=16, nx=2)
+    searches = []
+    clique = codebook._clique
+    monkeypatch.setattr(codebook, "_clique", lambda *args: searches.append(1) or clique(*args))
+    first = zr.komlos_extract(code, 3, 5)
+    done = len(searches)
+    assert zr.komlos_extract(code, 3, 5) is first and len(searches) == done
+    other = zr.komlos_extract(code, 4, 5)
+    assert other == zr.komlos_extract(zr.Codebook(code.words, 2), 4, 5)
+    assert set(vars(code)["_extractions"]) == {(3, 5), (4, 5)}
+
+
+def test_a_book_pickles_and_compares_without_its_tables(bsc_pair, rng):
+    code = random_codebook(rng, n=9, m=7, nx=2)
+    bare = zr.Codebook(code.words, code.alphabet_size)
+    zr.komlos_extract(code, 3, 3)
+    zr.dmin_certificate(bsc_pair, code, (0, 1, 2), 3)
+    assert len(vars(code)) > 2
+    back = pickle.loads(pickle.dumps(code))
+    assert set(vars(back)) == {"words", "alphabet_size"}
+    assert pickle.dumps(code) == pickle.dumps(bare)
+    assert back == code == bare and hash(back) == hash(code) == hash(bare)
+    assert zr.d_min(bsc_pair, back) == zr.d_min(bsc_pair, code)
+
+
+def test_book_tables_count_the_letters_the_words_use(bsc_pair, rng):
+    """A book's tables are sized by its largest symbol, not its header: the same
+    words under headers of 2, 7 and 10**20 letters give the same extraction,
+    counting identity and distance, bit for bit, and letters no word uses count
+    nothing.  ``column_counts`` keeps the declared alphabet."""
+    words = tuple(tuple(int(v) for v in rng.integers(0, 2, 11)) for _ in range(14))
+    answers = []
+    for declared in (2, 7, 10**20):
+        code = zr.Codebook(words, declared)
+        assert codebook._pair_counts(code).shape == (14, 14, 2, 2)
+        answers.append((repr(zr.komlos_extract(code, 3, 4)), repr(zr.komlos_extract(code, 11, 3)),
+                        zr.plotkin_holds(code), zr.plotkin_identity(code, 0, 1),
+                        zr.plotkin_identity(code, 1, 0), zr.d_min(bsc_pair, code)))
+        if declared > 2:
+            assert zr.plotkin_identity(code, 5, 6) == (0, 0)
+            assert zr.plotkin_identity(code, 1, declared - 1) == (0, 0)
+        if declared < 10**20:
+            assert code.column_counts().shape == (11, declared)
+    assert answers[0] == answers[1] == answers[2]

@@ -6,7 +6,8 @@ commands as the only ones with a ``--seed``, the one float evaluator
 of the kernel, the zero-error oracle, whose name appears nowhere in the package,
 the book-level distance functions that must not fall back to a per-pair
 loop, the book's letter-pair counts as one float product (no ``einsum`` in
-``codebook.py``), the decoders' integer keys, Monte Carlo's one tie draw per block
+``codebook.py``), built, as the book's suprema batch is, only into the tables
+the book keeps, the decoders' integer keys, Monte Carlo's one tie draw per block
 and its block loop that allocates no working array, the pair's
 validation and direction builder, which divide no rationals, the CLI
 commands, which load no document of their own, ``cli._load``, which
@@ -236,6 +237,34 @@ def test_book_letter_pairs_are_one_float_product():
     assert einsums == [], f"codebook.py calls einsum on lines {einsums}"
     counts = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_pair_counts")
     assert sum(map(_is_product, ast.walk(counts))) == 1
+
+
+def test_book_tables_are_kept_not_rebuilt():
+    """A book builds its letter-pair counts and its suprema batch only into the
+    tables it keeps: ``_pair_counts``'s product and every ``_sup_rows`` call of
+    ``codebook.py`` sit in a nested builder that is handed to ``_kept`` or
+    ``_kept_for`` and called nowhere, and ``komlos_extract`` reads the
+    extractions the book keeps."""
+    tree = ast.parse((ROOT / "src" / "zerorate" / "codebook.py").read_text())
+    funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    parents = _parents(tree)
+    handed = {ast.unparse(n.args[-1]) for n in ast.walk(tree)
+              if isinstance(n, ast.Call) and ast.unparse(n.func) in ("_kept", "_kept_for")}
+    called = {ast.unparse(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    products = [n for n in ast.walk(funcs["_pair_counts"]) if _is_product(n)]
+    solves = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+              and ast.unparse(n.func).rsplit(".", 1)[-1] == "_sup_rows"]
+    assert len(products) == 1 and solves
+    for node in products + solves:
+        builder = next(a for a in _ancestors(node, parents)
+                       if isinstance(a, (ast.FunctionDef, ast.Lambda)))
+        where = f"{ast.unparse(node)} on line {node.lineno}"
+        assert isinstance(builder, ast.FunctionDef) and builder not in tree.body, \
+            f"{where} is not in a nested builder"
+        assert builder.name in handed and builder.name not in called, \
+            f"{where} is reached other than through a kept table"
+    extract = {ast.unparse(n.func) for n in ast.walk(funcs["komlos_extract"]) if isinstance(n, ast.Call)}
+    assert "_kept" in extract
 
 
 def test_decoders_key_on_metric_counts():
